@@ -41,8 +41,7 @@ from .slices import (SliceBasis, bb_slice_solve, bb_tangent_basis,
                      moment_correction, positive_weight_project, slice_solve,
                      tangent_basis)
 from .solver import (GradedSolveReport, SolveReport, graded_solve,
-                     hermitian_log, linearized_operator, newton_derivative,
-                     solve_real_moment)
+                     hermitian_log, solve_real_moment)
 from .verify import SuiteResult, VerifyReport, verify_run, write_outputs
 
 __version__ = "0.1.0"

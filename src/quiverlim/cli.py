@@ -19,7 +19,7 @@ from .conformal import conformal_limit, convergence_study
 from .errors import QuiverLimError
 from .fixedpoints import (bb_expected_dimension, flow_limit, is_fixed_point,
                           weight_grading)
-from .invariants import (PathSpec, fingerprint, fingerprint_labels,
+from .invariants import (ESCAPE_GRID, PathSpec, fingerprint, fingerprint_labels,
                          path_escape_exponent, escape_slope)
 from .presets import PRESET_NAMES, resolve_quiver_spec
 from .quiver import expected_dimension, is_generic, wall_margins
@@ -237,7 +237,7 @@ def _cmd_escape(args) -> int:
     p0, grading, A = _derive_setup(quiver, dims, central, preset,
                                    args.seed, args.tol)
     path = PathSpec.parse(args.path)
-    grid = args.grid if args.grid != RunConfig().r_grid else (0.04, 0.02, 0.01, 0.005)
+    grid = args.grid if args.grid != RunConfig().r_grid else ESCAPE_GRID
     st = escape_slope(p0, A, grid, path)
     print(f"path {path}: predicted blow-up exponent {st.expected_exponent}")
     print(f"fitted slope: {st.slope:.4f} over {st.used} points")

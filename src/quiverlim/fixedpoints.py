@@ -20,9 +20,8 @@ from .errors import (GradingViolation, NoConvergence, NonIntegerWeights,
 from .invariants import fingerprint_distance, nilpotency_bound
 from .quiver import DimensionVectors, Quiver
 from .repspace import (GaugeElement, LieElement, RepPoint, central_deviation,
-                       gauge_act, inf_action, lie_exp, moment_complex,
-                       moment_real)
-from .solver import hermitian_basis, solve_real_moment
+                       gauge_act, layout, lie_exp, moment_complex, moment_real)
+from .solver import solve_real_moment
 
 INT_WEIGHT_TOL = 1e-6
 STABILITY_RATIO = 1e-10
@@ -38,46 +37,9 @@ def cstar_act(R: complex, p: RepPoint) -> RepPoint:
         j=[R * m for m in p.j])
 
 
-def _real_flat(p: RepPoint) -> np.ndarray:
-    z = p.flatten()
-    return np.concatenate([z.real, z.imag])
-
-
-def _action_matrix_hermitian(p: RepPoint) -> tuple[np.ndarray, list]:
-    """Columns: infinitesimal gauge action of each hermitian basis element."""
-    cols = []
-    basis_elems = []
-    for k in range(p.quiver.n):
-        vk = p.dims.v[k]
-        for E_mat in hermitian_basis(vk):
-            blocks = [np.zeros((p.dims.v[m], p.dims.v[m]), dtype=complex)
-                      for m in range(p.quiver.n)]
-            blocks[k] = E_mat
-            xi = LieElement(dims=p.dims, blocks=blocks, klass="hermitian")
-            basis_elems.append(xi)
-            cols.append(_real_flat(inf_action(p, xi)))
-    mat = np.stack(cols, axis=1) if cols else np.zeros((_real_flat(p).size, 0))
-    return mat, basis_elems
-
-
-def _action_matrix_complex(p: RepPoint) -> np.ndarray:
-    """Columns: action of every elementary matrix over the complexified gauge algebra."""
-    cols = []
-    for k in range(p.quiver.n):
-        vk = p.dims.v[k]
-        for a in range(vk):
-            for b in range(vk):
-                blocks = [np.zeros((p.dims.v[m], p.dims.v[m]), dtype=complex)
-                          for m in range(p.quiver.n)]
-                blocks[k][a, b] = 1.0
-                xi = LieElement(dims=p.dims, blocks=blocks, klass="general")
-                cols.append(inf_action(p, xi).flatten())
-    return np.stack(cols, axis=1) if cols else np.zeros((p.flatten().size, 0))
-
-
 def stability_margin(p: RepPoint) -> tuple[float, float]:
     """(smallest, largest) singular value of the complexified gauge action."""
-    mat = _action_matrix_complex(p)
+    mat = layout(p.quiver, p.dims).action_matrix(p)
     if mat.shape[1] == 0:
         return float("inf"), 0.0
     s = np.linalg.svd(mat, compute_uv=False)
@@ -122,17 +84,13 @@ def is_fixed_point(p: RepPoint, tol: float = 1e-8) -> FixedPointReport:
         B=[np.zeros_like(b) if h < E else -b for h, b in enumerate(p.B)],
         i=[np.zeros_like(m) for m in p.i],
         j=[-m for m in p.j])
-    mat, basis_elems = _action_matrix_hermitian(p)
-    rhs = _real_flat(target)
-    if mat.shape[1] == 0:
-        coeff = np.zeros(0)
-        resid = float(np.linalg.norm(rhs))
-    else:
-        coeff, _, _, _ = np.linalg.lstsq(mat, rhs, rcond=None)
-        resid = float(np.linalg.norm(mat @ coeff - rhs))
-    gen = LieElement.zeros(p.dims, klass="hermitian")
-    for c, xi in zip(coeff, basis_elems):
-        gen = gen + float(c) * xi
+    lay = layout(p.quiver, p.dims)
+    mat = lay.hermitian_action_matrix(p)
+    flat = target.flatten()
+    rhs = np.concatenate([flat.real, flat.imag])
+    coeff = np.linalg.lstsq(mat, rhs, rcond=None)[0]
+    resid = float(np.linalg.norm(mat @ coeff - rhs))
+    gen = lay.herm_element(coeff)
     smin, smax = stability_margin(p)
     stable = smin > STABILITY_RATIO * max(1.0, smax)
 

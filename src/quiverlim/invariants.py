@@ -247,6 +247,10 @@ class EscapeStudy:
     used: int
 
 
+# hbar values at which the escape suite and the escape command fit the slope
+ESCAPE_GRID = (0.04, 0.02, 0.01, 0.005)
+
+
 def escape_slope(p0: RepPoint, A: RepPoint, hbar_grid, path: PathSpec,
                  tol: float = 1e-10) -> EscapeStudy:
     """Fit log|invariant| against log hbar along the algebraic limit family.

@@ -15,6 +15,7 @@ linear in its first slot.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,18 +46,16 @@ class RepPoint:
     j: list[np.ndarray] = field(default_factory=list)
 
     def __post_init__(self):
-        q, d = self.quiver, self.dims
-        d.check_quiver(q)
+        shapes = layout(self.quiver, self.dims).shapes
+        nh, n = self.quiver.num_h, self.quiver.n
         if not self.B and not self.i and not self.j:
-            self.B = [np.zeros((d.v[q.h_in(h)], d.v[q.h_out(h)]), dtype=_CPLX)
-                      for h in range(q.num_h)]
-            self.i = [np.zeros((d.v[k], d.w[k]), dtype=_CPLX) for k in range(q.n)]
-            self.j = [np.zeros((d.w[k], d.v[k]), dtype=_CPLX) for k in range(q.n)]
+            self.B = [np.zeros(s, dtype=_CPLX) for s in shapes[:nh]]
+            self.i = [np.zeros(s, dtype=_CPLX) for s in shapes[nh:nh + n]]
+            self.j = [np.zeros(s, dtype=_CPLX) for s in shapes[nh + n:]]
             return
-        self.B = [_as_matrix(self.B[h], d.v[q.h_in(h)], d.v[q.h_out(h)], f"B[{h}]")
-                  for h in range(q.num_h)]
-        self.i = [_as_matrix(self.i[k], d.v[k], d.w[k], f"i[{k}]") for k in range(q.n)]
-        self.j = [_as_matrix(self.j[k], d.w[k], d.v[k], f"j[{k}]") for k in range(q.n)]
+        self.B = [_as_matrix(self.B[h], *shapes[h], f"B[{h}]") for h in range(nh)]
+        self.i = [_as_matrix(self.i[k], *shapes[nh + k], f"i[{k}]") for k in range(n)]
+        self.j = [_as_matrix(self.j[k], *shapes[nh + n + k], f"j[{k}]") for k in range(n)]
 
     @classmethod
     def zeros(cls, quiver: Quiver, dims: DimensionVectors) -> "RepPoint":
@@ -97,31 +96,17 @@ class RepPoint:
         return float(np.sqrt(max(metric(self, self).real, 0.0)))
 
     def flatten(self) -> np.ndarray:
-        parts = [b.ravel() for b in self.B] + [m.ravel() for m in self.i] \
-            + [m.ravel() for m in self.j]
-        if not parts:
-            return np.zeros(0, dtype=_CPLX)
-        return np.concatenate(parts)
+        return np.concatenate([m.ravel() for m in (*self.B, *self.i, *self.j)])
 
     @classmethod
     def from_flat(cls, quiver: Quiver, dims: DimensionVectors, vec: np.ndarray) -> "RepPoint":
-        p = cls.zeros(quiver, dims)
-        pos = 0
-        for h in range(quiver.num_h):
-            n = p.B[h].size
-            p.B[h] = vec[pos:pos + n].reshape(p.B[h].shape).astype(_CPLX)
-            pos += n
-        for k in range(quiver.n):
-            n = p.i[k].size
-            p.i[k] = vec[pos:pos + n].reshape(p.i[k].shape).astype(_CPLX)
-            pos += n
-        for k in range(quiver.n):
-            n = p.j[k].size
-            p.j[k] = vec[pos:pos + n].reshape(p.j[k].shape).astype(_CPLX)
-            pos += n
-        if pos != vec.size:
+        lay = layout(quiver, dims)
+        if vec.size != lay.rep_dim:
             raise ValueError("flat vector length does not match the representation space")
-        return p
+        mats = [vec[a:a + r * c].reshape(r, c).astype(_CPLX)
+                for a, (r, c) in zip(lay.starts, lay.shapes)]
+        nh, n = quiver.num_h, quiver.n
+        return cls(quiver, dims, mats[:nh], mats[nh:nh + n], mats[nh + n:])
 
     def to_dict(self) -> dict:
         return {
@@ -153,7 +138,7 @@ def _pairs_matrix(rows: list, shape: tuple[int, int]) -> np.ndarray:
 
 def rep_dim(quiver: Quiver, dims: DimensionVectors) -> int:
     """Complex dimension of the doubled representation space."""
-    return RepPoint.zeros(quiver, dims).flatten().size
+    return layout(quiver, dims).rep_dim
 
 
 @dataclass
@@ -199,6 +184,19 @@ class LieElement:
 
     def norm(self) -> float:
         return float(np.sqrt(sum(np.vdot(b, b).real for b in self.blocks)))
+
+    def flatten(self) -> np.ndarray:
+        """Blocks in vertex order, each row-major (the gauge flat layout)."""
+        if not self.blocks:
+            return np.zeros(0, dtype=_CPLX)
+        return np.concatenate([b.ravel() for b in self.blocks])
+
+    @classmethod
+    def from_flat(cls, dims: DimensionVectors, vec: np.ndarray,
+                  klass: str = "general") -> "LieElement":
+        starts = _starts([vk * vk for vk in dims.v])
+        return cls(dims, [vec[a:a + vk * vk].reshape(vk, vk).astype(_CPLX)
+                          for a, vk in zip(starts, dims.v)], klass)
 
     def max_deviation(self, klass: str) -> float:
         """Distance of the blocks from the hermitian or skew-hermitian cone."""
@@ -407,3 +405,143 @@ def hermitian_residual(p: RepPoint, sigma) -> LieElement:
     blocks = [-2j * mr.blocks[k] - 2.0 * sig[k] * np.eye(p.dims.v[k], dtype=_CPLX)
               for k in range(p.quiver.n)]
     return LieElement(p.dims, blocks, "hermitian")
+
+
+# -- operator layer ---------------------------------------------------------
+
+def _starts(sizes) -> tuple[int, ...]:
+    """Offsets of consecutive blocks of the given sizes in one flat vector."""
+    return tuple(int(x) for x in np.cumsum([0, *sizes])[:-1])
+
+
+class FlatLayout:
+    """Flat coordinates of one (quiver, dims) pair and the operators on them.
+
+    A point flattens slot by slot (B by doubled edge, then i, then j by
+    vertex) and a gauge-algebra element block by block, all row-major.  The
+    matrices of xi -> inf_action(p, xi) and q -> dmu_complex(p, q) are linear
+    in p with every entry +1 or -1 times one entry of p.flatten(), so each is
+    a scatter of that vector through index tables computed once here.  Get
+    layouts from ``layout``, which caches one per pair; treat them as frozen.
+    """
+
+    def __init__(self, quiver: Quiver, dims: DimensionVectors):
+        dims.check_quiver(quiver)
+        self.quiver, self.dims = quiver, dims
+        # a slot maps its column space to its row space; a space is either
+        # V_k (written k >= 0, with a gauge block) or W_k (written ~k < 0)
+        self.spaces = tuple([(quiver.h_in(h), quiver.h_out(h)) for h in range(quiver.num_h)]
+                            + [(k, ~k) for k in range(quiver.n)]
+                            + [(~k, k) for k in range(quiver.n)])
+        self.shapes = tuple((dims.v[r] if r >= 0 else dims.w[~r],
+                             dims.v[c] if c >= 0 else dims.w[~c]) for r, c in self.spaces)
+        self.starts = _starts([r * c for r, c in self.shapes])
+        self.rep_dim = sum(r * c for r, c in self.shapes)
+        self.lie_starts = _starts([vk * vk for vk in dims.v])
+        self.lie_dim = sum(vk * vk for vk in dims.v)
+        self.herm = self._hermitian_basis()
+        self._action = self._action_table()
+        self._dmu = self._dmu_table()
+
+    def _hermitian_basis(self) -> np.ndarray:
+        """Columns: the real-orthonormal basis of hermitian tuples under
+        Re Tr(a b^dag); per vertex the diagonal units, then for each a < b
+        the real symmetric and the imaginary antisymmetric pair."""
+        h = np.zeros((self.lie_dim, self.lie_dim), dtype=_CPLX)
+        s = 1.0 / np.sqrt(2.0)
+        col = 0
+        for start, vk in zip(self.lie_starts, self.dims.v):
+            for a in range(vk):
+                h[start + a * vk + a, col] = 1.0
+                col += 1
+            for a in range(vk):
+                for b in range(a + 1, vk):
+                    pair = [start + a * vk + b, start + b * vk + a]
+                    h[pair, col], h[pair, col + 1] = s, (1j * s, -1j * s)
+                    col += 2
+        return h
+
+    def _action_table(self):
+        """Entries of xi -> xi_r X - X xi_c on each slot X from space c to
+        space r; framing spaces carry no gauge block."""
+        parts = []
+        for (r, c), (nr, nc), start in zip(self.spaces, self.shapes, self.starts):
+            if r >= 0:  # + xi_r[a, x] X[x, b]
+                a, x, b = np.indices((nr, nr, nc)).reshape(3, -1)
+                parts.append((start + a * nc + b, self.lie_starts[r] + a * nr + x,
+                              start + x * nc + b, 1.0))
+            if c >= 0:  # - X[a, x] xi_c[x, b]
+                a, b, x = np.indices((nr, nc, nc)).reshape(3, -1)
+                parts.append((start + a * nc + b, self.lie_starts[c] + x * nc + b,
+                              start + a * nc + x, -1.0))
+        return self._table(parts, self.lie_dim)
+
+    def _dmu_table(self):
+        """Entries of q -> dmu_complex(p, q).  mu_C(p)_k is a signed sum of
+        slot products X Y (B_h B_hbar over the edges h into k, and i_k j_k),
+        so its derivative is the sum of X qY + qX Y with the same signs."""
+        q, nh = self.quiver, self.quiver.num_h
+        products = [(k, h, q.h_bar(h), float(q.h_eps(h)))
+                    for k in range(q.n) for h in q.h_into(k)]
+        products += [(k, nh + k, nh + q.n + k, 1.0) for k in range(q.n)]
+        parts = []
+        for k, x_slot, y_slot, sign in products:
+            vk, inner = self.dims.v[k], self.shapes[x_slot][1]
+            sx, sy = self.starts[x_slot], self.starts[y_slot]
+            a, b, x = np.indices((vk, vk, inner)).reshape(3, -1)
+            row = self.lie_starts[k] + a * vk + b
+            parts.append((row, sy + x * vk + b, sx + a * inner + x, sign))  # X qY
+            parts.append((row, sx + a * inner + x, sy + x * vk + b, sign))  # qX Y
+        return self._table(parts, self.rep_dim)
+
+    @staticmethod
+    def _table(parts, ncols: int):
+        """(flat matrix index, source index into p.flatten(), sign) arrays."""
+        return (np.concatenate([row * ncols + col for row, col, _, _ in parts]),
+                np.concatenate([src for _, _, src, _ in parts]),
+                np.concatenate([np.full(src.size, sg) for _, _, src, sg in parts]))
+
+    @staticmethod
+    def _scatter(table, shape: tuple[int, int], flat: np.ndarray) -> np.ndarray:
+        idx, src, sign = table
+        m = np.zeros(shape[0] * shape[1], dtype=_CPLX)
+        m[idx] = sign * flat[src]
+        return m.reshape(shape)
+
+    def action_matrix(self, p: RepPoint) -> np.ndarray:
+        """Matrix of xi -> inf_action(p, xi) on flat coordinates."""
+        return self._scatter(self._action, (self.rep_dim, self.lie_dim), p.flatten())
+
+    def dmu_matrix(self, p: RepPoint) -> np.ndarray:
+        """Matrix of q -> dmu_complex(p, q) on flat coordinates."""
+        return self._scatter(self._dmu, (self.lie_dim, self.rep_dim), p.flatten())
+
+    def hermitian_action_matrix(self, p: RepPoint) -> np.ndarray:
+        """Real matrix of the action on hermitian coordinates: the real parts
+        of the image stacked over its imaginary parts."""
+        a = self.action_matrix(p) @ self.herm
+        return np.concatenate([a.real, a.imag])
+
+    def herm_coords(self, x: LieElement) -> np.ndarray:
+        """Coordinates of a hermitian tuple in the basis ``herm``."""
+        return (self.herm.conj().T @ x.flatten()).real
+
+    def herm_element(self, coeffs: np.ndarray) -> LieElement:
+        """The hermitian tuple with the given coordinates."""
+        return LieElement.from_flat(self.dims, self.herm @ coeffs, "hermitian")
+
+    def gauge_matrix(self, left: list[np.ndarray], right: list[np.ndarray]) -> np.ndarray:
+        """Matrix of p -> (left_in B right_out, left_k i_k, j_k right_k) for
+        one left and one right block per vertex; block diagonal over slots."""
+        m = np.zeros((self.rep_dim, self.rep_dim), dtype=_CPLX)
+        for (r, c), (nr, nc), start in zip(self.spaces, self.shapes, self.starts):
+            lm = left[r] if r >= 0 else np.eye(nr)
+            rm = right[c] if c >= 0 else np.eye(nc)
+            m[start:start + nr * nc, start:start + nr * nc] = np.kron(lm, rm.T)
+        return m
+
+
+@functools.lru_cache(maxsize=128)
+def layout(quiver: Quiver, dims: DimensionVectors) -> FlatLayout:
+    """The flat layout of (quiver, dims), built once per pair."""
+    return FlatLayout(quiver, dims)

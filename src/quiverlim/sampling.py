@@ -16,7 +16,7 @@ import numpy as np
 from .errors import (MaxIterations, NotInjective, NotOnVariety, QuiverLimError,
                      SamplingFailed)
 from .quiver import CentralParameter, DimensionVectors, Quiver
-from .repspace import RepPoint, central_lie, moment_complex
+from .repspace import RepPoint, central_lie, moment_complex, rep_dim
 from .slices import moment_derivative_matrix
 from .solver import SolveReport, solve_real_moment
 
@@ -29,7 +29,7 @@ def make_rng(seed: int) -> np.random.Generator:
 def random_rep(quiver: Quiver, dims: DimensionVectors,
                rng: np.random.Generator, scale: float = 1.0) -> RepPoint:
     """Standard complex gaussian entries in every slot, scaled uniformly."""
-    n = RepPoint.zeros(quiver, dims).flatten().size
+    n = rep_dim(quiver, dims)
     flat = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
     return RepPoint.from_flat(quiver, dims, scale * flat)
 
@@ -46,8 +46,7 @@ def project_complex_level(p: RepPoint, c_values, tol: float = 1e-12,
     cur = p.copy()
     for _ in range(max_iter):
         gap = moment_complex(cur) - target
-        res = np.concatenate([b.ravel() for b in gap.blocks]) \
-            if gap.blocks else np.zeros(0, dtype=complex)
+        res = gap.flatten()
         norm = float(np.linalg.norm(res))
         if norm <= tol * max(1.0, cur.norm() ** 2):
             return cur

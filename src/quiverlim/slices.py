@@ -18,8 +18,8 @@ from .errors import (DimensionMismatch, IllConditioned, LeftBasin,
                      MaxIterations, NotOnSlice)
 from .fixedpoints import WeightGrading
 from .quiver import expected_dimension
-from .repspace import (LieElement, RepPoint, central_deviation, dmu_complex,
-                       inf_action_adjoint, moment_complex)
+from .repspace import (RepPoint, central_deviation, inf_action_adjoint,
+                       layout, moment_complex)
 
 SV_RATIO = 1e-8
 COND_LIMIT = 1e12
@@ -27,28 +27,17 @@ NEWTON_SLOPE = 1e-4
 MIN_DAMPING = 2.0 ** -10
 
 
-def _lie_flat(x: LieElement) -> np.ndarray:
-    parts = [b.ravel() for b in x.blocks]
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
-
-
 def stacked_conditions(p: RepPoint, shift: RepPoint | None = None) -> np.ndarray:
     """Matrix of q -> (dmu_C(p + shift, q), adjoint-action_p(q)) on flat coords.
 
     The adjoint row block is always taken at the base point p: the slice
     orthogonality condition is fixed while the moment rows move with the
-    Newton iterate.
+    Newton iterate.  The adjoint rows are the conjugate transpose of the
+    action matrix.
     """
+    lay = layout(p.quiver, p.dims)
     at = p if shift is None else p + shift
-    n = p.flatten().size
-    cols = []
-    for t in range(n):
-        e = np.zeros(n, dtype=complex)
-        e[t] = 1.0
-        q = RepPoint.from_flat(p.quiver, p.dims, e)
-        cols.append(np.concatenate([_lie_flat(dmu_complex(at, q)),
-                                    _lie_flat(inf_action_adjoint(p, q))]))
-    return np.stack(cols, axis=1) if cols else np.zeros((0, 0), dtype=complex)
+    return np.concatenate([lay.dmu_matrix(at), lay.action_matrix(p).conj().T])
 
 
 def _null_and_row(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -91,18 +80,14 @@ class SliceBasis:
         }
 
 
-def _condition_residual(p: RepPoint, q: RepPoint) -> float:
-    return float(np.linalg.norm(np.concatenate([
-        _lie_flat(dmu_complex(p, q)), _lie_flat(inf_action_adjoint(p, q))])))
-
-
 def tangent_basis(p: RepPoint) -> SliceBasis:
     """Orthonormal basis of the slice tangent space at a stable point.
 
     The count must match the expected dimension (as a real dimension);
     a mismatch signals non-genericity or instability.
     """
-    null, _, _ = _null_and_row(stacked_conditions(p))
+    conditions = stacked_conditions(p)
+    null, _, _ = _null_and_row(conditions)
     expected = expected_dimension(p.quiver, p.dims)
     if 2 * null.shape[1] != expected:
         raise DimensionMismatch(
@@ -111,7 +96,7 @@ def tangent_basis(p: RepPoint) -> SliceBasis:
     vectors = [RepPoint.from_flat(p.quiver, p.dims, null[:, t])
                for t in range(null.shape[1])]
     scale = max(1.0, p.norm())
-    worst = max((_condition_residual(p, v) for v in vectors), default=0.0)
+    worst = float(np.linalg.norm(conditions @ null, axis=0).max(initial=0.0))
     if worst > 1e-10 * scale:
         raise DimensionMismatch(
             f"tangent vector violates the defining conditions ({worst:.3e})")
@@ -120,13 +105,7 @@ def tangent_basis(p: RepPoint) -> SliceBasis:
 
 def moment_derivative_matrix(p: RepPoint) -> np.ndarray:
     """Flat-coordinate matrix of q -> dmu_C(p, q)."""
-    n = p.flatten().size
-    cols = []
-    for t in range(n):
-        e = np.zeros(n, dtype=complex)
-        e[t] = 1.0
-        cols.append(_lie_flat(dmu_complex(p, RepPoint.from_flat(p.quiver, p.dims, e))))
-    return np.stack(cols, axis=1) if cols else np.zeros((0, 0), dtype=complex)
+    return layout(p.quiver, p.dims).dmu_matrix(p)
 
 
 def moment_correction(p: RepPoint, q: RepPoint) -> RepPoint:
@@ -158,8 +137,8 @@ def _constrained_newton(p: RepPoint, q0: RepPoint, directions: np.ndarray,
     restricted to the span of `directions` (columns, flat coords)."""
     def residual(q: RepPoint) -> np.ndarray:
         mc = moment_complex(p + q)
-        top = _lie_flat(mc) - target
-        return np.concatenate([top, _lie_flat(inf_action_adjoint(p, q))])
+        top = mc.flatten() - target
+        return np.concatenate([top, inf_action_adjoint(p, q).flatten()])
 
     q = q0.copy()
     r = residual(q)
@@ -213,7 +192,7 @@ def slice_solve(p: RepPoint, q0: RepPoint, tol: float = 1e-10,
         off = flat0
     if float(np.linalg.norm(off)) > 1e-8 * max(1.0, float(np.linalg.norm(flat0))):
         raise NotOnSlice("starting increment is not tangent to the slice")
-    return _constrained_newton(p, q0, row, _lie_flat(mc), tol, max_iter)
+    return _constrained_newton(p, q0, row, mc.flatten(), tol, max_iter)
 
 
 def bb_tangent_basis(p0: RepPoint, grading: WeightGrading) -> SliceBasis:
@@ -238,15 +217,9 @@ def bb_tangent_basis(p0: RepPoint, grading: WeightGrading) -> SliceBasis:
 def _positive_weight_columns(p0: RepPoint, grading: WeightGrading) -> np.ndarray:
     """Orthonormal flat-coordinate basis of the full-action weight >= 1 subspace."""
     wt_flat = np.real(grading.slot_weight_arrays().flatten())
-    n = wt_flat.size
-    cols = []
-    for t in range(n):
-        if wt_flat[t] >= 0.5:
-            e = np.zeros(n, dtype=complex)
-            e[t] = 1.0
-            cols.append(grading.from_eigenbasis(
-                RepPoint.from_flat(p0.quiver, p0.dims, e)).flatten())
-    return np.stack(cols, axis=1) if cols else np.zeros((n, 0), dtype=complex)
+    qs = grading.qmats
+    from_eigen = layout(p0.quiver, p0.dims).gauge_matrix(qs, [q.conj().T for q in qs])
+    return from_eigen[:, wt_flat >= 0.5]
 
 
 def positive_weight_project(q: RepPoint, grading: WeightGrading) -> RepPoint:
@@ -292,6 +265,6 @@ def bb_slice_solve(p0: RepPoint, q0: RepPoint, grading: WeightGrading,
     def keep_graded(q: RepPoint) -> RepPoint:
         return positive_weight_project(q, grading)
 
-    target = _lie_flat(moment_complex(p0))
+    target = moment_complex(p0).flatten()
     return _constrained_newton(p0, keep_graded(q0), directions, target, tol,
                                max_iter, stay_inside=keep_graded)

