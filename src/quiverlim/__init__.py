@@ -10,25 +10,24 @@ from .config import RunConfig
 from .conformal import (ConformalFamilySample, ConvergenceReport,
                         conformal_family_sample, conformal_limit,
                         conformal_point, convergence_study, twistor_rotate)
-from .errors import (DegenerateFit, DimensionMismatch, GradingViolation,
-                     IllConditioned, LeftBasin, MaxIterations, NoConvergence,
-                     NonIntegerWeights, NotFixed, NotInjective, NotOnSlice,
-                     NotOnVariety, QuiverLimError, SamplingFailed,
-                     ZeroInvariant)
+from .errors import (DegenerateFit, DimensionMismatch, EmptyVariety,
+                     GradingViolation, IllConditioned, LeftBasin,
+                     MaxIterations, NoConvergence, NonIntegerWeights, NotFixed,
+                     NotInjective, NotOnSlice, NotOnVariety, QuiverLimError,
+                     SamplingFailed, ZeroInvariant)
 from .fixedpoints import (FixedPointReport, FlowReport, WeightGrading,
                           bb_expected_dimension, cstar_act, default_schedule,
                           flow_limit, grade_increment, is_fixed_point,
                           scaling_energy, stability_margin, weight_grading)
-from .invariants import (EscapeStudy, PathSpec, enumerate_paths, escape_profile,
-                         escape_slope, eval_path, fingerprint,
-                         fingerprint_distance, fingerprint_labels,
-                         invariant_size, is_nilpotent, nilpotency_bound,
-                         path_escape_exponent)
+from .invariants import (EscapeStudy, PathSpec, enumerate_paths, escape_slope,
+                         eval_path, fingerprint, fingerprint_distance,
+                         fingerprint_labels, invariant_size, is_nilpotent,
+                         nilpotency_bound, path_escape_exponent)
 from .presets import PRESET_NAMES, Preset, get_preset, resolve_quiver_spec
 from .quiver import (CentralParameter, DimensionVectors, Quiver, cartan_matrix,
                      expected_dimension, is_generic, load_quiver_file,
                      positive_roots_bounded, quiver_from_dict, quiver_to_dict,
-                     wall_margins)
+                     wall_margins, walls)
 from .repspace import (GaugeElement, LieElement, RepPoint, central_deviation,
                        central_lie, dmu_complex, dmoment_real_scaled,
                        gauge_act, hermitian_residual, inf_action,

@@ -12,26 +12,27 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from .config import RunConfig
+from .config import INVARIANT_RANGE, RunConfig
 from .conformal import conformal_limit, convergence_study
 from .errors import QuiverLimError
 from .fixedpoints import (bb_expected_dimension, flow_limit, is_fixed_point,
                           weight_grading)
-from .invariants import (ESCAPE_GRID, PathSpec, fingerprint, fingerprint_labels,
-                         path_escape_exponent, escape_slope)
+from .invariants import (ESCAPE_GRID, PathSpec, escape_slope, fingerprint,
+                         fingerprint_labels)
 from .presets import PRESET_NAMES, resolve_quiver_spec
-from .quiver import expected_dimension, is_generic, wall_margins
-from .repspace import RepPoint, central_deviation, hermitian_residual, moment_complex
-from .sampling import make_rng, sample_on_variety
-from .slices import bb_slice_solve, bb_tangent_basis, tangent_basis
+from .quiver import expected_dimension, is_generic, require_nonempty, walls
+from .repspace import central_deviation, hermitian_residual, moment_complex
+from .sampling import attracting_increment, sample_on_variety
+from .slices import bb_tangent_basis, tangent_basis
 from .verify import verify_run, write_outputs
 
 
-def _write_json(path: str, data) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+def _write_json(out_dir: str | None, name: str, data) -> None:
+    """Write data to out_dir/name; nothing without --out."""
+    if not out_dir:
+        return
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -41,25 +42,24 @@ def _grid(text: str) -> tuple[float, ...]:
 
 
 def _load(args) -> tuple:
-    return resolve_quiver_spec(args.quiver)
+    quiver, dims, central, preset = resolve_quiver_spec(args.quiver)
+    require_nonempty(quiver, dims)
+    return quiver, dims, central, preset
 
 
-def _derive_setup(quiver, dims, central, preset, seed: int, tol: float):
-    """Fixed point, grading, and a seeded attracting-slice increment."""
+def _derive_setup(args, quiver, dims, central, preset):
+    """(p0, grading, A) as verify builds them, except that a preset's
+    hand-checked fixed point, where it has one, replaces the flow limit of
+    the seeded sample."""
     if preset is not None and preset.fixed_matrices is not None:
         p0 = preset.fixed_point()
     else:
-        smp = sample_on_variety(quiver, dims, central, seed=seed, tol=tol)
-        p0 = flow_limit(smp.point, central.sigma_array(), solve_tol=tol).limit
+        smp = sample_on_variety(quiver, dims, central, seed=args.seed, tol=args.tol)
+        p0 = flow_limit(smp.point, central.sigma_array(), args.max_len,
+                        solve_tol=args.tol).limit
     grading = weight_grading(p0)
-    basis = bb_tangent_basis(p0, grading)
-    if basis.count() == 0:
-        A = RepPoint.zeros(quiver, dims)
-    else:
-        rng = make_rng(seed + 10)
-        coeffs = 0.3 * (rng.standard_normal(basis.count())
-                        + 1j * rng.standard_normal(basis.count()))
-        A = bb_slice_solve(p0, basis.combine(coeffs), grading, tol=tol)
+    A = attracting_increment(bb_tangent_basis(p0, grading), grading,
+                             args.seed, args.tol)
     return p0, grading, A
 
 
@@ -69,24 +69,20 @@ def _cmd_check(args) -> int:
     print(f"vertices: {quiver.n}, edges: {list(quiver.edges)}")
     print(f"v: {list(dims.v)}, w: {list(dims.w)}")
     print(f"expected slice dimension (real): {expected_dimension(quiver, dims)}")
-    generic = is_generic(central, quiver, dims)
+    on_walls = walls(central, quiver, dims)
+    generic = not on_walls
     print(f"central parameter generic: {'yes' if generic else 'no'}")
-    if not generic:
-        for theta, margin, on_wall in wall_margins(central, quiver, dims):
-            if on_wall is True or (on_wall is None and margin <= 1e-12):
-                print(f"  wall at root theta={list(theta)} (margin {margin:.3e})")
-    if args.out:
-        _write_json(os.path.join(args.out, "check.json"), {
-            "quiver": args.quiver,
-            "vertices": quiver.n,
-            "edges": [list(e) for e in quiver.edges],
-            "v": list(dims.v), "w": list(dims.w),
-            "expected_dimension": expected_dimension(quiver, dims),
-            "generic": bool(generic),
-            "walls": [{"theta": list(t), "margin": m}
-                      for t, m, w in wall_margins(central, quiver, dims)
-                      if w is True or (w is None and m <= 1e-12)],
-        })
+    for theta, margin in on_walls:
+        print(f"  wall at root theta={list(theta)} (margin {margin:.3e})")
+    _write_json(args.out, "check.json", {
+        "quiver": args.quiver,
+        "vertices": quiver.n,
+        "edges": [list(e) for e in quiver.edges],
+        "v": list(dims.v), "w": list(dims.w),
+        "expected_dimension": expected_dimension(quiver, dims),
+        "generic": bool(generic),
+        "walls": [{"theta": list(t), "margin": m} for t, m in on_walls],
+    })
     return 0
 
 
@@ -100,60 +96,55 @@ def _cmd_sample(args) -> int:
           f"{rep.solve.iterations} Newton steps")
     print(f"real-moment residual: {res:.3e}")
     print(f"complex-moment central deviation: {dev:.3e}")
-    if args.out:
-        _write_json(os.path.join(args.out, "sample.json"), {
-            "seed": args.seed, "attempts": rep.attempts,
-            "residual": res, "central_deviation": dev,
-            "point": p.to_dict(),
-        })
+    _write_json(args.out, "sample.json", {
+        "seed": args.seed, "attempts": rep.attempts,
+        "residual": res, "central_deviation": dev,
+        "point": p.to_dict(),
+    })
     return 0
 
 
 def _cmd_flow(args) -> int:
     quiver, dims, central, _ = _load(args)
     rep = sample_on_variety(quiver, dims, central, seed=args.seed, tol=args.tol)
-    flow = flow_limit(rep.point, central.sigma_array(), solve_tol=args.tol)
+    flow = flow_limit(rep.point, central.sigma_array(), args.max_len,
+                      solve_tol=args.tol)
     print(f"settled at R={flow.R_final:g} after {len(flow.rows)} steps")
     print(f"fixed-point residual: {flow.fixed_report.residual:.3e}")
     print("R, shrinking-slot energy, fingerprint step:")
     for r, e, d in flow.rows:
         print(f"  {r:.6g}  {e:.6e}  {d:.3e}")
-    if args.out:
-        _write_json(os.path.join(args.out, "flow.json"), {
-            "R_final": flow.R_final,
-            "rows": [[r, e, d] for r, e, d in flow.rows],
-            "fixed": bool(flow.fixed_report.fixed),
-            "stable": bool(flow.fixed_report.stable),
-            "residual": flow.fixed_report.residual,
-            "limit": flow.limit.to_dict(),
-        })
+    _write_json(args.out, "flow.json", {
+        "R_final": flow.R_final,
+        "rows": [[r, e, d] for r, e, d in flow.rows],
+        "fixed": bool(flow.fixed_report.fixed),
+        "stable": bool(flow.fixed_report.stable),
+        "residual": flow.fixed_report.residual,
+        "limit": flow.limit.to_dict(),
+    })
     return 0
 
 
 def _cmd_fixed(args) -> int:
-    quiver, dims, central, preset = _load(args)
-    p0, grading, _ = _derive_setup(quiver, dims, central, preset,
-                                   args.seed, args.tol)
+    p0, grading, _ = _derive_setup(args, *_load(args))
     rep = is_fixed_point(p0)
     audit = bb_expected_dimension(grading)
     print(f"fixed: {rep.fixed} (residual {rep.residual:.3e})")
     print(f"stable: {rep.stable} (min singular value {rep.min_singular:.3e})")
     print(f"vertex weights: {[list(w) for w in grading.weights]}")
     print(f"attracting dimension audit: {audit}")
-    if args.out:
-        _write_json(os.path.join(args.out, "fixed.json"), {
-            "fixed": bool(rep.fixed), "residual": rep.residual,
-            "stable": bool(rep.stable),
-            "weights": [list(map(int, w)) for w in grading.weights],
-            "audit": audit, "point": p0.to_dict(),
-        })
+    _write_json(args.out, "fixed.json", {
+        "fixed": bool(rep.fixed), "residual": rep.residual,
+        "stable": bool(rep.stable),
+        "weights": [list(map(int, w)) for w in grading.weights],
+        "audit": audit, "point": p0.to_dict(),
+    })
     return 0
 
 
 def _cmd_bb_basis(args) -> int:
     quiver, dims, central, preset = _load(args)
-    p0, grading, _ = _derive_setup(quiver, dims, central, preset,
-                                   args.seed, args.tol)
+    p0, grading, _ = _derive_setup(args, quiver, dims, central, preset)
     basis = bb_tangent_basis(p0, grading)
     full = tangent_basis(p0) if is_generic(central, quiver, dims) else None
     audit = bb_expected_dimension(grading)
@@ -163,42 +154,37 @@ def _cmd_bb_basis(args) -> int:
         print(f"full slice basis: {full.count()} complex vector(s) "
               f"({full.real_dimension()} real)")
     print(f"formula count: {audit['bb_dimension']}")
-    if args.out:
-        _write_json(os.path.join(args.out, "bb_basis.json"), {
-            "count": basis.count(), "audit": audit,
-            "basis": basis.to_dict(),
-        })
+    _write_json(args.out, "bb_basis.json", {
+        "count": basis.count(), "audit": audit,
+        "basis": basis.to_dict(),
+    })
     return 0
 
 
 def _cmd_climit(args) -> int:
-    quiver, dims, central, preset = _load(args)
-    p0, grading, A = _derive_setup(quiver, dims, central, preset,
-                                   args.seed, args.tol)
+    p0, grading, A = _derive_setup(args, *_load(args))
     rep = conformal_limit(p0, A, args.hbar, tol=args.tol, grading=grading)
     fp = fingerprint(rep.point, args.max_len)
     print(f"conformal limit at hbar={args.hbar:g}: "
           f"{rep.iterations} Newton steps, residual {rep.residual:.3e}")
-    labels = fingerprint_labels(quiver, dims, args.max_len)
+    labels = fingerprint_labels(p0.quiver, p0.dims, args.max_len)
     shown = 0
     for lab, val in zip(labels, fp):
-        if abs(val) > 1e-12 and shown < 12:
+        if abs(val) > INVARIANT_RANGE[0] and shown < 12:
             print(f"  {lab} = {val:.6g}")
             shown += 1
-    if args.out:
-        _write_json(os.path.join(args.out, "climit.json"), {
-            "hbar": args.hbar, "residual": rep.residual,
-            "iterations": rep.iterations,
-            "fingerprint": {lab: float(v) for lab, v in zip(labels, fp)},
-            "point": rep.point.to_dict(),
-        })
+    _write_json(args.out, "climit.json", {
+        "hbar": args.hbar, "residual": rep.residual,
+        "iterations": rep.iterations,
+        "fingerprint": {lab: float(v) for lab, v in zip(labels, fp)},
+        "point": rep.point.to_dict(),
+    })
     return 0
 
 
 def _cmd_family(args) -> int:
     quiver, dims, central, preset = _load(args)
-    p0, grading, A = _derive_setup(quiver, dims, central, preset,
-                                   args.seed, args.tol)
+    p0, grading, A = _derive_setup(args, quiver, dims, central, preset)
     st = convergence_study(p0, A, central.sigma_array(), args.hbar, args.grid,
                            grading=grading, tol=args.tol, max_len=args.max_len)
     print(f"family at hbar={args.hbar:g} over R grid {list(args.grid)}:")
@@ -208,11 +194,10 @@ def _cmd_family(args) -> int:
         print("degenerate: distances at the solver floor, no rate measurable")
     else:
         print(f"log-log slope: {st.slope:.4f} (fit residual {st.fit_residual:.2e})")
-    if args.out:
-        _write_json(os.path.join(args.out, "family.json"), {
-            "hbar": args.hbar, "rows": [[r, d] for r, d in st.rows],
-            "slope": st.slope, "degenerate": st.degenerate,
-        })
+    _write_json(args.out, "family.json", {
+        "hbar": args.hbar, "rows": [[r, d] for r, d in st.rows],
+        "slope": st.slope, "degenerate": st.degenerate,
+    })
     return 0
 
 
@@ -224,30 +209,25 @@ def _cmd_invariants(args) -> int:
     print(f"{len(labels)} invariant coordinates up to length {args.max_len}")
     for lab, val in zip(labels, fp):
         print(f"  {lab} = {val:.6g}")
-    if args.out:
-        _write_json(os.path.join(args.out, "invariants.json"), {
-            "max_len": args.max_len,
-            "fingerprint": {lab: float(v) for lab, v in zip(labels, fp)},
-        })
+    _write_json(args.out, "invariants.json", {
+        "max_len": args.max_len,
+        "fingerprint": {lab: float(v) for lab, v in zip(labels, fp)},
+    })
     return 0
 
 
 def _cmd_escape(args) -> int:
-    quiver, dims, central, preset = _load(args)
-    p0, grading, A = _derive_setup(quiver, dims, central, preset,
-                                   args.seed, args.tol)
+    p0, _, A = _derive_setup(args, *_load(args))
     path = PathSpec.parse(args.path)
-    grid = args.grid if args.grid != RunConfig().r_grid else ESCAPE_GRID
-    st = escape_slope(p0, A, grid, path)
+    st = escape_slope(p0, A, args.grid, path)
     print(f"path {path}: predicted blow-up exponent {st.expected_exponent}")
     print(f"fitted slope: {st.slope:.4f} over {st.used} points")
     for h, v in st.rows:
         print(f"  hbar={h:.6g}  |invariant|={v:.6e}")
-    if args.out:
-        _write_json(os.path.join(args.out, "escape.json"), {
-            "path": str(path), "expected_exponent": st.expected_exponent,
-            "slope": st.slope, "rows": [[h, v] for h, v in st.rows],
-        })
+    _write_json(args.out, "escape.json", {
+        "path": str(path), "expected_exponent": st.expected_exponent,
+        "slope": st.slope, "rows": [[h, v] for h, v in st.rows],
+    })
     return 0
 
 
@@ -326,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--path", required=True,
                    help="path string, e.g. 'P:c0.j0' or 'L:h0.h0~'")
-    p.set_defaults(fn=_cmd_escape)
+    p.set_defaults(fn=_cmd_escape, grid=ESCAPE_GRID)
 
     p = sub.add_parser("verify", help="run all invariant suites; exit 0 iff green")
     common(p)

@@ -1,4 +1,9 @@
-"""Run configuration shared by the CLI and the verification pipeline."""
+"""Run configuration and the numerical thresholds of the package.
+
+RunConfig is what a run depends on.  The table below it holds every fixed
+threshold the solvers, checks and verify suites compare against; no other
+module writes a threshold as a literal.
+"""
 
 from __future__ import annotations
 
@@ -18,13 +23,73 @@ def _check_grid(name: str, grid) -> tuple[float, ...]:
     return vals
 
 
+# Numerical thresholds: every fixed bound the solvers, checks and verify
+# suites compare against.  TOL is the default of RunConfig.tol and of every
+# solve.  Moment-map residuals are bounded relative to moment_scale(p) =
+# max(1, |p|^2), linear conditions relative to max(1, |p|).
+TOL = 1e-10                # Newton stopping tolerance of moment and slice solves
+CHECK_TOL = 1e-8           # a property tol-accurate data holds to round-off [1]
+SLACK = 10.0               # a bound derived from another may exceed it tenfold [2]
+FLOOR = 100.0              # below FLOOR * tol * scale a derived quantity is zero
+STAGE_SLACK = 50.0         # the conformal family's exact moment checks per stage
+LEVEL_TOL = 1e-12          # complex-level projection of a sample
+TANGENT_TOL = 1e-10        # slice tangent vectors against their conditions
+WALL_TOL = 1e-12           # an inexact parameter this close to a wall is on it
+# [1] central complex level, slice equations and tangency of an increment,
+#     weight-block confinement, a grading's base point, the fixed-point test,
+#     nilpotency; the sampling, solver_uniqueness, slice_correction and
+#     attracting_slice verdicts.
+# [2] the point rebuilt from the polar factor (and the sampling verdict) over
+#     tol, the finite-angle crosscheck over the fixed-point residual, the
+#     flow's fixed-point test over FLOW_TOL.
+
+# rank and conditioning
+EIG_FLOOR_RATIO = 1e-10    # Newton matrix 2 A^T A singular below this eigen-ratio
+STABILITY_RATIO = 1e-10    # fixed point stable above this singular-value ratio
+SV_RATIO = 1e-8            # numerical rank cut of an SVD
+COND_LIMIT = 1e12          # worst conditioning a moment correction accepts
+INT_WEIGHT_TOL = 1e-6      # generator eigenvalues this close to integers are weights
+
+# iterations: damped Newton accepts a step t once the residual drops by the
+# factor 1 - ARMIJO_SLOPE t, halving t at most MAX_HALVINGS times
+ARMIJO_SLOPE = 1e-4
+MAX_HALVINGS = 10
+MAX_NEWTON_ITER = 100      # cap of a moment solve
+MAX_SLICE_ITER = 50        # cap of a slice correction or level projection
+SAMPLE_RESTARTS = 10       # fresh gaussian draws per sample
+BASIN_NORM = 1.0           # larger attracting increments are shrunk before solving
+
+# scaling flow: R runs through FLOW_RATIO^t, t = 1..FLOW_STEPS
+FLOW_RATIO = 0.5
+FLOW_STEPS = 40
+FLOW_TOL = 1e-9            # the flow stops once fingerprints move less than this
+ENERGY_SLACK = 1e-9        # round-off rise allowed in the shrinking-slot energy
+
+# path invariants
+ZERO_INVARIANT_TOL = 1e-10       # an escape study needs more at p0 + A
+INVARIANT_RANGE = (1e-12, 1e12)  # escape fit window; listed as zero below it
+ESCAPE_MIN_INVARIANT = 1e-6      # the escape suite studies invariants above this
+
+# verdicts of the verify suites (besides CHECK_TOL and SLACK above)
+IDENTITY_TOL = 1e-9        # exact identities: adjoint pairing, twistor moments,
+#                            gauge invariance of the fingerprint
+ISOTROPY_TOL = 1e-12       # isotropy of the attracting basis
+CONFORMAL_SLOPE_RANGE = (1.5, 3.0)  # fitted approach rate; 2 is predicted
+ESCAPE_SLOPE_TOL = 0.2     # |fitted escape slope + predicted exponent|
+
+
+def moment_scale(p) -> float:
+    """max(1, |p|^2): the scale of moment-map residuals at p."""
+    return max(1.0, p.norm() ** 2)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a run depends on; equal configs give byte-identical output."""
 
     quiver_file: str = "tstar-p1"  # preset name or path to a quiver JSON file
     seed: int = 0
-    tol: float = 1e-10
+    tol: float = TOL
     max_len: int = 4
     r_grid: tuple[float, ...] = (0.4, 0.2, 0.1, 0.05)
     hbar_grid: tuple[float, ...] = (1.0, 0.5)

@@ -14,15 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import CHECK_TOL, FLOOR, STAGE_SLACK, TOL, moment_scale
 from .errors import DegenerateFit, NotOnSlice, NotOnVariety
-from .fixedpoints import WeightGrading, weight_grading
+from .fixedpoints import WeightGrading
 from .invariants import fingerprint
 from .repspace import (RepPoint, central_lie, inf_action_adjoint,
                        moment_complex, moment_real, zeta_real_lie)
 from .slices import positive_weight_project
 from .solver import SolveReport, graded_solve, solve_real_moment
-
-STAGE_TOL_FACTOR = 50.0
 
 
 def twistor_rotate(p: RepPoint, xi: complex) -> RepPoint:
@@ -42,8 +41,7 @@ def twistor_rotate(p: RepPoint, xi: complex) -> RepPoint:
 
 
 def conformal_point(p0: RepPoint, A: RepPoint, hbar: complex,
-                    grading: WeightGrading | None = None,
-                    check_tol: float = 1e-8) -> RepPoint:
+                    grading: WeightGrading | None = None) -> RepPoint:
     """Closed-form family member attached to a slice increment A at scale hbar.
 
     Reversed-edge and outgoing-framing data of the base point enter divided
@@ -55,18 +53,17 @@ def conformal_point(p0: RepPoint, A: RepPoint, hbar: complex,
     if hb == 0:
         raise ValueError("hbar must be nonzero")
     at = p0 + A
-    scale = max(1.0, at.norm() ** 2)
     mc_dev = (moment_complex(at) - moment_complex(p0)).norm()
-    if mc_dev > check_tol * scale:
+    if mc_dev > CHECK_TOL * moment_scale(at):
         raise NotOnSlice(
             f"increment moves the complex moment off its central level ({mc_dev:.3e})")
     adj = inf_action_adjoint(p0, A).norm()
-    if adj > check_tol * max(1.0, p0.norm() * A.norm()):
+    if adj > CHECK_TOL * max(1.0, p0.norm() * A.norm()):
         raise NotOnSlice(
             f"increment is not orthogonal to the gauge orbit ({adj:.3e})")
     if grading is not None:
         off = (A - positive_weight_project(A, grading)).norm()
-        if off > check_tol * max(1.0, A.norm()):
+        if off > CHECK_TOL * max(1.0, A.norm()):
             raise NotOnSlice(
                 f"increment has support below weight one ({off:.3e})")
 
@@ -83,13 +80,11 @@ def conformal_point(p0: RepPoint, A: RepPoint, hbar: complex,
     return RepPoint(p0.quiver, p0.dims, B, i_new, j_new)
 
 
-def conformal_limit(p0: RepPoint, A: RepPoint, hbar: complex,
-                    tol: float = 1e-10, max_iter: int = 100,
+def conformal_limit(p0: RepPoint, A: RepPoint, hbar: complex, tol: float = TOL,
                     grading: WeightGrading | None = None) -> SolveReport:
     """Kempf-Ness representative of the closed-form point at real parameter zero."""
     pA = conformal_point(p0, A, hbar, grading=grading)
-    zeros = np.zeros(p0.quiver.n)
-    return solve_real_moment(pA, zeros, tol=tol, max_iter=max_iter)
+    return solve_real_moment(pA, np.zeros(p0.quiver.n), tol=tol)
 
 
 @dataclass
@@ -103,9 +98,8 @@ class ConformalFamilySample:
 
 
 def conformal_family_sample(p0: RepPoint, A: RepPoint, sigma, hbar: complex,
-                            R: float, grading: WeightGrading | None = None,
-                            tol: float = 1e-10, max_len: int = 4,
-                            use_graded: bool = True) -> ConformalFamilySample:
+                            R: float, grading: WeightGrading, tol: float = TOL,
+                            max_len: int = 4) -> ConformalFamilySample:
     """One member of the rotation-scaling family at circle parameter R.
 
     Four stages: solve the real moment equation at the rescaled increment,
@@ -118,24 +112,18 @@ def conformal_family_sample(p0: RepPoint, A: RepPoint, sigma, hbar: complex,
     hb = complex(hbar)
     if R <= 0 or hb == 0:
         raise ValueError("R must be positive and hbar nonzero")
-    if grading is None:
-        grading = weight_grading(p0)
     base_gap = (grading.base_point - p0).norm()
-    if base_gap > 1e-8 * max(1.0, p0.norm()):
+    if base_gap > CHECK_TOL * max(1.0, p0.norm()):
         raise ValueError("grading was computed at a different base point")
     sig = np.asarray(sigma, dtype=float)
     xi = hb * R
 
-    start = p0 + grading.act(R, A)
-    if use_graded:
-        rep1 = graded_solve(start, grading, R, sig, tol=tol)
-    else:
-        rep1 = solve_real_moment(start, sig, tol=tol)
+    rep1 = graded_solve(p0 + grading.act(R, A), grading, R, sig, tol=tol)
     q1 = rep1.point
 
     q2 = twistor_rotate(q1, xi)
     zr = zeta_real_lie(sig, p0.dims)
-    stage_tol2 = STAGE_TOL_FACTOR * tol * max(1.0, q2.norm() ** 2)
+    stage_tol2 = STAGE_SLACK * tol * moment_scale(q2)
     dev_real = (moment_real(q2) - zr * (1.0 - abs(xi) ** 2)).norm()
     dev_cplx = (moment_complex(q2) - central_lie(2.0 * xi * sig, p0.dims)).norm()
     if dev_real > stage_tol2 or dev_cplx > stage_tol2:
@@ -146,7 +134,7 @@ def conformal_family_sample(p0: RepPoint, A: RepPoint, sigma, hbar: complex,
     q3 = grading.act(1.0 / xi, q2)
     # rescaling conjugates the moment; its conditioning amplifies stage-2 noise
     amp = grading.power_gauge(1.0 / xi).cond() ** 2
-    stage_tol3 = STAGE_TOL_FACTOR * tol * amp * max(1.0, q3.norm() ** 2)
+    stage_tol3 = STAGE_SLACK * tol * amp * moment_scale(q3)
     dev3 = (moment_complex(q3) - central_lie(2.0 * sig, p0.dims)).norm()
     if dev3 > stage_tol3:
         raise NotOnVariety(
@@ -174,17 +162,12 @@ class ConvergenceReport:
     slope: float | None
     fit_residual: float | None
     degenerate: bool
-    limit_fingerprint: np.ndarray
     samples: list[ConformalFamilySample]
-
-    def to_rows(self) -> list[dict]:
-        return [{"R": r, "distance": d} for r, d in self.rows]
 
 
 def convergence_study(p0: RepPoint, A: RepPoint, sigma, hbar: complex,
-                      R_grid, grading: WeightGrading | None = None,
-                      tol: float = 1e-10, max_len: int = 4,
-                      use_graded: bool = True,
+                      R_grid, grading: WeightGrading, tol: float = TOL,
+                      max_len: int = 4,
                       strict: bool = False) -> ConvergenceReport:
     """Fit the approach rate of the family to its conformal limit.
 
@@ -196,8 +179,6 @@ def convergence_study(p0: RepPoint, A: RepPoint, sigma, hbar: complex,
     grid = [float(r) for r in R_grid]
     if not grid or any(b >= a for a, b in zip(grid, grid[1:])) or grid[-1] <= 0:
         raise ValueError("R_grid must be strictly decreasing and positive")
-    if grading is None:
-        grading = weight_grading(p0)
     limit = conformal_limit(p0, A, hbar, tol=tol, grading=grading)
     fp_limit = fingerprint(limit.point, max_len)
 
@@ -205,13 +186,12 @@ def convergence_study(p0: RepPoint, A: RepPoint, sigma, hbar: complex,
     rows: list[tuple[float, float]] = []
     for R in grid:
         s = conformal_family_sample(p0, A, sigma, hbar, R, grading=grading,
-                                    tol=tol, max_len=max_len,
-                                    use_graded=use_graded)
+                                    tol=tol, max_len=max_len)
         rows.append((R, float(np.linalg.norm(s.fingerprint - fp_limit))))
         samples.append(s)
 
     fp_scale = float(np.max(np.abs(fp_limit))) if fp_limit.size else 0.0
-    floor = 100.0 * tol * max(1.0, fp_scale)
+    floor = FLOOR * tol * max(1.0, fp_scale)
     usable = [(r, d) for r, d in rows if d > floor]
     if len(usable) < 2:
         if strict:
@@ -220,12 +200,11 @@ def convergence_study(p0: RepPoint, A: RepPoint, sigma, hbar: complex,
                 "no approach rate is measurable")
         return ConvergenceReport(hbar=complex(hbar), rows=rows, slope=None,
                                  fit_residual=None, degenerate=True,
-                                 limit_fingerprint=fp_limit, samples=samples)
+                                 samples=samples)
     lr = np.log([r for r, _ in usable])
     ld = np.log([d for _, d in usable])
     coeffs = np.polyfit(lr, ld, 1)
     fit_res = float(np.max(np.abs(np.polyval(coeffs, lr) - ld)))
     return ConvergenceReport(hbar=complex(hbar), rows=rows,
                              slope=float(coeffs[0]), fit_residual=fit_res,
-                             degenerate=False, limit_fingerprint=fp_limit,
-                             samples=samples)
+                             degenerate=False, samples=samples)

@@ -57,5 +57,9 @@ class SamplingFailed(QuiverLimError):
     """Random sampling could not produce a point on the variety after retries."""
 
 
+class EmptyVariety(SamplingFailed):
+    """The dimension vectors give a negative expected dimension: no point exists."""
+
+
 class DegenerateFit(QuiverLimError):
     """A rate fit has no signal: the measured values sit at the solver floor."""

@@ -11,10 +11,14 @@ blockwise.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import (CHECK_TOL, ENERGY_SLACK, FLOOR, FLOW_RATIO, FLOW_STEPS,
+                     FLOW_TOL, INT_WEIGHT_TOL, SLACK, STABILITY_RATIO, TOL,
+                     moment_scale)
 from .errors import (GradingViolation, NoConvergence, NonIntegerWeights,
                      NotFixed, NotInjective, NotOnVariety, QuiverLimError)
 from .invariants import fingerprint_distance, nilpotency_bound
@@ -22,9 +26,6 @@ from .quiver import DimensionVectors, Quiver
 from .repspace import (GaugeElement, LieElement, RepPoint, central_deviation,
                        gauge_act, layout, lie_exp, moment_complex, moment_real)
 from .solver import solve_real_moment
-
-INT_WEIGHT_TOL = 1e-6
-STABILITY_RATIO = 1e-10
 
 
 def cstar_act(R: complex, p: RepPoint) -> RepPoint:
@@ -59,7 +60,7 @@ class FixedPointReport:
 
 def _require_on_variety(p: RepPoint, tol: float) -> None:
     """Both moment maps must sit at central values (scalar blocks)."""
-    scale = tol * max(1.0, p.norm() ** 2)
+    scale = tol * moment_scale(p)
     dev_r = central_deviation(moment_real(p))
     dev_c = central_deviation(moment_complex(p))
     if max(dev_r, dev_c) > scale:
@@ -68,7 +69,7 @@ def _require_on_variety(p: RepPoint, tol: float) -> None:
             f"(real deviation {dev_r:.3e}, complex deviation {dev_c:.3e})")
 
 
-def is_fixed_point(p: RepPoint, tol: float = 1e-8) -> FixedPointReport:
+def is_fixed_point(p: RepPoint, tol: float = CHECK_TOL) -> FixedPointReport:
     """Detect a scaling-action fixed point and recover its compensating generator.
 
     Solves the least-squares problem matching the infinitesimal gauge action
@@ -102,7 +103,7 @@ def is_fixed_point(p: RepPoint, tol: float = 1e-8) -> FixedPointReport:
                                    klass="skew"))
             moved = gauge_act(g, cstar_act(np.exp(1j * theta), p))
             cross = max(cross, (moved - p).norm())
-    fixed = resid <= scale and cross <= 10.0 * scale
+    fixed = resid <= scale and cross <= SLACK * scale
     return FixedPointReport(fixed=fixed, residual=resid, tol_used=scale,
                             generator=gen if fixed else None,
                             stable=stable, min_singular=smin, crosscheck=cross)
@@ -161,36 +162,10 @@ class WeightGrading:
             kept.append(np.where(mask, b, 0.0))
         return self._from_eigen(kept, xi.klass)
 
-    def lie_component(self, xi: LieElement, m: int) -> LieElement:
-        kept = []
-        for k, b in enumerate(self._to_eigen(xi)):
-            ws = np.array(self.weights[k], dtype=int)
-            mask = (ws[:, None] - ws[None, :]) == m
-            kept.append(np.where(mask, b, 0.0))
-        return self._from_eigen(kept, "general")
-
-    def component_norm(self, xi: LieElement, m: int) -> float:
-        return self.lie_component(xi, m).norm()
-
     def tangent_weight_counts(self) -> dict[int, int]:
         """Complex dimension of each full-action weight block of the rep space."""
-        counts: dict[int, int] = {}
-
-        def add(w: int, n: int = 1):
-            counts[w] = counts.get(w, 0) + n
-
-        q = self.quiver
-        for h in range(2 * q.num_edges):
-            a, b = q.h_out(h), q.h_in(h)
-            shift = 0 if h < q.num_edges else 1
-            for wr in self.weights[b]:
-                for wc in self.weights[a]:
-                    add(wr - wc + shift)
-        for k in range(q.n):
-            for wr in self.weights[k]:
-                add(wr, self.dims.w[k])      # i block rows
-                add(1 - wr, self.dims.w[k])  # j block columns
-        return counts
+        wts = np.rint(np.real(self.slot_weight_arrays().flatten())).astype(int)
+        return dict(Counter(wts.tolist()))
 
     def to_eigenbasis(self, p: RepPoint) -> RepPoint:
         """Rewrite all slots in the per-vertex eigenbases of the generator."""
@@ -259,14 +234,14 @@ def grade_increment(q: RepPoint, grading: WeightGrading) -> dict[int, RepPoint]:
     return parts
 
 
-def weight_grading(p: RepPoint, tol: float = 1e-8) -> WeightGrading:
+def weight_grading(p: RepPoint) -> WeightGrading:
     """Diagonalize the compensating generator of a fixed point.
 
     Raises NotFixed when the point is not fixed, NotInjective when the
     complexified gauge action has kernel, NonIntegerWeights when an
     eigenvalue strays from the integers.
     """
-    rep = is_fixed_point(p, tol=tol)
+    rep = is_fixed_point(p, tol=CHECK_TOL)
     if not rep.fixed:
         raise NotFixed(f"point is not a scaling fixed point "
                        f"(residual {rep.residual:.3e} > {rep.tol_used:.3e})")
@@ -298,7 +273,7 @@ def weight_grading(p: RepPoint, tol: float = 1e-8) -> WeightGrading:
     # one before the scaling shift, j is supported on weight-one lines)
     parts = grade_increment(p, grading)
     off = sum((q_part.norm() for w, q_part in parts.items() if w != 0), 0.0)
-    if off > 100 * tol * max(1.0, p.norm()):
+    if off > FLOOR * CHECK_TOL * max(1.0, p.norm()):
         raise GradingViolation(
             f"fixed point has components off the zero weight block "
             f"(stray norm {off:.3e})")
@@ -347,34 +322,29 @@ class FlowReport:
     fixed_report: FixedPointReport
 
 
-def default_schedule(steps: int = 40, ratio: float = 0.5) -> tuple[float, ...]:
-    return tuple(ratio ** t for t in range(1, steps + 1))
+def default_schedule() -> tuple[float, ...]:
+    return tuple(FLOW_RATIO ** t for t in range(1, FLOW_STEPS + 1))
 
 
-def flow_limit(p: RepPoint, sigma, schedule=None, tol: float = 1e-9,
-               max_len: int | None = None, solve_tol: float = 1e-10) -> FlowReport:
-    """Follow the scaling action towards R -> 0 along a decreasing schedule.
+def flow_limit(p: RepPoint, sigma, max_len: int,
+               solve_tol: float = TOL) -> FlowReport:
+    """Follow the scaling action towards R -> 0 along default_schedule().
 
     At each R the original point is rescaled and re-solved onto the real
-    moment level; the walk stops once consecutive invariant fingerprints are
-    Cauchy (distance <= tol) and the point passes the fixed-point test.  The
+    moment level; the walk stops once consecutive invariant fingerprints
+    (paths up to max_len tokens, capped at the nilpotency bound) are Cauchy
+    (distance <= FLOW_TOL) and the point passes the fixed-point test.  The
     energy of the shrinking slots must decrease monotonically along the way.
     rows: (R, shrinking-slot energy, fingerprint step distance).
     """
-    if schedule is None:
-        schedule = default_schedule()
-    schedule = [float(R) for R in schedule]
-    if any(b >= a for a, b in zip(schedule, schedule[1:])) or \
-            any(R <= 0 for R in schedule) or (schedule and schedule[0] >= 1.0 + 1e-12):
-        raise ValueError("schedule must be strictly decreasing in (0, 1]")
-    if max_len is None:
-        max_len = nilpotency_bound(p.dims)
+    max_len = min(max_len, nilpotency_bound(p.dims))
+    fixed_tol = SLACK * max(FLOW_TOL, solve_tol)
 
     q_prev = solve_real_moment(p, sigma, tol=solve_tol).point
     energy = scaling_energy(q_prev)
     rows: list[tuple[float, float, float]] = []
     R_prev = 1.0
-    for R in schedule:
+    for R in default_schedule():
         # rescaling the previous representative by the bounded ratio reaches
         # the same orbit point as rescaling the original by R, with uniformly
         # bounded gauge travel per step
@@ -384,14 +354,14 @@ def flow_limit(p: RepPoint, sigma, schedule=None, tol: float = 1e-9,
         e_next = scaling_energy(q_next)
         dist = fingerprint_distance(q_prev, q_next, max_len)
         rows.append((R, e_next, dist))
-        if e_next > energy + 1e-9 * max(1.0, energy):
+        if e_next > energy + ENERGY_SLACK * max(1.0, energy):
             raise NoConvergence(
                 f"shrinking-slot energy rose from {energy:.6e} to {e_next:.6e} "
                 f"at R={R:g}; the flow is not descending")
         energy = e_next
         q_prev = q_next
-        if dist <= tol:
-            rep = is_fixed_point(q_next, tol=10 * max(tol, solve_tol))
+        if dist <= FLOW_TOL:
+            rep = is_fixed_point(q_next, tol=fixed_tol)
             if rep.fixed:
                 # the limit carries O(R_final) dirt in its shrinking slots;
                 # keeping the zero-weight component removes it exactly
@@ -399,7 +369,7 @@ def flow_limit(p: RepPoint, sigma, schedule=None, tol: float = 1e-9,
                     grading = weight_grading(q_next)
                     parts = grade_increment(q_next, grading)
                     polished = parts.get(0, RepPoint.zeros(p.quiver, p.dims))
-                    rep2 = is_fixed_point(polished, tol=10 * max(tol, solve_tol))
+                    rep2 = is_fixed_point(polished, tol=fixed_tol)
                     if rep2.fixed:
                         return FlowReport(limit=polished, R_final=R, rows=rows,
                                           fixed_report=rep2)
@@ -409,5 +379,4 @@ def flow_limit(p: RepPoint, sigma, schedule=None, tol: float = 1e-9,
                                   fixed_report=rep)
     raise NoConvergence(
         f"scaling flow did not settle along the schedule "
-        f"(last fingerprint step {rows[-1][2]:.3e})" if rows else
-        "empty flow schedule")
+        f"(last fingerprint step {rows[-1][2]:.3e})")

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import CHECK_TOL, INVARIANT_RANGE, ZERO_INVARIANT_TOL
 from .errors import ZeroInvariant
 from .quiver import DimensionVectors, Quiver
 from .repspace import RepPoint
@@ -207,19 +208,12 @@ def nilpotency_bound(dims: DimensionVectors) -> int:
     return 2 * sum(dims.v)
 
 
-def is_nilpotent(p: RepPoint, max_len: int | None = None, tol: float = 1e-10) -> bool:
-    """True when every invariant up to the decision bound is below tol."""
+def is_nilpotent(p: RepPoint) -> bool:
+    """True when every invariant up to the decision bound is below CHECK_TOL."""
     bound = nilpotency_bound(p.dims)
-    if max_len is None:
-        max_len = bound
-    if max_len < bound:
-        raise ValueError(f"max_len {max_len} is below the decision bound {bound}")
     for kind in ("loop", "admissible"):
-        for ps in enumerate_paths(p.quiver, p.dims, max_len, kind):
-            m = eval_path(p, ps)
-            val = abs(complex(np.trace(m))) if kind == "loop" \
-                else float(np.abs(m).max(initial=0.0))
-            if val > tol:
+        for ps in enumerate_paths(p.quiver, p.dims, bound, kind):
+            if invariant_size(p, ps) > CHECK_TOL:
                 return False
     return True
 
@@ -251,24 +245,25 @@ class EscapeStudy:
 ESCAPE_GRID = (0.04, 0.02, 0.01, 0.005)
 
 
-def escape_slope(p0: RepPoint, A: RepPoint, hbar_grid, path: PathSpec,
-                 tol: float = 1e-10) -> EscapeStudy:
+def escape_slope(p0: RepPoint, A: RepPoint, hbar_grid,
+                 path: PathSpec) -> EscapeStudy:
     """Fit log|invariant| against log hbar along the algebraic limit family.
 
     The limit representative at each hbar is built in closed form; since the
     invariant is complex-gauge invariant, no moment solve is needed.  The
     invariant must not vanish at the slice point p0 + A.  Values outside
-    [1e-12, 1e12] are dropped from the fit (floor and overflow guards).
+    INVARIANT_RANGE are dropped from the fit (floor and overflow guards).
     """
     from .conformal import conformal_point
 
     ref_val = invariant_size(p0 + A, path)
-    if ref_val <= tol:
+    if ref_val <= ZERO_INVARIANT_TOL:
         raise ZeroInvariant(
             f"invariant of {path} vanishes at the slice point ({ref_val:.3e})")
     rows = [(float(h), invariant_size(conformal_point(p0, A, h), path))
             for h in sorted(hbar_grid, reverse=True)]
-    pts = [(h, v) for h, v in rows if 1e-12 < v < 1e12]
+    lo, hi = INVARIANT_RANGE
+    pts = [(h, v) for h, v in rows if lo < v < hi]
     if len(pts) < 2:
         raise ZeroInvariant(f"not enough usable invariant values along {path}")
     xs = np.log([h for h, _ in pts])
@@ -278,16 +273,3 @@ def escape_slope(p0: RepPoint, A: RepPoint, hbar_grid, path: PathSpec,
     return EscapeStudy(path=path, expected_exponent=path_escape_exponent(path),
                        slope=float(coef[0]), fit_residual=fit_res, rows=rows,
                        used=len(pts))
-
-
-def escape_profile(p0: RepPoint, A: RepPoint, hbar_grid,
-                   max_len: int) -> list[tuple[float, float]]:
-    """(hbar, largest fingerprint magnitude) along the algebraic limit family,
-    hbar decreasing.  Non-nilpotent slice points must blow up down the tail."""
-    from .conformal import conformal_point
-
-    rows = []
-    for h in sorted(hbar_grid, reverse=True):
-        f = fingerprint(conformal_point(p0, A, h), max_len)
-        rows.append((float(h), float(np.abs(f).max(initial=0.0))))
-    return rows

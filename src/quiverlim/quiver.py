@@ -18,6 +18,9 @@ from numbers import Integral
 
 import numpy as np
 
+from .config import WALL_TOL
+from .errors import EmptyVariety
+
 
 @dataclass(frozen=True)
 class Quiver:
@@ -169,6 +172,16 @@ def expected_dimension(quiver: Quiver, dims: DimensionVectors) -> int:
     return int(2 * v @ (2 * w - c @ v))
 
 
+def require_nonempty(quiver: Quiver, dims: DimensionVectors) -> None:
+    """Refuse dimension vectors whose variety is empty (negative expected
+    dimension) before any sampling is attempted."""
+    dim = expected_dimension(quiver, dims)
+    if dim < 0:
+        raise EmptyVariety(
+            f"expected dimension {dim} is negative, so the variety is empty "
+            f"(v={list(dims.v)}, w={list(dims.w)})")
+
+
 def positive_roots_bounded(quiver: Quiver, dims: DimensionVectors) -> tuple[tuple[int, ...], ...]:
     """Nonzero theta in the box 0 <= theta <= v with theta^T C theta <= 2."""
     dims.check_quiver(quiver)
@@ -207,15 +220,17 @@ def wall_margins(zeta: CentralParameter, quiver: Quiver, dims: DimensionVectors)
     return out
 
 
-def is_generic(zeta: CentralParameter, quiver: Quiver, dims: DimensionVectors,
-               tol: float = 1e-12) -> bool:
+def walls(zeta: CentralParameter, quiver: Quiver, dims: DimensionVectors):
+    """(theta, margin) for every bounded root whose wall holds the parameter:
+    exactly when all entries are exact, else within WALL_TOL."""
+    return [(theta, margin) for theta, margin, on_wall
+            in wall_margins(zeta, quiver, dims)
+            if on_wall is True or (on_wall is None and margin <= WALL_TOL)]
+
+
+def is_generic(zeta: CentralParameter, quiver: Quiver, dims: DimensionVectors) -> bool:
     """True when (sigma.theta, Re c.theta, Im c.theta) != 0 for every bounded root."""
-    for _theta, margin, on_wall in wall_margins(zeta, quiver, dims):
-        if on_wall is True:
-            return False
-        if on_wall is None and margin <= tol:
-            return False
-    return True
+    return not walls(zeta, quiver, dims)
 
 
 def quiver_to_dict(quiver: Quiver, dims: DimensionVectors, zeta: CentralParameter) -> dict:

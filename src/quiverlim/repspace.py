@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .quiver import CentralParameter, DimensionVectors, Quiver
+from .quiver import DimensionVectors, Quiver
 
 _CPLX = np.complex128
 
@@ -198,16 +198,6 @@ class LieElement:
         return cls(dims, [vec[a:a + vk * vk].reshape(vk, vk).astype(_CPLX)
                           for a, vk in zip(starts, dims.v)], klass)
 
-    def max_deviation(self, klass: str) -> float:
-        """Distance of the blocks from the hermitian or skew-hermitian cone."""
-        dev = 0.0
-        for b in self.blocks:
-            if klass == "hermitian":
-                dev = max(dev, float(np.abs(b - b.conj().T).max(initial=0.0)))
-            elif klass == "skew":
-                dev = max(dev, float(np.abs(b + b.conj().T).max(initial=0.0)))
-        return dev
-
 
 def lie_inner(a: LieElement, b: LieElement) -> complex:
     """Hermitian pairing sum_k Tr(a_k b_k^dag), linear in the first slot."""
@@ -262,12 +252,6 @@ class GaugeElement:
 
     def dagger(self) -> "GaugeElement":
         return GaugeElement(self.dims, [gk.conj().T for gk in self.g])
-
-    def unitary_defect(self) -> float:
-        dev = 0.0
-        for gk in self.g:
-            dev = max(dev, float(np.abs(gk.conj().T @ gk - np.eye(gk.shape[0])).max(initial=0.0)))
-        return dev
 
     def cond(self) -> float:
         c = 1.0

@@ -4,7 +4,8 @@ A counter-based generator keyed by the run seed drives every draw, so equal
 configurations reproduce byte-identical output.  Raw gaussian points are
 first projected onto the central complex level with a min-norm Newton
 iteration, then moved to the real-moment solution along the complex gauge
-orbit.
+orbit.  The seeded attracting-slice increment of a conformal-limit setup is
+drawn here as well.
 """
 
 from __future__ import annotations
@@ -13,11 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import (LEVEL_TOL, MAX_SLICE_ITER, SAMPLE_RESTARTS, TOL,
+                     moment_scale)
 from .errors import (MaxIterations, NotInjective, NotOnVariety, QuiverLimError,
                      SamplingFailed)
+from .fixedpoints import WeightGrading
 from .quiver import CentralParameter, DimensionVectors, Quiver
 from .repspace import RepPoint, central_lie, moment_complex, rep_dim
-from .slices import moment_derivative_matrix
+from .slices import SliceBasis, bb_slice_solve, moment_derivative_matrix
 from .solver import SolveReport, solve_real_moment
 
 
@@ -34,8 +38,7 @@ def random_rep(quiver: Quiver, dims: DimensionVectors,
     return RepPoint.from_flat(quiver, dims, scale * flat)
 
 
-def project_complex_level(p: RepPoint, c_values, tol: float = 1e-12,
-                          max_iter: int = 50) -> RepPoint:
+def project_complex_level(p: RepPoint, c_values) -> RepPoint:
     """Min-norm Newton projection onto the complex level mu_C = c.
 
     Each step solves the linearization in the least-squares sense, which
@@ -44,11 +47,11 @@ def project_complex_level(p: RepPoint, c_values, tol: float = 1e-12,
     """
     target = central_lie(np.asarray(c_values, dtype=complex), p.dims)
     cur = p.copy()
-    for _ in range(max_iter):
+    for _ in range(MAX_SLICE_ITER):
         gap = moment_complex(cur) - target
         res = gap.flatten()
         norm = float(np.linalg.norm(res))
-        if norm <= tol * max(1.0, cur.norm() ** 2):
+        if norm <= LEVEL_TOL * moment_scale(cur):
             return cur
         D = moment_derivative_matrix(cur)
         delta, *_ = np.linalg.lstsq(D, -res, rcond=None)
@@ -67,19 +70,18 @@ class SampleReport:
 
 def sample_on_variety(quiver: Quiver, dims: DimensionVectors,
                       central: CentralParameter, seed: int = 0,
-                      tol: float = 1e-10, restarts: int = 10,
-                      scale: float = 1.0) -> SampleReport:
+                      tol: float = TOL) -> SampleReport:
     """Draw a random point of the variety at the configured central parameter.
 
     Retries with fresh gaussian draws when a projection or solve fails;
-    gives up with SamplingFailed after the restart budget.
+    gives up with SamplingFailed after SAMPLE_RESTARTS draws.
     """
     rng = make_rng(seed)
     sigma = central.sigma_array()
     c_vals = central.c_array()
     last: QuiverLimError | None = None
-    for attempt in range(1, restarts + 1):
-        raw = random_rep(quiver, dims, rng, scale=scale)
+    for attempt in range(1, SAMPLE_RESTARTS + 1):
+        raw = random_rep(quiver, dims, rng)
         try:
             leveled = project_complex_level(raw, c_vals)
             rep = solve_real_moment(leveled, sigma, tol=tol)
@@ -89,4 +91,22 @@ def sample_on_variety(quiver: Quiver, dims: DimensionVectors,
         return SampleReport(point=rep.point, solve=rep, attempts=attempt,
                             seed=int(seed))
     raise SamplingFailed(
-        f"no variety point after {restarts} restarts (last error: {last})")
+        f"no variety point after {SAMPLE_RESTARTS} restarts (last error: {last})")
+
+
+def attracting_increment(basis: SliceBasis, grading: WeightGrading, seed: int,
+                         tol: float) -> RepPoint:
+    """The seeded attracting-slice increment A at the fixed point basis.base_point.
+
+    A gaussian combination (seed + 5, scale 0.3) of the attracting tangent
+    basis, corrected onto the attracting slice; zero when the slice is
+    zero-dimensional.  verify and the CLI both draw A here, so they study the
+    same conformal limit.
+    """
+    p0 = basis.base_point
+    n = basis.count()
+    if n == 0:
+        return RepPoint.zeros(p0.quiver, p0.dims)
+    rng = make_rng(seed + 5)
+    coeffs = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return bb_slice_solve(p0, basis.combine(coeffs), grading, tol=tol)

@@ -14,17 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import (ARMIJO_SLOPE, BASIN_NORM, CHECK_TOL, COND_LIMIT,
+                     MAX_HALVINGS, MAX_SLICE_ITER, SV_RATIO, TANGENT_TOL, TOL,
+                     moment_scale)
 from .errors import (DimensionMismatch, IllConditioned, LeftBasin,
                      MaxIterations, NotOnSlice)
 from .fixedpoints import WeightGrading
 from .quiver import expected_dimension
 from .repspace import (RepPoint, central_deviation, inf_action_adjoint,
                        layout, moment_complex)
-
-SV_RATIO = 1e-8
-COND_LIMIT = 1e12
-NEWTON_SLOPE = 1e-4
-MIN_DAMPING = 2.0 ** -10
 
 
 def stacked_conditions(p: RepPoint, shift: RepPoint | None = None) -> np.ndarray:
@@ -97,7 +95,7 @@ def tangent_basis(p: RepPoint) -> SliceBasis:
                for t in range(null.shape[1])]
     scale = max(1.0, p.norm())
     worst = float(np.linalg.norm(conditions @ null, axis=0).max(initial=0.0))
-    if worst > 1e-10 * scale:
+    if worst > TANGENT_TOL * scale:
         raise DimensionMismatch(
             f"tangent vector violates the defining conditions ({worst:.3e})")
     return SliceBasis(base_point=p, vectors=vectors, kind="full_tangent")
@@ -131,8 +129,7 @@ def moment_correction(p: RepPoint, q: RepPoint) -> RepPoint:
 
 
 def _constrained_newton(p: RepPoint, q0: RepPoint, directions: np.ndarray,
-                        target, tol: float, max_iter: int,
-                        stay_inside=None) -> RepPoint:
+                        target, tol: float, stay_inside=None) -> RepPoint:
     """Newton on F(q) = (mu_C(p+q) - target, adjoint-action_p(q)) with updates
     restricted to the span of `directions` (columns, flat coords)."""
     def residual(q: RepPoint) -> np.ndarray:
@@ -143,24 +140,25 @@ def _constrained_newton(p: RepPoint, q0: RepPoint, directions: np.ndarray,
     q = q0.copy()
     r = residual(q)
     r_norm = float(np.linalg.norm(r))
-    scale = max(1.0, (p + q0).norm() ** 2)
+    scale = moment_scale(p + q0)
     it = 0
     while r_norm > tol * scale:
-        if it >= max_iter:
+        if it >= MAX_SLICE_ITER:
             raise MaxIterations(
-                f"slice correction hit {max_iter} iterations, residual {r_norm:.3e}")
+                f"slice correction hit {MAX_SLICE_ITER} iterations, "
+                f"residual {r_norm:.3e}")
         jac = stacked_conditions(p, shift=q) @ directions
         delta_c, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         delta_flat = directions @ delta_c
         t = 1.0
         accepted = False
-        while t >= MIN_DAMPING:
+        for _ in range(MAX_HALVINGS + 1):
             q_try = q + RepPoint.from_flat(p.quiver, p.dims, t * delta_flat)
             if stay_inside is not None:
                 q_try = stay_inside(q_try)
             r_try = residual(q_try)
             n_try = float(np.linalg.norm(r_try))
-            if n_try <= (1.0 - NEWTON_SLOPE * t) * r_norm:
+            if n_try <= (1.0 - ARMIJO_SLOPE * t) * r_norm:
                 accepted = True
                 break
             t *= 0.5
@@ -173,8 +171,7 @@ def _constrained_newton(p: RepPoint, q0: RepPoint, directions: np.ndarray,
     return q
 
 
-def slice_solve(p: RepPoint, q0: RepPoint, tol: float = 1e-10,
-                max_iter: int = 50) -> RepPoint:
+def slice_solve(p: RepPoint, q0: RepPoint, tol: float = TOL) -> RepPoint:
     """Correct a tangent increment so p + q solves the complex moment equation.
 
     The returned q keeps the tangential projection of q0 (chart condition):
@@ -182,7 +179,7 @@ def slice_solve(p: RepPoint, q0: RepPoint, tol: float = 1e-10,
     space.  The complex moment target is the central value at p itself.
     """
     mc = moment_complex(p)
-    if central_deviation(mc) > 1e-8 * max(1.0, p.norm() ** 2):
+    if central_deviation(mc) > CHECK_TOL * moment_scale(p):
         raise NotOnSlice("base point does not sit on a central complex level")
     null, row, _ = _null_and_row(stacked_conditions(p))
     flat0 = q0.flatten()
@@ -190,9 +187,10 @@ def slice_solve(p: RepPoint, q0: RepPoint, tol: float = 1e-10,
         off = flat0 - null @ (null.conj().T @ flat0)
     else:
         off = flat0
-    if float(np.linalg.norm(off)) > 1e-8 * max(1.0, float(np.linalg.norm(flat0))):
+    if float(np.linalg.norm(off)) > \
+            CHECK_TOL * max(1.0, float(np.linalg.norm(flat0))):
         raise NotOnSlice("starting increment is not tangent to the slice")
-    return _constrained_newton(p, q0, row, mc.flatten(), tol, max_iter)
+    return _constrained_newton(p, q0, row, mc.flatten(), tol)
 
 
 def bb_tangent_basis(p0: RepPoint, grading: WeightGrading) -> SliceBasis:
@@ -219,7 +217,7 @@ def _positive_weight_columns(p0: RepPoint, grading: WeightGrading) -> np.ndarray
     wt_flat = np.real(grading.slot_weight_arrays().flatten())
     qs = grading.qmats
     from_eigen = layout(p0.quiver, p0.dims).gauge_matrix(qs, [q.conj().T for q in qs])
-    return from_eigen[:, wt_flat >= 0.5]
+    return from_eigen[:, wt_flat >= 1]
 
 
 def positive_weight_project(q: RepPoint, grading: WeightGrading) -> RepPoint:
@@ -228,7 +226,7 @@ def positive_weight_project(q: RepPoint, grading: WeightGrading) -> RepPoint:
     wts = grading.slot_weight_arrays()
 
     def pick(mat, warr):
-        return np.where(np.real(warr) >= 0.5, mat, 0.0)
+        return np.where(np.real(warr) >= 1, mat, 0.0)
 
     kept = RepPoint(q.quiver, q.dims,
                     [pick(m, a) for m, a in zip(eig.B, wts.B)],
@@ -238,8 +236,7 @@ def positive_weight_project(q: RepPoint, grading: WeightGrading) -> RepPoint:
 
 
 def bb_slice_solve(p0: RepPoint, q0: RepPoint, grading: WeightGrading,
-                   tol: float = 1e-10, max_iter: int = 50,
-                   basin_norm: float = 1.0) -> RepPoint:
+                   tol: float = TOL) -> RepPoint:
     """Correct a positive-weight tangent increment onto the attracting slice.
 
     Newton updates stay inside the weight >= 1 subspace (projector applied
@@ -248,11 +245,10 @@ def bb_slice_solve(p0: RepPoint, q0: RepPoint, grading: WeightGrading,
     forward rescaling, which preserves both slice equations.
     """
     norm0 = q0.norm()
-    if norm0 > basin_norm:
-        R = 2.0 * norm0 / basin_norm
+    if norm0 > BASIN_NORM:
+        R = 2.0 * norm0 / BASIN_NORM
         small = grading.act(1.0 / R, q0)
-        A_small = bb_slice_solve(p0, small, grading, tol=tol, max_iter=max_iter,
-                                 basin_norm=basin_norm)
+        A_small = bb_slice_solve(p0, small, grading, tol=tol)
         return grading.act(R, A_small)
 
     plus = _positive_weight_columns(p0, grading)
@@ -267,4 +263,4 @@ def bb_slice_solve(p0: RepPoint, q0: RepPoint, grading: WeightGrading,
 
     target = moment_complex(p0).flatten()
     return _constrained_newton(p0, keep_graded(q0), directions, target, tol,
-                               max_iter, stay_inside=keep_graded)
+                               stay_inside=keep_graded)

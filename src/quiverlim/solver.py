@@ -19,14 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import (ARMIJO_SLOPE, CHECK_TOL, EIG_FLOOR_RATIO, MAX_HALVINGS,
+                     MAX_NEWTON_ITER, SLACK, TOL, moment_scale)
 from .errors import GradingViolation, MaxIterations, NotInjective, NotOnVariety
 from .repspace import (GaugeElement, LieElement, RepPoint, central_deviation,
                        gauge_act, hermitian_residual, layout, lie_exp,
                        moment_complex)
-
-EIG_FLOOR_RATIO = 1e-10
-ARMIJO_SLOPE = 1e-4
-MAX_HALVINGS = 10
 
 
 def assemble_newton_matrix(p: RepPoint) -> np.ndarray:
@@ -66,8 +64,7 @@ def hermitian_log(g: GaugeElement) -> LieElement:
 def _check_central_complex(p: RepPoint) -> LieElement:
     mc = moment_complex(p)
     dev = central_deviation(mc)
-    scale = max(1.0, p.norm() ** 2)
-    if dev > 1e-8 * scale:
+    if dev > CHECK_TOL * moment_scale(p):
         raise NotOnVariety(
             f"complex moment map is not central (deviation {dev:.3e}); "
             "the real-moment solve is only defined on central levels")
@@ -85,7 +82,7 @@ def _polar_point(p: RepPoint, g_total: GaugeElement, sig: np.ndarray,
     xi = hermitian_log(g_total)
     point = gauge_act(lie_exp(xi), p)
     residual = hermitian_residual(point, sig).norm()
-    bound = 10.0 * tol * max(1.0, point.norm() ** 2)
+    bound = SLACK * tol * moment_scale(point)
     if not residual <= bound:
         raise NotOnVariety(
             f"point rebuilt from the polar factor misses its level "
@@ -102,19 +99,17 @@ class SolveReport:
     history: list[tuple[int, float, float]] = field(default_factory=list)
     point: RepPoint | None = None
 
-    def history_rows(self) -> list[dict]:
-        return [{"iter": it, "residual": res, "damping": damp}
-                for it, res, damp in self.history]
 
-
-def solve_real_moment(p: RepPoint, sigma, tol: float = 1e-10, max_iter: int = 100,
+def solve_real_moment(p: RepPoint, sigma, tol: float = TOL,
+                      max_iter: int = MAX_NEWTON_ITER,
                       forced_damping: tuple[float, ...] = ()) -> SolveReport:
     """Damped Newton on the complex-gauge orbit of p.
 
     forced_damping pins the step fraction of the first iterations (used to
     realize distinct schedules for the uniqueness checks); afterwards a full
-    step with up-to-ten halvings on the residual norm is used.  The returned
-    point meets its level within 10 tol max(1, |p|^2); NotOnVariety otherwise.
+    step with up to MAX_HALVINGS halvings on the residual norm is used.  The
+    returned point meets its level within SLACK tol max(1, |p|^2);
+    NotOnVariety otherwise.
     """
     _check_central_complex(p)
     sig = np.asarray(sigma, dtype=float)
@@ -170,14 +165,13 @@ def solve_real_moment(p: RepPoint, sigma, tol: float = 1e-10, max_iter: int = 10
 @dataclass
 class GradedSolveReport:
     stages: list[tuple[int, LieElement]]
-    xi_total: LieElement
     residual: float
     point: RepPoint
     converged: bool
 
 
 def graded_solve(p_start: RepPoint, grading, r_scale: float, sigma,
-                 tol: float = 1e-10, max_iter: int = 100) -> GradedSolveReport:
+                 tol: float = TOL) -> GradedSolveReport:
     """Stagewise solve near a graded fixed point.
 
     Stage j inverts the operator frozen at the fixed point on the weight
@@ -201,7 +195,7 @@ def graded_solve(p_start: RepPoint, grading, r_scale: float, sigma,
         delta = coords.herm_element(_spectral_solve(frozen, -coords.herm_coords(res_j)))
         outside = (delta - grading.lie_project(delta, j)).norm()
         d_norm = delta.norm()
-        if d_norm > 0 and outside > 1e-8 * d_norm:
+        if d_norm > 0 and outside > CHECK_TOL * d_norm:
             raise GradingViolation(
                 f"stage {j} correction leaves its weight block "
                 f"(relative leakage {outside / d_norm:.3e})")
@@ -211,10 +205,10 @@ def graded_solve(p_start: RepPoint, grading, r_scale: float, sigma,
         g_total = g_step.compose(g_total)
         stages.append((j, delta * float(r_scale) ** (-(j + 2))))
 
-    final = solve_real_moment(p_cur, sig, tol=tol, max_iter=max_iter)
+    final = solve_real_moment(p_cur, sig, tol=tol)
     g_total = lie_exp(final.xi).compose(g_total)
     stages.append((m_max, final.xi * float(r_scale) ** (-(m_max + 2))))
 
-    xi_total, point, residual = _polar_point(p_start, g_total, sig, tol)
-    return GradedSolveReport(stages=stages, xi_total=xi_total, residual=residual,
-                             point=point, converged=True)
+    _, point, residual = _polar_point(p_start, g_total, sig, tol)
+    return GradedSolveReport(stages=stages, residual=residual, point=point,
+                             converged=True)

@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import RunConfig
+from .config import (CHECK_TOL, CONFORMAL_SLOPE_RANGE, ESCAPE_MIN_INVARIANT,
+                     ESCAPE_SLOPE_TOL, IDENTITY_TOL, ISOTROPY_TOL, SLACK,
+                     RunConfig, moment_scale)
 from .conformal import (conformal_limit, conformal_point, convergence_study,
                         twistor_rotate)
 from .errors import QuiverLimError
@@ -28,14 +30,15 @@ from .invariants import (ESCAPE_GRID, enumerate_paths, escape_slope,
                          fingerprint, fingerprint_labels, invariant_size,
                          is_nilpotent, path_escape_exponent)
 from .presets import resolve_quiver_spec
-from .quiver import expected_dimension, is_generic
-from .repspace import (LieElement, central_deviation, gauge_act,
+from .quiver import expected_dimension, is_generic, require_nonempty
+from .repspace import (LieElement, central_deviation, dmu_complex, gauge_act,
                        hermitian_residual, inf_action, inf_action_adjoint,
                        lie_exp, lie_inner, metric, moment_complex, moment_real,
                        symplectic_form)
-from .sampling import make_rng, random_rep, sample_on_variety
-from .slices import (bb_slice_solve, bb_tangent_basis, moment_correction,
-                     slice_solve, tangent_basis)
+from .sampling import (attracting_increment, make_rng, random_rep,
+                       sample_on_variety)
+from .slices import (bb_tangent_basis, moment_correction, slice_solve,
+                     tangent_basis)
 from .solver import solve_real_moment
 
 
@@ -75,11 +78,11 @@ class VerifyReport:
         }
 
 
-def _rand_lie(dims, rng, scale: float, klass: str = "general") -> LieElement:
+def _rand_lie(dims, rng, scale: float) -> LieElement:
     blocks = [scale * (rng.standard_normal((n, n))
                        + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
               for n in dims.v]
-    return LieElement(dims, [np.asarray(b, dtype=complex) for b in blocks], klass)
+    return LieElement(dims, [np.asarray(b, dtype=complex) for b in blocks])
 
 
 class _Pipeline:
@@ -89,6 +92,7 @@ class _Pipeline:
         self.cfg = cfg
         self.quiver, self.dims, self.central, self.preset = \
             resolve_quiver_spec(cfg.quiver_file)
+        require_nonempty(self.quiver, self.dims)
         self.sigma = self.central.sigma_array()
         self.sample = None
         self.flow = None
@@ -124,14 +128,15 @@ def _suite_sampling(pl: _Pipeline) -> SuiteResult:
     if pl.sample is None:
         return SuiteResult("sampling", False, np.inf, pl.failures["sampling"])
     p = pl.sample.point
-    scale = max(1.0, p.norm() ** 2)
+    scale = moment_scale(p)
     res_r = hermitian_residual(p, pl.sigma).norm()
     dev_c = central_deviation(moment_complex(p))
     twin = sample_on_variety(pl.quiver, pl.dims, pl.central,
                              seed=pl.cfg.seed, tol=pl.cfg.tol)
     identical = np.array_equal(p.flatten(), twin.point.flatten())
     worst = max(res_r, dev_c)
-    passed = res_r <= 10 * pl.cfg.tol * scale and dev_c <= 1e-8 * scale and identical
+    passed = (res_r <= SLACK * pl.cfg.tol * scale and dev_c <= CHECK_TOL * scale
+              and identical)
     note = "" if identical else "same seed gave different bytes"
     return SuiteResult("sampling", passed, float(worst), note)
 
@@ -147,10 +152,9 @@ def _suite_adjoint(pl: _Pipeline) -> SuiteResult:
         rhs = lie_inner(xi, inf_action_adjoint(p, q))
         worst = max(worst, abs(lhs - rhs))
         # derivative of the complex moment agrees with its odd finite part
-        from .repspace import dmu_complex, moment_complex as mc
-        odd = (mc(p + q) - mc(p - q)) * 0.5
+        odd = (moment_complex(p + q) - moment_complex(p - q)) * 0.5
         worst = max(worst, (dmu_complex(p, q) - odd).norm())
-    return SuiteResult("adjoint_identities", worst <= 1e-9, float(worst))
+    return SuiteResult("adjoint_identities", worst <= IDENTITY_TOL, float(worst))
 
 
 def _suite_solver(pl: _Pipeline) -> SuiteResult:
@@ -168,7 +172,7 @@ def _suite_solver(pl: _Pipeline) -> SuiteResult:
     ga, gb = lie_exp(rep_a.xi), lie_exp(rep_b.xi)
     diff = max((float(np.abs(a - b).max(initial=0.0))
                 for a, b in zip(ga.g, gb.g)), default=0.0)
-    return SuiteResult("solver_uniqueness", diff <= 1e-8, float(diff))
+    return SuiteResult("solver_uniqueness", diff <= CHECK_TOL, float(diff))
 
 
 def _suite_twistor(pl: _Pipeline) -> SuiteResult:
@@ -188,8 +192,8 @@ def _suite_twistor(pl: _Pipeline) -> SuiteResult:
         tgt_c = mc - mr * (2j * xi) - mc.dagger() * (xi ** 2)
         worst = max(worst, (moment_real(q) - tgt_r).norm(),
                     (moment_complex(q) - tgt_c).norm())
-    scale = max(1.0, p.norm() ** 2)
-    return SuiteResult("twistor_rotation", worst <= 1e-9 * scale, float(worst))
+    return SuiteResult("twistor_rotation", worst <= IDENTITY_TOL * moment_scale(p),
+                       float(worst))
 
 
 def _suite_flow(pl: _Pipeline) -> SuiteResult:
@@ -198,8 +202,7 @@ def _suite_flow(pl: _Pipeline) -> SuiteResult:
                            "prerequisite failed: sampling")
 
     def run():
-        return flow_limit(pl.sample.point, pl.sigma,
-                          max_len=min(pl.cfg.max_len, 2 * sum(pl.dims.v)),
+        return flow_limit(pl.sample.point, pl.sigma, pl.cfg.max_len,
                           solve_tol=pl.cfg.tol)
     pl.flow = pl.stage("flow", run)
     if pl.flow is None:
@@ -255,7 +258,7 @@ def _suite_isotropy(pl: _Pipeline) -> SuiteResult:
     for a in range(len(vecs)):
         for b in range(len(vecs)):
             worst = max(worst, abs(symplectic_form(vecs[a], vecs[b])))
-    return SuiteResult("isotropy", worst <= 1e-12, float(worst))
+    return SuiteResult("isotropy", worst <= ISOTROPY_TOL, float(worst))
 
 
 def _suite_slice(pl: _Pipeline) -> SuiteResult:
@@ -273,7 +276,7 @@ def _suite_slice(pl: _Pipeline) -> SuiteResult:
         q = slice_solve(p, q0, tol=pl.cfg.tol)
     except QuiverLimError as exc:
         return SuiteResult("slice_correction", False, np.inf, str(exc))
-    scale = max(1.0, (p + q).norm() ** 2)
+    scale = moment_scale(p + q)
     dev_mc = (moment_complex(p + q) - moment_complex(p)).norm()
     dev_adj = inf_action_adjoint(p, q).norm()
     # the tangential projection of the output must be the input increment
@@ -283,7 +286,7 @@ def _suite_slice(pl: _Pipeline) -> SuiteResult:
     v0 = pl.basis.vectors[0]
     dev_proj = (moment_correction(p, v0) - v0).norm()
     worst = max(dev_mc, dev_adj, dev_chart, dev_proj)
-    return SuiteResult("slice_correction", worst <= 1e-8 * scale, float(worst))
+    return SuiteResult("slice_correction", worst <= CHECK_TOL * scale, float(worst))
 
 
 def _suite_bb_slice(pl: _Pipeline) -> SuiteResult:
@@ -293,18 +296,15 @@ def _suite_bb_slice(pl: _Pipeline) -> SuiteResult:
     if pl.bb_basis.count() == 0:
         return SuiteResult("attracting_slice", True, 0.0,
                            "zero-dimensional attracting slice")
-    rng = make_rng(pl.cfg.seed + 5)
-    coeffs = 0.3 * (rng.standard_normal(pl.bb_basis.count())
-                    + 1j * rng.standard_normal(pl.bb_basis.count()))
-    q0 = pl.bb_basis.combine(coeffs)
 
     def run():
-        return bb_slice_solve(pl.p0, q0, pl.grading, tol=pl.cfg.tol)
+        return attracting_increment(pl.bb_basis, pl.grading, pl.cfg.seed,
+                                    pl.cfg.tol)
     pl.A = pl.stage("bb_slice", run)
     if pl.A is None:
         return SuiteResult("attracting_slice", False, np.inf,
                            pl.failures["bb_slice"])
-    scale = max(1.0, (pl.p0 + pl.A).norm() ** 2)
+    scale = moment_scale(pl.p0 + pl.A)
     dev_mc = (moment_complex(pl.p0 + pl.A) - moment_complex(pl.p0)).norm()
     dev_adj = inf_action_adjoint(pl.p0, pl.A).norm()
     try:
@@ -314,7 +314,7 @@ def _suite_bb_slice(pl: _Pipeline) -> SuiteResult:
     except QuiverLimError as exc:
         return SuiteResult("attracting_slice", False, np.inf, str(exc))
     worst = max(dev_mc, dev_adj, dev_central)
-    return SuiteResult("attracting_slice", worst <= 1e-8 * scale, float(worst))
+    return SuiteResult("attracting_slice", worst <= CHECK_TOL * scale, float(worst))
 
 
 def _suite_conformal(pl: _Pipeline) -> SuiteResult:
@@ -328,6 +328,7 @@ def _suite_conformal(pl: _Pipeline) -> SuiteResult:
     worst = 0.0
     notes = []
     passed = True
+    lo, hi = CONFORMAL_SLOPE_RANGE
     for hb in pl.cfg.hbar_grid:
         try:
             st = convergence_study(pl.p0, pl.A, pl.sigma, hb, pl.cfg.r_grid,
@@ -341,7 +342,7 @@ def _suite_conformal(pl: _Pipeline) -> SuiteResult:
             continue
         notes.append(f"hbar={hb:g}: slope {st.slope:.3f}")
         worst = max(worst, abs(st.slope - 2.0))
-        if not (1.5 <= st.slope <= 3.0):
+        if not (lo <= st.slope <= hi):
             passed = False
     return SuiteResult("conformal_convergence", passed, float(worst),
                        "; ".join(notes))
@@ -360,7 +361,7 @@ def _suite_invariance(pl: _Pipeline) -> SuiteResult:
         g = lie_exp(_rand_lie(pl.dims, rng, 0.4))
         moved = fingerprint(gauge_act(g, p), pl.cfg.max_len)
         worst = max(worst, float(np.linalg.norm(moved - base)) / ref)
-    return SuiteResult("gauge_invariance", worst <= 1e-9, float(worst))
+    return SuiteResult("gauge_invariance", worst <= IDENTITY_TOL, float(worst))
 
 
 def _suite_escape(pl: _Pipeline) -> SuiteResult:
@@ -372,14 +373,15 @@ def _suite_escape(pl: _Pipeline) -> SuiteResult:
         return SuiteResult("escape_rates", False, np.inf,
                            "prerequisite failed: attracting slice")
     if np.all(np.abs(pl.central.c_array()) == 0) \
-            and not is_nilpotent(pl.p0, tol=1e-8):
+            and not is_nilpotent(pl.p0):
         return SuiteResult("escape_rates", False, 1.0,
                            "scaling limit point is not nilpotent")
     at = pl.p0 + pl.A
     candidates = []
     for kind in ("admissible", "loop"):
         for ps in enumerate_paths(pl.quiver, pl.dims, pl.cfg.max_len, kind):
-            if path_escape_exponent(ps) >= 1 and invariant_size(at, ps) > 1e-6:
+            if path_escape_exponent(ps) >= 1 \
+                    and invariant_size(at, ps) > ESCAPE_MIN_INVARIANT:
                 candidates.append(ps)
     if not candidates:
         return SuiteResult("escape_rates", True, 0.0,
@@ -394,7 +396,7 @@ def _suite_escape(pl: _Pipeline) -> SuiteResult:
                                f"{ps}: {exc}")
         worst = max(worst, abs(st.slope + st.expected_exponent))
         checked += 1
-    return SuiteResult("escape_rates", worst <= 0.2, float(worst),
+    return SuiteResult("escape_rates", worst <= ESCAPE_SLOPE_TOL, float(worst),
                        f"checked {checked} paths")
 
 

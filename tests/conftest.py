@@ -109,3 +109,55 @@ def linearized_operator(p, xi):
 def newton_derivative(p, xi):
     """Full derivative of xi -> -2i mu_R(exp(xi).p) at 0: equals L + L^dag."""
     return ql.dmoment_real_scaled(p, ql.inf_action(p, xi))
+
+
+def escape_profile(p0, A, hbar_grid, max_len):
+    """(hbar, largest fingerprint magnitude) along the algebraic limit family,
+    hbar decreasing.  Non-nilpotent slice points must blow up down the tail."""
+    rows = []
+    for h in sorted(hbar_grid, reverse=True):
+        f = ql.fingerprint(ql.conformal_point(p0, A, h), max_len)
+        rows.append((float(h), float(np.abs(f).max(initial=0.0))))
+    return rows
+
+
+def unitary_defect(g):
+    """Largest entry of g^dag g - Id over the blocks of a gauge element."""
+    dev = 0.0
+    for gk in g.g:
+        dev = max(dev, float(np.abs(gk.conj().T @ gk - np.eye(gk.shape[0])).max(initial=0.0)))
+    return dev
+
+
+def history_rows(report):
+    """SolveReport.history as dicts."""
+    return [{"iter": it, "residual": res, "damping": damp}
+            for it, res, damp in report.history]
+
+
+def convergence_rows(report):
+    """ConvergenceReport.rows as dicts."""
+    return [{"R": r, "distance": d} for r, d in report.rows]
+
+
+def component_norm(grading, xi, m):
+    """Norm of the adjoint-weight-m part of xi, split in the generator's
+    per-vertex eigenbases."""
+    blocks = []
+    for q, ws, b in zip(grading.qmats, grading.weights, xi.blocks):
+        ws = np.array(ws, dtype=int)
+        eig = q.conj().T @ b @ q
+        kept = np.where((ws[:, None] - ws[None, :]) == m, eig, 0.0)
+        blocks.append(q @ kept @ q.conj().T)
+    return ql.LieElement(grading.dims, blocks).norm()
+
+
+def max_deviation(x, klass):
+    """Distance of the blocks of x from the hermitian or skew-hermitian cone."""
+    dev = 0.0
+    for b in x.blocks:
+        if klass == "hermitian":
+            dev = max(dev, float(np.abs(b - b.conj().T).max(initial=0.0)))
+        elif klass == "skew":
+            dev = max(dev, float(np.abs(b + b.conj().T).max(initial=0.0)))
+    return dev

@@ -1,5 +1,6 @@
 """Command-line entry points, exit codes, and JSON artifacts."""
 
+import csv
 import json
 
 import pytest
@@ -96,6 +97,15 @@ def test_escape(capsys, tmp_path):
     assert abs(data["slope"] + 1.0) < 0.2
 
 
+def test_escape_honours_explicit_grid(capsys, tmp_path):
+    # an explicit --grid is used even when it equals the family's default grid
+    code, out, err = run(capsys, "escape", "tstar-p1", "--path", "P:c0.j0",
+                         "--grid", "0.4,0.2,0.1,0.05", "--out", str(tmp_path))
+    assert code == 0
+    data = json.loads((tmp_path / "escape.json").read_text())
+    assert [h for h, _ in data["rows"]] == [0.4, 0.2, 0.1, 0.05]
+
+
 def test_escape_bad_path(capsys):
     code, out, err = run(capsys, "escape", "tstar-p1", "--path", "Q:zz")
     assert code == 2
@@ -127,3 +137,45 @@ def test_quiver_file_through_cli(capsys, tmp_path):
     path.write_text(json.dumps(ql.quiver_to_dict(pre.quiver, pre.dims, pre.central)))
     code, out, err = run(capsys, "check", str(path))
     assert code == 0
+
+
+def write_quiver(tmp_path, name, data):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("name", ["tstar-p1", "a3-star"])
+def test_climit_matches_verify_limit(capsys, tmp_path, name):
+    # on a quiver file the CLI builds the fixed point, grading and attracting
+    # increment as verify does, so both report the same conformal limit
+    pre = ql.get_preset(name)
+    path = write_quiver(tmp_path, name,
+                        ql.quiver_to_dict(pre.quiver, pre.dims, pre.central))
+    code, _, _ = run(capsys, "climit", path, "--hbar", "1.0", "--seed", "0",
+                     "--out", str(tmp_path / "climit"))
+    assert code == 0
+    run(capsys, "verify", path, "--seed", "0", "--out", str(tmp_path / "verify"))
+    fp = json.loads((tmp_path / "climit" / "climit.json").read_text())["fingerprint"]
+    with open(tmp_path / "verify" / "fingerprints.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    assert {r["path"]: float(r["conformal_limit_value"]) for r in rows} == fp
+
+
+EMPTY_VARIETIES = {
+    # A2 with v=(2,1), w=(1,0): expected dimension -4
+    "a2-overfull": {"vertices": 2, "edges": [[0, 1]], "v": [2, 1], "w": [1, 0],
+                    "sigma": [1.5, -0.5]},
+    # one vertex without framing: expected dimension -4
+    "unframed": {"vertices": 1, "edges": [], "v": [1], "w": [0], "sigma": [1.0]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_VARIETIES))
+@pytest.mark.parametrize("command", ["check", "verify"])
+def test_empty_variety_refused_by_name(capsys, tmp_path, command, name):
+    path = write_quiver(tmp_path, name, EMPTY_VARIETIES[name])
+    code, out, err = run(capsys, command, path)
+    assert code == 1
+    assert err.startswith("error: EmptyVariety: expected dimension -4")

@@ -5,6 +5,8 @@ import pytest
 
 import quiverlim as ql
 
+from conftest import convergence_rows
+
 
 def test_twistor_moment_identities(a3star):
     # exact for every point, not only on the variety
@@ -131,7 +133,7 @@ def test_convergence_report_rows(tstar):
     sigma = tstar.central.sigma_array()
     rep = ql.convergence_study(p0, A, sigma, 1.0, (0.2, 0.1), grading=grading)
     assert rep.hbar == 1.0
-    rows = rep.to_rows()
+    rows = convergence_rows(rep)
     assert len(rows) == 2
     assert rows[0]["R"] == 0.2
     assert rows[0]["distance"] > rows[1]["distance"]

@@ -104,7 +104,8 @@ def test_default_schedule_decreases():
 
 
 def test_flow_limit_reaches_fixed_point(a3star, a3star_sample):
-    flow = ql.flow_limit(a3star_sample.point, a3star.central.sigma_array())
+    flow = ql.flow_limit(a3star_sample.point, a3star.central.sigma_array(),
+                         ql.nilpotency_bound(a3star.dims))
     assert flow.fixed_report.fixed
     assert flow.fixed_report.stable
     # the limit sits on the real level at the same sigma
@@ -118,7 +119,8 @@ def test_flow_limit_reaches_fixed_point(a3star, a3star_sample):
 
 def test_flow_limit_weights_match_preset(a3star, a3star_sample):
     # the generic orbit flows to the distinguished fixed point of the preset
-    flow = ql.flow_limit(a3star_sample.point, a3star.central.sigma_array())
+    flow = ql.flow_limit(a3star_sample.point, a3star.central.sigma_array(),
+                         ql.nilpotency_bound(a3star.dims))
     grading = ql.weight_grading(flow.limit)
     got = tuple(tuple(int(x) for x in wk) for wk in grading.weights)
     want = tuple(tuple(w) for w in ql.get_preset("a3-star").weights)
@@ -127,7 +129,8 @@ def test_flow_limit_weights_match_preset(a3star, a3star_sample):
 
 def test_flow_limit_is_clean(tstar, tstar_sample):
     # the returned limit carries no leftover weight in its shrinking slots
-    flow = ql.flow_limit(tstar_sample.point, tstar.central.sigma_array())
+    flow = ql.flow_limit(tstar_sample.point, tstar.central.sigma_array(),
+                         ql.nilpotency_bound(tstar.dims))
     grading = ql.weight_grading(flow.limit)
     parts = ql.grade_increment(flow.limit, grading)
     for m, part in parts.items():

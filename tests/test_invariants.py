@@ -5,7 +5,7 @@ import pytest
 
 import quiverlim as ql
 
-from conftest import random_lie
+from conftest import escape_profile, random_lie
 
 
 def test_admissible_enumeration_no_edges(tstar):
@@ -130,7 +130,7 @@ def test_escape_slope_on_smallest_example(tstar):
 
 def test_escape_profile_monotone(tstar):
     A = tstar.slice_point(seed=48)
-    prof = ql.escape_profile(tstar.p0, A, (0.4, 0.2, 0.1, 0.05), 4)
+    prof = escape_profile(tstar.p0, A, (0.4, 0.2, 0.1, 0.05), 4)
     values = [v for _, v in prof]
     assert values == sorted(values)
     assert values[-1] > values[0]

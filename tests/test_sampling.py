@@ -55,7 +55,7 @@ def test_sampling_failure_when_level_unreachable():
     dims = ql.DimensionVectors(v=(1,), w=(0,))
     central = ql.CentralParameter(sigma=(1.0,), c=(0.0,))
     with pytest.raises(ql.SamplingFailed):
-        ql.sample_on_variety(q, dims, central, seed=0, restarts=2)
+        ql.sample_on_variety(q, dims, central, seed=0)
 
 
 def test_project_complex_level(a3star):

@@ -12,7 +12,8 @@ import pytest
 
 import quiverlim as ql
 
-from conftest import linearized_operator, newton_derivative, random_lie
+from conftest import (history_rows, linearized_operator, newton_derivative,
+                      random_lie)
 
 # bisection of e^{2x}*1.79 - e^{-2x}*1.01 - 1.2 on [-10, 10], frozen
 BISECT_X = 0.07324080802172214
@@ -95,7 +96,7 @@ def test_rejects_noncentral_start(a3star):
 def test_history_decreases(tstar):
     p = one_vertex([1.1, -0.3 + 0.7j], [0.25 - 0.45j, 0.85 + 0.15j])
     rep = ql.solve_real_moment(p, (0.6,))
-    hist = [row["residual"] for row in rep.history_rows()]
+    hist = [row["residual"] for row in history_rows(rep)]
     assert hist[-1] <= 1e-10
     assert hist[-1] < hist[0]
     # quadratic tail: each late step roughly squares the residual
