@@ -13,8 +13,8 @@ from .conformal import (ConformalFamilySample, ConvergenceReport,
 from .errors import (DegenerateFit, DimensionMismatch, EmptyVariety,
                      GradingViolation, IllConditioned, LeftBasin,
                      MaxIterations, NoConvergence, NonIntegerWeights, NotFixed,
-                     NotInjective, NotOnSlice, NotOnVariety, QuiverLimError,
-                     SamplingFailed, ZeroInvariant)
+                     NotInjective, NotOnSlice, NotOnVariety, OnWall,
+                     QuiverLimError, SamplingFailed, ZeroInvariant)
 from .fixedpoints import (FixedPointReport, FlowReport, WeightGrading,
                           bb_expected_dimension, cstar_act, default_schedule,
                           flow_limit, grade_increment, is_fixed_point,

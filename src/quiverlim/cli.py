@@ -20,7 +20,8 @@ from .fixedpoints import (bb_expected_dimension, flow_limit, is_fixed_point,
 from .invariants import (ESCAPE_GRID, PathSpec, escape_slope, fingerprint,
                          fingerprint_labels)
 from .presets import PRESET_NAMES, resolve_quiver_spec
-from .quiver import expected_dimension, is_generic, require_nonempty, walls
+from .quiver import (expected_dimension, is_generic, require_generic,
+                     require_nonempty, walls)
 from .repspace import central_deviation, hermitian_residual, moment_complex
 from .sampling import attracting_increment, sample_on_variety
 from .slices import bb_tangent_basis, tangent_basis
@@ -44,6 +45,13 @@ def _grid(text: str) -> tuple[float, ...]:
 def _load(args) -> tuple:
     quiver, dims, central, preset = resolve_quiver_spec(args.quiver)
     require_nonempty(quiver, dims)
+    return quiver, dims, central, preset
+
+
+def _load_generic(args) -> tuple:
+    """_load for the commands whose construction needs a generic parameter."""
+    quiver, dims, central, preset = _load(args)
+    require_generic(central, quiver, dims)
     return quiver, dims, central, preset
 
 
@@ -162,7 +170,7 @@ def _cmd_bb_basis(args) -> int:
 
 
 def _cmd_climit(args) -> int:
-    p0, grading, A = _derive_setup(args, *_load(args))
+    p0, grading, A = _derive_setup(args, *_load_generic(args))
     rep = conformal_limit(p0, A, args.hbar, tol=args.tol, grading=grading)
     fp = fingerprint(rep.point, args.max_len)
     print(f"conformal limit at hbar={args.hbar:g}: "
@@ -183,7 +191,7 @@ def _cmd_climit(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    quiver, dims, central, preset = _load(args)
+    quiver, dims, central, preset = _load_generic(args)
     p0, grading, A = _derive_setup(args, quiver, dims, central, preset)
     st = convergence_study(p0, A, central.sigma_array(), args.hbar, args.grid,
                            grading=grading, tol=args.tol, max_len=args.max_len)
@@ -217,7 +225,7 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_escape(args) -> int:
-    p0, _, A = _derive_setup(args, *_load(args))
+    p0, _, A = _derive_setup(args, *_load_generic(args))
     path = PathSpec.parse(args.path)
     st = escape_slope(p0, A, args.grid, path)
     print(f"path {path}: predicted blow-up exponent {st.expected_exponent}")

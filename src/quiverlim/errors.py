@@ -61,5 +61,9 @@ class EmptyVariety(SamplingFailed):
     """The dimension vectors give a negative expected dimension: no point exists."""
 
 
+class OnWall(QuiverLimError):
+    """The central parameter lies on a root wall, so it is not generic."""
+
+
 class DegenerateFit(QuiverLimError):
     """A rate fit has no signal: the measured values sit at the solver floor."""

@@ -21,7 +21,7 @@ from .config import (CHECK_TOL, ENERGY_SLACK, FLOOR, FLOW_RATIO, FLOW_STEPS,
                      moment_scale)
 from .errors import (GradingViolation, NoConvergence, NonIntegerWeights,
                      NotFixed, NotInjective, NotOnVariety, QuiverLimError)
-from .invariants import fingerprint_distance, nilpotency_bound
+from .invariants import fingerprint, nilpotency_bound
 from .quiver import DimensionVectors, Quiver
 from .repspace import (GaugeElement, LieElement, RepPoint, central_deviation,
                        gauge_act, layout, lie_exp, moment_complex, moment_real)
@@ -341,6 +341,7 @@ def flow_limit(p: RepPoint, sigma, max_len: int,
     fixed_tol = SLACK * max(FLOW_TOL, solve_tol)
 
     q_prev = solve_real_moment(p, sigma, tol=solve_tol).point
+    fp_prev = fingerprint(q_prev, max_len)
     energy = scaling_energy(q_prev)
     rows: list[tuple[float, float, float]] = []
     R_prev = 1.0
@@ -352,14 +353,15 @@ def flow_limit(p: RepPoint, sigma, max_len: int,
                                    tol=solve_tol).point
         R_prev = R
         e_next = scaling_energy(q_next)
-        dist = fingerprint_distance(q_prev, q_next, max_len)
+        fp_next = fingerprint(q_next, max_len)
+        dist = float(np.linalg.norm(fp_prev - fp_next))
         rows.append((R, e_next, dist))
         if e_next > energy + ENERGY_SLACK * max(1.0, energy):
             raise NoConvergence(
                 f"shrinking-slot energy rose from {energy:.6e} to {e_next:.6e} "
                 f"at R={R:g}; the flow is not descending")
         energy = e_next
-        q_prev = q_next
+        q_prev, fp_prev = q_next, fp_next
         if dist <= FLOW_TOL:
             rep = is_fixed_point(q_next, tol=fixed_tol)
             if rep.fixed:

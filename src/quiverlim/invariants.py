@@ -8,6 +8,10 @@ rotation.  An admissible path starts with a c-hop and ends with a j-hop, so
 its matrix is a framing-to-framing block and every entry is gauge invariant;
 loop traces are gauge invariant as well.  Tokens are listed in application
 order, so eval multiplies right-to-left.
+
+Functionals over every enumerated path go through one prefix walk per
+(quiver, dims, max_len, kind): paths that share a prefix share its products,
+and each product is formed by the same matrix multiplications as eval_path.
 """
 
 from __future__ import annotations
@@ -60,15 +64,20 @@ def _token_ends(tok: str, quiver: Quiver) -> tuple[tuple[str, int], tuple[str, i
     raise ValueError(f"unknown path token {tok!r}")
 
 
-def _token_matrix(tok: str, p: RepPoint) -> np.ndarray:
+def _token_slot(tok: str, quiver: Quiver) -> int:
+    """Index of the token's matrix in _slots(p): B by doubled edge, then i, then j."""
     if tok.startswith("c"):
-        return p.i[int(tok[1:])]
+        return quiver.num_h + int(tok[1:])
     if tok.startswith("j"):
-        return p.j[int(tok[1:])]
+        return quiver.num_h + quiver.n + int(tok[1:])
     body = tok[1:]
     rev = body.endswith("~")
     e = int(body[:-1] if rev else body)
-    return p.B[e + p.quiver.num_edges if rev else e]
+    return e + quiver.num_edges if rev else e
+
+
+def _slots(p: RepPoint) -> list[np.ndarray]:
+    return p.B + p.i + p.j
 
 
 def validate_path(path: PathSpec, quiver: Quiver, dims: DimensionVectors) -> None:
@@ -95,7 +104,8 @@ def validate_path(path: PathSpec, quiver: Quiver, dims: DimensionVectors) -> Non
 def eval_path(p: RepPoint, path: PathSpec) -> np.ndarray:
     """Product of the token matrices, rightmost token applied first."""
     validate_path(path, p.quiver, p.dims)
-    mats = [_token_matrix(t, p) for t in path.tokens]
+    slots = _slots(p)
+    mats = [slots[_token_slot(t, p.quiver)] for t in path.tokens]
     acc = mats[0]
     for m in mats[1:]:
         acc = m @ acc
@@ -107,7 +117,7 @@ def _canonical_rotation(tokens: tuple[str, ...]) -> tuple[str, ...]:
     return min(rots)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=128)
 def enumerate_paths(quiver: Quiver, dims: DimensionVectors, max_len: int,
                     kind: str) -> tuple[PathSpec, ...]:
     """All loops (cyclically deduplicated) or admissible paths up to max_len tokens.
@@ -171,6 +181,59 @@ def enumerate_paths(quiver: Quiver, dims: DimensionVectors, max_len: int,
     return tuple(out_paths)
 
 
+@functools.lru_cache(maxsize=128)
+def _prefix_walk(quiver: Quiver, dims: DimensionVectors, max_len: int,
+                 kind: str) -> tuple[tuple[int, ...], ...]:
+    """Depth-first walk over enumerate_paths(quiver, dims, max_len, kind) as
+    three flat tuples (depth, slot, out): step t sets level depth[t] of the
+    product stack to the token matrix at slot[t] applied after level
+    depth[t] - 1, and out[t] is the index of the path ending there, or -1."""
+    paths = enumerate_paths(quiver, dims, max_len, kind)
+    depth: list[int] = []
+    slot: list[int] = []
+    out: list[int] = []
+    prev: tuple[str, ...] = ()
+    # in lexicographic order each path shares its longest common prefix with
+    # the path before it, and no path follows one that extends it
+    for n in sorted(range(len(paths)), key=lambda n: paths[n].tokens):
+        validate_path(paths[n], quiver, dims)
+        tokens = paths[n].tokens
+        common = 0
+        while common < min(len(prev), len(tokens)) and prev[common] == tokens[common]:
+            common += 1
+        for d in range(common, len(tokens)):
+            depth.append(d)
+            slot.append(_token_slot(tokens[d], quiver))
+            out.append(n if d == len(tokens) - 1 else -1)
+        prev = tokens
+    return tuple(depth), tuple(slot), tuple(out)
+
+
+def _path_products(p: RepPoint, max_len: int, kind: str):
+    """Yield (index in enumerate_paths, eval_path product) for every path,
+    in walk order."""
+    slots = _slots(p)
+    acc: list[np.ndarray | None] = [None] * max_len
+    for d, s, n in zip(*_prefix_walk(p.quiver, p.dims, max_len, kind)):
+        acc[d] = slots[s] if d == 0 else slots[s] @ acc[d - 1]
+        if n >= 0:
+            yield n, acc[d]
+
+
+def _size(m: np.ndarray, kind: str) -> float:
+    if kind == "loop":
+        return abs(complex(np.trace(m)))
+    return float(np.abs(m).max(initial=0.0))
+
+
+def invariant_sizes(p: RepPoint, max_len: int, kind: str) -> list[float]:
+    """invariant_size of every path of enumerate_paths(..., max_len, kind), in its order."""
+    sizes = [0.0] * len(enumerate_paths(p.quiver, p.dims, max_len, kind))
+    for n, m in _path_products(p, max_len, kind):
+        sizes[n] = _size(m, kind)
+    return sizes
+
+
 def fingerprint_labels(quiver: Quiver, dims: DimensionVectors, max_len: int) -> tuple[str, ...]:
     labels = []
     for ps in enumerate_paths(quiver, dims, max_len, "loop"):
@@ -189,15 +252,15 @@ def fingerprint_labels(quiver: Quiver, dims: DimensionVectors, max_len: int) -> 
 def fingerprint(p: RepPoint, max_len: int) -> np.ndarray:
     """Canonically ordered vector of loop traces and admissible-path entries,
     real and imaginary parts interleaved."""
-    vals: list[float] = []
-    for ps in enumerate_paths(p.quiver, p.dims, max_len, "loop"):
-        tr = complex(np.trace(eval_path(p, ps)))
-        vals.extend((tr.real, tr.imag))
-    for ps in enumerate_paths(p.quiver, p.dims, max_len, "admissible"):
-        m = eval_path(p, ps)
-        for x in m.ravel():
-            vals.extend((x.real, x.imag))
-    return np.array(vals, dtype=float)
+    blocks: list[np.ndarray] = []
+    for kind in ("loop", "admissible"):
+        part = [None] * len(enumerate_paths(p.quiver, p.dims, max_len, kind))
+        for n, m in _path_products(p, max_len, kind):
+            part[n] = np.trace(m) if kind == "loop" else m
+        blocks.extend(part)
+    if not blocks:
+        return np.zeros(0)
+    return np.concatenate([np.ravel(b) for b in blocks]).view(np.float64)
 
 
 def fingerprint_distance(p: RepPoint, q: RepPoint, max_len: int) -> float:
@@ -212,8 +275,8 @@ def is_nilpotent(p: RepPoint) -> bool:
     """True when every invariant up to the decision bound is below CHECK_TOL."""
     bound = nilpotency_bound(p.dims)
     for kind in ("loop", "admissible"):
-        for ps in enumerate_paths(p.quiver, p.dims, bound, kind):
-            if invariant_size(p, ps) > CHECK_TOL:
+        for _, m in _path_products(p, bound, kind):
+            if _size(m, kind) > CHECK_TOL:
                 return False
     return True
 
@@ -225,10 +288,7 @@ def path_escape_exponent(path: PathSpec) -> int:
 
 
 def invariant_size(p: RepPoint, path: PathSpec) -> float:
-    m = eval_path(p, path)
-    if path.kind == "loop":
-        return abs(complex(np.trace(m)))
-    return float(np.abs(m).max(initial=0.0))
+    return _size(eval_path(p, path), path.kind)
 
 
 @dataclass

@@ -19,7 +19,7 @@ from numbers import Integral
 import numpy as np
 
 from .config import WALL_TOL
-from .errors import EmptyVariety
+from .errors import EmptyVariety, OnWall
 
 
 @dataclass(frozen=True)
@@ -231,6 +231,17 @@ def walls(zeta: CentralParameter, quiver: Quiver, dims: DimensionVectors):
 def is_generic(zeta: CentralParameter, quiver: Quiver, dims: DimensionVectors) -> bool:
     """True when (sigma.theta, Re c.theta, Im c.theta) != 0 for every bounded root."""
     return not walls(zeta, quiver, dims)
+
+
+def require_generic(zeta: CentralParameter, quiver: Quiver,
+                    dims: DimensionVectors) -> None:
+    """Refuse a central parameter that lies on a wall, naming each wall as
+    the check command prints it."""
+    on_walls = walls(zeta, quiver, dims)
+    if on_walls:
+        raise OnWall("central parameter is not generic: " + "; ".join(
+            f"wall at root theta={list(theta)} (margin {margin:.3e})"
+            for theta, margin in on_walls))
 
 
 def quiver_to_dict(quiver: Quiver, dims: DimensionVectors, zeta: CentralParameter) -> dict:

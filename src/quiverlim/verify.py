@@ -27,7 +27,7 @@ from .errors import QuiverLimError
 from .fixedpoints import (bb_expected_dimension, cstar_act, flow_limit,
                           weight_grading)
 from .invariants import (ESCAPE_GRID, enumerate_paths, escape_slope,
-                         fingerprint, fingerprint_labels, invariant_size,
+                         fingerprint, fingerprint_labels, invariant_sizes,
                          is_nilpotent, path_escape_exponent)
 from .presets import resolve_quiver_spec
 from .quiver import expected_dimension, is_generic, require_nonempty
@@ -379,10 +379,11 @@ def _suite_escape(pl: _Pipeline) -> SuiteResult:
     at = pl.p0 + pl.A
     candidates = []
     for kind in ("admissible", "loop"):
-        for ps in enumerate_paths(pl.quiver, pl.dims, pl.cfg.max_len, kind):
-            if path_escape_exponent(ps) >= 1 \
-                    and invariant_size(at, ps) > ESCAPE_MIN_INVARIANT:
-                candidates.append(ps)
+        paths = enumerate_paths(pl.quiver, pl.dims, pl.cfg.max_len, kind)
+        sizes = invariant_sizes(at, pl.cfg.max_len, kind)
+        candidates.extend(ps for ps, size in zip(paths, sizes)
+                          if path_escape_exponent(ps) >= 1
+                          and size > ESCAPE_MIN_INVARIANT)
     if not candidates:
         return SuiteResult("escape_rates", True, 0.0,
                            "no non-vanishing escaping invariant at this point")

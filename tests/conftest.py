@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import quiverlim as ql
+from quiverlim.config import CHECK_TOL
 
 
 class Setup:
@@ -119,6 +120,29 @@ def escape_profile(p0, A, hbar_grid, max_len):
         f = ql.fingerprint(ql.conformal_point(p0, A, h), max_len)
         rows.append((float(h), float(np.abs(f).max(initial=0.0))))
     return rows
+
+
+def fingerprint_by_paths(p, max_len):
+    """fingerprint with one eval_path per enumerated path."""
+    vals = []
+    for ps in ql.enumerate_paths(p.quiver, p.dims, max_len, "loop"):
+        tr = complex(np.trace(ql.eval_path(p, ps)))
+        vals.extend((tr.real, tr.imag))
+    for ps in ql.enumerate_paths(p.quiver, p.dims, max_len, "admissible"):
+        m = ql.eval_path(p, ps)
+        for x in m.ravel():
+            vals.extend((x.real, x.imag))
+    return np.array(vals, dtype=float)
+
+
+def is_nilpotent_by_paths(p):
+    """is_nilpotent with one invariant_size per enumerated path."""
+    bound = ql.nilpotency_bound(p.dims)
+    for kind in ("loop", "admissible"):
+        for ps in ql.enumerate_paths(p.quiver, p.dims, bound, kind):
+            if ql.invariant_size(p, ps) > CHECK_TOL:
+                return False
+    return True
 
 
 def unitary_defect(g):

@@ -179,3 +179,15 @@ def test_empty_variety_refused_by_name(capsys, tmp_path, command, name):
     code, out, err = run(capsys, command, path)
     assert code == 1
     assert err.startswith("error: EmptyVariety: expected dimension -4")
+
+
+@pytest.mark.parametrize("command", ["climit", "family", "escape"])
+def test_wall_parameter_refused_by_name(capsys, command):
+    # these constructions need a generic parameter; check, fixed and bb-basis
+    # still run on a wall
+    extra = ("--path", "P:c0.j0") if command == "escape" else ()
+    code, out, err = run(capsys, command, "a2-wall", *extra)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: OnWall: ")
+    assert "wall at root theta=[1, 1]" in err

@@ -1,11 +1,19 @@
 """Path and loop functionals: enumeration, evaluation, invariance, escape."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
 import quiverlim as ql
+from quiverlim.config import TOL
+from quiverlim.invariants import invariant_sizes
+from quiverlim.sampling import attracting_increment
 
-from conftest import escape_profile, random_lie
+from conftest import (escape_profile, fingerprint_by_paths, get_setup,
+                      is_nilpotent_by_paths, random_lie)
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_admissible_enumeration_no_edges(tstar):
@@ -134,3 +142,56 @@ def test_escape_profile_monotone(tstar):
     values = [v for _, v in prof]
     assert values == sorted(values)
     assert values[-1] > values[0]
+
+
+def _bench_point_pair(name):
+    """(p0, A) for a bench quiver file, built as the escape command builds them."""
+    quiver, dims, central, _ = ql.resolve_quiver_spec(
+        str(ROOT / "bench" / "quivers" / f"{name}.json"))
+    smp = ql.sample_on_variety(quiver, dims, central, seed=0)
+    p0 = ql.flow_limit(smp.point, central.sigma_array(), 4).limit
+    grading = ql.weight_grading(p0)
+    A = attracting_increment(ql.bb_tangent_basis(p0, grading), grading, 0, TOL)
+    return p0, A
+
+
+@pytest.mark.parametrize("name", ["tstar-p1", "a2-star", "kronecker2", "a3-star",
+                                  "a3_chain", "d4_star"])
+def test_prefix_walk_matches_per_path_evaluation(name):
+    if name in ql.PRESET_NAMES:
+        s = get_setup(name)
+        p0, A = s.p0, s.slice_point()
+    else:
+        p0, A = _bench_point_pair(name)
+    rand = ql.random_rep(p0.quiver, p0.dims, ql.make_rng(49))
+    bound = ql.nilpotency_bound(p0.dims)
+    for label, p in (("p0", p0), ("p0+A", p0 + A), ("random", rand)):
+        for max_len in sorted({4, bound}):
+            assert np.array_equal(ql.fingerprint(p, max_len),
+                                  fingerprint_by_paths(p, max_len)), (label, max_len)
+        for kind in ("loop", "admissible"):
+            paths = ql.enumerate_paths(p.quiver, p.dims, 4, kind)
+            assert invariant_sizes(p, 4, kind) == \
+                [ql.invariant_size(p, ps) for ps in paths], (label, kind)
+        assert ql.is_nilpotent(p) is is_nilpotent_by_paths(p), label
+    assert ql.is_nilpotent(p0)
+
+
+def test_only_the_longest_path_survives_on_a_forward_chain():
+    # A5 with forward edges only, fed at vertex 0 and read at vertex 4: every
+    # loop and every path but c0.h0.h1.h2.h3.j4 meets a zero matrix
+    q = ql.Quiver(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
+    d = ql.DimensionVectors(v=(1, 1, 1, 1, 1), w=(1, 0, 0, 0, 1))
+    p = ql.RepPoint.zeros(q, d)
+    for e in range(4):
+        p.B[e][0, 0] = 1.0 + e
+    p.i[0][0, 0] = 0.5j
+    p.j[4][0, 0] = 2.0
+    assert not np.any(ql.fingerprint(p, 4))
+    assert not ql.is_nilpotent(p)
+    assert not is_nilpotent_by_paths(p)
+    bound = ql.nilpotency_bound(d)
+    fp = ql.fingerprint(p, bound)
+    labels = ql.fingerprint_labels(q, d, bound)
+    assert {lab: v for lab, v in zip(labels, fp) if v} == \
+        {"P:c0.h0.h1.h2.h3.j4[0,0]:im": 24.0}

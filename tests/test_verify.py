@@ -1,11 +1,14 @@
 """The composite verification pipeline and its file outputs."""
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
 import quiverlim as ql
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 EXPECTED_SUITES = [
     "genericity", "sampling", "adjoint_identities", "solver_uniqueness",
@@ -52,17 +55,20 @@ def test_output_files(verify_tstar, tmp_path):
     assert audit[1].startswith("tstar-p1,4,4,2,")
 
 
-def test_outputs_are_reproducible(verify_tstar, tmp_path):
-    # same config, fresh run: identical bytes in every artifact
-    cfg, report, pipeline, out = verify_tstar
-    cfg2 = ql.RunConfig(quiver_file="tstar-p1", seed=0,
-                        output_dir=str(tmp_path))
-    report2, pipeline2 = ql.verify_run(cfg2)
-    ql.write_outputs(report2, pipeline2, str(tmp_path))
+@pytest.mark.parametrize("quiver", ["tstar-p1", "bench/quivers/a3_chain.json"])
+def test_outputs_are_reproducible(tmp_path, quiver):
+    # same config apart from the destination, fresh run: identical bytes in
+    # every artifact
+    spec = str(ROOT / quiver) if quiver.endswith(".json") else quiver
+    for run in ("a", "b"):
+        out = str(tmp_path / run)
+        report, pipeline = ql.verify_run(
+            ql.RunConfig(quiver_file=spec, seed=0, output_dir=out))
+        ql.write_outputs(report, pipeline, out)
     for name in ("report.json", "convergence.csv", "dimension_audit.csv",
                  "fingerprints.csv", "flow_trace.csv"):
-        a = (out / name).read_bytes()
-        b = (tmp_path / name).read_bytes()
+        a = (tmp_path / "a" / name).read_bytes()
+        b = (tmp_path / "b" / name).read_bytes()
         assert a == b, name
 
 
