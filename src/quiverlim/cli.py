@@ -327,6 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # every subcommand holds --seed, --tol and --max-len to RunConfig's
+        # rules; --grid is left to each command (escape sorts its own)
+        RunConfig(seed=args.seed, tol=args.tol, max_len=args.max_len)
         return args.fn(args)
     except QuiverLimError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

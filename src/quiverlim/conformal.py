@@ -18,7 +18,7 @@ from .config import CHECK_TOL, FLOOR, STAGE_SLACK, TOL, moment_scale
 from .errors import DegenerateFit, NotOnSlice, NotOnVariety
 from .fixedpoints import WeightGrading
 from .invariants import fingerprint
-from .repspace import (RepPoint, central_lie, inf_action_adjoint,
+from .repspace import (RepPoint, central_lie, inf_action_adjoint, layout,
                        moment_complex, moment_real, zeta_real_lie)
 from .slices import positive_weight_project
 from .solver import SolveReport, graded_solve, solve_real_moment
@@ -32,12 +32,17 @@ def twistor_rotate(p: RepPoint, xi: complex) -> RepPoint:
       complex: mu_C - 2i xi mu_R - xi^2 mu_C^dagger
     """
     xi = complex(xi)
-    q = p.quiver
-    B = [p.B[h] - q.h_eps(h) * xi * p.B[q.h_bar(h)].conj().T
-         for h in range(q.num_h)]
-    i_new = [ik - xi * jk.conj().T for ik, jk in zip(p.i, p.j)]
-    j_new = [jk + xi * ik.conj().T for ik, jk in zip(p.i, p.j)]
-    return RepPoint(p.quiver, p.dims, B, i_new, j_new)
+    lay = layout(p.quiver, p.dims)
+    s, nh = p.slots, p.quiver.num_h
+    out = []
+    for x, (t, d) in enumerate(zip(lay.partner, lay.degree)):
+        if x < nh:  # B_h - eps(h) xi B_hbar^dag
+            out.append(s[x] - (-1 if d else 1) * xi * s[t].conj().T)
+        elif d:  # j_k + xi i_k^dag
+            out.append(s[x] + xi * s[t].conj().T)
+        else:  # i_k - xi j_k^dag
+            out.append(s[x] - xi * s[t].conj().T)
+    return RepPoint.from_slots(p.quiver, p.dims, out)
 
 
 def conformal_point(p0: RepPoint, A: RepPoint, hbar: complex,
@@ -67,17 +72,11 @@ def conformal_point(p0: RepPoint, A: RepPoint, hbar: complex,
             raise NotOnSlice(
                 f"increment has support below weight one ({off:.3e})")
 
-    q = p0.quiver
-    E = q.num_edges
-    B = []
-    for h in range(q.num_h):
-        if h < E:
-            B.append(p0.B[h] + A.B[h] - hb * p0.B[h + E].conj().T)
-        else:
-            B.append((p0.B[h] + A.B[h]) / hb + p0.B[h - E].conj().T)
-    i_new = [p0.i[k] + A.i[k] - hb * p0.j[k].conj().T for k in range(q.n)]
-    j_new = [(p0.j[k] + A.j[k]) / hb + p0.i[k].conj().T for k in range(q.n)]
-    return RepPoint(p0.quiver, p0.dims, B, i_new, j_new)
+    s, a = p0.slots, A.slots
+    lay = layout(p0.quiver, p0.dims)
+    return RepPoint.from_slots(p0.quiver, p0.dims, [
+        (s[x] + a[x]) / hb + s[t].conj().T if d else s[x] + a[x] - hb * s[t].conj().T
+        for x, (t, d) in enumerate(zip(lay.partner, lay.degree))])
 
 
 def conformal_limit(p0: RepPoint, A: RepPoint, hbar: complex, tol: float = TOL,

@@ -24,18 +24,16 @@ from .errors import (GradingViolation, NoConvergence, NonIntegerWeights,
 from .invariants import fingerprint, nilpotency_bound
 from .quiver import DimensionVectors, Quiver
 from .repspace import (GaugeElement, LieElement, RepPoint, central_deviation,
-                       gauge_act, layout, lie_exp, moment_complex, moment_real)
+                       conjugate_slots, gauge_act, layout, lie_exp,
+                       moment_complex, moment_real)
 from .solver import solve_real_moment
 
 
 def cstar_act(R: complex, p: RepPoint) -> RepPoint:
-    """Multiply reversed-edge and j matrices by R."""
-    E = p.quiver.num_edges
-    return RepPoint(
-        quiver=p.quiver, dims=p.dims,
-        B=[b.copy() if h < E else R * b for h, b in enumerate(p.B)],
-        i=[m.copy() for m in p.i],
-        j=[R * m for m in p.j])
+    """Multiply the slots of scaling degree 1 (reversed edges, j) by R."""
+    return RepPoint.from_slots(p.quiver, p.dims, [
+        R * m if d else m.copy()
+        for m, d in zip(p.slots, layout(p.quiver, p.dims).degree)])
 
 
 def stability_margin(p: RepPoint) -> tuple[float, float]:
@@ -78,14 +76,10 @@ def is_fixed_point(p: RepPoint, tol: float = CHECK_TOL) -> FixedPointReport:
     levels (NotOnVariety otherwise).
     """
     _require_on_variety(p, tol)
-    E = p.quiver.num_edges
     scale = tol * max(1.0, p.norm())
-    target = RepPoint(
-        quiver=p.quiver, dims=p.dims,
-        B=[np.zeros_like(b) if h < E else -b for h, b in enumerate(p.B)],
-        i=[np.zeros_like(m) for m in p.i],
-        j=[-m for m in p.j])
     lay = layout(p.quiver, p.dims)
+    target = RepPoint.from_slots(p.quiver, p.dims, [
+        -m if d else np.zeros_like(m) for m, d in zip(p.slots, lay.degree)])
     mat = lay.hermitian_action_matrix(p)
     flat = target.flatten()
     rhs = np.concatenate([flat.real, flat.imag])
@@ -99,8 +93,7 @@ def is_fixed_point(p: RepPoint, tol: float = CHECK_TOL) -> FixedPointReport:
     if resid <= scale:
         for theta in (np.pi / 3, np.pi / 2):
             g = lie_exp(LieElement(dims=p.dims,
-                                   blocks=[1j * theta * b for b in gen.blocks],
-                                   klass="skew"))
+                                   blocks=[1j * theta * b for b in gen.blocks]))
             moved = gauge_act(g, cstar_act(np.exp(1j * theta), p))
             cross = max(cross, (moved - p).norm())
     fixed = resid <= scale and cross <= SLACK * scale
@@ -149,9 +142,9 @@ class WeightGrading:
     def _to_eigen(self, xi: LieElement) -> list[np.ndarray]:
         return [q.conj().T @ b @ q for q, b in zip(self.qmats, xi.blocks)]
 
-    def _from_eigen(self, blocks: list[np.ndarray], klass: str) -> LieElement:
+    def _from_eigen(self, blocks: list[np.ndarray]) -> LieElement:
         out = [q @ b @ q.conj().T for q, b in zip(self.qmats, blocks)]
-        return LieElement(dims=self.dims, blocks=out, klass=klass)
+        return LieElement(dims=self.dims, blocks=out)
 
     def lie_project(self, xi: LieElement, j: int) -> LieElement:
         """Keep only gauge-algebra components of adjoint weight |m| <= j."""
@@ -160,78 +153,40 @@ class WeightGrading:
             ws = np.array(self.weights[k], dtype=int)
             mask = np.abs(ws[:, None] - ws[None, :]) <= j
             kept.append(np.where(mask, b, 0.0))
-        return self._from_eigen(kept, xi.klass)
+        return self._from_eigen(kept)
 
     def tangent_weight_counts(self) -> dict[int, int]:
         """Complex dimension of each full-action weight block of the rep space."""
-        wts = np.rint(np.real(self.slot_weight_arrays().flatten())).astype(int)
-        return dict(Counter(wts.tolist()))
+        return dict(Counter(self.slot_weights().tolist()))
 
-    def to_eigenbasis(self, p: RepPoint) -> RepPoint:
-        """Rewrite all slots in the per-vertex eigenbases of the generator."""
-        q = self.quiver
-        Q = self.qmats
-        return RepPoint(
-            q, self.dims,
-            [Q[q.h_in(h)].conj().T @ p.B[h] @ Q[q.h_out(h)] for h in range(q.num_h)],
-            [Q[k].conj().T @ p.i[k] for k in range(q.n)],
-            [p.j[k] @ Q[k] for k in range(q.n)])
+    def slot_weights(self) -> np.ndarray:
+        """Full-action weight of every flat coordinate in the eigenbases: the
+        row line's weight minus the column line's plus the slot's scaling
+        degree, where framing lines weigh 0."""
+        lay = layout(self.quiver, self.dims)
 
-    def from_eigenbasis(self, p: RepPoint) -> RepPoint:
-        q = self.quiver
-        Q = self.qmats
-        return RepPoint(
-            q, self.dims,
-            [Q[q.h_in(h)] @ p.B[h] @ Q[q.h_out(h)].conj().T for h in range(q.num_h)],
-            [Q[k] @ p.i[k] for k in range(q.n)],
-            [p.j[k] @ Q[k].conj().T for k in range(q.n)])
+        def lines(s: int) -> np.ndarray:
+            return np.array(self.weights[s] if s >= 0 else (0,) * self.dims.w[~s], dtype=int)
+        return np.concatenate([(lines(r)[:, None] - lines(c)[None, :] + d).ravel()
+                               for (r, c), d in zip(lay.spaces, lay.degree)])
 
-    def slot_weight_arrays(self) -> RepPoint:
-        """Full-action weight of every matrix entry, stored in a RepPoint whose
-        entries are the (real integer) weights, in eigenbasis coordinates."""
-        q = self.quiver
-        B = []
-        for h in range(q.num_h):
-            a, b = q.h_out(h), q.h_in(h)
-            shift = 0 if h < q.num_edges else 1
-            wr = np.array(self.weights[b], dtype=float)[:, None]
-            wc = np.array(self.weights[a], dtype=float)[None, :]
-            B.append((wr - wc + shift) * np.ones((len(self.weights[b]),
-                                                  len(self.weights[a]))))
-        i_w = [np.array(self.weights[k], dtype=float)[:, None]
-               * np.ones((self.dims.v[k], self.dims.w[k]))
-               if self.dims.v[k] else np.zeros((0, self.dims.w[k]))
-               for k in range(q.n)]
-        j_w = [(1.0 - np.array(self.weights[k], dtype=float)[None, :])
-               * np.ones((self.dims.w[k], self.dims.v[k]))
-               if self.dims.v[k] else np.zeros((self.dims.w[k], 0))
-               for k in range(q.n)]
-        return RepPoint(q, self.dims, B, i_w, j_w)
+    def project(self, q: RepPoint, keep: np.ndarray) -> RepPoint:
+        """The part of q on the flat eigen-coordinates where keep holds."""
+        herm = [m.conj().T for m in self.qmats]
+        eig = conjugate_slots(q, herm, self.qmats).flatten()
+        kept = RepPoint.from_flat(q.quiver, q.dims, np.where(keep, eig, 0.0))
+        return conjugate_slots(kept, self.qmats, herm)
 
 
 def grade_increment(q: RepPoint, grading: WeightGrading) -> dict[int, RepPoint]:
-    """Split an increment by full-action weight.
+    """Split an increment by full-action weight (see slot_weights).
 
     Oriented-edge entries between weight-a and weight-b lines carry b - a;
     reversed-edge entries carry b - a + 1; i rows carry their line weight;
     j columns carry one minus theirs.  Summing the parts returns q exactly.
     """
-    eig = grading.to_eigenbasis(q)
-    wts = grading.slot_weight_arrays()
-    parts: dict[int, RepPoint] = {}
-    all_w = set()
-    for arr in list(wts.B) + list(wts.i) + list(wts.j):
-        all_w.update(int(round(x)) for x in np.real(arr).ravel())
-    for w in sorted(all_w):
-        def pick(mat, warr):
-            return np.where(np.rint(np.real(warr)) == w, mat, 0.0)
-        part = RepPoint(
-            q.quiver, q.dims,
-            [pick(m, a) for m, a in zip(eig.B, wts.B)],
-            [pick(m, a) for m, a in zip(eig.i, wts.i)],
-            [pick(m, a) for m, a in zip(eig.j, wts.j)])
-        parts[w] = grading.from_eigenbasis(part)
-    return parts
+    wts = grading.slot_weights()
+    return {int(w): grading.project(q, wts == w) for w in np.unique(wts)}
 
 
 def weight_grading(p: RepPoint) -> WeightGrading:
@@ -264,7 +219,7 @@ def weight_grading(p: RepPoint) -> WeightGrading:
         qmats.append(evecs.astype(complex))
         gen_blocks.append(evecs @ np.diag(rounded.astype(float)) @ evecs.conj().T
                           if evals.size else np.zeros((0, 0), dtype=complex))
-    gen = LieElement(dims=p.dims, blocks=gen_blocks, klass="hermitian")
+    gen = LieElement(dims=p.dims, blocks=gen_blocks)
     grading = WeightGrading(base_point=p, weights=tuple(weights), qmats=qmats,
                             generator=gen)
 
@@ -308,8 +263,8 @@ def bb_expected_dimension(grading: WeightGrading) -> dict[str, int]:
 
 def scaling_energy(p: RepPoint) -> float:
     """Squared norm of the slots the scaling action shrinks."""
-    E = p.quiver.num_edges
-    total = sum(float(np.vdot(b, b).real) for b in p.B[E:])
+    degree = layout(p.quiver, p.dims).degree
+    total = sum(float(np.vdot(b, b).real) for b, d in zip(p.B, degree) if d)
     total += sum(float(np.vdot(m, m).real) for m in p.j)
     return total
 
@@ -337,6 +292,8 @@ def flow_limit(p: RepPoint, sigma, max_len: int,
     energy of the shrinking slots must decrease monotonically along the way.
     rows: (R, shrinking-slot energy, fingerprint step distance).
     """
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
     max_len = min(max_len, nilpotency_bound(p.dims))
     fixed_tol = SLACK * max(FLOW_TOL, solve_tol)
 

@@ -24,7 +24,7 @@ import numpy as np
 from .config import CHECK_TOL, INVARIANT_RANGE, ZERO_INVARIANT_TOL
 from .errors import ZeroInvariant
 from .quiver import DimensionVectors, Quiver
-from .repspace import RepPoint
+from .repspace import RepPoint, layout
 
 
 @dataclass(frozen=True)
@@ -47,68 +47,38 @@ class PathSpec:
                    tokens=tuple(body.split(".")))
 
 
-def _token_ends(tok: str, quiver: Quiver) -> tuple[tuple[str, int], tuple[str, int]]:
-    """(source node, target node), nodes as ('V'|'W', vertex)."""
-    if tok.startswith("c"):
-        k = int(tok[1:])
-        return ("W", k), ("V", k)
-    if tok.startswith("j"):
-        k = int(tok[1:])
-        return ("V", k), ("W", k)
-    if tok.startswith("h"):
-        body = tok[1:]
-        rev = body.endswith("~")
-        e = int(body[:-1] if rev else body)
-        h = e + quiver.num_edges if rev else e
-        return ("V", quiver.h_out(h)), ("V", quiver.h_in(h))
-    raise ValueError(f"unknown path token {tok!r}")
-
-
-def _token_slot(tok: str, quiver: Quiver) -> int:
-    """Index of the token's matrix in _slots(p): B by doubled edge, then i, then j."""
-    if tok.startswith("c"):
-        return quiver.num_h + int(tok[1:])
-    if tok.startswith("j"):
-        return quiver.num_h + quiver.n + int(tok[1:])
-    body = tok[1:]
-    rev = body.endswith("~")
-    e = int(body[:-1] if rev else body)
-    return e + quiver.num_edges if rev else e
-
-
-def _slots(p: RepPoint) -> list[np.ndarray]:
-    return p.B + p.i + p.j
-
-
-def validate_path(path: PathSpec, quiver: Quiver, dims: DimensionVectors) -> None:
+def validate_path(path: PathSpec, quiver: Quiver, dims: DimensionVectors) -> list[int]:
+    """The slots of the path's tokens (see FlatLayout.token_slot), after
+    checking that the path is well formed."""
+    lay = layout(quiver, dims)
     if not path.tokens:
         raise ValueError("empty path")
-    prev_target = None
-    for tok in path.tokens:
-        src, dst = _token_ends(tok, quiver)
-        if prev_target is not None and src != prev_target:
+    try:
+        slots = [lay.token_slot[t] for t in path.tokens]
+    except KeyError as exc:
+        raise ValueError(f"unknown path token {exc.args[0]!r} in {path}") from None
+    # a slot maps its column space (the source node) to its row space
+    ends = [lay.spaces[s] for s in slots]
+    for (target, _), (_, source), tok in zip(ends, ends[1:], path.tokens[1:]):
+        if source != target:
             raise ValueError(f"path {path} is not composable at token {tok}")
-        prev_target = dst
-    first_src = _token_ends(path.tokens[0], quiver)[0]
-    last_dst = _token_ends(path.tokens[-1], quiver)[1]
     if path.kind == "loop":
-        if any(not t.startswith("h") for t in path.tokens):
+        if any(s >= quiver.num_h for s in slots):
             raise ValueError(f"loop {path} may only use edge tokens")
-        if first_src != last_dst:
+        if ends[0][1] != ends[-1][0]:
             raise ValueError(f"loop {path} is not closed")
-    else:
-        if not path.tokens[0].startswith("c") or not path.tokens[-1].startswith("j"):
-            raise ValueError(f"admissible path {path} must run framing-to-framing")
+    elif ends[0][1] >= 0 or ends[-1][0] >= 0:
+        raise ValueError(f"admissible path {path} must run framing-to-framing")
+    return slots
 
 
 def eval_path(p: RepPoint, path: PathSpec) -> np.ndarray:
     """Product of the token matrices, rightmost token applied first."""
-    validate_path(path, p.quiver, p.dims)
-    slots = _slots(p)
-    mats = [slots[_token_slot(t, p.quiver)] for t in path.tokens]
-    acc = mats[0]
-    for m in mats[1:]:
-        acc = m @ acc
+    mats = p.slots
+    slots = validate_path(path, p.quiver, p.dims)
+    acc = mats[slots[0]]
+    for s in slots[1:]:
+        acc = mats[s] @ acc
     return acc
 
 
@@ -127,53 +97,35 @@ def enumerate_paths(quiver: Quiver, dims: DimensionVectors, max_len: int,
     """
     if kind not in ("loop", "admissible"):
         raise ValueError("kind must be 'loop' or 'admissible'")
-    tokens = []
-    for e in range(quiver.num_edges):
-        out, inn = quiver.edges[e]
-        if dims.v[out] > 0 and dims.v[inn] > 0:
-            tokens.append(f"h{e}")
-            tokens.append(f"h{e}~")
-    if kind == "admissible":
-        for k in range(quiver.n):
-            if dims.v[k] > 0 and dims.w[k] > 0:
-                tokens.append(f"c{k}")
-                tokens.append(f"j{k}")
-
-    by_source: dict[tuple[str, int], list[str]] = {}
-    for t in tokens:
-        src, _ = _token_ends(t, quiver)
-        by_source.setdefault(src, []).append(t)
+    lay = layout(quiver, dims)
+    # (token, target node) by source node, nodes written as in FlatLayout.spaces
+    steps: dict[int, list[tuple[str, int]]] = {}
+    for tok, s in lay.token_slot.items():
+        target, source = lay.spaces[s]
+        if 0 not in lay.shapes[s] and (kind == "admissible" or s < quiver.num_h):
+            steps.setdefault(source, []).append((tok, target))
 
     found = set()
     out_paths: list[PathSpec] = []
 
-    def extend(seq: list[str], at: tuple[str, int], start: tuple[str, int]):
-        if kind == "loop" and seq and at == start:
-            canon = _canonical_rotation(tuple(seq))
-            if canon not in found:
-                found.add(canon)
-                out_paths.append(PathSpec("loop", canon))
-        if kind == "admissible" and seq and seq[-1].startswith("j"):
-            spec = tuple(seq)
+    def extend(seq: list[str], at: int, start: int):
+        # a loop closes at its start; an admissible path ends on a framing node
+        if seq and (at == start if kind == "loop" else at < 0):
+            spec = _canonical_rotation(tuple(seq)) if kind == "loop" else tuple(seq)
             if spec not in found:
                 found.add(spec)
-                out_paths.append(PathSpec("admissible", spec))
+                out_paths.append(PathSpec(kind, spec))
         if len(seq) >= max_len:
             return
-        for t in by_source.get(at, ()):
-            if kind == "loop" and not t.startswith("h"):
-                continue
-            if kind == "admissible" and not seq and not t.startswith("c"):
-                continue
-            _, dst = _token_ends(t, quiver)
-            seq.append(t)
-            extend(seq, dst, start)
+        for tok, target in steps.get(at, ()):
+            seq.append(tok)
+            extend(seq, target, start)
             seq.pop()
 
     if kind == "loop":
-        starts = [("V", k) for k in range(quiver.n) if dims.v[k] > 0]
+        starts = [k for k in range(quiver.n) if dims.v[k] > 0]
     else:
-        starts = [("W", k) for k in range(quiver.n) if dims.w[k] > 0 and dims.v[k] > 0]
+        starts = [~k for k in range(quiver.n) if dims.w[k] > 0 and dims.v[k] > 0]
     for s in starts:
         extend([], s, s)
 
@@ -196,14 +148,14 @@ def _prefix_walk(quiver: Quiver, dims: DimensionVectors, max_len: int,
     # in lexicographic order each path shares its longest common prefix with
     # the path before it, and no path follows one that extends it
     for n in sorted(range(len(paths)), key=lambda n: paths[n].tokens):
-        validate_path(paths[n], quiver, dims)
+        slots = validate_path(paths[n], quiver, dims)
         tokens = paths[n].tokens
         common = 0
         while common < min(len(prev), len(tokens)) and prev[common] == tokens[common]:
             common += 1
         for d in range(common, len(tokens)):
             depth.append(d)
-            slot.append(_token_slot(tokens[d], quiver))
+            slot.append(slots[d])
             out.append(n if d == len(tokens) - 1 else -1)
         prev = tokens
     return tuple(depth), tuple(slot), tuple(out)
@@ -212,7 +164,7 @@ def _prefix_walk(quiver: Quiver, dims: DimensionVectors, max_len: int,
 def _path_products(p: RepPoint, max_len: int, kind: str):
     """Yield (index in enumerate_paths, eval_path product) for every path,
     in walk order."""
-    slots = _slots(p)
+    slots = p.slots
     acc: list[np.ndarray | None] = [None] * max_len
     for d, s, n in zip(*_prefix_walk(p.quiver, p.dims, max_len, kind)):
         acc[d] = slots[s] if d == 0 else slots[s] @ acc[d - 1]
@@ -239,11 +191,13 @@ def fingerprint_labels(quiver: Quiver, dims: DimensionVectors, max_len: int) -> 
     for ps in enumerate_paths(quiver, dims, max_len, "loop"):
         labels.append(f"{ps}[tr]:re")
         labels.append(f"{ps}[tr]:im")
+    lay = layout(quiver, dims)
     for ps in enumerate_paths(quiver, dims, max_len, "admissible"):
-        k_start = int(ps.tokens[0][1:])
-        k_end = int(ps.tokens[-1][1:])
-        for r in range(dims.w[k_end]):
-            for c in range(dims.w[k_start]):
+        # the path matrix maps the first token's columns to the last one's rows
+        rows = lay.shapes[lay.token_slot[ps.tokens[-1]]][0]
+        cols = lay.shapes[lay.token_slot[ps.tokens[0]]][1]
+        for r in range(rows):
+            for c in range(cols):
                 labels.append(f"{ps}[{r},{c}]:re")
                 labels.append(f"{ps}[{r},{c}]:im")
     return tuple(labels)
@@ -261,10 +215,6 @@ def fingerprint(p: RepPoint, max_len: int) -> np.ndarray:
     if not blocks:
         return np.zeros(0)
     return np.concatenate([np.ravel(b) for b in blocks]).view(np.float64)
-
-
-def fingerprint_distance(p: RepPoint, q: RepPoint, max_len: int) -> float:
-    return float(np.linalg.norm(fingerprint(p, max_len) - fingerprint(q, max_len)))
 
 
 def nilpotency_bound(dims: DimensionVectors) -> int:

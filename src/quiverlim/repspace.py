@@ -26,10 +26,10 @@ from .quiver import DimensionVectors, Quiver
 _CPLX = np.complex128
 
 
-def _as_matrix(a, rows: int, cols: int, what: str) -> np.ndarray:
+def _as_matrix(a, rows: int, cols: int, name: str, index: int) -> np.ndarray:
     m = np.asarray(a, dtype=_CPLX)
     if m.shape != (rows, cols):
-        raise ValueError(f"{what} must have shape ({rows},{cols}), got {m.shape}")
+        raise ValueError(f"{name}[{index}] must have shape ({rows},{cols}), got {m.shape}")
     return m
 
 
@@ -37,7 +37,7 @@ def _as_matrix(a, rows: int, cols: int, what: str) -> np.ndarray:
 class RepPoint:
     """One point of the doubled representation space (with increments reusing
     the same container).  B is indexed by the doubled edge set; i and j by
-    vertex."""
+    vertex.  ``slots`` lists the matrices in the flat order of the layout."""
 
     quiver: Quiver
     dims: DimensionVectors
@@ -53,27 +53,35 @@ class RepPoint:
             self.i = [np.zeros(s, dtype=_CPLX) for s in shapes[nh:nh + n]]
             self.j = [np.zeros(s, dtype=_CPLX) for s in shapes[nh + n:]]
             return
-        self.B = [_as_matrix(self.B[h], *shapes[h], f"B[{h}]") for h in range(nh)]
-        self.i = [_as_matrix(self.i[k], *shapes[nh + k], f"i[{k}]") for k in range(n)]
-        self.j = [_as_matrix(self.j[k], *shapes[nh + n + k], f"j[{k}]") for k in range(n)]
+        if (len(self.B), len(self.i), len(self.j)) != (nh, n, n):
+            raise ValueError(f"a point needs {nh} B, {n} i and {n} j matrices, got "
+                             f"{len(self.B)}, {len(self.i)} and {len(self.j)}")
+        self.B = [_as_matrix(m, *shapes[h], "B", h) for h, m in enumerate(self.B)]
+        self.i = [_as_matrix(m, *shapes[nh + k], "i", k) for k, m in enumerate(self.i)]
+        self.j = [_as_matrix(m, *shapes[nh + n + k], "j", k) for k, m in enumerate(self.j)]
 
     @classmethod
     def zeros(cls, quiver: Quiver, dims: DimensionVectors) -> "RepPoint":
         return cls(quiver=quiver, dims=dims)
 
+    @classmethod
+    def from_slots(cls, quiver: Quiver, dims: DimensionVectors, slots) -> "RepPoint":
+        """The point with the given matrices in slot order (B, then i, then j)."""
+        nh, n = quiver.num_h, quiver.n
+        return cls(quiver, dims, slots[:nh], slots[nh:nh + n], slots[nh + n:])
+
+    @property
+    def slots(self) -> list[np.ndarray]:
+        return self.B + self.i + self.j
+
     def copy(self) -> "RepPoint":
-        return RepPoint(self.quiver, self.dims,
-                        [b.copy() for b in self.B],
-                        [m.copy() for m in self.i],
-                        [m.copy() for m in self.j])
+        return RepPoint.from_slots(self.quiver, self.dims, [m.copy() for m in self.slots])
 
     def _zip(self, other: "RepPoint", op) -> "RepPoint":
         if other.quiver != self.quiver or other.dims != self.dims:
             raise ValueError("rep points live on different quivers")
-        return RepPoint(self.quiver, self.dims,
-                        [op(a, b) for a, b in zip(self.B, other.B)],
-                        [op(a, b) for a, b in zip(self.i, other.i)],
-                        [op(a, b) for a, b in zip(self.j, other.j)])
+        return RepPoint.from_slots(self.quiver, self.dims,
+                                   [op(a, b) for a, b in zip(self.slots, other.slots)])
 
     def __add__(self, other: "RepPoint") -> "RepPoint":
         return self._zip(other, np.add)
@@ -83,9 +91,7 @@ class RepPoint:
 
     def __mul__(self, scalar) -> "RepPoint":
         s = _CPLX(scalar)
-        return RepPoint(self.quiver, self.dims,
-                        [s * b for b in self.B], [s * m for m in self.i],
-                        [s * m for m in self.j])
+        return RepPoint.from_slots(self.quiver, self.dims, [s * m for m in self.slots])
 
     __rmul__ = __mul__
 
@@ -96,17 +102,15 @@ class RepPoint:
         return float(np.sqrt(max(metric(self, self).real, 0.0)))
 
     def flatten(self) -> np.ndarray:
-        return np.concatenate([m.ravel() for m in (*self.B, *self.i, *self.j)])
+        return np.concatenate([m.ravel() for m in self.slots])
 
     @classmethod
     def from_flat(cls, quiver: Quiver, dims: DimensionVectors, vec: np.ndarray) -> "RepPoint":
         lay = layout(quiver, dims)
         if vec.size != lay.rep_dim:
             raise ValueError("flat vector length does not match the representation space")
-        mats = [vec[a:a + r * c].reshape(r, c).astype(_CPLX)
-                for a, (r, c) in zip(lay.starts, lay.shapes)]
-        nh, n = quiver.num_h, quiver.n
-        return cls(quiver, dims, mats[:nh], mats[nh:nh + n], mats[nh + n:])
+        return cls.from_slots(quiver, dims, [vec[a:a + r * c].reshape(r, c).astype(_CPLX)
+                                             for a, (r, c) in zip(lay.starts, lay.shapes)])
 
     def to_dict(self) -> dict:
         return {
@@ -115,25 +119,9 @@ class RepPoint:
             "j": [_matrix_pairs(m) for m in self.j],
         }
 
-    @classmethod
-    def from_dict(cls, quiver: Quiver, dims: DimensionVectors, data: dict) -> "RepPoint":
-        p = cls.zeros(quiver, dims)
-        return RepPoint(quiver, dims,
-                        [_pairs_matrix(m, b.shape) for m, b in zip(data["B"], p.B)],
-                        [_pairs_matrix(m, b.shape) for m, b in zip(data["i"], p.i)],
-                        [_pairs_matrix(m, b.shape) for m, b in zip(data["j"], p.j)])
-
 
 def _matrix_pairs(m: np.ndarray) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in m]
-
-
-def _pairs_matrix(rows: list, shape: tuple[int, int]) -> np.ndarray:
-    m = np.zeros(shape, dtype=_CPLX)
-    for r, row in enumerate(rows):
-        for c, (re, im) in enumerate(row):
-            m[r, c] = complex(re, im)
-    return m
 
 
 def rep_dim(quiver: Quiver, dims: DimensionVectors) -> int:
@@ -143,44 +131,39 @@ def rep_dim(quiver: Quiver, dims: DimensionVectors) -> int:
 
 @dataclass
 class LieElement:
-    """Tuple of square blocks, one per vertex; klass records the real form
-    the blocks are expected to live in ('hermitian', 'skew', 'general')."""
+    """Tuple of square blocks, one per vertex."""
 
     dims: DimensionVectors
     blocks: list[np.ndarray]
-    klass: str = "general"
 
     def __post_init__(self):
-        self.blocks = [_as_matrix(self.blocks[k], self.dims.v[k], self.dims.v[k], f"xi[{k}]")
+        self.blocks = [_as_matrix(self.blocks[k], self.dims.v[k], self.dims.v[k], "xi", k)
                        for k in range(self.dims.n)]
 
     @classmethod
-    def zeros(cls, dims: DimensionVectors, klass: str = "general") -> "LieElement":
-        return cls(dims, [np.zeros((vk, vk), dtype=_CPLX) for vk in dims.v], klass)
+    def zeros(cls, dims: DimensionVectors) -> "LieElement":
+        return cls(dims, [np.zeros((vk, vk), dtype=_CPLX) for vk in dims.v])
 
     def copy(self) -> "LieElement":
-        return LieElement(self.dims, [b.copy() for b in self.blocks], self.klass)
+        return LieElement(self.dims, [b.copy() for b in self.blocks])
 
     def __add__(self, other: "LieElement") -> "LieElement":
-        klass = self.klass if self.klass == other.klass else "general"
-        return LieElement(self.dims, [a + b for a, b in zip(self.blocks, other.blocks)], klass)
+        return LieElement(self.dims, [a + b for a, b in zip(self.blocks, other.blocks)])
 
     def __sub__(self, other: "LieElement") -> "LieElement":
-        klass = self.klass if self.klass == other.klass else "general"
-        return LieElement(self.dims, [a - b for a, b in zip(self.blocks, other.blocks)], klass)
+        return LieElement(self.dims, [a - b for a, b in zip(self.blocks, other.blocks)])
 
     def __mul__(self, scalar) -> "LieElement":
         s = _CPLX(scalar)
-        klass = self.klass if s.imag == 0.0 and s.real >= 0 else "general"
-        return LieElement(self.dims, [s * b for b in self.blocks], klass)
+        return LieElement(self.dims, [s * b for b in self.blocks])
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "LieElement":
-        return LieElement(self.dims, [-b for b in self.blocks], self.klass)
+        return LieElement(self.dims, [-b for b in self.blocks])
 
     def dagger(self) -> "LieElement":
-        return LieElement(self.dims, [b.conj().T for b in self.blocks], self.klass)
+        return LieElement(self.dims, [b.conj().T for b in self.blocks])
 
     def norm(self) -> float:
         return float(np.sqrt(sum(np.vdot(b, b).real for b in self.blocks)))
@@ -192,11 +175,10 @@ class LieElement:
         return np.concatenate([b.ravel() for b in self.blocks])
 
     @classmethod
-    def from_flat(cls, dims: DimensionVectors, vec: np.ndarray,
-                  klass: str = "general") -> "LieElement":
+    def from_flat(cls, dims: DimensionVectors, vec: np.ndarray) -> "LieElement":
         starts = _starts([vk * vk for vk in dims.v])
         return cls(dims, [vec[a:a + vk * vk].reshape(vk, vk).astype(_CPLX)
-                          for a, vk in zip(starts, dims.v)], klass)
+                          for a, vk in zip(starts, dims.v)])
 
 
 def lie_inner(a: LieElement, b: LieElement) -> complex:
@@ -208,13 +190,13 @@ def zeta_real_lie(sigma, dims: DimensionVectors) -> LieElement:
     """zeta_R as a skew-hermitian element: i sigma_k Id per vertex."""
     sig = np.asarray(sigma, dtype=float)
     return LieElement(dims, [1j * sig[k] * np.eye(dims.v[k], dtype=_CPLX)
-                             for k in range(dims.n)], "skew")
+                             for k in range(dims.n)])
 
 
 def central_lie(values, dims: DimensionVectors) -> LieElement:
     vals = np.asarray(values, dtype=_CPLX)
     return LieElement(dims, [vals[k] * np.eye(dims.v[k], dtype=_CPLX)
-                             for k in range(dims.n)], "general")
+                             for k in range(dims.n)])
 
 
 def central_deviation(x: LieElement) -> float:
@@ -236,7 +218,7 @@ class GaugeElement:
     g: list[np.ndarray]
 
     def __post_init__(self):
-        self.g = [_as_matrix(self.g[k], self.dims.v[k], self.dims.v[k], f"g[{k}]")
+        self.g = [_as_matrix(self.g[k], self.dims.v[k], self.dims.v[k], "g", k)
                   for k in range(self.dims.n)]
 
     @classmethod
@@ -267,119 +249,107 @@ def lie_exp(xi: LieElement) -> GaugeElement:
                                   for b in xi.blocks])
 
 
+def conjugate_slots(p: RepPoint, left: list[np.ndarray],
+                    right: list[np.ndarray]) -> RepPoint:
+    """left[r] @ X @ right[c] on every slot X from space c to space r, with
+    one left and one right block per vertex and no factor on a framing side."""
+    lay = layout(p.quiver, p.dims)
+    out = []
+    for m, (r, c) in zip(p.slots, lay.spaces):
+        if r >= 0:
+            m = left[r] @ m
+        if c >= 0:
+            m = m @ right[c]
+        out.append(m)
+    return RepPoint.from_slots(p.quiver, p.dims, out)
+
+
 def gauge_act(g: GaugeElement, p: RepPoint) -> RepPoint:
-    q = p.quiver
     ginv = [np.linalg.inv(gk) if gk.size else gk.copy() for gk in g.g]
-    return RepPoint(
-        p.quiver, p.dims,
-        [g.g[q.h_in(h)] @ p.B[h] @ ginv[q.h_out(h)] for h in range(q.num_h)],
-        [g.g[k] @ p.i[k] for k in range(q.n)],
-        [p.j[k] @ ginv[k] for k in range(q.n)])
+    return conjugate_slots(p, g.g, ginv)
 
 
 def inf_action(p: RepPoint, xi: LieElement) -> RepPoint:
     """Derivative of the gauge action at the identity, in direction xi."""
-    q = p.quiver
-    return RepPoint(
-        p.quiver, p.dims,
-        [xi.blocks[q.h_in(h)] @ p.B[h] - p.B[h] @ xi.blocks[q.h_out(h)]
-         for h in range(q.num_h)],
-        [xi.blocks[k] @ p.i[k] for k in range(q.n)],
-        [-p.j[k] @ xi.blocks[k] for k in range(q.n)])
+    x = xi.blocks
+    out = []
+    for m, (r, c) in zip(p.slots, layout(p.quiver, p.dims).spaces):
+        if r < 0:
+            out.append(-m @ x[c])
+        elif c < 0:
+            out.append(x[r] @ m)
+        else:
+            out.append(x[r] @ m - m @ x[c])
+    return RepPoint.from_slots(p.quiver, p.dims, out)
+
+
+def _zero_blocks(dims: DimensionVectors) -> list[np.ndarray]:
+    return [np.zeros((vk, vk), dtype=_CPLX) for vk in dims.v]
 
 
 def inf_action_adjoint(p: RepPoint, incr: RepPoint) -> LieElement:
     """Adjoint of inf_action(p, .) for the metric pairings:
     <inf_action(p, xi), q> = <xi, inf_action_adjoint(p, q)>."""
-    q = p.quiver
-    blocks = []
-    for k in range(q.n):
-        acc = np.zeros((p.dims.v[k], p.dims.v[k]), dtype=_CPLX)
-        for h in q.h_into(k):
-            hb = q.h_bar(h)
-            acc += incr.B[h] @ p.B[h].conj().T - p.B[hb].conj().T @ incr.B[hb]
-        acc += incr.i[k] @ p.i[k].conj().T - p.j[k].conj().T @ incr.j[k]
-        blocks.append(acc)
-    return LieElement(p.dims, blocks, "general")
+    s, d, acc = p.slots, incr.slots, _zero_blocks(p.dims)
+    for k, pairs in enumerate(layout(p.quiver, p.dims).products):
+        for x, y, _ in pairs:
+            acc[k] += d[x] @ s[x].conj().T - s[y].conj().T @ d[y]
+    return LieElement(p.dims, acc)
 
 
 def metric(p: RepPoint, q: RepPoint) -> complex:
     """Hermitian metric, linear in p: sum Tr(B B'^dag) + Tr(i i'^dag) + Tr(j'^dag j)."""
     acc = 0.0 + 0.0j
-    for a, b in zip(p.B, q.B):
-        acc += np.vdot(b, a)
-    for a, b in zip(p.i, q.i):
-        acc += np.vdot(b, a)
-    for a, b in zip(p.j, q.j):
+    for a, b in zip(p.slots, q.slots):
         acc += np.vdot(b, a)
     return complex(acc)
 
 
 def symplectic_form(p: RepPoint, q: RepPoint) -> complex:
     """Complex-bilinear form sum_h Tr(eps(h) B_h B'_hbar) + sum_k Tr(i_k j'_k - i'_k j_k)."""
-    qv = p.quiver
+    lay, t = layout(p.quiver, p.dims), q.slots
     acc = 0.0 + 0.0j
-    for h in range(qv.num_h):
-        acc += qv.h_eps(h) * np.trace(p.B[h] @ q.B[qv.h_bar(h)])
-    for k in range(qv.n):
+    for h, b in enumerate(p.B):
+        acc += (-1 if lay.degree[h] else 1) * np.trace(b @ t[lay.partner[h]])
+    for k in range(p.quiver.n):
         acc += np.trace(p.i[k] @ q.j[k]) - np.trace(q.i[k] @ p.j[k])
     return complex(acc)
 
 
 def moment_real(p: RepPoint) -> LieElement:
-    q = p.quiver
-    blocks = []
-    for k in range(q.n):
-        acc = np.zeros((p.dims.v[k], p.dims.v[k]), dtype=_CPLX)
-        for h in q.h_into(k):
-            hb = q.h_bar(h)
-            acc += p.B[h] @ p.B[h].conj().T - p.B[hb].conj().T @ p.B[hb]
-        acc += p.i[k] @ p.i[k].conj().T - p.j[k].conj().T @ p.j[k]
-        blocks.append(0.5j * acc)
-    return LieElement(p.dims, blocks, "skew")
+    s, acc = p.slots, _zero_blocks(p.dims)
+    for k, pairs in enumerate(layout(p.quiver, p.dims).products):
+        for x, y, _ in pairs:
+            acc[k] += s[x] @ s[x].conj().T - s[y].conj().T @ s[y]
+    return LieElement(p.dims, [0.5j * a for a in acc])
 
 
 def moment_complex(p: RepPoint) -> LieElement:
-    q = p.quiver
-    blocks = []
-    for k in range(q.n):
-        acc = np.zeros((p.dims.v[k], p.dims.v[k]), dtype=_CPLX)
-        for h in q.h_into(k):
-            acc += q.h_eps(h) * (p.B[h] @ p.B[q.h_bar(h)])
-        acc += p.i[k] @ p.j[k]
-        blocks.append(acc)
-    return LieElement(p.dims, blocks, "general")
+    s, acc = p.slots, _zero_blocks(p.dims)
+    for k, pairs in enumerate(layout(p.quiver, p.dims).products):
+        for x, y, sign in pairs:
+            acc[k] += sign * (s[x] @ s[y])
+    return LieElement(p.dims, acc)
 
 
 def dmu_complex(p: RepPoint, incr: RepPoint) -> LieElement:
     """Derivative of mu_C at p in direction incr; exact since mu_C is quadratic:
     mu_C(p + q) = mu_C(p) + dmu_complex(p, q) + mu_C(q)."""
-    qv = p.quiver
-    blocks = []
-    for k in range(qv.n):
-        acc = np.zeros((p.dims.v[k], p.dims.v[k]), dtype=_CPLX)
-        for h in qv.h_into(k):
-            hb = qv.h_bar(h)
-            acc += qv.h_eps(h) * (p.B[h] @ incr.B[hb] + incr.B[h] @ p.B[hb])
-        acc += p.i[k] @ incr.j[k] + incr.i[k] @ p.j[k]
-        blocks.append(acc)
-    return LieElement(p.dims, blocks, "general")
+    s, d, acc = p.slots, incr.slots, _zero_blocks(p.dims)
+    for k, pairs in enumerate(layout(p.quiver, p.dims).products):
+        for x, y, sign in pairs:
+            acc[k] += sign * (s[x] @ d[y] + d[x] @ s[y])
+    return LieElement(p.dims, acc)
 
 
 def dmoment_real_scaled(p: RepPoint, incr: RepPoint) -> LieElement:
     """Derivative of -2i mu_R (the hermitian form of mu_R) at p in direction incr."""
-    q = p.quiver
-    blocks = []
-    for k in range(q.n):
-        acc = np.zeros((p.dims.v[k], p.dims.v[k]), dtype=_CPLX)
-        for h in q.h_into(k):
-            hb = q.h_bar(h)
-            acc += incr.B[h] @ p.B[h].conj().T + p.B[h] @ incr.B[h].conj().T
-            acc -= incr.B[hb].conj().T @ p.B[hb] + p.B[hb].conj().T @ incr.B[hb]
-        acc += incr.i[k] @ p.i[k].conj().T + p.i[k] @ incr.i[k].conj().T
-        acc -= incr.j[k].conj().T @ p.j[k] + p.j[k].conj().T @ incr.j[k]
-        blocks.append(acc)
-    return LieElement(p.dims, blocks, "hermitian")
+    s, d, acc = p.slots, incr.slots, _zero_blocks(p.dims)
+    for k, pairs in enumerate(layout(p.quiver, p.dims).products):
+        for x, y, _ in pairs:
+            acc[k] += d[x] @ s[x].conj().T + s[x] @ d[x].conj().T
+            acc[k] -= d[y].conj().T @ s[y] + s[y].conj().T @ d[y]
+    return LieElement(p.dims, acc)
 
 
 def hermitian_residual(p: RepPoint, sigma) -> LieElement:
@@ -388,7 +358,7 @@ def hermitian_residual(p: RepPoint, sigma) -> LieElement:
     mr = moment_real(p)
     blocks = [-2j * mr.blocks[k] - 2.0 * sig[k] * np.eye(p.dims.v[k], dtype=_CPLX)
               for k in range(p.quiver.n)]
-    return LieElement(p.dims, blocks, "hermitian")
+    return LieElement(p.dims, blocks)
 
 
 # -- operator layer ---------------------------------------------------------
@@ -403,20 +373,39 @@ class FlatLayout:
 
     A point flattens slot by slot (B by doubled edge, then i, then j by
     vertex) and a gauge-algebra element block by block, all row-major.  The
-    matrices of xi -> inf_action(p, xi) and q -> dmu_complex(p, q) are linear
-    in p with every entry +1 or -1 times one entry of p.flatten(), so each is
-    a scatter of that vector through index tables computed once here.  Get
-    layouts from ``layout``, which caches one per pair; treat them as frozen.
+    per-slot table below is the one place that reads the quiver's doubled
+    edge structure; every slot-wise map works on it.  The matrices of
+    xi -> inf_action(p, xi) and q -> dmu_complex(p, q) are linear in p with
+    every entry +1 or -1 times one entry of p.flatten(), so each is a scatter
+    of that vector through index tables computed once here.  Get layouts
+    from ``layout``, which caches one per pair; treat them as frozen.
+
+    Per-slot table, indexed like ``RepPoint.slots``:
+      spaces    (row space, column space); V_k is written k >= 0 (it has a
+                gauge block) and W_k is written ~k < 0
+      degree    scaling degree: 1 on reversed edges and j maps, else 0
+      partner   symplectic partner: h <-> hbar, i_k <-> j_k
+    and per vertex k, ``products[k]`` lists the (x slot, y slot, sign) pairs
+    of mu_C(p)_k = sum sign X Y: B_h B_hbar over the edges h into k in
+    ascending order with sign eps(h), then i_k j_k.  ``token_slot`` maps the
+    path tokens h{e}, h{e}~, c{k} and j{k} to their slots.
     """
 
     def __init__(self, quiver: Quiver, dims: DimensionVectors):
         dims.check_quiver(quiver)
         self.quiver, self.dims = quiver, dims
-        # a slot maps its column space to its row space; a space is either
-        # V_k (written k >= 0, with a gauge block) or W_k (written ~k < 0)
-        self.spaces = tuple([(quiver.h_in(h), quiver.h_out(h)) for h in range(quiver.num_h)]
-                            + [(k, ~k) for k in range(quiver.n)]
-                            + [(~k, k) for k in range(quiver.n)])
+        q, nh, n = quiver, quiver.num_h, quiver.n
+        self.spaces = tuple([(q.h_in(h), q.h_out(h)) for h in range(nh)]
+                            + [(k, ~k) for k in range(n)] + [(~k, k) for k in range(n)])
+        self.degree = tuple([int(q.h_eps(h) < 0) for h in range(nh)] + [0] * n + [1] * n)
+        self.partner = tuple([q.h_bar(h) for h in range(nh)]
+                             + [nh + n + k for k in range(n)] + [nh + k for k in range(n)])
+        self.products = tuple(tuple((h, q.h_bar(h), q.h_eps(h)) for h in q.h_into(k))
+                              + ((nh + k, nh + n + k, 1),) for k in range(n))
+        e_range, k_range = range(q.num_edges), range(n)
+        self.token_slot = {tok: s for s, tok in enumerate(
+            [f"h{e}" for e in e_range] + [f"h{e}~" for e in e_range]
+            + [f"c{k}" for k in k_range] + [f"j{k}" for k in k_range])}
         self.shapes = tuple((dims.v[r] if r >= 0 else dims.w[~r],
                              dims.v[c] if c >= 0 else dims.w[~c]) for r, c in self.spaces)
         self.starts = _starts([r * c for r, c in self.shapes])
@@ -461,21 +450,18 @@ class FlatLayout:
         return self._table(parts, self.lie_dim)
 
     def _dmu_table(self):
-        """Entries of q -> dmu_complex(p, q).  mu_C(p)_k is a signed sum of
-        slot products X Y (B_h B_hbar over the edges h into k, and i_k j_k),
-        so its derivative is the sum of X qY + qX Y with the same signs."""
-        q, nh = self.quiver, self.quiver.num_h
-        products = [(k, h, q.h_bar(h), float(q.h_eps(h)))
-                    for k in range(q.n) for h in q.h_into(k)]
-        products += [(k, nh + k, nh + q.n + k, 1.0) for k in range(q.n)]
+        """Entries of q -> dmu_complex(p, q), the sum of X qY + qX Y over the
+        signed slot pairs X Y of ``products``."""
         parts = []
-        for k, x_slot, y_slot, sign in products:
-            vk, inner = self.dims.v[k], self.shapes[x_slot][1]
-            sx, sy = self.starts[x_slot], self.starts[y_slot]
-            a, b, x = np.indices((vk, vk, inner)).reshape(3, -1)
-            row = self.lie_starts[k] + a * vk + b
-            parts.append((row, sy + x * vk + b, sx + a * inner + x, sign))  # X qY
-            parts.append((row, sx + a * inner + x, sy + x * vk + b, sign))  # qX Y
+        for k, pairs in enumerate(self.products):
+            vk = self.dims.v[k]
+            for x_slot, y_slot, sign in pairs:
+                inner = self.shapes[x_slot][1]
+                sx, sy = self.starts[x_slot], self.starts[y_slot]
+                a, b, x = np.indices((vk, vk, inner)).reshape(3, -1)
+                row = self.lie_starts[k] + a * vk + b
+                parts.append((row, sy + x * vk + b, sx + a * inner + x, float(sign)))  # X qY
+                parts.append((row, sx + a * inner + x, sy + x * vk + b, float(sign)))  # qX Y
         return self._table(parts, self.rep_dim)
 
     @staticmethod
@@ -512,7 +498,7 @@ class FlatLayout:
 
     def herm_element(self, coeffs: np.ndarray) -> LieElement:
         """The hermitian tuple with the given coordinates."""
-        return LieElement.from_flat(self.dims, self.herm @ coeffs, "hermitian")
+        return LieElement.from_flat(self.dims, self.herm @ coeffs)
 
     def gauge_matrix(self, left: list[np.ndarray], right: list[np.ndarray]) -> np.ndarray:
         """Matrix of p -> (left_in B right_out, left_k i_k, j_k right_k) for

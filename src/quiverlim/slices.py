@@ -214,25 +214,14 @@ def bb_tangent_basis(p0: RepPoint, grading: WeightGrading) -> SliceBasis:
 
 def _positive_weight_columns(p0: RepPoint, grading: WeightGrading) -> np.ndarray:
     """Orthonormal flat-coordinate basis of the full-action weight >= 1 subspace."""
-    wt_flat = np.real(grading.slot_weight_arrays().flatten())
     qs = grading.qmats
     from_eigen = layout(p0.quiver, p0.dims).gauge_matrix(qs, [q.conj().T for q in qs])
-    return from_eigen[:, wt_flat >= 1]
+    return from_eigen[:, grading.slot_weights() >= 1]
 
 
 def positive_weight_project(q: RepPoint, grading: WeightGrading) -> RepPoint:
     """Metric-orthogonal projection onto the weight >= 1 subspace."""
-    eig = grading.to_eigenbasis(q)
-    wts = grading.slot_weight_arrays()
-
-    def pick(mat, warr):
-        return np.where(np.real(warr) >= 1, mat, 0.0)
-
-    kept = RepPoint(q.quiver, q.dims,
-                    [pick(m, a) for m, a in zip(eig.B, wts.B)],
-                    [pick(m, a) for m, a in zip(eig.i, wts.i)],
-                    [pick(m, a) for m, a in zip(eig.j, wts.j)])
-    return grading.from_eigenbasis(kept)
+    return grading.project(q, grading.slot_weights() >= 1)
 
 
 def bb_slice_solve(p0: RepPoint, q0: RepPoint, grading: WeightGrading,

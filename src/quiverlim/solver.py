@@ -58,7 +58,7 @@ def hermitian_log(g: GaugeElement) -> LieElement:
         vals, vecs = np.linalg.eigh(0.5 * (h + h.conj().T))
         vals = np.maximum(vals.real, np.finfo(float).tiny)
         blocks.append(0.5 * (vecs @ np.diag(np.log(vals)) @ vecs.conj().T))
-    return LieElement(g.dims, blocks, "hermitian")
+    return LieElement(g.dims, blocks)
 
 
 def _check_central_complex(p: RepPoint) -> LieElement:

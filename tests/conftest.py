@@ -82,7 +82,7 @@ def random_lie(dims, rng, scale=1.0, klass="general"):
               for n in dims.v]
     if klass == "hermitian":
         blocks = [0.5 * (b + b.conj().T) for b in blocks]
-    return ql.LieElement(dims, [np.asarray(b, dtype=complex) for b in blocks], klass)
+    return ql.LieElement(dims, [np.asarray(b, dtype=complex) for b in blocks])
 
 
 def linearized_operator(p, xi):
@@ -104,7 +104,7 @@ def linearized_operator(p, xi):
             acc -= (bb.conj().T @ xo - xk @ bb.conj().T) @ bb
         acc += p.i[k] @ p.i[k].conj().T @ xk + xk @ p.j[k].conj().T @ p.j[k]
         blocks.append(acc)
-    return ql.LieElement(p.dims, blocks, "general")
+    return ql.LieElement(p.dims, blocks)
 
 
 def newton_derivative(p, xi):
@@ -120,6 +120,27 @@ def escape_profile(p0, A, hbar_grid, max_len):
         f = ql.fingerprint(ql.conformal_point(p0, A, h), max_len)
         rows.append((float(h), float(np.abs(f).max(initial=0.0))))
     return rows
+
+
+def fingerprint_distance(p, q, max_len):
+    return float(np.linalg.norm(ql.fingerprint(p, max_len) - ql.fingerprint(q, max_len)))
+
+
+def _pairs_matrix(rows, shape):
+    m = np.zeros(shape, dtype=complex)
+    for r, row in enumerate(rows):
+        for c, (re, im) in enumerate(row):
+            m[r, c] = complex(re, im)
+    return m
+
+
+def rep_from_dict(quiver, dims, data):
+    """Inverse of RepPoint.to_dict."""
+    p = ql.RepPoint.zeros(quiver, dims)
+    return ql.RepPoint(quiver, dims,
+                       [_pairs_matrix(m, b.shape) for m, b in zip(data["B"], p.B)],
+                       [_pairs_matrix(m, b.shape) for m, b in zip(data["i"], p.i)],
+                       [_pairs_matrix(m, b.shape) for m, b in zip(data["j"], p.j)])
 
 
 def fingerprint_by_paths(p, max_len):
@@ -185,3 +206,177 @@ def max_deviation(x, klass):
         elif klass == "skew":
             dev = max(dev, float(np.abs(b + b.conj().T).max(initial=0.0)))
     return dev
+
+
+# -- per-slot reference bodies ----------------------------------------------
+# The slot-wise maps as they were written before the layout's slot table,
+# straight from the Quiver index helpers; tests/test_operators.py requires
+# the library maps to equal them exactly.
+
+def gauge_act_by_slots(g, p):
+    q = p.quiver
+    ginv = [np.linalg.inv(gk) if gk.size else gk.copy() for gk in g.g]
+    return ql.RepPoint(
+        p.quiver, p.dims,
+        [g.g[q.h_in(h)] @ p.B[h] @ ginv[q.h_out(h)] for h in range(q.num_h)],
+        [g.g[k] @ p.i[k] for k in range(q.n)],
+        [p.j[k] @ ginv[k] for k in range(q.n)])
+
+
+def twistor_rotate_by_slots(p, xi):
+    xi = complex(xi)
+    q = p.quiver
+    B = [p.B[h] - q.h_eps(h) * xi * p.B[q.h_bar(h)].conj().T
+         for h in range(q.num_h)]
+    i_new = [ik - xi * jk.conj().T for ik, jk in zip(p.i, p.j)]
+    j_new = [jk + xi * ik.conj().T for ik, jk in zip(p.i, p.j)]
+    return ql.RepPoint(p.quiver, p.dims, B, i_new, j_new)
+
+
+def conformal_point_by_slots(p0, A, hbar):
+    """The closed form of conformal_point, without its slice checks."""
+    hb = complex(hbar)
+    q = p0.quiver
+    E = q.num_edges
+    B = []
+    for h in range(q.num_h):
+        if h < E:
+            B.append(p0.B[h] + A.B[h] - hb * p0.B[h + E].conj().T)
+        else:
+            B.append((p0.B[h] + A.B[h]) / hb + p0.B[h - E].conj().T)
+    i_new = [p0.i[k] + A.i[k] - hb * p0.j[k].conj().T for k in range(q.n)]
+    j_new = [(p0.j[k] + A.j[k]) / hb + p0.i[k].conj().T for k in range(q.n)]
+    return ql.RepPoint(p0.quiver, p0.dims, B, i_new, j_new)
+
+
+def _to_eigenbasis(grading, p):
+    q, Q = p.quiver, grading.qmats
+    return ql.RepPoint(
+        q, p.dims,
+        [Q[q.h_in(h)].conj().T @ p.B[h] @ Q[q.h_out(h)] for h in range(q.num_h)],
+        [Q[k].conj().T @ p.i[k] for k in range(q.n)],
+        [p.j[k] @ Q[k] for k in range(q.n)])
+
+
+def _from_eigenbasis(grading, p):
+    q, Q = p.quiver, grading.qmats
+    return ql.RepPoint(
+        q, p.dims,
+        [Q[q.h_in(h)] @ p.B[h] @ Q[q.h_out(h)].conj().T for h in range(q.num_h)],
+        [Q[k] @ p.i[k] for k in range(q.n)],
+        [p.j[k] @ Q[k].conj().T for k in range(q.n)])
+
+
+def _slot_weight_arrays(grading):
+    q, dims, weights = grading.quiver, grading.dims, grading.weights
+    B = []
+    for h in range(q.num_h):
+        a, b = q.h_out(h), q.h_in(h)
+        shift = 0 if h < q.num_edges else 1
+        wr = np.array(weights[b], dtype=float)[:, None]
+        wc = np.array(weights[a], dtype=float)[None, :]
+        B.append((wr - wc + shift) * np.ones((len(weights[b]), len(weights[a]))))
+    i_w = [np.array(weights[k], dtype=float)[:, None] * np.ones((dims.v[k], dims.w[k]))
+           if dims.v[k] else np.zeros((0, dims.w[k])) for k in range(q.n)]
+    j_w = [(1.0 - np.array(weights[k], dtype=float)[None, :]) * np.ones((dims.w[k], dims.v[k]))
+           if dims.v[k] else np.zeros((dims.w[k], 0)) for k in range(q.n)]
+    return ql.RepPoint(q, dims, B, i_w, j_w)
+
+
+def grade_increment_by_slots(q, grading):
+    eig = _to_eigenbasis(grading, q)
+    wts = _slot_weight_arrays(grading)
+    parts = {}
+    all_w = set()
+    for arr in list(wts.B) + list(wts.i) + list(wts.j):
+        all_w.update(int(round(x)) for x in np.real(arr).ravel())
+    for w in sorted(all_w):
+        def pick(mat, warr):
+            return np.where(np.rint(np.real(warr)) == w, mat, 0.0)
+        part = ql.RepPoint(
+            q.quiver, q.dims,
+            [pick(m, a) for m, a in zip(eig.B, wts.B)],
+            [pick(m, a) for m, a in zip(eig.i, wts.i)],
+            [pick(m, a) for m, a in zip(eig.j, wts.j)])
+        parts[w] = _from_eigenbasis(grading, part)
+    return parts
+
+
+def positive_weight_project_by_slots(q, grading):
+    eig = _to_eigenbasis(grading, q)
+    wts = _slot_weight_arrays(grading)
+
+    def pick(mat, warr):
+        return np.where(np.real(warr) >= 1, mat, 0.0)
+
+    kept = ql.RepPoint(q.quiver, q.dims,
+                       [pick(m, a) for m, a in zip(eig.B, wts.B)],
+                       [pick(m, a) for m, a in zip(eig.i, wts.i)],
+                       [pick(m, a) for m, a in zip(eig.j, wts.j)])
+    return _from_eigenbasis(grading, kept)
+
+
+def inf_action_adjoint_by_vertex(p, incr):
+    q = p.quiver
+    blocks = []
+    for k in range(q.n):
+        acc = np.zeros((p.dims.v[k], p.dims.v[k]), dtype=complex)
+        for h in q.h_into(k):
+            hb = q.h_bar(h)
+            acc += incr.B[h] @ p.B[h].conj().T - p.B[hb].conj().T @ incr.B[hb]
+        acc += incr.i[k] @ p.i[k].conj().T - p.j[k].conj().T @ incr.j[k]
+        blocks.append(acc)
+    return ql.LieElement(p.dims, blocks)
+
+
+def moment_real_by_vertex(p):
+    q = p.quiver
+    blocks = []
+    for k in range(q.n):
+        acc = np.zeros((p.dims.v[k], p.dims.v[k]), dtype=complex)
+        for h in q.h_into(k):
+            hb = q.h_bar(h)
+            acc += p.B[h] @ p.B[h].conj().T - p.B[hb].conj().T @ p.B[hb]
+        acc += p.i[k] @ p.i[k].conj().T - p.j[k].conj().T @ p.j[k]
+        blocks.append(0.5j * acc)
+    return ql.LieElement(p.dims, blocks)
+
+
+def moment_complex_by_vertex(p):
+    q = p.quiver
+    blocks = []
+    for k in range(q.n):
+        acc = np.zeros((p.dims.v[k], p.dims.v[k]), dtype=complex)
+        for h in q.h_into(k):
+            acc += q.h_eps(h) * (p.B[h] @ p.B[q.h_bar(h)])
+        acc += p.i[k] @ p.j[k]
+        blocks.append(acc)
+    return ql.LieElement(p.dims, blocks)
+
+
+def dmu_complex_by_vertex(p, incr):
+    qv = p.quiver
+    blocks = []
+    for k in range(qv.n):
+        acc = np.zeros((p.dims.v[k], p.dims.v[k]), dtype=complex)
+        for h in qv.h_into(k):
+            hb = qv.h_bar(h)
+            acc += qv.h_eps(h) * (p.B[h] @ incr.B[hb] + incr.B[h] @ p.B[hb])
+        acc += p.i[k] @ incr.j[k] + incr.i[k] @ p.j[k]
+        blocks.append(acc)
+    return ql.LieElement(p.dims, blocks)
+
+
+def dmoment_real_scaled_by_vertex(p, incr):
+    q = p.quiver
+    blocks = []
+    for k in range(q.n):
+        acc = np.zeros((p.dims.v[k], p.dims.v[k]), dtype=complex)
+        for h in q.h_into(k):
+            hb = q.h_bar(h)
+            acc += incr.B[h] @ p.B[h].conj().T + p.B[h] @ incr.B[h].conj().T
+            acc -= incr.B[hb].conj().T @ p.B[hb] + p.B[hb].conj().T @ incr.B[hb]
+        acc += incr.i[k] @ p.i[k].conj().T + p.i[k] @ incr.i[k].conj().T
+        acc -= incr.j[k].conj().T @ p.j[k] + p.j[k].conj().T @ incr.j[k]
+        blocks.append(acc)
+    return ql.LieElement(p.dims, blocks)

@@ -106,9 +106,25 @@ def test_escape_honours_explicit_grid(capsys, tmp_path):
     assert [h for h, _ in data["rows"]] == [0.4, 0.2, 0.1, 0.05]
 
 
-def test_escape_bad_path(capsys):
-    code, out, err = run(capsys, "escape", "tstar-p1", "--path", "Q:zz")
+@pytest.mark.parametrize("path", ["Q:zz", "P:c5.j5", "L:h3.h3~", "P:c-1.j-1"])
+def test_escape_bad_path(capsys, path):
+    # tstar-p1 has one vertex and no edges, so c5, h3 and c-1 name no slot
+    code, out, err = run(capsys, "escape", "tstar-p1", "--path", path)
     assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("invariants", "tstar-p1", "--max-len", "0"), "max_len must be at least 1"),
+    (("flow", "tstar-p1", "--max-len", "0"), "max_len must be at least 1"),
+    (("sample", "tstar-p1", "--tol", "-1"), "tol must be positive"),
+], ids=["invariants-max-len", "flow-max-len", "sample-tol"])
+def test_common_options_validated_for_every_command(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_verify_exit_codes(capsys):

@@ -5,7 +5,7 @@ import pytest
 
 import quiverlim as ql
 
-from conftest import convergence_rows
+from conftest import convergence_rows, fingerprint_distance
 
 
 def test_twistor_moment_identities(a3star):
@@ -99,7 +99,7 @@ def test_rescale_commutes_with_the_limit(tstar):
     hbar, R = 1.0, 0.5
     left = ql.conformal_limit(p0, grading.act(R, A), hbar, grading=grading)
     right = ql.conformal_limit(p0, A, hbar / R, grading=grading)
-    assert ql.fingerprint_distance(left.point, right.point, 4) < 1e-8
+    assert fingerprint_distance(left.point, right.point, 4) < 1e-8
 
 
 def test_convergence_slope_quadratic(tstar):

@@ -10,8 +10,9 @@ from quiverlim.config import TOL
 from quiverlim.invariants import invariant_sizes
 from quiverlim.sampling import attracting_increment
 
-from conftest import (escape_profile, fingerprint_by_paths, get_setup,
-                      is_nilpotent_by_paths, random_lie)
+from conftest import (escape_profile, fingerprint_by_paths,
+                      fingerprint_distance, get_setup, is_nilpotent_by_paths,
+                      random_lie)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -44,6 +45,14 @@ def test_parse_rejects_garbage():
         ql.PathSpec.parse("X:c0.j0")
     with pytest.raises(ValueError):
         ql.PathSpec.parse("P:")
+
+
+@pytest.mark.parametrize("text", ["P:c5.j5", "L:h3.h3~", "P:c-1.j-1"])
+def test_eval_path_rejects_unknown_tokens(tstar, text):
+    # tstar-p1 has one vertex and no edges: no slot answers c5, h3 or c-1
+    p = ql.random_rep(tstar.quiver, tstar.dims, ql.make_rng(43))
+    with pytest.raises(ValueError, match="unknown path token"):
+        ql.eval_path(p, ql.PathSpec.parse(text))
 
 
 def test_eval_path_by_hand(tstar):
@@ -95,12 +104,12 @@ def test_fingerprint_distance_properties(kronecker):
     rng = ql.make_rng(45)
     p = ql.random_rep(kronecker.quiver, kronecker.dims, rng)
     q = ql.random_rep(kronecker.quiver, kronecker.dims, rng)
-    assert ql.fingerprint_distance(p, p, 4) == 0.0
-    d = ql.fingerprint_distance(p, q, 4)
+    assert fingerprint_distance(p, p, 4) == 0.0
+    d = fingerprint_distance(p, q, 4)
     assert d > 0
-    assert abs(d - ql.fingerprint_distance(q, p, 4)) < 1e-12
+    assert abs(d - fingerprint_distance(q, p, 4)) < 1e-12
     g = ql.lie_exp(random_lie(kronecker.dims, rng, scale=0.4))
-    assert ql.fingerprint_distance(ql.gauge_act(g, p), p, 4) < 1e-9 * max(1.0, d)
+    assert fingerprint_distance(ql.gauge_act(g, p), p, 4) < 1e-9 * max(1.0, d)
 
 
 def test_nilpotency(tstar):

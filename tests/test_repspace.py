@@ -9,7 +9,7 @@ import pytest
 
 import quiverlim as ql
 
-from conftest import random_lie, unitary_defect
+from conftest import random_lie, rep_from_dict, unitary_defect
 
 
 def one_vertex_point():
@@ -138,9 +138,18 @@ def test_flatten_round_trip(a3star):
     assert np.array_equal(back.flatten(), flat)
 
 
+def test_rep_point_refuses_wrong_slot_counts(a3star):
+    q, d = a3star.quiver, a3star.dims
+    p = ql.RepPoint.zeros(q, d)
+    for B, i, j in ((p.B[:-1], p.i, p.j), (p.B + p.B[:1], p.i, p.j),
+                    (p.B, p.i[:-1], p.j), (p.B, p.i, p.j + p.j[:1])):
+        with pytest.raises(ValueError, match="matrices"):
+            ql.RepPoint(q, d, B, i, j)
+
+
 def test_dict_round_trip(a3star):
     p = ql.random_rep(a3star.quiver, a3star.dims, ql.make_rng(14))
-    back = ql.RepPoint.from_dict(a3star.quiver, a3star.dims, p.to_dict())
+    back = rep_from_dict(a3star.quiver, a3star.dims, p.to_dict())
     assert (back - p).norm() < 1e-15
 
 

@@ -12,8 +12,8 @@ import pytest
 
 import quiverlim as ql
 
-from conftest import (history_rows, linearized_operator, newton_derivative,
-                      random_lie)
+from conftest import (fingerprint_distance, history_rows, linearized_operator,
+                      newton_derivative, random_lie)
 
 # bisection of e^{2x}*1.79 - e^{-2x}*1.01 - 1.2 on [-10, 10], frozen
 BISECT_X = 0.07324080802172214
@@ -165,7 +165,7 @@ def test_graded_solve_matches_plain_solve_orbit(a3star):
     graded = ql.graded_solve(start, grading, R, sigma)
     assert graded.converged
     assert graded.residual <= 1e-9
-    d = ql.fingerprint_distance(plain.point, graded.point, 4)
+    d = fingerprint_distance(plain.point, graded.point, 4)
     assert d < 1e-8
 
 
