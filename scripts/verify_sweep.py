@@ -1,7 +1,8 @@
 """Fingerprint every verify artefact over a fixed set of quivers and seeds.
 
 For each run the script calls ``verify_run`` and ``write_outputs`` and prints
-one line: the quiver, the seed, and the sha256 of each of the five files.
+one line: the quiver, the seed, the sha256 of each of the five files, and the
+thirteen suite verdicts in suite order as a string of P (passed) and F.
 Running it against two source trees and diffing the output checks that a
 change leaves every verify artefact byte-identical:
 
@@ -54,7 +55,8 @@ def main(argv=None) -> int:
             for name in ARTEFACTS:
                 with open(os.path.join(out, name), "rb") as fh:
                     digests.append(hashlib.sha256(fh.read()).hexdigest())
-            print(quiver, seed, *digests, flush=True)
+            verdicts = "".join("P" if st.passed else "F" for st in report.suites)
+            print(quiver, seed, *digests, verdicts, flush=True)
     return 0
 
 

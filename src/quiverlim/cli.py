@@ -12,13 +12,12 @@ import json
 import os
 import sys
 
-from .config import INVARIANT_RANGE, RunConfig
+from .config import ZERO_INVARIANT_TOL, RunConfig
 from .conformal import conformal_limit, convergence_study
 from .errors import QuiverLimError
 from .fixedpoints import (bb_expected_dimension, flow_limit, is_fixed_point,
                           weight_grading)
-from .invariants import (ESCAPE_GRID, PathSpec, escape_slope, fingerprint,
-                         fingerprint_labels)
+from .invariants import PathSpec, escape_slope, fingerprint, fingerprint_labels
 from .presets import PRESET_NAMES, resolve_quiver_spec
 from .quiver import (expected_dimension, is_generic, require_generic,
                      require_nonempty, walls)
@@ -178,7 +177,7 @@ def _cmd_climit(args) -> int:
     labels = fingerprint_labels(p0.quiver, p0.dims, args.max_len)
     shown = 0
     for lab, val in zip(labels, fp):
-        if abs(val) > INVARIANT_RANGE[0] and shown < 12:
+        if abs(val) > ZERO_INVARIANT_TOL and shown < 12:
             print(f"  {lab} = {val:.6g}")
             shown += 1
     _write_json(args.out, "climit.json", {
@@ -227,14 +226,15 @@ def _cmd_invariants(args) -> int:
 def _cmd_escape(args) -> int:
     p0, _, A = _derive_setup(args, *_load_generic(args))
     path = PathSpec.parse(args.path)
-    st = escape_slope(p0, A, args.grid, path)
+    st, = escape_slope(p0, A, [path])
     print(f"path {path}: predicted blow-up exponent {st.expected_exponent}")
-    print(f"fitted slope: {st.slope:.4f} over {st.used} points")
-    for h, v in st.rows:
-        print(f"  hbar={h:.6g}  |invariant|={v:.6e}")
+    print(f"leading power of hbar: {st.slope:g}")
+    print(f"Laurent coefficients, relative to the largest sampled entry: "
+          f"mismatch at p0 + A {st.mismatch:.3e}, "
+          f"largest outside the window {st.outside:.3e}")
     _write_json(args.out, "escape.json", {
         "path": str(path), "expected_exponent": st.expected_exponent,
-        "slope": st.slope, "rows": [[h, v] for h, v in st.rows],
+        "slope": st.slope, "mismatch": st.mismatch, "outside": st.outside,
     })
     return 0
 
@@ -264,8 +264,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "and gauge-invariant path invariants.")
     sub = ap.add_subparsers(dest="command", required=True)
     defaults = RunConfig()
-
-    def common(p):
+    parsers = {}
+    for name, fn, text in (
+            ("check", _cmd_check, "validate a quiver file and genericity"),
+            ("sample", _cmd_sample, "draw a seeded point on the variety"),
+            ("flow", _cmd_flow, "follow the scaling flow to a fixed point"),
+            ("fixed", _cmd_fixed, "fixed-point test, weights, dimension audit"),
+            ("bb-basis", _cmd_bb_basis, "attracting-slice tangent basis"),
+            ("climit", _cmd_climit, "conformal limit point at a given hbar"),
+            ("family", _cmd_family, "rotation-scaling family convergence"),
+            ("invariants", _cmd_invariants, "fingerprint of a sampled point"),
+            ("escape", _cmd_escape, "exact blow-up order of one path invariant"),
+            ("verify", _cmd_verify, "run all invariant suites; exit 0 iff green")):
+        p = parsers[name] = sub.add_parser(name, help=text)
         p.add_argument("quiver",
                        help=f"preset ({', '.join(PRESET_NAMES)}) or JSON file")
         p.add_argument("--seed", type=int, default=defaults.seed)
@@ -275,52 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", type=_grid, default=defaults.r_grid,
                        help="comma-separated decreasing positive reals")
         p.add_argument("--out", default=None, help="output directory")
-
-    p = sub.add_parser("check", help="validate a quiver file and genericity")
-    common(p)
-    p.set_defaults(fn=_cmd_check)
-
-    p = sub.add_parser("sample", help="draw a seeded point on the variety")
-    common(p)
-    p.set_defaults(fn=_cmd_sample)
-
-    p = sub.add_parser("flow", help="follow the scaling flow to a fixed point")
-    common(p)
-    p.set_defaults(fn=_cmd_flow)
-
-    p = sub.add_parser("fixed", help="fixed-point test, weights, dimension audit")
-    common(p)
-    p.set_defaults(fn=_cmd_fixed)
-
-    p = sub.add_parser("bb-basis", help="attracting-slice tangent basis")
-    common(p)
-    p.set_defaults(fn=_cmd_bb_basis)
-
-    p = sub.add_parser("climit", help="conformal limit point at a given hbar")
-    common(p)
-    p.add_argument("--hbar", type=float, default=1.0)
-    p.set_defaults(fn=_cmd_climit)
-
-    p = sub.add_parser("family", help="rotation-scaling family convergence")
-    common(p)
-    p.add_argument("--hbar", type=float, default=1.0)
-    p.set_defaults(fn=_cmd_family)
-
-    p = sub.add_parser("invariants", help="fingerprint of a sampled point")
-    common(p)
-    p.set_defaults(fn=_cmd_invariants)
-
-    p = sub.add_parser("escape", help="blow-up rate of one path invariant")
-    common(p)
-    p.add_argument("--path", required=True,
-                   help="path string, e.g. 'P:c0.j0' or 'L:h0.h0~'")
-    p.set_defaults(fn=_cmd_escape, grid=ESCAPE_GRID)
-
-    p = sub.add_parser("verify", help="run all invariant suites; exit 0 iff green")
-    common(p)
-    p.add_argument("--hbar-grid", dest="hbar_grid", type=_grid,
-                   default=defaults.hbar_grid)
-    p.set_defaults(fn=_cmd_verify)
+        p.set_defaults(fn=fn)
+    for name in ("climit", "family"):
+        parsers[name].add_argument("--hbar", type=float, default=1.0)
+    parsers["escape"].add_argument("--path", required=True,
+                                   help="path string, e.g. 'P:c0.j0' or 'L:h0.h0~'")
+    parsers["verify"].add_argument("--hbar-grid", dest="hbar_grid", type=_grid,
+                                   default=defaults.hbar_grid)
     return ap
 
 
@@ -328,7 +300,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         # every subcommand holds --seed, --tol and --max-len to RunConfig's
-        # rules; --grid is left to each command (escape sorts its own)
+        # rules; --grid is read only by family and verify
         RunConfig(seed=args.seed, tol=args.tol, max_len=args.max_len)
         return args.fn(args)
     except QuiverLimError as exc:

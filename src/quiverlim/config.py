@@ -67,15 +67,14 @@ ENERGY_SLACK = 1e-9        # round-off rise allowed in the shrinking-slot energy
 
 # path invariants
 ZERO_INVARIANT_TOL = 1e-10       # an escape study needs more at p0 + A
-INVARIANT_RANGE = (1e-12, 1e12)  # escape fit window; listed as zero below it
 ESCAPE_MIN_INVARIANT = 1e-6      # the escape suite studies invariants above this
 
 # verdicts of the verify suites (besides CHECK_TOL and SLACK above)
 IDENTITY_TOL = 1e-9        # exact identities: adjoint pairing, twistor moments,
-#                            gauge invariance of the fingerprint
+#                            gauge invariance of the fingerprint, escape Laurent
+#                            coefficients
 ISOTROPY_TOL = 1e-12       # isotropy of the attracting basis
 CONFORMAL_SLOPE_RANGE = (1.5, 3.0)  # fitted approach rate; 2 is predicted
-ESCAPE_SLOPE_TOL = 0.2     # |fitted escape slope + predicted exponent|
 
 
 def moment_scale(p) -> float:

@@ -45,18 +45,11 @@ def twistor_rotate(p: RepPoint, xi: complex) -> RepPoint:
     return RepPoint.from_slots(p.quiver, p.dims, out)
 
 
-def conformal_point(p0: RepPoint, A: RepPoint, hbar: complex,
-                    grading: WeightGrading | None = None) -> RepPoint:
-    """Closed-form family member attached to a slice increment A at scale hbar.
-
-    Reversed-edge and outgoing-framing data of the base point enter divided
-    by hbar while conjugates of the forward data are added to the forward
-    slots; the result keeps its complex moment on the central level set by
-    the real parameter of the base point, uniformly as hbar shrinks.
-    """
-    hb = complex(hbar)
-    if hb == 0:
-        raise ValueError("hbar must be nonzero")
+def check_slice_increment(p0: RepPoint, A: RepPoint,
+                          grading: WeightGrading | None = None) -> None:
+    """Raise NotOnSlice unless A keeps the complex moment of p0 on its
+    central level and is orthogonal to the gauge orbit of p0, and, given a
+    grading, has no support below weight one."""
     at = p0 + A
     mc_dev = (moment_complex(at) - moment_complex(p0)).norm()
     if mc_dev > CHECK_TOL * moment_scale(at):
@@ -72,11 +65,30 @@ def conformal_point(p0: RepPoint, A: RepPoint, hbar: complex,
             raise NotOnSlice(
                 f"increment has support below weight one ({off:.3e})")
 
+
+def conformal_slots(p0: RepPoint, A: RepPoint, hbar) -> list[np.ndarray]:
+    """The slots of conformal_point(p0, A, hbar) without its slice checks; an
+    array hbar of shape (N, 1, 1) stacks N family members slot by slot."""
     s, a = p0.slots, A.slots
     lay = layout(p0.quiver, p0.dims)
-    return RepPoint.from_slots(p0.quiver, p0.dims, [
-        (s[x] + a[x]) / hb + s[t].conj().T if d else s[x] + a[x] - hb * s[t].conj().T
-        for x, (t, d) in enumerate(zip(lay.partner, lay.degree))])
+    return [(s[x] + a[x]) / hbar + s[t].conj().T if d else s[x] + a[x] - hbar * s[t].conj().T
+            for x, (t, d) in enumerate(zip(lay.partner, lay.degree))]
+
+
+def conformal_point(p0: RepPoint, A: RepPoint, hbar: complex,
+                    grading: WeightGrading | None = None) -> RepPoint:
+    """Closed-form family member attached to a slice increment A at scale hbar.
+
+    Reversed-edge and outgoing-framing data of the base point enter divided
+    by hbar while conjugates of the forward data are added to the forward
+    slots; the result keeps its complex moment on the central level set by
+    the real parameter of the base point, uniformly as hbar shrinks.
+    """
+    hb = complex(hbar)
+    if hb == 0:
+        raise ValueError("hbar must be nonzero")
+    check_slice_increment(p0, A, grading)
+    return RepPoint.from_slots(p0.quiver, p0.dims, conformal_slots(p0, A, hb))
 
 
 def conformal_limit(p0: RepPoint, A: RepPoint, hbar: complex, tol: float = TOL,
@@ -158,6 +170,7 @@ def conformal_family_sample(p0: RepPoint, A: RepPoint, sigma, hbar: complex,
 class ConvergenceReport:
     hbar: complex
     rows: list[tuple[float, float]]  # (R, fingerprint distance to the limit)
+    limit_fingerprint: np.ndarray
     slope: float | None
     fit_residual: float | None
     degenerate: bool
@@ -192,18 +205,16 @@ def convergence_study(p0: RepPoint, A: RepPoint, sigma, hbar: complex,
     fp_scale = float(np.max(np.abs(fp_limit))) if fp_limit.size else 0.0
     floor = FLOOR * tol * max(1.0, fp_scale)
     usable = [(r, d) for r, d in rows if d > floor]
-    if len(usable) < 2:
-        if strict:
-            raise DegenerateFit(
-                "all family distances sit at the solver floor; "
-                "no approach rate is measurable")
-        return ConvergenceReport(hbar=complex(hbar), rows=rows, slope=None,
-                                 fit_residual=None, degenerate=True,
-                                 samples=samples)
-    lr = np.log([r for r, _ in usable])
-    ld = np.log([d for _, d in usable])
-    coeffs = np.polyfit(lr, ld, 1)
-    fit_res = float(np.max(np.abs(np.polyval(coeffs, lr) - ld)))
-    return ConvergenceReport(hbar=complex(hbar), rows=rows,
-                             slope=float(coeffs[0]), fit_residual=fit_res,
-                             degenerate=False, samples=samples)
+    slope = fit_res = None
+    if len(usable) >= 2:
+        lr = np.log([r for r, _ in usable])
+        ld = np.log([d for _, d in usable])
+        coeffs = np.polyfit(lr, ld, 1)
+        slope = float(coeffs[0])
+        fit_res = float(np.max(np.abs(np.polyval(coeffs, lr) - ld)))
+    elif strict:
+        raise DegenerateFit("all family distances sit at the solver floor; "
+                            "no approach rate is measurable")
+    return ConvergenceReport(hbar=complex(hbar), rows=rows, limit_fingerprint=fp_limit,
+                             slope=slope, fit_residual=fit_res,
+                             degenerate=slope is None, samples=samples)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import CHECK_TOL, INVARIANT_RANGE, ZERO_INVARIANT_TOL
+from .config import CHECK_TOL, IDENTITY_TOL, ZERO_INVARIANT_TOL
 from .errors import ZeroInvariant
 from .quiver import DimensionVectors, Quiver
 from .repspace import RepPoint, layout
@@ -72,14 +72,16 @@ def validate_path(path: PathSpec, quiver: Quiver, dims: DimensionVectors) -> lis
     return slots
 
 
-def eval_path(p: RepPoint, path: PathSpec) -> np.ndarray:
-    """Product of the token matrices, rightmost token applied first."""
-    mats = p.slots
-    slots = validate_path(path, p.quiver, p.dims)
+def _product(mats, slots: list[int]) -> np.ndarray:
     acc = mats[slots[0]]
     for s in slots[1:]:
         acc = mats[s] @ acc
     return acc
+
+
+def eval_path(p: RepPoint, path: PathSpec) -> np.ndarray:
+    """Product of the token matrices, rightmost token applied first."""
+    return _product(p.slots, validate_path(path, p.quiver, p.dims))
 
 
 def _canonical_rotation(tokens: tuple[str, ...]) -> tuple[str, ...]:
@@ -137,9 +139,10 @@ def enumerate_paths(quiver: Quiver, dims: DimensionVectors, max_len: int,
 def _prefix_walk(quiver: Quiver, dims: DimensionVectors, max_len: int,
                  kind: str) -> tuple[tuple[int, ...], ...]:
     """Depth-first walk over enumerate_paths(quiver, dims, max_len, kind) as
-    three flat tuples (depth, slot, out): step t sets level depth[t] of the
-    product stack to the token matrix at slot[t] applied after level
-    depth[t] - 1, and out[t] is the index of the path ending there, or -1."""
+    four flat tuples (depth, slot, out, skip): step t sets level depth[t] of
+    the product stack to the token matrix at slot[t] applied after level
+    depth[t] - 1, out[t] is the index of the path ending there, or -1, and
+    skip[t] is the first later step outside the subtree of step t."""
     paths = enumerate_paths(quiver, dims, max_len, kind)
     depth: list[int] = []
     slot: list[int] = []
@@ -158,18 +161,30 @@ def _prefix_walk(quiver: Quiver, dims: DimensionVectors, max_len: int,
             slot.append(slots[d])
             out.append(n if d == len(tokens) - 1 else -1)
         prev = tokens
-    return tuple(depth), tuple(slot), tuple(out)
+    # a subtree ends at the next step that is no deeper than its root
+    skip = [len(depth)] * len(depth)
+    open_steps: list[int] = []
+    for t, d in enumerate(depth):
+        while open_steps and depth[open_steps[-1]] >= d:
+            skip[open_steps.pop()] = t
+        open_steps.append(t)
+    return tuple(depth), tuple(slot), tuple(out), tuple(skip)
 
 
-def _path_products(p: RepPoint, max_len: int, kind: str):
+def _path_products(p: RepPoint, max_len: int, kind: str, prune: bool = False):
     """Yield (index in enumerate_paths, eval_path product) for every path,
-    in walk order."""
+    in walk order.  With prune, the paths that extend an exactly-zero
+    product are left out: their products are zero too."""
     slots = p.slots
+    depth, slot, out, skip = _prefix_walk(p.quiver, p.dims, max_len, kind)
     acc: list[np.ndarray | None] = [None] * max_len
-    for d, s, n in zip(*_prefix_walk(p.quiver, p.dims, max_len, kind)):
-        acc[d] = slots[s] if d == 0 else slots[s] @ acc[d - 1]
-        if n >= 0:
-            yield n, acc[d]
+    t = 0
+    while t < len(depth):
+        d = depth[t]
+        acc[d] = slots[slot[t]] if d == 0 else slots[slot[t]] @ acc[d - 1]
+        if out[t] >= 0:
+            yield out[t], acc[d]
+        t = skip[t] if prune and not acc[d].any() else t + 1
 
 
 def _size(m: np.ndarray, kind: str) -> float:
@@ -225,16 +240,17 @@ def is_nilpotent(p: RepPoint) -> bool:
     """True when every invariant up to the decision bound is below CHECK_TOL."""
     bound = nilpotency_bound(p.dims)
     for kind in ("loop", "admissible"):
-        for _, m in _path_products(p, bound, kind):
+        for _, m in _path_products(p, bound, kind, prune=True):
             if _size(m, kind) > CHECK_TOL:
                 return False
     return True
 
 
-def path_escape_exponent(path: PathSpec) -> int:
-    """Predicted blow-up order: reversed-edge count plus j-hop count."""
-    return sum(1 for t in path.tokens if t.startswith("h") and t.endswith("~")
-               or t.startswith("j"))
+def path_escape_exponent(path: PathSpec, quiver: Quiver, dims: DimensionVectors) -> int:
+    """Predicted blow-up order: the scaling degrees of the path's slots,
+    one per reversed edge and per j-hop."""
+    lay = layout(quiver, dims)
+    return sum(lay.degree[s] for s in validate_path(path, quiver, dims))
 
 
 def invariant_size(p: RepPoint, path: PathSpec) -> float:
@@ -243,43 +259,58 @@ def invariant_size(p: RepPoint, path: PathSpec) -> float:
 
 @dataclass
 class EscapeStudy:
+    """One path's Laurent check: slope is the lowest power of hbar whose
+    coefficient exceeds IDENTITY_TOL, mismatch the distance of the hbar^-e
+    coefficient from the invariant at p0 + A, and outside the largest
+    coefficient outside hbar^-e .. hbar^(len - e), all relative to the
+    largest sampled entry."""
+
     path: PathSpec
     expected_exponent: int
     slope: float
-    fit_residual: float
-    rows: list[tuple[float, float]]
-    used: int
+    mismatch: float
+    outside: float
 
 
-# hbar values at which the escape suite and the escape command fit the slope
-ESCAPE_GRID = (0.04, 0.02, 0.01, 0.005)
+def escape_slope(p0: RepPoint, A: RepPoint, paths) -> list[EscapeStudy]:
+    """Laurent coefficients in hbar of path invariants along conformal_point.
 
-
-def escape_slope(p0: RepPoint, A: RepPoint, hbar_grid,
-                 path: PathSpec) -> EscapeStudy:
-    """Fit log|invariant| against log hbar along the algebraic limit family.
-
-    The limit representative at each hbar is built in closed form; since the
-    invariant is complex-gauge invariant, no moment solve is needed.  The
-    invariant must not vanish at the slice point p0 + A.  Values outside
-    INVARIANT_RANGE are dropped from the fit (floor and overflow guards).
+    Every slot of conformal_point(p0, A, hbar) is affine in hbar or in 1/hbar,
+    so an invariant of escape exponent e is hbar^-e times a polynomial of
+    degree at most len(path), whose constant term is the invariant at p0 + A;
+    that invariant must not vanish.  One FFT over the N-th roots of unity, N
+    the smallest power of two above twice the longest path's coefficient
+    count, gives every coefficient (the trapezoidal rule on the unit circle);
+    powers below hbar^-e alias into the top bins.
     """
-    from .conformal import conformal_point
+    from .conformal import check_slice_increment, conformal_slots
 
-    ref_val = invariant_size(p0 + A, path)
-    if ref_val <= ZERO_INVARIANT_TOL:
-        raise ZeroInvariant(
-            f"invariant of {path} vanishes at the slice point ({ref_val:.3e})")
-    rows = [(float(h), invariant_size(conformal_point(p0, A, h), path))
-            for h in sorted(hbar_grid, reverse=True)]
-    lo, hi = INVARIANT_RANGE
-    pts = [(h, v) for h, v in rows if lo < v < hi]
-    if len(pts) < 2:
-        raise ZeroInvariant(f"not enough usable invariant values along {path}")
-    xs = np.log([h for h, _ in pts])
-    ys = np.log([v for _, v in pts])
-    coef, res = np.polyfit(xs, ys, 1, full=True)[0:2]
-    fit_res = float(res[0]) if len(res) else 0.0
-    return EscapeStudy(path=path, expected_exponent=path_escape_exponent(path),
-                       slope=float(coef[0]), fit_residual=fit_res, rows=rows,
-                       used=len(pts))
+    check_slice_increment(p0, A)
+    longest = max((len(path.tokens) for path in paths), default=0)
+    n_pts = 1 << (2 * (longest + 1)).bit_length()
+    mats = conformal_slots(
+        p0, A, np.exp(2j * np.pi * np.arange(n_pts) / n_pts)[:, None, None])
+    at, studies = p0 + A, []
+    for path in paths:
+        ref = eval_path(at, path)
+        if (size := _size(ref, path.kind)) <= ZERO_INVARIANT_TOL:
+            raise ZeroInvariant(
+                f"invariant of {path} vanishes at the slice point ({size:.3e})")
+        slots = validate_path(path, p0.quiver, p0.dims)
+        vals = _product(mats, slots)
+        if path.kind == "loop":
+            ref, vals = np.trace(ref), np.trace(vals, axis1=1, axis2=2)
+        scale = np.abs(vals).max()
+        coef = np.fft.fft(vals, axis=0) / n_pts
+        e = path_escape_exponent(path, p0.quiver, p0.dims)
+        # bin b holds the power m = b mod n_pts with len - e - n_pts < m <= len - e,
+        # so hbar^-e sits at bin -e
+        top = len(slots) - e
+        powers = top - (top - np.arange(n_pts)) % n_pts
+        sizes = np.abs(coef).reshape(n_pts, -1).max(axis=1) / scale
+        studies.append(EscapeStudy(
+            path=path, expected_exponent=e,
+            slope=float(powers[sizes > IDENTITY_TOL].min()),
+            mismatch=float(np.abs(coef[-e] - ref).max() / scale),
+            outside=float(sizes[powers < -e].max(initial=0.0))))
+    return studies

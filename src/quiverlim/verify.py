@@ -19,16 +19,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import (CHECK_TOL, CONFORMAL_SLOPE_RANGE, ESCAPE_MIN_INVARIANT,
-                     ESCAPE_SLOPE_TOL, IDENTITY_TOL, ISOTROPY_TOL, SLACK,
-                     RunConfig, moment_scale)
-from .conformal import (conformal_limit, conformal_point, convergence_study,
-                        twistor_rotate)
+                     IDENTITY_TOL, ISOTROPY_TOL, SLACK, RunConfig,
+                     moment_scale)
+from .conformal import conformal_point, convergence_study, twistor_rotate
 from .errors import QuiverLimError
 from .fixedpoints import (bb_expected_dimension, cstar_act, flow_limit,
                           weight_grading)
-from .invariants import (ESCAPE_GRID, enumerate_paths, escape_slope,
-                         fingerprint, fingerprint_labels, invariant_sizes,
-                         is_nilpotent, path_escape_exponent)
+from .invariants import (enumerate_paths, escape_slope, fingerprint,
+                         fingerprint_labels, invariant_sizes, is_nilpotent,
+                         path_escape_exponent)
 from .presets import resolve_quiver_spec
 from .quiver import expected_dimension, is_generic, require_nonempty
 from .repspace import (LieElement, central_deviation, dmu_complex, gauge_act,
@@ -114,6 +113,10 @@ class _Pipeline:
             return None
 
 
+def _unmet(name: str, what: str) -> SuiteResult:
+    return SuiteResult(name, False, np.inf, f"prerequisite failed: {what}")
+
+
 def _suite_genericity(pl: _Pipeline) -> SuiteResult:
     ok = is_generic(pl.central, pl.quiver, pl.dims)
     note = "" if ok else "central parameter lies on a wall"
@@ -159,8 +162,7 @@ def _suite_adjoint(pl: _Pipeline) -> SuiteResult:
 
 def _suite_solver(pl: _Pipeline) -> SuiteResult:
     if pl.sample is None:
-        return SuiteResult("solver_uniqueness", False, np.inf,
-                           "prerequisite failed: sampling")
+        return _unmet("solver_uniqueness", "sampling")
     # rescaling keeps the complex moment central while leaving the real level
     start = cstar_act(0.7, pl.sample.point)
     try:
@@ -177,8 +179,7 @@ def _suite_solver(pl: _Pipeline) -> SuiteResult:
 
 def _suite_twistor(pl: _Pipeline) -> SuiteResult:
     if pl.sample is None:
-        return SuiteResult("twistor_rotation", False, np.inf,
-                           "prerequisite failed: sampling")
+        return _unmet("twistor_rotation", "sampling")
     p = pl.sample.point
     mr, mc = moment_real(p), moment_complex(p)
     rng = make_rng(pl.cfg.seed + 3)
@@ -198,8 +199,7 @@ def _suite_twistor(pl: _Pipeline) -> SuiteResult:
 
 def _suite_flow(pl: _Pipeline) -> SuiteResult:
     if pl.sample is None:
-        return SuiteResult("fixed_point_flow", False, np.inf,
-                           "prerequisite failed: sampling")
+        return _unmet("fixed_point_flow", "sampling")
 
     def run():
         return flow_limit(pl.sample.point, pl.sigma, pl.cfg.max_len,
@@ -222,8 +222,7 @@ def _suite_flow(pl: _Pipeline) -> SuiteResult:
 
 def _suite_dimensions(pl: _Pipeline) -> SuiteResult:
     if pl.sample is None or pl.grading is None:
-        return SuiteResult("dimension_audit", False, np.inf,
-                           "prerequisite failed: sampling or grading")
+        return _unmet("dimension_audit", "sampling or grading")
     expected = expected_dimension(pl.quiver, pl.dims)
 
     def full():
@@ -251,8 +250,7 @@ def _suite_dimensions(pl: _Pipeline) -> SuiteResult:
 
 def _suite_isotropy(pl: _Pipeline) -> SuiteResult:
     if pl.bb_basis is None:
-        return SuiteResult("isotropy", False, np.inf,
-                           "prerequisite failed: attracting basis")
+        return _unmet("isotropy", "attracting basis")
     vecs = pl.bb_basis.vectors
     worst = 0.0
     for a in range(len(vecs)):
@@ -263,8 +261,7 @@ def _suite_isotropy(pl: _Pipeline) -> SuiteResult:
 
 def _suite_slice(pl: _Pipeline) -> SuiteResult:
     if pl.basis is None:
-        return SuiteResult("slice_correction", False, np.inf,
-                           "prerequisite failed: tangent basis")
+        return _unmet("slice_correction", "tangent basis")
     p = pl.sample.point
     if pl.basis.count() == 0:
         return SuiteResult("slice_correction", True, 0.0, "zero-dimensional slice")
@@ -291,8 +288,7 @@ def _suite_slice(pl: _Pipeline) -> SuiteResult:
 
 def _suite_bb_slice(pl: _Pipeline) -> SuiteResult:
     if pl.bb_basis is None or pl.grading is None:
-        return SuiteResult("attracting_slice", False, np.inf,
-                           "prerequisite failed: attracting basis")
+        return _unmet("attracting_slice", "attracting basis")
     if pl.bb_basis.count() == 0:
         return SuiteResult("attracting_slice", True, 0.0,
                            "zero-dimensional attracting slice")
@@ -323,8 +319,7 @@ def _suite_conformal(pl: _Pipeline) -> SuiteResult:
         return SuiteResult("conformal_convergence", True, 0.0,
                            "zero-dimensional attracting slice")
     if pl.A is None or pl.grading is None:
-        return SuiteResult("conformal_convergence", False, np.inf,
-                           "prerequisite failed: attracting slice")
+        return _unmet("conformal_convergence", "attracting slice")
     worst = 0.0
     notes = []
     passed = True
@@ -350,8 +345,7 @@ def _suite_conformal(pl: _Pipeline) -> SuiteResult:
 
 def _suite_invariance(pl: _Pipeline) -> SuiteResult:
     if pl.sample is None:
-        return SuiteResult("gauge_invariance", False, np.inf,
-                           "prerequisite failed: sampling")
+        return _unmet("gauge_invariance", "sampling")
     p = pl.sample.point
     rng = make_rng(pl.cfg.seed + 6)
     base = fingerprint(p, pl.cfg.max_len)
@@ -370,8 +364,7 @@ def _suite_escape(pl: _Pipeline) -> SuiteResult:
         return SuiteResult("escape_rates", True, 0.0,
                            "zero-dimensional attracting slice")
     if pl.A is None or pl.p0 is None:
-        return SuiteResult("escape_rates", False, np.inf,
-                           "prerequisite failed: attracting slice")
+        return _unmet("escape_rates", "attracting slice")
     if np.all(np.abs(pl.central.c_array()) == 0) \
             and not is_nilpotent(pl.p0):
         return SuiteResult("escape_rates", False, 1.0,
@@ -382,23 +375,23 @@ def _suite_escape(pl: _Pipeline) -> SuiteResult:
         paths = enumerate_paths(pl.quiver, pl.dims, pl.cfg.max_len, kind)
         sizes = invariant_sizes(at, pl.cfg.max_len, kind)
         candidates.extend(ps for ps, size in zip(paths, sizes)
-                          if path_escape_exponent(ps) >= 1
+                          if path_escape_exponent(ps, pl.quiver, pl.dims) >= 1
                           and size > ESCAPE_MIN_INVARIANT)
     if not candidates:
         return SuiteResult("escape_rates", True, 0.0,
                            "no non-vanishing escaping invariant at this point")
-    worst = 0.0
-    checked = 0
-    for ps in candidates[:3]:
-        try:
-            st = escape_slope(pl.p0, pl.A, ESCAPE_GRID, ps)
-        except QuiverLimError as exc:
-            return SuiteResult("escape_rates", False, np.inf,
-                               f"{ps}: {exc}")
-        worst = max(worst, abs(st.slope + st.expected_exponent))
-        checked += 1
-    return SuiteResult("escape_rates", worst <= ESCAPE_SLOPE_TOL, float(worst),
-                       f"checked {checked} paths")
+    try:
+        studies = escape_slope(pl.p0, pl.A, candidates)
+    except QuiverLimError as exc:
+        return SuiteResult("escape_rates", False, np.inf, str(exc))
+    failed = [st for st in studies if max(st.mismatch, st.outside) > IDENTITY_TOL]
+    note = f"checked {len(studies)} paths"
+    if failed:
+        note = (f"{len(failed)} of {len(studies)} paths fail; {failed[0].path}: "
+                f"coefficient mismatch {failed[0].mismatch:.3e}, "
+                f"outside the window {failed[0].outside:.3e}")
+    return SuiteResult("escape_rates", not failed,
+                       float(max(st.mismatch for st in studies)), note)
 
 
 def verify_run(cfg: RunConfig) -> tuple[VerifyReport, "_Pipeline"]:
@@ -465,15 +458,8 @@ def write_outputs(report: VerifyReport, pl: "_Pipeline", out_dir: str) -> None:
     if pl.p0 is not None:
         labels = fingerprint_labels(pl.quiver, pl.dims, pl.cfg.max_len)
         base = fingerprint(pl.p0, pl.cfg.max_len)
-        lim = None
-        if pl.A is not None:
-            try:
-                lim = fingerprint(
-                    conformal_limit(pl.p0, pl.A, pl.cfg.hbar_grid[0],
-                                    tol=pl.cfg.tol, grading=pl.grading).point,
-                    pl.cfg.max_len)
-            except QuiverLimError:
-                lim = None
+        # the first conformal study solved the limit at hbar_grid[0]
+        lim = pl.studies[0].limit_fingerprint if pl.studies else None
         for t, lab in enumerate(labels):
             row = [lab, float(base[t])]
             row.append(float(lim[t]) if lim is not None else "")

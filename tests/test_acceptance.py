@@ -171,8 +171,7 @@ def test_criterion_09_escape_rates():
     # one framing exit: first-order blow-up
     s = get_setup("tstar-p1")
     A = s.slice_point(seed=2300)
-    study = ql.escape_slope(s.p0, A, (0.04, 0.02, 0.01, 0.005),
-                            ql.PathSpec.parse("P:c0.j0"))
+    study, = ql.escape_slope(s.p0, A, [ql.PathSpec.parse("P:c0.j0")])
     dev = abs(study.slope + 1.0)
     worst = max(worst, dev)
     assert dev <= 0.2
@@ -180,10 +179,10 @@ def test_criterion_09_escape_rates():
     k = get_setup("kronecker2")
     Ak = k.slice_point(seed=2301)
     loops = [t for t in ql.enumerate_paths(k.quiver, k.dims, 4, "loop")
-             if ql.path_escape_exponent(t) == 2
+             if ql.path_escape_exponent(t, k.quiver, k.dims) == 2
              and ql.invariant_size(k.p0 + Ak, t) > 1e-6]
     assert loops, "need a loop with two reversed edges alive on the slice"
-    study2 = ql.escape_slope(k.p0, Ak, (0.04, 0.02, 0.01, 0.005), loops[0])
+    study2, = ql.escape_slope(k.p0, Ak, [loops[0]])
     dev2 = abs(study2.slope + 2.0)
     worst = max(worst, dev2)
     assert dev2 <= 0.2

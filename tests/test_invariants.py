@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import quiverlim as ql
-from quiverlim.config import TOL
+from quiverlim.config import IDENTITY_TOL, TOL
 from quiverlim.invariants import invariant_sizes
 from quiverlim.sampling import attracting_increment
 
@@ -125,24 +125,33 @@ def test_zero_invariant_guard(tstar):
     path = ql.PathSpec.parse("P:c0.j0")
     assert ql.invariant_size(p0, path) < 1e-14
     with pytest.raises(ql.ZeroInvariant):
-        ql.escape_slope(p0, ql.RepPoint.zeros(tstar.quiver, tstar.dims),
-                        (0.04, 0.02), path)
+        ql.escape_slope(p0, ql.RepPoint.zeros(tstar.quiver, tstar.dims), [path])
 
 
-def test_escape_exponent_counts_reversals_and_exits():
-    assert ql.path_escape_exponent(ql.PathSpec.parse("P:c0.j0")) == 1
-    assert ql.path_escape_exponent(ql.PathSpec.parse("L:h0.h1~")) == 1
-    assert ql.path_escape_exponent(ql.PathSpec.parse("L:h0.h0~.h1.h1~")) == 2
-    assert ql.path_escape_exponent(ql.PathSpec.parse("P:c0.h0.h0~.j0")) == 2
+def test_escape_exponent_counts_reversals_and_exits(kronecker):
+    def exponent(text):
+        return ql.path_escape_exponent(ql.PathSpec.parse(text),
+                                       kronecker.quiver, kronecker.dims)
+    assert exponent("P:c0.j0") == 1
+    assert exponent("L:h0.h1~") == 1
+    assert exponent("L:h0.h0~.h1.h1~") == 2
+    assert exponent("P:c0.h0.h0~.j0") == 2
+
+
+def test_escape_exponent_refuses_unknown_tokens(tstar):
+    # tstar-p1 has no edges and no vertex named x
+    with pytest.raises(ValueError, match="unknown path token"):
+        ql.path_escape_exponent(ql.PathSpec.parse("P:jx.h9~"),
+                                tstar.quiver, tstar.dims)
 
 
 def test_escape_slope_on_smallest_example(tstar):
     A = tstar.slice_point(seed=47)
-    study = ql.escape_slope(tstar.p0, A, (0.04, 0.02, 0.01, 0.005),
-                            ql.PathSpec.parse("P:c0.j0"))
+    study, = ql.escape_slope(tstar.p0, A, [ql.PathSpec.parse("P:c0.j0")])
     assert study.expected_exponent == 1
     assert abs(study.slope + 1.0) < 0.2
-    assert study.used == 4
+    assert study.slope == -1
+    assert study.mismatch <= IDENTITY_TOL
 
 
 def test_escape_profile_monotone(tstar):

@@ -72,6 +72,19 @@ def test_outputs_are_reproducible(tmp_path, quiver):
         assert a == b, name
 
 
+# one seed per committed quiver on which the former log-log fit of the
+# escape rates failed; every suite must pass on each
+@pytest.mark.parametrize("quiver, seed", [
+    ("tstar-p1", 7), ("a2-star", 7), ("kronecker2", 4), ("a3-star", 4),
+    ("bench/quivers/a3_chain.json", 0), ("bench/quivers/d4_star.json", 0)])
+def test_every_suite_passes_on_committed_quivers(quiver, seed):
+    spec = str(ROOT / quiver) if quiver.endswith(".json") else quiver
+    report, _ = ql.verify_run(ql.RunConfig(quiver_file=spec, seed=seed))
+    assert [s.name for s in report.suites] == EXPECTED_SUITES
+    failed = {s.name: s.note for s in report.suites if not s.passed}
+    assert not failed
+
+
 def test_wall_quiver_fails_genericity_only():
     report, pipeline = ql.verify_run(ql.RunConfig(quiver_file="a2-wall", seed=0))
     assert not report.all_passed
