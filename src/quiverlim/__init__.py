@@ -35,7 +35,7 @@ from .repspace import (GaugeElement, LieElement, RepPoint, central_deviation,
                        moment_complex, moment_real, rep_dim, symplectic_form,
                        zeta_real_lie)
 from .sampling import SampleReport, make_rng, random_rep, project_complex_level, \
-    sample_on_variety
+    sample_on_variety, seeded_increment
 from .slices import (SliceBasis, bb_slice_solve, bb_tangent_basis,
                      moment_correction, positive_weight_project, slice_solve,
                      tangent_basis)

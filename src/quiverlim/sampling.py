@@ -94,19 +94,33 @@ def sample_on_variety(quiver: Quiver, dims: DimensionVectors,
         f"no variety point after {SAMPLE_RESTARTS} restarts (last error: {last})")
 
 
+def seeded_increment(basis: SliceBasis, seed: int, scale: float) -> RepPoint:
+    """A seeded gaussian increment in the span of an orthonormal slice basis.
+
+    Every flat coordinate draws scale * (x + iy) with x, y standard normal,
+    and the draw is projected orthogonally onto the span.  Its coordinates
+    in the basis are then independent with that same law, but the increment
+    depends only on the span, not on which orthonormal basis of it the SVD
+    returned.
+    """
+    p = basis.base_point
+    n = rep_dim(p.quiver, p.dims)
+    rng = make_rng(seed)
+    flat = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    vecs = np.array([v.flatten() for v in basis.vectors], dtype=complex).reshape(-1, n)
+    return RepPoint.from_flat(p.quiver, p.dims, vecs.T @ (vecs.conj() @ flat))
+
+
 def attracting_increment(basis: SliceBasis, grading: WeightGrading, seed: int,
                          tol: float) -> RepPoint:
     """The seeded attracting-slice increment A at the fixed point basis.base_point.
 
-    A gaussian combination (seed + 5, scale 0.3) of the attracting tangent
-    basis, corrected onto the attracting slice; zero when the slice is
-    zero-dimensional.  verify and the CLI both draw A here, so they study the
-    same conformal limit.
+    seeded_increment(basis, seed + 5, 0.3) corrected onto the attracting
+    slice; zero when the slice is zero-dimensional.  verify and the CLI both
+    draw A here, so they study the same conformal limit.
     """
     p0 = basis.base_point
-    n = basis.count()
-    if n == 0:
+    if basis.count() == 0:
         return RepPoint.zeros(p0.quiver, p0.dims)
-    rng = make_rng(seed + 5)
-    coeffs = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return bb_slice_solve(p0, basis.combine(coeffs), grading, tol=tol)
+    return bb_slice_solve(p0, seeded_increment(basis, seed + 5, 0.3), grading,
+                          tol=tol)

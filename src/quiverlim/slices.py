@@ -62,12 +62,6 @@ class SliceBasis:
     def real_dimension(self) -> int:
         return 2 * len(self.vectors)
 
-    def combine(self, coeffs) -> RepPoint:
-        out = RepPoint.zeros(self.base_point.quiver, self.base_point.dims)
-        for c, vec in zip(coeffs, self.vectors):
-            out = out + complex(c) * vec
-        return out
-
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,

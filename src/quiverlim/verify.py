@@ -35,7 +35,7 @@ from .repspace import (LieElement, central_deviation, dmu_complex, gauge_act,
                        lie_exp, lie_inner, metric, moment_complex, moment_real,
                        symplectic_form)
 from .sampling import (attracting_increment, make_rng, random_rep,
-                       sample_on_variety)
+                       sample_on_variety, seeded_increment)
 from .slices import (bb_tangent_basis, moment_correction, slice_solve,
                      tangent_basis)
 from .solver import solve_real_moment
@@ -265,10 +265,7 @@ def _suite_slice(pl: _Pipeline) -> SuiteResult:
     p = pl.sample.point
     if pl.basis.count() == 0:
         return SuiteResult("slice_correction", True, 0.0, "zero-dimensional slice")
-    rng = make_rng(pl.cfg.seed + 4)
-    coeffs = 0.05 * (rng.standard_normal(pl.basis.count())
-                     + 1j * rng.standard_normal(pl.basis.count()))
-    q0 = pl.basis.combine(coeffs)
+    q0 = seeded_increment(pl.basis, pl.cfg.seed + 4, 0.05)
     try:
         q = slice_solve(p, q0, tol=pl.cfg.tol)
     except QuiverLimError as exc:

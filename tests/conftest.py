@@ -22,10 +22,8 @@ class Setup:
         self.full_basis = ql.tangent_basis(self.p0)
 
     def slice_point(self, seed: int = 11, scale: float = 0.3) -> ql.RepPoint:
-        rng = ql.make_rng(seed)
-        n = self.basis.count()
-        coeffs = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        return ql.bb_slice_solve(self.p0, self.basis.combine(coeffs), self.grading)
+        return ql.bb_slice_solve(self.p0, ql.seeded_increment(self.basis, seed, scale),
+                                 self.grading)
 
 
 _CACHE: dict[str, Setup] = {}

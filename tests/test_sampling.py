@@ -89,3 +89,23 @@ def test_d4_star_samples_land_on_their_level():
         res = ql.hermitian_residual(p, central.sigma_array()).norm()
         assert rep.solve.converged
         assert res <= 10 * tol * max(1.0, p.norm() ** 2), (seed, res)
+
+
+@pytest.mark.parametrize("name", ["a3-star", "kronecker2"])
+def test_attracting_increment_ignores_basis_choice(name):
+    # the SVD may return any orthonormal basis of the attracting tangent
+    # space; mixing its vectors by a unitary must leave A unchanged
+    pre = ql.get_preset(name)
+    p0 = pre.fixed_point()
+    grading = ql.weight_grading(p0)
+    basis = ql.bb_tangent_basis(p0, grading)
+    n = basis.count()
+    rng = ql.make_rng(91)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    mixed = ql.SliceBasis(base_point=p0, kind=basis.kind, vectors=[
+        sum((u[k, t] * basis.vectors[k] for k in range(1, n)), u[0, t] * basis.vectors[0])
+        for t in range(n)])
+    for seed in range(3):
+        a = ql.sampling.attracting_increment(basis, grading, seed, 1e-10)
+        b = ql.sampling.attracting_increment(mixed, grading, seed, 1e-10)
+        assert (a - b).norm() < 1e-10 * max(1.0, a.norm()), seed

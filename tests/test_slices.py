@@ -78,10 +78,7 @@ def test_moment_correction_is_linear(a3star, a3star_sample):
 def test_slice_solve_chart_conditions(a3star, a3star_sample):
     p = a3star_sample.point
     basis = ql.tangent_basis(p)
-    rng = ql.make_rng(52)
-    coeffs = 0.1 * (rng.standard_normal(basis.count())
-                    + 1j * rng.standard_normal(basis.count()))
-    q0 = basis.combine(coeffs)
+    q0 = ql.seeded_increment(basis, 52, 0.1)
     q = ql.slice_solve(p, q0)
     # on the level set, orthogonal to the orbit
     c_level = ql.moment_complex(p)
@@ -103,7 +100,7 @@ def test_slice_solve_far_start(a3star, a3star_sample):
     # far starts either land on the slice or raise the documented errors
     p = a3star_sample.point
     basis = ql.tangent_basis(p)
-    huge = basis.combine([50.0] * basis.count())
+    huge = 50.0 * sum(basis.vectors[1:], basis.vectors[0])
     try:
         q = ql.slice_solve(p, huge)
     except (ql.LeftBasin, ql.MaxIterations):
@@ -126,10 +123,7 @@ def test_bb_slice_solve_conditions(a3star):
 def test_bb_slice_solve_global_reach(a3star):
     # starts far outside the local basin still land on the slice
     p0, grading, basis = a3star.p0, a3star.grading, a3star.basis
-    rng = ql.make_rng(54)
-    n = basis.count()
-    coeffs = 2.0 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    q0 = basis.combine(coeffs)
+    q0 = ql.seeded_increment(basis, 54, 2.0)
     assert q0.norm() > 1.0
     A = ql.bb_slice_solve(p0, q0, grading)
     assert (ql.moment_complex(p0 + A) - ql.moment_complex(p0)).norm() < 1e-9
@@ -139,9 +133,7 @@ def test_bb_slice_solve_global_reach(a3star):
 def test_bb_slice_solve_equivariance(a3star):
     # solving a rescaled seed equals rescaling the solution
     p0, grading, basis = a3star.p0, a3star.grading, a3star.basis
-    rng = ql.make_rng(55)
-    n = basis.count()
-    q0 = basis.combine(0.25 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+    q0 = ql.seeded_increment(basis, 55, 0.25)
     A = ql.bb_slice_solve(p0, q0, grading)
     for R in (0.5, 2.0):
         lhs = ql.bb_slice_solve(p0, grading.act(R, q0), grading)
