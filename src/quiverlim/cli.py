@@ -60,11 +60,11 @@ def _derive_setup(args, quiver, dims, central, preset):
     the seeded sample."""
     if preset is not None and preset.fixed_matrices is not None:
         p0 = preset.fixed_point()
+        grading = weight_grading(p0)
     else:
         smp = sample_on_variety(quiver, dims, central, seed=args.seed, tol=args.tol)
-        p0 = flow_limit(smp.point, central.sigma_array(), args.max_len,
-                        solve_tol=args.tol).limit
-    grading = weight_grading(p0)
+        flow = flow_limit(smp.point, central.sigma_array(), solve_tol=args.tol)
+        p0, grading = flow.limit, flow.grading
     A = attracting_increment(bb_tangent_basis(p0, grading), grading,
                              args.seed, args.tol)
     return p0, grading, A
@@ -114,11 +114,10 @@ def _cmd_sample(args) -> int:
 def _cmd_flow(args) -> int:
     quiver, dims, central, _ = _load(args)
     rep = sample_on_variety(quiver, dims, central, seed=args.seed, tol=args.tol)
-    flow = flow_limit(rep.point, central.sigma_array(), args.max_len,
-                      solve_tol=args.tol)
+    flow = flow_limit(rep.point, central.sigma_array(), solve_tol=args.tol)
     print(f"settled at R={flow.R_final:g} after {len(flow.rows)} steps")
     print(f"fixed-point residual: {flow.fixed_report.residual:.3e}")
-    print("R, shrinking-slot energy, fingerprint step:")
+    print("R, shrinking-slot energy, fixed-point residual:")
     for r, e, d in flow.rows:
         print(f"  {r:.6g}  {e:.6e}  {d:.3e}")
     _write_json(args.out, "flow.json", {

@@ -36,12 +36,11 @@ LEVEL_TOL = 1e-12          # complex-level projection of a sample
 TANGENT_TOL = 1e-10        # slice tangent vectors against their conditions
 WALL_TOL = 1e-12           # an inexact parameter this close to a wall is on it
 # [1] central complex level, slice equations and tangency of an increment,
-#     weight-block confinement, a grading's base point, the fixed-point test,
-#     nilpotency; the sampling, solver_uniqueness, slice_correction and
-#     attracting_slice verdicts.
+#     weight-block confinement, a grading's base point, the fixed-point test
+#     (which also ends the scaling flow), nilpotency; the sampling,
+#     solver_uniqueness, slice_correction and attracting_slice verdicts.
 # [2] the point rebuilt from the polar factor (and the sampling verdict) over
-#     tol, the finite-angle crosscheck over the fixed-point residual, the
-#     flow's fixed-point test over FLOW_TOL.
+#     tol, the finite-angle crosscheck over the fixed-point residual.
 
 # rank and conditioning
 EIG_FLOOR_RATIO = 1e-10    # Newton matrix 2 A^T A singular below this eigen-ratio
@@ -59,10 +58,10 @@ MAX_SLICE_ITER = 50        # cap of a slice correction or level projection
 SAMPLE_RESTARTS = 10       # fresh gaussian draws per sample
 BASIN_NORM = 1.0           # larger attracting increments are shrunk before solving
 
-# scaling flow: R runs through FLOW_RATIO^t, t = 1..FLOW_STEPS
+# scaling flow: R runs through FLOW_RATIO^t, t = 1..FLOW_STEPS, until the
+# iterate passes the fixed-point test at CHECK_TOL
 FLOW_RATIO = 0.5
 FLOW_STEPS = 40
-FLOW_TOL = 1e-9            # the flow stops once fingerprints move less than this
 ENERGY_SLACK = 1e-9        # round-off rise allowed in the shrinking-slot energy
 
 # path invariants

@@ -17,11 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import (CHECK_TOL, ENERGY_SLACK, FLOOR, FLOW_RATIO, FLOW_STEPS,
-                     FLOW_TOL, INT_WEIGHT_TOL, SLACK, STABILITY_RATIO, TOL,
-                     moment_scale)
+                     INT_WEIGHT_TOL, SLACK, STABILITY_RATIO, TOL, moment_scale)
 from .errors import (GradingViolation, NoConvergence, NonIntegerWeights,
-                     NotFixed, NotInjective, NotOnVariety, QuiverLimError)
-from .invariants import fingerprint, nilpotency_bound
+                     NotFixed, NotInjective, NotOnVariety)
 from .quiver import DimensionVectors, Quiver
 from .repspace import (GaugeElement, LieElement, RepPoint, central_deviation,
                        conjugate_slots, gauge_act, layout, lie_exp,
@@ -189,14 +187,16 @@ def grade_increment(q: RepPoint, grading: WeightGrading) -> dict[int, RepPoint]:
     return {int(w): grading.project(q, wts == w) for w in np.unique(wts)}
 
 
-def weight_grading(p: RepPoint) -> WeightGrading:
+def weight_grading(p: RepPoint, rep: FixedPointReport | None = None) -> WeightGrading:
     """Diagonalize the compensating generator of a fixed point.
 
-    Raises NotFixed when the point is not fixed, NotInjective when the
-    complexified gauge action has kernel, NonIntegerWeights when an
-    eigenvalue strays from the integers.
+    rep is is_fixed_point(p), when the caller has already run it.  Raises
+    NotFixed when the point is not fixed, NotInjective when the complexified
+    gauge action has kernel, NonIntegerWeights when an eigenvalue strays
+    from the integers.
     """
-    rep = is_fixed_point(p, tol=CHECK_TOL)
+    if rep is None:
+        rep = is_fixed_point(p)
     if not rep.fixed:
         raise NotFixed(f"point is not a scaling fixed point "
                        f"(residual {rep.residual:.3e} > {rep.tol_used:.3e})")
@@ -275,67 +275,50 @@ class FlowReport:
     R_final: float
     rows: list[tuple[float, float, float]]
     fixed_report: FixedPointReport
+    grading: WeightGrading
 
 
 def default_schedule() -> tuple[float, ...]:
     return tuple(FLOW_RATIO ** t for t in range(1, FLOW_STEPS + 1))
 
 
-def flow_limit(p: RepPoint, sigma, max_len: int,
-               solve_tol: float = TOL) -> FlowReport:
+def flow_limit(p: RepPoint, sigma, solve_tol: float = TOL) -> FlowReport:
     """Follow the scaling action towards R -> 0 along default_schedule().
 
     At each R the original point is rescaled and re-solved onto the real
-    moment level; the walk stops once consecutive invariant fingerprints
-    (paths up to max_len tokens, capped at the nilpotency bound) are Cauchy
-    (distance <= FLOW_TOL) and the point passes the fixed-point test.  The
-    energy of the shrinking slots must decrease monotonically along the way.
-    rows: (R, shrinking-slot energy, fingerprint step distance).
+    moment level.  The walk ends at the first iterate that passes the
+    fixed-point test.  That iterate still carries O(R) dirt in its shrinking
+    slots; its weight-0 part (grade_increment) drops the dirt exactly, and
+    weight_grading certifies the result as the limit.  The energy of the
+    shrinking slots must decrease monotonically along the way.
+    rows: (R, shrinking-slot energy, fixed-point residual).
     """
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
-    max_len = min(max_len, nilpotency_bound(p.dims))
-    fixed_tol = SLACK * max(FLOW_TOL, solve_tol)
-
-    q_prev = solve_real_moment(p, sigma, tol=solve_tol).point
-    fp_prev = fingerprint(q_prev, max_len)
-    energy = scaling_energy(q_prev)
+    q = solve_real_moment(p, sigma, tol=solve_tol).point
+    energy = scaling_energy(q)
     rows: list[tuple[float, float, float]] = []
     R_prev = 1.0
     for R in default_schedule():
         # rescaling the previous representative by the bounded ratio reaches
         # the same orbit point as rescaling the original by R, with uniformly
         # bounded gauge travel per step
-        q_next = solve_real_moment(cstar_act(R / R_prev, q_prev), sigma,
-                                   tol=solve_tol).point
+        q = solve_real_moment(cstar_act(R / R_prev, q), sigma,
+                              tol=solve_tol).point
         R_prev = R
-        e_next = scaling_energy(q_next)
-        fp_next = fingerprint(q_next, max_len)
-        dist = float(np.linalg.norm(fp_prev - fp_next))
-        rows.append((R, e_next, dist))
+        e_next = scaling_energy(q)
+        rep = is_fixed_point(q)
+        rows.append((R, e_next, rep.residual))
         if e_next > energy + ENERGY_SLACK * max(1.0, energy):
             raise NoConvergence(
                 f"shrinking-slot energy rose from {energy:.6e} to {e_next:.6e} "
                 f"at R={R:g}; the flow is not descending")
         energy = e_next
-        q_prev, fp_prev = q_next, fp_next
-        if dist <= FLOW_TOL:
-            rep = is_fixed_point(q_next, tol=fixed_tol)
-            if rep.fixed:
-                # the limit carries O(R_final) dirt in its shrinking slots;
-                # keeping the zero-weight component removes it exactly
-                try:
-                    grading = weight_grading(q_next)
-                    parts = grade_increment(q_next, grading)
-                    polished = parts.get(0, RepPoint.zeros(p.quiver, p.dims))
-                    rep2 = is_fixed_point(polished, tol=fixed_tol)
-                    if rep2.fixed:
-                        return FlowReport(limit=polished, R_final=R, rows=rows,
-                                          fixed_report=rep2)
-                except QuiverLimError:
-                    pass
-                return FlowReport(limit=q_next, R_final=R, rows=rows,
-                                  fixed_report=rep)
+        if rep.fixed:
+            parts = grade_increment(q, weight_grading(q, rep))
+            limit = parts.get(0, RepPoint.zeros(p.quiver, p.dims))
+            fixed = is_fixed_point(limit)
+            return FlowReport(limit=limit, R_final=R, rows=rows,
+                              fixed_report=fixed,
+                              grading=weight_grading(limit, fixed))
     raise NoConvergence(
         f"scaling flow did not settle along the schedule "
-        f"(last fingerprint step {rows[-1][2]:.3e})")
+        f"(last fixed-point residual {rows[-1][2]:.3e})")

@@ -23,8 +23,7 @@ from .config import (CHECK_TOL, CONFORMAL_SLOPE_RANGE, ESCAPE_MIN_INVARIANT,
                      moment_scale)
 from .conformal import conformal_point, convergence_study, twistor_rotate
 from .errors import QuiverLimError
-from .fixedpoints import (bb_expected_dimension, cstar_act, flow_limit,
-                          weight_grading)
+from .fixedpoints import bb_expected_dimension, cstar_act, flow_limit
 from .invariants import (enumerate_paths, escape_slope, fingerprint,
                          fingerprint_labels, invariant_sizes, is_nilpotent,
                          path_escape_exponent)
@@ -202,19 +201,11 @@ def _suite_flow(pl: _Pipeline) -> SuiteResult:
         return _unmet("fixed_point_flow", "sampling")
 
     def run():
-        return flow_limit(pl.sample.point, pl.sigma, pl.cfg.max_len,
-                          solve_tol=pl.cfg.tol)
+        return flow_limit(pl.sample.point, pl.sigma, solve_tol=pl.cfg.tol)
     pl.flow = pl.stage("flow", run)
     if pl.flow is None:
         return SuiteResult("fixed_point_flow", False, np.inf, pl.failures["flow"])
-    pl.p0 = pl.flow.limit
-
-    def grade():
-        return weight_grading(pl.p0)
-    pl.grading = pl.stage("grading", grade)
-    if pl.grading is None:
-        return SuiteResult("fixed_point_flow", False, np.inf,
-                           pl.failures["grading"])
+    pl.p0, pl.grading = pl.flow.limit, pl.flow.grading
     worst = float(pl.flow.fixed_report.residual)
     return SuiteResult("fixed_point_flow", True, worst,
                        f"settled at R={pl.flow.R_final:g}")
@@ -436,7 +427,7 @@ def write_outputs(report: VerifyReport, pl: "_Pipeline", out_dir: str) -> None:
     if pl.flow is not None:
         flow_rows = [[float(r), float(e), float(d)] for r, e, d in pl.flow.rows]
     _write_csv(os.path.join(out_dir, "flow_trace.csv"),
-               ["R", "shrinking_energy", "fingerprint_step"], flow_rows)
+               ["R", "shrinking_energy", "fixed_point_residual"], flow_rows)
 
     conv_rows = []
     for st in pl.studies:

@@ -124,6 +124,37 @@ def fingerprint_distance(p, q, max_len):
     return float(np.linalg.norm(ql.fingerprint(p, max_len) - ql.fingerprint(q, max_len)))
 
 
+def word_grams(p, depth=3):
+    """Per vertex k, the Gram matrix of the vectors of V_k reached from the
+    columns of every i_m and j_m^dag by words of length <= depth in the B_h
+    and B_h^dag, listed in a fixed order.  A unitary gauge transformation
+    moves every such vector by its vertex's block, so the Gram matrices are
+    unchanged; on a stable point the vectors span each V_k, so equal Gram
+    matrices mean equal points up to unitary gauge."""
+    q = p.quiver
+    layer = [(k, col) for k in range(q.n) for m in (p.i[k], p.j[k].conj().T)
+             for col in m.T]
+    found = list(layer)
+    for _ in range(depth):
+        layer = [(end, mat @ vec) for k, vec in layer for h in range(q.num_h)
+                 for start, end, mat in ((q.h_out(h), q.h_in(h), p.B[h]),
+                                         (q.h_in(h), q.h_out(h), p.B[h].conj().T))
+                 if start == k]
+        found += layer
+    grams = []
+    for k in range(q.n):
+        vecs = np.array([v for m, v in found if m == k]).reshape(-1, p.dims.v[k])
+        grams.append(vecs.conj() @ vecs.T)
+    return grams
+
+
+def gauge_distance(p, q, depth=3):
+    """Largest entry of the difference of word_grams(p) and word_grams(q)."""
+    return max((float(np.abs(a - b).max(initial=0.0))
+                for a, b in zip(word_grams(p, depth), word_grams(q, depth))),
+               default=0.0)
+
+
 def _pairs_matrix(rows, shape):
     m = np.zeros(shape, dtype=complex)
     for r, row in enumerate(rows):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import quiverlim as ql
+from conftest import gauge_distance
+from quiverlim.config import CHECK_TOL
 
 # hand-counted from the weights: entries of the dimension audit per preset,
 # (rep slots of weight >= 1, gauge weight >= 1, gauge weight >= 0, half count)
@@ -104,8 +106,7 @@ def test_default_schedule_decreases():
 
 
 def test_flow_limit_reaches_fixed_point(a3star, a3star_sample):
-    flow = ql.flow_limit(a3star_sample.point, a3star.central.sigma_array(),
-                         ql.nilpotency_bound(a3star.dims))
+    flow = ql.flow_limit(a3star_sample.point, a3star.central.sigma_array())
     assert flow.fixed_report.fixed
     assert flow.fixed_report.stable
     # the limit sits on the real level at the same sigma
@@ -113,14 +114,18 @@ def test_flow_limit_reaches_fixed_point(a3star, a3star_sample):
                                  a3star.central.sigma_array()).norm() < 1e-8
     rows = flow.rows
     assert rows[-1][0] == flow.R_final
-    # fingerprint steps settle
-    assert rows[-1][2] < 1e-9
+    # the walk ends at the first iterate that passes the fixed-point test;
+    # its residual shrinks with R, so the previous iterate was still above
+    scale = CHECK_TOL * max(1.0, flow.limit.norm())
+    assert rows[-1][2] <= scale < rows[-2][2]
+    # the grading that certified the limit comes with it
+    assert flow.grading.base_point is flow.limit
+    assert flow.fixed_report.residual <= flow.fixed_report.tol_used
 
 
 def test_flow_limit_weights_match_preset(a3star, a3star_sample):
     # the generic orbit flows to the distinguished fixed point of the preset
-    flow = ql.flow_limit(a3star_sample.point, a3star.central.sigma_array(),
-                         ql.nilpotency_bound(a3star.dims))
+    flow = ql.flow_limit(a3star_sample.point, a3star.central.sigma_array())
     grading = ql.weight_grading(flow.limit)
     got = tuple(tuple(int(x) for x in wk) for wk in grading.weights)
     want = tuple(tuple(w) for w in ql.get_preset("a3-star").weights)
@@ -129,8 +134,7 @@ def test_flow_limit_weights_match_preset(a3star, a3star_sample):
 
 def test_flow_limit_is_clean(tstar, tstar_sample):
     # the returned limit carries no leftover weight in its shrinking slots
-    flow = ql.flow_limit(tstar_sample.point, tstar.central.sigma_array(),
-                         ql.nilpotency_bound(tstar.dims))
+    flow = ql.flow_limit(tstar_sample.point, tstar.central.sigma_array())
     grading = ql.weight_grading(flow.limit)
     parts = ql.grade_increment(flow.limit, grading)
     for m, part in parts.items():
@@ -143,3 +147,27 @@ def test_power_gauge_condition(a3star):
     # diagonal with entries R^w: condition number is R^{-spread}
     spread = a3star.grading.max_end_weight()
     assert abs(g.cond() - 2.0 ** spread) < 1e-10
+
+
+def _walked_limit(p, sigma):
+    """The whole default_schedule() walked without a stopping rule (R down
+    to 2^-40), then polished to its weight-0 part."""
+    q = ql.solve_real_moment(p, sigma).point
+    R_prev = 1.0
+    for R in ql.default_schedule():
+        q = ql.solve_real_moment(ql.cstar_act(R / R_prev, q), sigma).point
+        R_prev = R
+    return ql.grade_increment(q, ql.weight_grading(q))[0]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_flow_limit_matches_the_full_walk(a3star, seed):
+    # stopping at the first fixed iterate lands on the limit of this orbit,
+    # not on some other fixed point nearby
+    sigma = a3star.central.sigma_array()
+    smp = ql.sample_on_variety(a3star.quiver, a3star.dims, a3star.central,
+                               seed=seed)
+    assert len(ql.default_schedule()) >= 40
+    flow = ql.flow_limit(smp.point, sigma)
+    ref = _walked_limit(smp.point, sigma)
+    assert gauge_distance(flow.limit, ref) <= 1e-12

@@ -167,7 +167,7 @@ def _bench_point_pair(name):
     quiver, dims, central, _ = ql.resolve_quiver_spec(
         str(ROOT / "bench" / "quivers" / f"{name}.json"))
     smp = ql.sample_on_variety(quiver, dims, central, seed=0)
-    p0 = ql.flow_limit(smp.point, central.sigma_array(), 4).limit
+    p0 = ql.flow_limit(smp.point, central.sigma_array()).limit
     grading = ql.weight_grading(p0)
     A = attracting_increment(ql.bb_tangent_basis(p0, grading), grading, 0, TOL)
     return p0, A
