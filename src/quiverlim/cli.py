@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .config import ZERO_INVARIANT_TOL, RunConfig
+from .config import IDENTITY_TOL, ZERO_INVARIANT_TOL, RunConfig
 from .conformal import conformal_limit, convergence_study
 from .errors import QuiverLimError
 from .fixedpoints import (bb_expected_dimension, flow_limit, is_fixed_point,
@@ -231,11 +231,13 @@ def _cmd_escape(args) -> int:
     print(f"Laurent coefficients, relative to the largest sampled entry: "
           f"mismatch at p0 + A {st.mismatch:.3e}, "
           f"largest outside the window {st.outside:.3e}")
+    print(f"{'PASS' if st.passed else 'FAIL'} (bound {IDENTITY_TOL:.0e})")
     _write_json(args.out, "escape.json", {
         "path": str(path), "expected_exponent": st.expected_exponent,
         "slope": st.slope, "mismatch": st.mismatch, "outside": st.outside,
+        "passed": st.passed,
     })
-    return 0
+    return 0 if st.passed else 1
 
 
 def _cmd_verify(args) -> int:

@@ -263,13 +263,18 @@ class EscapeStudy:
     coefficient exceeds IDENTITY_TOL, mismatch the distance of the hbar^-e
     coefficient from the invariant at p0 + A, and outside the largest
     coefficient outside hbar^-e .. hbar^(len - e), all relative to the
-    largest sampled entry."""
+    largest sampled entry.  The path passes when both are within
+    IDENTITY_TOL."""
 
     path: PathSpec
     expected_exponent: int
     slope: float
     mismatch: float
     outside: float
+
+    @property
+    def passed(self) -> bool:
+        return max(self.mismatch, self.outside) <= IDENTITY_TOL
 
 
 def escape_slope(p0: RepPoint, A: RepPoint, paths) -> list[EscapeStudy]:

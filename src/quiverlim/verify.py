@@ -372,7 +372,7 @@ def _suite_escape(pl: _Pipeline) -> SuiteResult:
         studies = escape_slope(pl.p0, pl.A, candidates)
     except QuiverLimError as exc:
         return SuiteResult("escape_rates", False, np.inf, str(exc))
-    failed = [st for st in studies if max(st.mismatch, st.outside) > IDENTITY_TOL]
+    failed = [st for st in studies if not st.passed]
     note = f"checked {len(studies)} paths"
     if failed:
         note = (f"{len(failed)} of {len(studies)} paths fail; {failed[0].path}: "

@@ -98,6 +98,26 @@ def test_escape(capsys, tmp_path):
     assert abs(data["slope"] + 1.0) < 0.2
     assert data["expected_exponent"] == 1
     assert data["mismatch"] <= IDENTITY_TOL and data["outside"] <= IDENTITY_TOL
+    assert data["passed"] is True
+    assert "PASS" in out
+
+
+def test_escape_fails_on_a_wrong_family(capsys, monkeypatch, tmp_path):
+    # a family that divides its degree-1 slots by hbar twice blows up one
+    # order too fast; escape must say FAIL and exit 1
+    family = ql.conformal.conformal_slots
+
+    def wrong(p0, A, hbar):
+        degree = ql.repspace.layout(p0.quiver, p0.dims).degree
+        return [m / hbar if d else m for m, d in zip(family(p0, A, hbar), degree)]
+    monkeypatch.setattr(ql.conformal, "conformal_slots", wrong)
+    code, out, err = run(capsys, "escape", "kronecker2", "--path", "L:h0.h0~",
+                         "--out", str(tmp_path))
+    assert code == 1
+    assert "FAIL" in out
+    data = json.loads((tmp_path / "escape.json").read_text())
+    assert data["passed"] is False
+    assert data["mismatch"] > IDENTITY_TOL
 
 
 @pytest.mark.parametrize("path", ["Q:zz", "P:c5.j5", "L:h3.h3~", "P:c-1.j-1"])
