@@ -102,9 +102,9 @@ def test_attracting_increment_ignores_basis_choice(name):
     n = basis.count()
     rng = ql.make_rng(91)
     u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    cols = np.stack([v.flatten() for v in basis.vectors], axis=1) @ u
     mixed = ql.SliceBasis(base_point=p0, kind=basis.kind, vectors=[
-        sum((u[k, t] * basis.vectors[k] for k in range(1, n)), u[0, t] * basis.vectors[0])
-        for t in range(n)])
+        ql.RepPoint.from_flat(p0.quiver, p0.dims, c) for c in cols.T])
     for seed in range(3):
         a = ql.sampling.attracting_increment(basis, grading, seed, 1e-10)
         b = ql.sampling.attracting_increment(mixed, grading, seed, 1e-10)
