@@ -10,11 +10,11 @@ from .config import RunConfig
 from .conformal import (ConformalFamilySample, ConvergenceReport,
                         conformal_family_sample, conformal_limit,
                         conformal_point, convergence_study, twistor_rotate)
-from .errors import (DegenerateFit, DimensionMismatch, EmptyVariety,
-                     GradingViolation, IllConditioned, LeftBasin,
-                     MaxIterations, NoConvergence, NonIntegerWeights, NotFixed,
-                     NotInjective, NotOnSlice, NotOnVariety, OnWall,
-                     QuiverLimError, SamplingFailed, ZeroInvariant)
+from .errors import (DimensionMismatch, EmptyVariety, GradingViolation,
+                     IllConditioned, LeftBasin, MaxIterations, NoConvergence,
+                     NonIntegerWeights, NotFixed, NotInjective, NotOnSlice,
+                     NotOnVariety, OnWall, QuiverLimError, SamplingFailed,
+                     ZeroInvariant)
 from .fixedpoints import (FixedPointReport, FlowReport, WeightGrading,
                           bb_expected_dimension, cstar_act, default_schedule,
                           flow_limit, grade_increment, is_fixed_point,

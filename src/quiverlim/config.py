@@ -12,7 +12,9 @@ import json
 from dataclasses import dataclass, fields
 
 
-def _check_grid(name: str, grid) -> tuple[float, ...]:
+def check_grid(name: str, grid) -> tuple[float, ...]:
+    """grid as floats; ValueError unless it is nonempty, positive and
+    strictly decreasing."""
     vals = tuple(float(x) for x in grid)
     if not vals:
         raise ValueError(f"{name} must not be empty")
@@ -101,11 +103,15 @@ class RunConfig:
             raise ValueError("seed must be a nonnegative integer")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.tol > CHECK_TOL:
+            # the checks hold tol-accurate data to CHECK_TOL; a looser tol
+            # fails them through the solver's own slack
+            raise ValueError(f"tol must be at most CHECK_TOL = {CHECK_TOL:g}")
         if self.max_len < 1:
             raise ValueError("max_len must be at least 1")
-        object.__setattr__(self, "r_grid", _check_grid("r_grid", self.r_grid))
+        object.__setattr__(self, "r_grid", check_grid("r_grid", self.r_grid))
         object.__setattr__(self, "hbar_grid",
-                           _check_grid("hbar_grid", self.hbar_grid))
+                           check_grid("hbar_grid", self.hbar_grid))
 
     def to_dict(self) -> dict:
         return {

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import CHECK_TOL, FLOOR, STAGE_SLACK, TOL, moment_scale
-from .errors import DegenerateFit, NotOnSlice, NotOnVariety
+from .config import (CHECK_TOL, FLOOR, STAGE_SLACK, TOL, check_grid,
+                     moment_scale)
+from .errors import NotOnSlice, NotOnVariety
 from .fixedpoints import WeightGrading
 from .invariants import fingerprint
 from .repspace import (RepPoint, central_lie, inf_action_adjoint, layout,
@@ -179,18 +180,15 @@ class ConvergenceReport:
 
 def convergence_study(p0: RepPoint, A: RepPoint, sigma, hbar: complex,
                       R_grid, grading: WeightGrading, tol: float = TOL,
-                      max_len: int = 4,
-                      strict: bool = False) -> ConvergenceReport:
+                      max_len: int = 4) -> ConvergenceReport:
     """Fit the approach rate of the family to its conformal limit.
 
     Distances are gauge-invariant fingerprint distances; the fit is a
     least-squares line in log-log coordinates over the grid points above
     the solver floor.  With fewer than two usable points the study is
-    degenerate: the slope is None (or DegenerateFit when strict).
+    degenerate: the slope is None.
     """
-    grid = [float(r) for r in R_grid]
-    if not grid or any(b >= a for a, b in zip(grid, grid[1:])) or grid[-1] <= 0:
-        raise ValueError("R_grid must be strictly decreasing and positive")
+    grid = check_grid("R_grid", R_grid)
     limit = conformal_limit(p0, A, hbar, tol=tol, grading=grading)
     fp_limit = fingerprint(limit.point, max_len)
 
@@ -212,9 +210,6 @@ def convergence_study(p0: RepPoint, A: RepPoint, sigma, hbar: complex,
         coeffs = np.polyfit(lr, ld, 1)
         slope = float(coeffs[0])
         fit_res = float(np.max(np.abs(np.polyval(coeffs, lr) - ld)))
-    elif strict:
-        raise DegenerateFit("all family distances sit at the solver floor; "
-                            "no approach rate is measurable")
     return ConvergenceReport(hbar=complex(hbar), rows=rows, limit_fingerprint=fp_limit,
                              slope=slope, fit_residual=fit_res,
                              degenerate=slope is None, samples=samples)

@@ -63,7 +63,3 @@ class EmptyVariety(SamplingFailed):
 
 class OnWall(QuiverLimError):
     """The central parameter lies on a root wall, so it is not generic."""
-
-
-class DegenerateFit(QuiverLimError):
-    """A rate fit has no signal: the measured values sit at the solver floor."""

@@ -3,8 +3,8 @@
 Each preset bundles a quiver, dimension vectors, a central parameter chosen
 generic (except a2-wall, kept on a wall deliberately), and, where meaningful,
 a hand-checked torus-fixed point solving both moment equations together with
-its vertex weight lists.  These serve as reproducible anchors for tests and
-the CLI.
+its vertex weight lists.  These serve as reproducible anchors for tests;
+the CLI builds its fixed point from the scaling flow, as verify does.
 """
 
 from __future__ import annotations

@@ -232,9 +232,6 @@ class GaugeElement:
         """self after other (matrix product blockwise)."""
         return GaugeElement(self.dims, [a @ b for a, b in zip(self.g, other.g)])
 
-    def dagger(self) -> "GaugeElement":
-        return GaugeElement(self.dims, [gk.conj().T for gk in self.g])
-
     def cond(self) -> float:
         c = 1.0
         for gk in self.g:

@@ -76,11 +76,16 @@ def _polar_point(p: RepPoint, g_total: GaugeElement, sig: np.ndarray,
     """(xi, exp(xi).p, residual) for the polar exponent xi of g_total.
 
     The iterates meet tol, but the point rebuilt from a badly conditioned
-    accumulated gauge can miss the level; such a solve raises NotOnVariety
-    rather than report a point off the variety.
+    accumulated gauge can miss the level, or exp(xi) can be numerically
+    singular; such a solve raises NotOnVariety rather than report a point
+    off the variety.
     """
     xi = hermitian_log(g_total)
-    point = gauge_act(lie_exp(xi), p)
+    try:
+        point = gauge_act(lie_exp(xi), p)
+    except np.linalg.LinAlgError as exc:
+        raise NotOnVariety(
+            f"point cannot be rebuilt from the polar factor ({exc})") from exc
     residual = hermitian_residual(point, sig).norm()
     bound = SLACK * tol * moment_scale(point)
     if not residual <= bound:
@@ -95,7 +100,6 @@ class SolveReport:
     xi: LieElement
     residual: float
     iterations: int
-    converged: bool
     history: list[tuple[int, float, float]] = field(default_factory=list)
     point: RepPoint | None = None
 
@@ -158,7 +162,7 @@ def solve_real_moment(p: RepPoint, sigma, tol: float = TOL,
         history.append((it, res_norm, t))
 
     xi, point, final = _polar_point(p, g_total, sig, tol)
-    return SolveReport(xi=xi, residual=final, iterations=it, converged=True,
+    return SolveReport(xi=xi, residual=final, iterations=it,
                        history=history, point=point)
 
 
@@ -167,7 +171,6 @@ class GradedSolveReport:
     stages: list[tuple[int, LieElement]]
     residual: float
     point: RepPoint
-    converged: bool
 
 
 def graded_solve(p_start: RepPoint, grading, r_scale: float, sigma,
@@ -210,5 +213,4 @@ def graded_solve(p_start: RepPoint, grading, r_scale: float, sigma,
     stages.append((m_max, final.xi * float(r_scale) ** (-(m_max + 2))))
 
     _, point, residual = _polar_point(p_start, g_total, sig, tol)
-    return GradedSolveReport(stages=stages, residual=residual, point=point,
-                             converged=True)
+    return GradedSolveReport(stages=stages, residual=residual, point=point)

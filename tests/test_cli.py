@@ -1,13 +1,30 @@
 """Command-line entry points, exit codes, and JSON artifacts."""
 
+import argparse
 import csv
 import json
 
 import pytest
 
 import quiverlim as ql
-from quiverlim.cli import main
+from quiverlim.cli import build_parser, main
 from quiverlim.config import IDENTITY_TOL
+
+# the optional flags of each subcommand: the RunConfig fields its handler
+# reads (--out is output_dir), plus --hbar and --path
+SEEDED = ["--out", "--seed", "--tol"]
+FLAGS = {
+    "check": ["--out"],
+    "sample": SEEDED,
+    "flow": SEEDED,
+    "fixed": SEEDED,
+    "bb-basis": SEEDED,
+    "climit": ["--hbar", "--max-len", "--out", "--seed", "--tol"],
+    "family": ["--grid", "--hbar", "--max-len", "--out", "--seed", "--tol"],
+    "invariants": ["--max-len", "--out", "--seed", "--tol"],
+    "escape": ["--out", "--path", "--seed", "--tol"],
+    "verify": ["--grid", "--hbar-grid", "--max-len", "--out", "--seed", "--tol"],
+}
 
 
 def run(capsys, *argv):
@@ -131,14 +148,45 @@ def test_escape_bad_path(capsys, path):
 
 @pytest.mark.parametrize("argv, message", [
     (("invariants", "tstar-p1", "--max-len", "0"), "max_len must be at least 1"),
-    (("flow", "tstar-p1", "--max-len", "0"), "max_len must be at least 1"),
+    (("climit", "tstar-p1", "--max-len", "0"), "max_len must be at least 1"),
     (("sample", "tstar-p1", "--tol", "-1"), "tol must be positive"),
-], ids=["invariants-max-len", "flow-max-len", "sample-tol"])
+    (("fixed", "tstar-p1", "--tol", "1e-7"), "tol must be at most CHECK_TOL = 1e-08"),
+    (("family", "tstar-p1", "--grid", "0.1,0.2"), "r_grid must be strictly decreasing"),
+], ids=["invariants-max-len", "climit-max-len", "sample-tol", "fixed-tol-bound",
+        "family-grid"])
 def test_common_options_validated_for_every_command(capsys, argv, message):
+    # main builds one RunConfig from the options a command reads, so its
+    # rules refuse a bad value before any computation
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_each_command_registers_only_the_flags_it_reads():
+    ap = build_parser()
+    sub, = (a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {name: sorted(opt for a in p._actions for opt in a.option_strings
+                          if opt not in ("-h", "--help"))
+             for name, p in sub.choices.items()}
+    assert flags == FLAGS
+    assert sum(map(len, flags.values())) == 38
+
+
+def test_unread_flag_refused(capsys):
+    # flow reads no max_len, so it does not accept --max-len
+    with pytest.raises(SystemExit) as exc:
+        main(["flow", "tstar-p1", "--max-len", "9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-len 9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_every_command_runs_with_defaults(capsys, command):
+    extra = ("--path", "P:c0.j0") if command == "escape" else ()
+    code, out, err = run(capsys, command, "tstar-p1", *extra)
+    assert code == 0, err
+    assert err == ""
 
 
 def test_verify_exit_codes(capsys):
@@ -175,13 +223,21 @@ def write_quiver(tmp_path, name, data):
     return str(path)
 
 
-@pytest.mark.parametrize("name", ["tstar-p1", "a3-star"])
-def test_climit_matches_verify_limit(capsys, tmp_path, name):
-    # on a quiver file the CLI builds the fixed point, grading and attracting
-    # increment as verify does, so both report the same conformal limit
-    pre = ql.get_preset(name)
-    path = write_quiver(tmp_path, name,
-                        ql.quiver_to_dict(pre.quiver, pre.dims, pre.central))
+@pytest.mark.parametrize("name, as_file", [
+    pytest.param("tstar-p1", True, id="tstar-p1"),
+    pytest.param("a3-star", True, id="a3-star"),
+    *(pytest.param(name, False, id=f"preset-{name}")
+      for name in ("tstar-p1", "a2-star", "kronecker2", "a3-star")),
+])
+def test_climit_matches_verify_limit(capsys, tmp_path, name, as_file):
+    # on a preset as on a quiver file the CLI builds the fixed point, grading
+    # and attracting increment as verify does, so both report the same
+    # conformal limit
+    path = name
+    if as_file:
+        pre = ql.get_preset(name)
+        path = write_quiver(tmp_path, name,
+                            ql.quiver_to_dict(pre.quiver, pre.dims, pre.central))
     code, _, _ = run(capsys, "climit", path, "--hbar", "1.0", "--seed", "0",
                      "--out", str(tmp_path / "climit"))
     assert code == 0

@@ -29,6 +29,14 @@ def test_validation():
         ql.RunConfig(hbar_grid=(1.0, -0.5))
 
 
+def test_tol_bounded_by_check_tol():
+    # the checks hold tol-accurate data to CHECK_TOL; a looser tol fails them
+    # for the solver's slack, so RunConfig refuses it by name
+    assert ql.RunConfig(tol=ql.config.CHECK_TOL).tol == ql.config.CHECK_TOL
+    with pytest.raises(ValueError, match="CHECK_TOL"):
+        ql.RunConfig(tol=2 * ql.config.CHECK_TOL)
+
+
 def test_digest_stable_and_destination_free():
     a = ql.RunConfig(quiver_file="a2-star", seed=3, output_dir="/tmp/x")
     b = ql.RunConfig(quiver_file="a2-star", seed=3, output_dir="/tmp/y")
