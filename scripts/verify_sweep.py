@@ -10,6 +10,11 @@ change leaves every verify artefact byte-identical:
     python3 scripts/verify_sweep.py --src ../other/src > old.txt
     diff old.txt new.txt
 
+A change that moves reported numbers at round-off on purpose changes the
+digests; compare only columns 1, 2 and 8 (quiver, seed, verdicts) instead:
+
+    diff <(cut -d' ' -f1,2,8 old.txt) <(cut -d' ' -f1,2,8 new.txt)
+
 Quiver files are named relative to the repository root, which is also the
 working directory of the runs, so the configs (and their digests) match
 between trees.

@@ -78,7 +78,7 @@ def is_fixed_point(p: RepPoint, tol: float = CHECK_TOL) -> FixedPointReport:
     lay = layout(p.quiver, p.dims)
     target = RepPoint.from_slots(p.quiver, p.dims, [
         -m if d else np.zeros_like(m) for m, d in zip(p.slots, lay.degree)])
-    mat = lay.hermitian_action_matrix(p)
+    mat = lay.hermitian_action_matrix(p.flatten())
     flat = target.flatten()
     rhs = np.concatenate([flat.real, flat.imag])
     coeff = np.linalg.lstsq(mat, rhs, rcond=None)[0]

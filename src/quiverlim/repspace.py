@@ -248,17 +248,9 @@ def lie_exp(xi: LieElement) -> GaugeElement:
 
 def conjugate_slots(p: RepPoint, left: list[np.ndarray],
                     right: list[np.ndarray]) -> RepPoint:
-    """left[r] @ X @ right[c] on every slot X from space c to space r, with
-    one left and one right block per vertex and no factor on a framing side."""
-    lay = layout(p.quiver, p.dims)
-    out = []
-    for m, (r, c) in zip(p.slots, lay.spaces):
-        if r >= 0:
-            m = left[r] @ m
-        if c >= 0:
-            m = m @ right[c]
-        out.append(m)
-    return RepPoint.from_slots(p.quiver, p.dims, out)
+    """The point ``FlatLayout.conjugate`` makes of p's slots."""
+    return RepPoint.from_slots(p.quiver, p.dims,
+                               layout(p.quiver, p.dims).conjugate(p.slots, left, right))
 
 
 def gauge_act(g: GaugeElement, p: RepPoint) -> RepPoint:
@@ -483,10 +475,10 @@ class FlatLayout:
         """Matrix of q -> dmu_complex(p, q) on flat coordinates."""
         return self._scatter(self._dmu, (self.lie_dim, self.rep_dim), p.flatten())
 
-    def hermitian_action_matrix(self, p: RepPoint) -> np.ndarray:
-        """Real matrix of the action on hermitian coordinates: the real parts
-        of the image stacked over its imaginary parts."""
-        a = self.action_matrix(p) @ self.herm
+    def hermitian_action_matrix(self, flat: np.ndarray) -> np.ndarray:
+        """Real matrix of the action on hermitian coordinates at the point
+        ``flat``: the real parts of the image stacked over the imaginary."""
+        a = self._scatter(self._action, (self.rep_dim, self.lie_dim), flat) @ self.herm
         return np.concatenate([a.real, a.imag])
 
     def herm_coords(self, x: LieElement) -> np.ndarray:
@@ -496,6 +488,19 @@ class FlatLayout:
     def herm_element(self, coeffs: np.ndarray) -> LieElement:
         """The hermitian tuple with the given coordinates."""
         return LieElement.from_flat(self.dims, self.herm @ coeffs)
+
+    def conjugate(self, slots: list[np.ndarray], left: list[np.ndarray],
+                  right: list[np.ndarray]) -> list[np.ndarray]:
+        """left[r] @ X @ right[c] on every slot X from space c to space r, with
+        one left and one right block per vertex and no factor on a framing side."""
+        out = []
+        for m, (r, c) in zip(slots, self.spaces):
+            if r >= 0:
+                m = left[r] @ m
+            if c >= 0:
+                m = m @ right[c]
+            out.append(m)
+        return out
 
     def gauge_matrix(self, left: list[np.ndarray], right: list[np.ndarray]) -> np.ndarray:
         """Matrix of p -> (left_in B right_out, left_k i_k, j_k right_k) for

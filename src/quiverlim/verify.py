@@ -88,8 +88,7 @@ class _Pipeline:
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        self.quiver, self.dims, self.central, self.preset = \
-            resolve_quiver_spec(cfg.quiver_file)
+        self.quiver, self.dims, self.central, _ = resolve_quiver_spec(cfg.quiver_file)
         require_nonempty(self.quiver, self.dims)
         self.sigma = self.central.sigma_array()
         self.sample = None

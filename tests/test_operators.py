@@ -8,6 +8,8 @@ held to 1e-12 relative to their scale.  The slot-wise maps keep the operation
 order of the per-slot bodies in conftest, so they must equal them exactly.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -106,11 +108,31 @@ def test_newton_matrix_matches_moment_derivative(case):
 
 def test_hermitian_action_matrix_matches_inf_action(case):
     lay, p, _ = case
-    got = lay.hermitian_action_matrix(p)
+    got = lay.hermitian_action_matrix(p.flatten())
     for b, e in enumerate(units(lay.lie_dim).real):
         z = ql.inf_action(p, lay.herm_element(e)).flatten()
         assert np.abs(got[:, b] - np.concatenate([z.real, z.imag])).max(
             initial=0.0) <= REL * max(1.0, p.norm())
+
+
+BENCH_QUIVERS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "quivers")
+
+
+@pytest.mark.parametrize("spec", list(ql.PRESET_NAMES) + [
+    os.path.join(BENCH_QUIVERS, f) for f in ("a3_chain.json", "d4_star.json")],
+    ids=os.path.basename)
+def test_hermitian_residual_is_the_action_gradient(spec):
+    # the Newton residual of solve_real_moment: -2i mu_R(p) - 2 sigma Id has
+    # coordinates A^T [Re x; Im x] - herm_coords(2 sigma Id), x = p.flatten()
+    quiver, dims, central, _ = ql.resolve_quiver_spec(spec)
+    lay, sigma, rng = layout(quiver, dims), central.sigma_array(), ql.make_rng(41)
+    level = lay.herm_coords(ql.central_lie(2.0 * sigma, dims))
+    for _ in range(3):
+        p = ql.random_rep(quiver, dims, rng)
+        x = p.flatten()
+        got = lay.hermitian_action_matrix(x).T @ np.concatenate([x.real, x.imag]) - level
+        want = lay.herm_coords(ql.hermitian_residual(p, sigma))
+        assert np.linalg.norm(got - want) <= REL * max(1.0, np.linalg.norm(want))
 
 
 def test_gauge_matrix_matches_gauge_act(case):

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import quiverlim as ql
+from quiverlim.repspace import layout
+from quiverlim.solver import _polar_point, _polar_spectra, _spectral_pair
 
 from conftest import (fingerprint_distance, history_rows, linearized_operator,
                       newton_derivative, random_lie)
@@ -149,6 +151,46 @@ def test_hermitian_log_inverts_exp(a3star):
     xi = random_lie(a3star.dims, rng, klass="hermitian", scale=0.7)
     back = ql.hermitian_log(ql.lie_exp(xi))
     assert (back - xi).norm() < 1e-10 * max(1.0, xi.norm())
+
+
+def _assert_blocks_match(got, want):
+    for x, y in zip(got, want):
+        assert np.linalg.norm(x - y) <= 1e-12 * max(1.0, np.linalg.norm(y))
+
+
+def test_spectral_exponentials_match_lie_exp(a3star):
+    # one eigh of each block of a step gives exp(+-t step) for every halving t
+    delta = random_lie(a3star.dims, ql.make_rng(26), klass="hermitian")
+    spectra = [np.linalg.eigh(b) for b in delta.blocks]
+    for t in (1.0, 0.5, 2.0 ** -10):
+        fwd, back = _spectral_pair([(np.exp(t * lam), v) for lam, v in spectra])
+        want = ql.lie_exp(t * delta)
+        _assert_blocks_match(fwd, want.g)
+        _assert_blocks_match(back, want.inverse().g)
+
+
+def test_polar_factors_match_hermitian_log(a3star):
+    # the eigh of g^dag g that gives xi also gives exp(xi) and exp(-xi)
+    g = ql.lie_exp(random_lie(a3star.dims, ql.make_rng(27), scale=0.7))
+    spectra = _polar_spectra(g.g)
+    xi = ql.hermitian_log(g)
+    _assert_blocks_match([(v * (0.5 * np.log(lam))) @ v.conj().T for lam, v in spectra],
+                         xi.blocks)
+    fwd, back = _spectral_pair([(np.sqrt(lam), v) for lam, v in spectra])
+    want = ql.lie_exp(xi)
+    _assert_blocks_match(fwd, want.g)
+    _assert_blocks_match(back, want.inverse().g)
+
+
+def test_overflowing_polar_rebuild_raises():
+    # a singular polar factor scales j by 1/sqrt(tiny) ~ 7e153, so |p|^2 and
+    # the residual overflow and the level bound SLACK tol max(1, |p|^2) is
+    # infinite: the rebuild must refuse the point, not pass it vacuously
+    p = one_vertex([2.0, 0.0], [3.0, 0.0])
+    level = layout(p.quiver, p.dims).herm_coords(ql.central_lie((2.0,), p.dims))
+    g = ql.GaugeElement(p.dims, [np.zeros((1, 1))])
+    with pytest.raises(ql.NotOnVariety, match="misses its level"):
+        _polar_point(p, g.g, level, 1e-10)
 
 
 def test_graded_solve_matches_plain_solve_orbit(a3star):
