@@ -15,6 +15,17 @@ digests; compare only columns 1, 2 and 8 (quiver, seed, verdicts) instead:
 
     diff <(cut -d' ' -f1,2,8 old.txt) <(cut -d' ' -f1,2,8 new.txt)
 
+``--compare`` does that comparison and also reads the numbers: it sweeps
+this tree and the ``--src`` tree, each in its own process, and prints per
+run whether the verdict strings match, the largest relative move of any
+number of magnitude >= 1e-6 across the five artefacts (JSON numbers and
+numeric CSV cells; 0 when none moved) with where it sits, and how many
+other entries (such as suite notes) differ, each of which is then listed:
+
+    python3 scripts/verify_sweep.py --compare --src ../other/src
+
+``--out DIR`` keeps the artefacts of run n in DIR/n.
+
 Quiver files are named relative to the repository root, which is also the
 working directory of the runs, so the configs (and their digests) match
 between trees.
@@ -23,8 +34,11 @@ between trees.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import json
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -36,24 +50,106 @@ SEEDS = range(12)
 WALL_RUNS = (("a2-wall", 0),)
 ARTEFACTS = ("report.json", "dimension_audit.csv", "flow_trace.csv",
              "convergence.csv", "fingerprints.csv")
+NUMBER_FLOOR = 1e-6
+
+
+def _entries(path: str):
+    """(location, value) of every leaf of one artefact; numbers as floats."""
+    if path.endswith(".json"):
+        with open(path, encoding="utf-8") as fh:
+            return list(_json_leaves(json.load(fh), ""))
+    out = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        for r, row in enumerate(csv.reader(fh)):
+            for c, cell in enumerate(row):
+                try:
+                    out.append((f"{r}:{c}", float(cell)))
+                except ValueError:
+                    out.append((f"{r}:{c}", cell))
+    return out
+
+
+def _json_leaves(node, where: str):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _json_leaves(value, f"{where}/{key}")
+    elif isinstance(node, list):
+        for n, value in enumerate(node):
+            yield from _json_leaves(value, f"{where}/{n}")
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield where, float(node)
+    else:
+        yield where, node
+
+
+def _moves(old_dir: str, new_dir: str):
+    """((largest relative move of a number >= NUMBER_FLOOR, where), other
+    differences)."""
+    worst, other = (0.0, "-"), []
+    for name in ARTEFACTS:
+        old = _entries(os.path.join(old_dir, name))
+        new = _entries(os.path.join(new_dir, name))
+        if [w for w, _ in old] != [w for w, _ in new]:
+            other.append(f"{name}: layout differs")
+            continue
+        for (where, a), (_, b) in zip(old, new):
+            if isinstance(a, float) and isinstance(b, float):
+                scale = max(abs(a), abs(b))
+                if scale >= NUMBER_FLOOR and abs(a - b) > worst[0] * scale:
+                    worst = (abs(a - b) / scale, f"{name}:{where}")
+            elif a != b:
+                other.append(f"{name} {where}: {a!r} -> {b!r}")
+    return worst, other
+
+
+def _compare(other_src: str) -> int:
+    """Sweep the ``--src`` tree and this one in two processes and compare."""
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {"old": os.path.abspath(other_src), "new": os.path.join(ROOT, "src")}
+        procs = {side: subprocess.Popen(
+            [sys.executable, os.path.abspath(__file__), "--src", src,
+             "--out", os.path.join(tmp, side)], stdout=subprocess.PIPE, text=True)
+            for side, src in trees.items()}
+        lines = {side: proc.communicate()[0].splitlines() for side, proc in procs.items()}
+        if any(proc.returncode for proc in procs.values()):
+            print("a sweep failed", file=sys.stderr)
+            return 1
+        for n, (old, new) in enumerate(zip(lines["old"], lines["new"])):
+            quiver, seed, *_, old_verdicts = old.split()
+            same = "same" if new.split()[-1] == old_verdicts else "differ"
+            worst, other = _moves(os.path.join(tmp, "old", str(n)),
+                                  os.path.join(tmp, "new", str(n)))
+            print(quiver, seed, f"verdicts={same}", f"max_rel={worst[0]:.2e}",
+                  f"at={worst[1]}", f"other={len(other)}", flush=True)
+            for line in other:
+                print("   ", line)
+    return 0
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", default=os.path.join(ROOT, "src"),
-                    help="source tree that holds the quiverlim package")
+    ap.add_argument("--src", help="source tree that holds the quiverlim package "
+                    "(default: this tree's src)")
+    ap.add_argument("--out", help="keep the artefacts of run n in OUT/n")
+    ap.add_argument("--compare", action="store_true",
+                    help="compare this tree with the --src tree, run by run")
     args = ap.parse_args(argv)
+    if args.compare:
+        if args.src is None:
+            ap.error("--compare needs --src OTHER")
+        return _compare(args.src)
+    src = args.src or os.path.join(ROOT, "src")
     # one BLAS thread: reductions split across threads may round differently
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
-    sys.path.insert(0, os.path.abspath(args.src))
+    sys.path.insert(0, os.path.abspath(src))
     os.chdir(ROOT)
     import quiverlim as ql
 
     runs = [(q, s) for q in QUIVERS for s in SEEDS] + list(WALL_RUNS)
     with tempfile.TemporaryDirectory() as tmp:
         for n, (quiver, seed) in enumerate(runs):
-            out = os.path.join(tmp, str(n))
+            out = os.path.join(args.out or tmp, str(n))
             report, pl = ql.verify_run(ql.RunConfig(quiver_file=quiver, seed=seed))
             ql.write_outputs(report, pl, out)
             digests = []

@@ -21,9 +21,9 @@ from .config import (CHECK_TOL, ENERGY_SLACK, FLOOR, FLOW_RATIO, FLOW_STEPS,
 from .errors import (GradingViolation, NoConvergence, NonIntegerWeights,
                      NotFixed, NotInjective, NotOnVariety)
 from .quiver import DimensionVectors, Quiver
-from .repspace import (GaugeElement, LieElement, RepPoint, central_deviation,
-                       conjugate_slots, gauge_act, layout, lie_exp,
-                       moment_complex, moment_real)
+from .repspace import (GaugeElement, LieElement, RepPoint, block_matrix,
+                       central_deviation, conjugate_slots, gauge_act, layout,
+                       lie_exp, moment_complex, moment_real)
 from .solver import solve_real_moment
 
 
@@ -170,10 +170,10 @@ class WeightGrading:
 
     def project(self, q: RepPoint, keep: np.ndarray) -> RepPoint:
         """The part of q on the flat eigen-coordinates where keep holds."""
-        herm = [m.conj().T for m in self.qmats]
-        eig = conjugate_slots(q, herm, self.qmats).flatten()
+        qm = block_matrix(self.dims, self.qmats)
+        eig = conjugate_slots(q, qm.conj().T, qm).flatten()
         kept = RepPoint.from_flat(q.quiver, q.dims, np.where(keep, eig, 0.0))
-        return conjugate_slots(kept, self.qmats, herm)
+        return conjugate_slots(kept, qm, qm.conj().T)
 
 
 def grade_increment(q: RepPoint, grading: WeightGrading) -> dict[int, RepPoint]:

@@ -44,6 +44,11 @@ class Quiver:
                 raise ValueError(f"edge ({a},{b}) leaves vertex range 0..{self.n - 1}")
             if a == b:
                 raise ValueError(f"loop edge at vertex {a} is not allowed")
+        # hashed once: ``repspace.layout`` looks every quiver up by hash
+        object.__setattr__(self, "_hash", hash((self.n, edges)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def num_edges(self) -> int:
@@ -98,6 +103,10 @@ class DimensionVectors:
             raise ValueError("v and w must have the same length")
         if any(x < 0 for x in v + w):
             raise ValueError("dimensions must be nonnegative")
+        object.__setattr__(self, "_hash", hash((v, w)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n(self) -> int:

@@ -109,7 +109,8 @@ class RepPoint:
         lay = layout(quiver, dims)
         if vec.size != lay.rep_dim:
             raise ValueError("flat vector length does not match the representation space")
-        return cls.from_slots(quiver, dims, [vec[a:a + r * c].reshape(r, c).astype(_CPLX)
+        vec = np.array(vec, dtype=_CPLX)  # one copy; the slots are views of it
+        return cls.from_slots(quiver, dims, [vec[a:a + r * c].reshape(r, c)
                                              for a, (r, c) in zip(lay.starts, lay.shapes)])
 
     def to_dict(self) -> dict:
@@ -180,6 +181,36 @@ class LieElement:
         return cls(dims, [vec[a:a + vk * vk].reshape(vk, vk).astype(_CPLX)
                           for a, vk in zip(starts, dims.v)])
 
+    def matrix(self) -> np.ndarray:
+        """The blocks on the diagonal of one V x V matrix (see block_mask)."""
+        return block_matrix(self.dims, self.blocks)
+
+    @classmethod
+    def from_matrix(cls, dims: DimensionVectors, m: np.ndarray) -> "LieElement":
+        """The vertex blocks of a V x V matrix; entries off them are dropped."""
+        return cls.from_flat(dims, m[block_mask(dims)])
+
+
+@functools.lru_cache(maxsize=128)
+def block_mask(dims: DimensionVectors) -> np.ndarray:
+    """Read-only mask of the vertex blocks on the diagonal of a V x V matrix,
+    V = sum v_k.  Read row by row, its entries run over the flat gauge
+    coordinates in order (blocks by vertex, each row-major), so m[mask] is
+    the flat gauge vector of m."""
+    label = np.repeat(np.arange(dims.n), dims.v)
+    mask = label[:, None] == label[None, :]
+    mask.flags.writeable = False
+    return mask
+
+
+def block_matrix(dims: DimensionVectors, blocks) -> np.ndarray:
+    """One V x V matrix with the given vertex blocks on its diagonal, zero
+    elsewhere (a block-diagonal gauge element or gauge-algebra element)."""
+    mask = block_mask(dims)
+    m = np.zeros(mask.shape, dtype=_CPLX)
+    m[mask] = np.concatenate([b.ravel() for b in blocks])
+    return m
+
 
 def lie_inner(a: LieElement, b: LieElement) -> complex:
     """Hermitian pairing sum_k Tr(a_k b_k^dag), linear in the first slot."""
@@ -232,6 +263,10 @@ class GaugeElement:
         """self after other (matrix product blockwise)."""
         return GaugeElement(self.dims, [a @ b for a, b in zip(self.g, other.g)])
 
+    def matrix(self) -> np.ndarray:
+        """The blocks on the diagonal of one V x V matrix (see block_mask)."""
+        return block_matrix(self.dims, self.g)
+
     def cond(self) -> float:
         c = 1.0
         for gk in self.g:
@@ -246,16 +281,20 @@ def lie_exp(xi: LieElement) -> GaugeElement:
                                   for b in xi.blocks])
 
 
-def conjugate_slots(p: RepPoint, left: list[np.ndarray],
-                    right: list[np.ndarray]) -> RepPoint:
-    """The point ``FlatLayout.conjugate`` makes of p's slots."""
-    return RepPoint.from_slots(p.quiver, p.dims,
-                               layout(p.quiver, p.dims).conjugate(p.slots, left, right))
+def conjugate_slots(p: RepPoint, left: np.ndarray, right: np.ndarray) -> RepPoint:
+    """left_r X right_c on every slot X of p from space c to space r, for
+    block-diagonal V x V matrices left and right (no factor on a framing
+    side): ``FlatLayout.conjugate`` on p's stack."""
+    lay = layout(p.quiver, p.dims)
+    stack = lay.conjugate(lay.to_stack(p.flatten()), left, right)
+    return RepPoint.from_flat(p.quiver, p.dims, lay.from_stack(stack))
 
 
 def gauge_act(g: GaugeElement, p: RepPoint) -> RepPoint:
-    ginv = [np.linalg.inv(gk) if gk.size else gk.copy() for gk in g.g]
-    return conjugate_slots(p, g.g, ginv)
+    # the inverse of a block-diagonal matrix is block-diagonal: LU and the
+    # solves only ever add exact zeros across blocks
+    gm = g.matrix()
+    return conjugate_slots(p, gm, np.linalg.inv(gm))
 
 
 def inf_action(p: RepPoint, xi: LieElement) -> RepPoint:
@@ -378,6 +417,13 @@ class FlatLayout:
     of mu_C(p)_k = sum sign X Y: B_h B_hbar over the edges h into k in
     ascending order with sign eps(h), then i_k j_k.  ``token_slot`` maps the
     path tokens h{e}, h{e}~, c{k} and j{k} to their slots.
+
+    Block form, used by the Newton kernel: with lines ordered V_0.. V_{n-1}
+    then W_0.. W_{n-1}, a point is one stack of (V+W) x (V+W) matrices in
+    which slot X from space c to space r fills rows r and columns c; a space
+    pair that repeats (parallel edges) takes one more layer.  Quivers are
+    loop-free, so no slot sits on a diagonal block, and a gauge element is
+    one V x V block-diagonal matrix (``block_mask``).
     """
 
     def __init__(self, quiver: Quiver, dims: DimensionVectors):
@@ -404,6 +450,8 @@ class FlatLayout:
         self.herm = self._hermitian_basis()
         self._action = self._action_table()
         self._dmu = self._dmu_table()
+        self.block_mask = block_mask(dims)
+        self.stack_shape, self._stack_index = self._stack_table()
 
     def _hermitian_basis(self) -> np.ndarray:
         """Columns: the real-orthonormal basis of hermitian tuples under
@@ -422,6 +470,20 @@ class FlatLayout:
                     h[pair, col], h[pair, col + 1] = s, (1j * s, -1j * s)
                     col += 2
         return h
+
+    def _stack_table(self):
+        """(shape, index): index[t] is the position of flat point entry t in
+        the C-ordered stack of the given shape."""
+        nv = sum(self.dims.v)
+        first = {k: o for k, o in enumerate(_starts(self.dims.v))}
+        first.update({~k: nv + o for k, o in enumerate(_starts(self.dims.w))})
+        size = nv + sum(self.dims.w)
+        parts, layers = [], []
+        for s, ((r, c), (nr, nc)) in enumerate(zip(self.spaces, self.shapes)):
+            layers.append(self.spaces[:s].count((r, c)))
+            rows = layers[-1] * size + first[r] + np.arange(nr)
+            parts.append((rows[:, None] * size + first[c] + np.arange(nc)).ravel())
+        return (max(layers) + 1, size, size), np.concatenate(parts)
 
     def _action_table(self):
         """Entries of xi -> xi_r X - X xi_c on each slot X from space c to
@@ -489,17 +551,26 @@ class FlatLayout:
         """The hermitian tuple with the given coordinates."""
         return LieElement.from_flat(self.dims, self.herm @ coeffs)
 
-    def conjugate(self, slots: list[np.ndarray], left: list[np.ndarray],
-                  right: list[np.ndarray]) -> list[np.ndarray]:
-        """left[r] @ X @ right[c] on every slot X from space c to space r, with
-        one left and one right block per vertex and no factor on a framing side."""
-        out = []
-        for m, (r, c) in zip(slots, self.spaces):
-            if r >= 0:
-                m = left[r] @ m
-            if c >= 0:
-                m = m @ right[c]
-            out.append(m)
+    def to_stack(self, flat: np.ndarray) -> np.ndarray:
+        """The stack of the point with flat coordinates ``flat``."""
+        stack = np.zeros(self.stack_shape, dtype=_CPLX)
+        np.put(stack, self._stack_index, flat)
+        return stack
+
+    def from_stack(self, stack: np.ndarray) -> np.ndarray:
+        """Flat coordinates of the point held in a stack."""
+        return np.take(stack, self._stack_index)
+
+    def conjugate(self, stack: np.ndarray, left: np.ndarray,
+                  right: np.ndarray) -> np.ndarray:
+        """G P G' on every matrix P of the stack, where G and G' are the
+        V x V matrices left and right on the V lines and the identity on the
+        W lines: left[r] @ X @ right[c] on every slot X from space c to r for
+        block-diagonal left and right."""
+        nv = left.shape[0]
+        out = stack.copy()
+        out[:, :nv] = left @ stack[:, :nv]
+        out[:, :, :nv] = out[:, :, :nv] @ right
         return out
 
     def gauge_matrix(self, left: list[np.ndarray], right: list[np.ndarray]) -> np.ndarray:

@@ -6,17 +6,24 @@ the reported single exponent is recovered from the polar decomposition of the
 accumulated gauge (the positive factor is the unique invariant of the solve,
 so two damping schedules must agree on exp(xi)).
 
-The loop runs on slot lists and flat vectors; only the returned point is a
+The loop runs in the block form of ``FlatLayout``: the point is one stack of
+(V+W) x (V+W) matrices and every gauge element one block-diagonal V x V
+matrix, so a step, a halving trial or a rebuild costs a fixed number of
+numpy calls whatever the vertex count; only the returned point is a
 RepPoint.  In the Kempf-Ness picture the hermitian residual -2i mu_R(p) -
 2 sigma Id is the gradient at eta = 0 of |exp(eta).p|^2 / 2 - 2 sum_k sigma_k
 tr eta_k: with x = p.flatten() and A the real matrix of xi -> inf_action(p, xi)
 on hermitian coordinates, its coordinates are A^T [Re x; Im x] - c_sigma
 (c_sigma those of 2 sigma Id) and its derivative is 2 A^T A, so the A of an
 accepted trial gives its residual and the next Newton matrix.  Gauge elements
-come from hermitian eigendecompositions, with no expm and no inverse: a step
-Delta = V diag(l) V^dag gives exp(+-t Delta) = V diag(e^{+-t l}) V^dag for
-every halving t, and the eigh g^dag g = V diag(l) V^dag gives both the polar
-exponent xi = V diag(log(l) / 2) V^dag and exp(+-xi) = V diag(l^{+-1/2}) V^dag.
+come from one hermitian eigendecomposition of a V x V matrix, with no expm
+and no inverse: a step Delta = V diag(l) V^dag gives exp(+-t Delta) =
+V diag(e^{+-t l}) V^dag for every halving t, and the eigh g^dag g =
+V diag(l) V^dag gives both the polar exponent xi = V diag(log(l) / 2) V^dag
+and exp(+-xi) = V diag(l^{+-1/2}) V^dag.  A function of a block-diagonal
+hermitian matrix is block-diagonal even where eigh mixes eigenvectors of
+equal eigenvalues across blocks, so the entries off the blocks are set to
+exact zero.
 """
 
 from __future__ import annotations
@@ -39,9 +46,8 @@ def assemble_newton_matrix(p: RepPoint) -> np.ndarray:
     return 2.0 * (a.T @ a)
 
 
-def _residual(coords: FlatLayout, slots: list[np.ndarray], level: np.ndarray):
-    """(A, A^T [Re x; Im x] - level) at the point with these slots."""
-    x = np.concatenate([m.ravel() for m in slots])
+def _residual(coords: FlatLayout, x: np.ndarray, level: np.ndarray):
+    """(A, A^T [Re x; Im x] - level) at the point with flat coordinates x."""
     a = coords.hermitian_action_matrix(x)
     return a, a.T @ np.concatenate([x.real, x.imag]) - level
 
@@ -59,32 +65,30 @@ def _spectral_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return vecs @ ((vecs.T @ rhs) / vals)
 
 
-def _spectral_pair(factors) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """(V diag(d) V^dag, V diag(1/d) V^dag) per block from (d, V) pairs: with
-    d = e^{t l}, exp(t X) and exp(-t X) for the hermitian X = V diag(l) V^dag."""
-    return ([(v * d) @ v.conj().T for d, v in factors],
-            [(v / d) @ v.conj().T for d, v in factors])
+def _spectral_pair(mask: np.ndarray, d: np.ndarray, vecs: np.ndarray):
+    """(V diag(d) V^dag, V diag(1/d) V^dag), zero off the blocks of mask:
+    with d = e^{t l}, exp(t X) and exp(-t X) for the block-diagonal
+    hermitian X = V diag(l) V^dag."""
+    vh = vecs.conj().T
+    return np.where(mask, (vecs * d) @ vh, 0.0), np.where(mask, (vecs / d) @ vh, 0.0)
 
 
-def _polar_spectra(g: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(l, V) per block with g^dag g = V diag(l) V^dag, l floored at tiny."""
-    out = []
-    for gk in g:
-        h = gk.conj().T @ gk
-        vals, vecs = np.linalg.eigh(0.5 * (h + h.conj().T))
-        out.append((np.maximum(vals, np.finfo(float).tiny), vecs))
-    return out
+def _polar_spectrum(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(l, V) with g^dag g = V diag(l) V^dag for the block-diagonal V x V
+    gauge matrix g, l floored at tiny."""
+    h = g.conj().T @ g
+    vals, vecs = np.linalg.eigh(0.5 * (h + h.conj().T))
+    return np.maximum(vals, np.finfo(float).tiny), vecs
 
 
-def _polar_log(dims, spectra) -> LieElement:
-    """(1/2) log(g^dag g) from the spectra of g^dag g."""
-    return LieElement(dims, [(vecs * (0.5 * np.log(vals))) @ vecs.conj().T
-                             for vals, vecs in spectra])
+def _polar_log(dims, vals: np.ndarray, vecs: np.ndarray) -> LieElement:
+    """(1/2) log(g^dag g) from the spectrum of g^dag g."""
+    return LieElement.from_matrix(dims, (vecs * (0.5 * np.log(vals))) @ vecs.conj().T)
 
 
 def hermitian_log(g: GaugeElement) -> LieElement:
     """(1/2) log(g^dag g): the hermitian exponent of the positive polar factor."""
-    return _polar_log(g.dims, _polar_spectra(g.g))
+    return _polar_log(g.dims, *_polar_spectrum(g.matrix()))
 
 
 def _check_central_complex(p: RepPoint) -> LieElement:
@@ -97,10 +101,11 @@ def _check_central_complex(p: RepPoint) -> LieElement:
     return mc
 
 
-def _polar_point(p: RepPoint, g_total: list[np.ndarray], level: np.ndarray,
+def _polar_point(p: RepPoint, g_total: np.ndarray, level: np.ndarray,
                  tol: float) -> tuple[LieElement, RepPoint, float]:
     """(xi, exp(xi).p, residual) for the polar exponent xi of the accumulated
-    gauge blocks g_total; level holds the coordinates of 2 sigma Id.
+    block-diagonal gauge matrix g_total; level holds the coordinates of
+    2 sigma Id.
 
     The iterates meet tol, but the point rebuilt from a badly conditioned
     accumulated gauge can miss the level, or overflow and make the bound
@@ -108,18 +113,18 @@ def _polar_point(p: RepPoint, g_total: list[np.ndarray], level: np.ndarray,
     rather than report a point off the variety.
     """
     coords = layout(p.quiver, p.dims)
-    spectra = _polar_spectra(g_total)
+    vals, vecs = _polar_spectrum(g_total)
     with np.errstate(all="ignore"):
-        roots = [(np.sqrt(vals), vecs) for vals, vecs in spectra]
-        slots = coords.conjugate(p.slots, *_spectral_pair(roots))
-        residual = float(np.linalg.norm(_residual(coords, slots, level)[1]))
-        point = RepPoint.from_slots(p.quiver, p.dims, slots)
+        fwd, back = _spectral_pair(coords.block_mask, np.sqrt(vals), vecs)
+        x = coords.from_stack(coords.conjugate(coords.to_stack(p.flatten()), fwd, back))
+        residual = float(np.linalg.norm(_residual(coords, x, level)[1]))
+        point = RepPoint.from_flat(p.quiver, p.dims, x)
         bound = SLACK * tol * moment_scale(point)
     if not residual <= bound < np.inf:
         raise NotOnVariety(
             f"point rebuilt from the polar factor misses its level "
             f"(residual {residual:.3e}, bound {bound:.3e})")
-    return _polar_log(p.dims, spectra), point, residual
+    return _polar_log(p.dims, vals, vecs), point, residual
 
 
 @dataclass
@@ -148,9 +153,11 @@ def solve_real_moment(p: RepPoint, sigma, tol: float = TOL,
         raise ValueError("sigma must provide one real entry per vertex")
 
     coords = layout(p.quiver, p.dims)
+    mask = coords.block_mask
     level = coords.herm_coords(central_lie(2.0 * sig, p.dims))
-    slots, g_total = p.slots, GaugeElement.identity(p.dims).g
-    a, res = _residual(coords, slots, level)
+    x = p.flatten()
+    stack, g_total = coords.to_stack(x), np.eye(len(mask), dtype=complex)
+    a, res = _residual(coords, x, level)
     res_norm = float(np.linalg.norm(res))
     history: list[tuple[int, float, float]] = [(0, res_norm, 0.0)]
 
@@ -159,16 +166,18 @@ def solve_real_moment(p: RepPoint, sigma, tol: float = TOL,
         if it >= max_iter:
             raise MaxIterations(
                 f"real-moment solve hit {max_iter} iterations, residual {res_norm:.3e}")
-        step = coords.herm_element(_spectral_solve(2.0 * (a.T @ a), -res))
-        spectra = [np.linalg.eigh(b) for b in step.blocks]
+        step = np.zeros(mask.shape, dtype=complex)
+        step[mask] = coords.herm @ _spectral_solve(2.0 * (a.T @ a), -res)
+        lam, vecs = np.linalg.eigh(step)
 
         t = forced_damping[it] if it < len(forced_damping) else 1.0
         for _ in range(MAX_HALVINGS + 1):
             # an overflowing trial is an ordinary rejection
             with np.errstate(all="ignore"):
-                fwd, back = _spectral_pair([(np.exp(t * l), v) for l, v in spectra])
-                trial = coords.conjugate(slots, fwd, back)
-                a_try, res_try = _residual(coords, trial, level)
+                fwd, back = _spectral_pair(mask, np.exp(t * lam), vecs)
+                trial = coords.conjugate(stack, fwd, back)
+                x_try = coords.from_stack(trial)
+                a_try, res_try = _residual(coords, x_try, level)
                 new_norm = float(np.linalg.norm(res_try))
             if np.isfinite(new_norm) and new_norm <= (1.0 - ARMIJO_SLOPE * t) * res_norm:
                 break
@@ -176,8 +185,8 @@ def solve_real_moment(p: RepPoint, sigma, tol: float = TOL,
         else:
             raise MaxIterations(
                 f"residual stalled at {res_norm:.3e} after {MAX_HALVINGS} halvings")
-        slots, a, res, res_norm = trial, a_try, res_try, new_norm
-        g_total = [f @ g for f, g in zip(fwd, g_total)]
+        stack, x, a, res, res_norm = trial, x_try, a_try, res_try, new_norm
+        g_total = fwd @ g_total
         it += 1
         history.append((it, res_norm, t))
 
@@ -210,10 +219,11 @@ def graded_solve(p_start: RepPoint, grading, r_scale: float, sigma,
     frozen = assemble_newton_matrix(p0)
     m_max = grading.max_end_weight()
 
-    slots, g_total = p_start.slots, GaugeElement.identity(p_start.dims).g
+    mask, x = coords.block_mask, p_start.flatten()
+    stack, g_total = coords.to_stack(x), np.eye(len(mask), dtype=complex)
     stages: list[tuple[int, LieElement]] = []
     for j in range(m_max):
-        res_j = grading.lie_project(coords.herm_element(_residual(coords, slots, level)[1]), j)
+        res_j = grading.lie_project(coords.herm_element(_residual(coords, x, level)[1]), j)
         delta = coords.herm_element(_spectral_solve(frozen, -coords.herm_coords(res_j)))
         outside = (delta - grading.lie_project(delta, j)).norm()
         d_norm = delta.norm()
@@ -222,15 +232,16 @@ def graded_solve(p_start: RepPoint, grading, r_scale: float, sigma,
                 f"stage {j} correction leaves its weight block "
                 f"(relative leakage {outside / d_norm:.3e})")
         delta = grading.lie_project(delta, j)
-        fwd, back = _spectral_pair([(np.exp(l), v) for l, v in map(np.linalg.eigh, delta.blocks)])
-        slots = coords.conjugate(slots, fwd, back)
-        g_total = [f @ g for f, g in zip(fwd, g_total)]
+        lam, vecs = np.linalg.eigh(delta.matrix())
+        fwd, back = _spectral_pair(mask, np.exp(lam), vecs)
+        stack = coords.conjugate(stack, fwd, back)
+        x, g_total = coords.from_stack(stack), fwd @ g_total
         stages.append((j, delta * float(r_scale) ** (-(j + 2))))
 
-    final = solve_real_moment(RepPoint.from_slots(p_start.quiver, p_start.dims, slots),
+    final = solve_real_moment(RepPoint.from_flat(p_start.quiver, p_start.dims, x),
                               sig, tol=tol)
-    fwd, _ = _spectral_pair([(np.exp(l), v) for l, v in map(np.linalg.eigh, final.xi.blocks)])
-    g_total = [f @ g for f, g in zip(fwd, g_total)]
+    lam, vecs = np.linalg.eigh(final.xi.matrix())
+    g_total = _spectral_pair(mask, np.exp(lam), vecs)[0] @ g_total
     stages.append((m_max, final.xi * float(r_scale) ** (-(m_max + 2))))
 
     _, point, residual = _polar_point(p_start, g_total, level, tol)

@@ -242,6 +242,39 @@ def max_deviation(x, klass):
 # straight from the Quiver index helpers; tests/test_operators.py requires
 # the library maps to equal them exactly.
 
+def conjugate_by_slots(lay, slots, left, right):
+    """The per-slot conjugation body: left[r] @ X @ right[c] on every slot X
+    from space c to space r, no factor on a framing side."""
+    out = []
+    for m, (r, c) in zip(slots, lay.spaces):
+        if r >= 0:
+            m = left[r] @ m
+        if c >= 0:
+            m = m @ right[c]
+        out.append(m)
+    return out
+
+
+def stack_by_slots(lay, slots):
+    """The block-form stack written out slot by slot: lines V_0.. then W_0..,
+    slot X from space c to space r at rows r and columns c, on the first
+    layer that no earlier slot with the same space pair took."""
+    v, w = lay.dims.v, lay.dims.w
+    first = {k: sum(v[:k]) for k in range(len(v))}
+    first.update({~k: sum(v) + sum(w[:k]) for k in range(len(w))})
+    size = sum(v) + sum(w)
+    taken = {}
+    placed = []
+    for m, (r, c) in zip(slots, lay.spaces):
+        layer = taken.get((r, c), 0)
+        taken[(r, c)] = layer + 1
+        placed.append((layer, first[r], first[c], m))
+    stack = np.zeros((max(taken.values()), size, size), dtype=complex)
+    for layer, r0, c0, m in placed:
+        stack[layer, r0:r0 + m.shape[0], c0:c0 + m.shape[1]] = m
+    return stack
+
+
 def gauge_act_by_slots(g, p):
     q = p.quiver
     ginv = [np.linalg.inv(gk) if gk.size else gk.copy() for gk in g.g]

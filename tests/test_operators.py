@@ -5,7 +5,11 @@ The action and moment-derivative matrices are scatters of p.flatten(), so they
 must equal the probes exactly; the Newton matrix (a Gram product) and the
 gauge conjugation matrix (a Kronecker product) sum in another order and are
 held to 1e-12 relative to their scale.  The slot-wise maps keep the operation
-order of the per-slot bodies in conftest, so they must equal them exactly.
+order of the per-slot bodies in conftest, so they must equal them exactly,
+except the maps that conjugate (gauge_act, the weight projections): they run
+on the block form, whose matrix products also sum the exact zeros off the
+blocks and so may round the block sums in another order, and are held to
+CONJ_REL relative.
 """
 
 import os
@@ -14,16 +18,17 @@ import numpy as np
 import pytest
 
 import quiverlim as ql
-from quiverlim.repspace import layout
+from quiverlim.repspace import block_mask, block_matrix, layout
 from quiverlim.slices import moment_derivative_matrix, stacked_conditions
-from quiverlim.solver import assemble_newton_matrix
+from quiverlim.solver import _spectral_pair, assemble_newton_matrix
 
-from conftest import (conformal_point_by_slots, dmoment_real_scaled_by_vertex,
-                      dmu_complex_by_vertex, gauge_act_by_slots, get_setup,
+from conftest import (conformal_point_by_slots, conjugate_by_slots,
+                      dmoment_real_scaled_by_vertex, dmu_complex_by_vertex,
+                      gauge_act_by_slots, get_setup,
                       grade_increment_by_slots, inf_action_adjoint_by_vertex,
                       max_deviation, moment_complex_by_vertex,
                       moment_real_by_vertex, positive_weight_project_by_slots,
-                      random_lie, twistor_rotate_by_slots)
+                      random_lie, stack_by_slots, twistor_rotate_by_slots)
 
 QUIVERS = {
     "a3-chain": (ql.Quiver(3, ((0, 1), (1, 2))),
@@ -40,6 +45,7 @@ for _name in ("tstar-p1", "a2-star", "a3-star", "kronecker2"):
     QUIVERS[_name] = (_preset.quiver, _preset.dims)
 
 REL = 1e-12
+CONJ_REL = 1e-13
 
 
 @pytest.fixture(params=sorted(QUIVERS))
@@ -150,6 +156,64 @@ def test_layout_is_cached_per_quiver_and_dims(case):
     assert lay.rep_dim == p.flatten().size == ql.rep_dim(p.quiver, p.dims)
 
 
+def test_equal_instances_share_one_layout(case):
+    # Quiver and DimensionVectors hash once per instance; equal instances
+    # built apart must still hash alike and find the same cached layout
+    lay, p, _ = case
+    quiver = ql.Quiver(p.quiver.n, [list(e) for e in p.quiver.edges])
+    dims = ql.DimensionVectors(list(p.dims.v), list(p.dims.w))
+    assert quiver is not p.quiver and dims is not p.dims
+    assert (quiver, dims) == (p.quiver, p.dims)
+    assert hash(quiver) == hash(p.quiver) and hash(dims) == hash(p.dims)
+    assert layout(quiver, dims) is lay
+
+
+def test_stack_embedding_round_trip(case):
+    # every flat entry lands at its slot's rows and columns; the rest is zero
+    lay, p, _ = case
+    x = p.flatten()
+    stack = lay.to_stack(x)
+    assert stack.shape == lay.stack_shape
+    assert np.array_equal(stack, stack_by_slots(lay, p.slots))
+    assert np.array_equal(lay.from_stack(stack), x)
+
+
+def random_blocks(dims, rng):
+    return [rng.standard_normal((vk, vk)) + 1j * rng.standard_normal((vk, vk))
+            for vk in dims.v]
+
+
+def test_conjugate_matches_per_slot_body(case):
+    lay, p, _ = case
+    rng = ql.make_rng(8)
+    for _ in range(3):
+        left, right = random_blocks(p.dims, rng), random_blocks(p.dims, rng)
+        got = lay.from_stack(lay.conjugate(lay.to_stack(p.flatten()),
+                                           block_matrix(p.dims, left),
+                                           block_matrix(p.dims, right)))
+        want = np.concatenate([m.ravel() for m in
+                               conjugate_by_slots(lay, p.slots, left, right)])
+        assert np.linalg.norm(got - want) <= CONJ_REL * np.linalg.norm(want)
+
+
+def test_block_exponentials_match_lie_exp(case):
+    # one eigh of the V x V step gives every block's exp(+-t step); a step
+    # that is one scalar on every vertex has its eigenvalues degenerate
+    # across blocks, where eigh may mix eigenvectors of different blocks
+    lay, p, _ = case
+    mask = block_mask(p.dims)
+    scalar = ql.central_lie([0.7] * p.dims.n, p.dims)
+    for delta in (random_lie(p.dims, ql.make_rng(9), klass="hermitian"), scalar):
+        lam, vecs = np.linalg.eigh(delta.matrix())
+        for t in (1.0, 0.5, 2.0 ** -10):
+            fwd, back = _spectral_pair(mask, np.exp(t * lam), vecs)
+            want = ql.lie_exp(t * delta)
+            for got, blocks in ((fwd, want.g), (back, want.inverse().g)):
+                assert not got[~mask].any()
+                for x, y in zip(ql.LieElement.from_matrix(p.dims, got).blocks, blocks):
+                    assert np.linalg.norm(x - y) <= REL * max(1.0, np.linalg.norm(y))
+
+
 def test_slot_table_matches_quiver_helpers(case):
     lay, p, _ = case
     q, nh, n, E = p.quiver, p.quiver.num_h, p.quiver.n, p.quiver.num_edges
@@ -190,6 +254,12 @@ def assert_same(got, want):
         assert np.array_equal(got.flatten(), want.flatten())
 
 
+def assert_conjugated(got, want):
+    """got equals want up to the rounding of the block-form conjugation."""
+    a, b = got.flatten(), want.flatten()
+    assert np.linalg.norm(a - b) <= CONJ_REL * np.linalg.norm(b)
+
+
 def synthetic_grading(p, rng):
     """A WeightGrading with random integer weights and random unitary
     eigenbases; grade_increment and the projections read only these."""
@@ -207,16 +277,16 @@ def assert_graded_maps_match(q, grading):
     got = ql.grade_increment(q, grading)
     assert list(got) == list(want)
     for w in want:
-        assert_same(got[w], want[w])
-    assert_same(ql.positive_weight_project(q, grading),
-                positive_weight_project_by_slots(q, grading))
+        assert_conjugated(got[w], want[w])
+    assert_conjugated(ql.positive_weight_project(q, grading),
+                      positive_weight_project_by_slots(q, grading))
 
 
 def test_slotwise_maps_match_per_slot_bodies(case):
     lay, p, shift = case
     rng = ql.make_rng(7)
     g = ql.lie_exp(random_lie(p.dims, rng, scale=0.5))
-    assert_same(ql.gauge_act(g, p), gauge_act_by_slots(g, p))
+    assert_conjugated(ql.gauge_act(g, p), gauge_act_by_slots(g, p))
     for xi in (complex(*rng.uniform(-2, 2, size=2)), 0.35, 0.0):
         assert_same(ql.twistor_rotate(p, xi), twistor_rotate_by_slots(p, xi))
     zero = ql.RepPoint.zeros(p.quiver, p.dims)
