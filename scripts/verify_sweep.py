@@ -139,6 +139,7 @@ def main(argv=None) -> int:
             ap.error("--compare needs --src OTHER")
         return _compare(args.src)
     src = args.src or os.path.join(ROOT, "src")
+    keep = os.path.abspath(args.out) if args.out else None
     # one BLAS thread: reductions split across threads may round differently
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
@@ -149,7 +150,7 @@ def main(argv=None) -> int:
     runs = [(q, s) for q in QUIVERS for s in SEEDS] + list(WALL_RUNS)
     with tempfile.TemporaryDirectory() as tmp:
         for n, (quiver, seed) in enumerate(runs):
-            out = os.path.join(args.out or tmp, str(n))
+            out = os.path.join(keep or tmp, str(n))
             report, pl = ql.verify_run(ql.RunConfig(quiver_file=quiver, seed=seed))
             ql.write_outputs(report, pl, out)
             digests = []
