@@ -19,7 +19,7 @@ from .config import (CHECK_TOL, FLOOR, STAGE_SLACK, TOL, check_grid,
 from .errors import NotOnSlice, NotOnVariety
 from .fixedpoints import WeightGrading
 from .invariants import fingerprint
-from .repspace import (RepPoint, central_lie, inf_action_adjoint, layout,
+from .repspace import (RepPoint, central_lie, inf_action_adjoint,
                        moment_complex, moment_real, zeta_real_lie)
 from .slices import positive_weight_project
 from .solver import SolveReport, graded_solve, solve_real_moment
@@ -32,18 +32,11 @@ def twistor_rotate(p: RepPoint, xi: complex) -> RepPoint:
       real:    (1-|xi|^2) mu_R - i conj(xi) mu_C - i xi mu_C^dagger
       complex: mu_C - 2i xi mu_R - xi^2 mu_C^dagger
     """
-    xi = complex(xi)
-    lay = layout(p.quiver, p.dims)
-    s, nh = p.slots, p.quiver.num_h
-    out = []
-    for x, (t, d) in enumerate(zip(lay.partner, lay.degree)):
-        if x < nh:  # B_h - eps(h) xi B_hbar^dag
-            out.append(s[x] - (-1 if d else 1) * xi * s[t].conj().T)
-        elif d:  # j_k + xi i_k^dag
-            out.append(s[x] + xi * s[t].conj().T)
-        else:  # i_k - xi j_k^dag
-            out.append(s[x] - xi * s[t].conj().T)
-    return RepPoint.from_slots(p.quiver, p.dims, out)
+    # B_h - eps(h) xi B_hbar^dag, i_k - xi j_k^dag and j_k + xi i_k^dag:
+    # every entry minus sign xi times the conjugate of its partner entry
+    lay, x = p.layout, p.vec
+    return RepPoint.from_flat(p.quiver, p.dims,
+                              x - (lay.sign * complex(xi)) * np.conj(x[lay.partner_index]))
 
 
 def check_slice_increment(p0: RepPoint, A: RepPoint,
@@ -69,11 +62,13 @@ def check_slice_increment(p0: RepPoint, A: RepPoint,
 
 def conformal_slots(p0: RepPoint, A: RepPoint, hbar) -> list[np.ndarray]:
     """The slots of conformal_point(p0, A, hbar) without its slice checks; an
-    array hbar of shape (N, 1, 1) stacks N family members slot by slot."""
-    s, a = p0.slots, A.slots
-    lay = layout(p0.quiver, p0.dims)
-    return [(s[x] + a[x]) / hbar + s[t].conj().T if d else s[x] + a[x] - hbar * s[t].conj().T
-            for x, (t, d) in enumerate(zip(lay.partner, lay.degree))]
+    array hbar of shape (N, 1, 1) stacks N family members slot by slot.  Each
+    entry pairs with the conjugate of its partner entry (see FlatLayout)."""
+    lay, x, a = p0.layout, p0.vec, A.vec
+    hb = np.asarray(hbar)
+    hb = hb.reshape(hb.shape[:-1]) if hb.ndim else hb  # (N, 1): one member per row
+    back = np.conj(x[lay.partner_index])
+    return lay.slot_views(np.where(lay.scaled, (x + a) / hb + back, x + a - hb * back))
 
 
 def conformal_point(p0: RepPoint, A: RepPoint, hbar: complex,

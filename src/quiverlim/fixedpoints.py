@@ -11,6 +11,7 @@ blockwise.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -22,21 +23,20 @@ from .errors import (GradingViolation, NoConvergence, NonIntegerWeights,
                      NotFixed, NotInjective, NotOnVariety)
 from .quiver import DimensionVectors, Quiver
 from .repspace import (GaugeElement, LieElement, RepPoint, block_matrix,
-                       central_deviation, conjugate_slots, gauge_act, layout,
-                       lie_exp, moment_complex, moment_real)
+                       central_deviation, conjugate_slots, gauge_act, lie_exp,
+                       moment_complex)
 from .solver import solve_real_moment
 
 
 def cstar_act(R: complex, p: RepPoint) -> RepPoint:
     """Multiply the slots of scaling degree 1 (reversed edges, j) by R."""
-    return RepPoint.from_slots(p.quiver, p.dims, [
-        R * m if d else m.copy()
-        for m, d in zip(p.slots, layout(p.quiver, p.dims).degree)])
+    x = p.vec
+    return RepPoint.from_flat(p.quiver, p.dims, np.where(p.layout.scaled, R * x, x))
 
 
 def stability_margin(p: RepPoint) -> tuple[float, float]:
     """(smallest, largest) singular value of the complexified gauge action."""
-    mat = layout(p.quiver, p.dims).action_matrix(p)
+    mat = p.layout.action_matrix(p)
     if mat.shape[1] == 0:
         return float("inf"), 0.0
     s = np.linalg.svd(mat, compute_uv=False)
@@ -54,10 +54,11 @@ class FixedPointReport:
     crosscheck: float
 
 
-def _require_on_variety(p: RepPoint, tol: float) -> None:
-    """Both moment maps must sit at central values (scalar blocks)."""
+def _require_on_variety(p: RepPoint, tol: float, real_coords: np.ndarray) -> None:
+    """Both moment maps must sit at central values (scalar blocks); real_coords
+    holds -2i mu_R(p) in hermitian coordinates."""
     scale = tol * moment_scale(p)
-    dev_r = central_deviation(moment_real(p))
+    dev_r = 0.5 * central_deviation(p.layout.herm_element(real_coords))
     dev_c = central_deviation(moment_complex(p))
     if max(dev_r, dev_c) > scale:
         raise NotOnVariety(
@@ -71,16 +72,16 @@ def is_fixed_point(p: RepPoint, tol: float = CHECK_TOL) -> FixedPointReport:
     Solves the least-squares problem matching the infinitesimal gauge action
     of a hermitian D against the derivative of the scaling action, then
     confirms at two finite angles.  The point must sit on central moment
-    levels (NotOnVariety otherwise).
+    levels (NotOnVariety otherwise); mat^T [Re x; Im x], for the real action
+    matrix mat at x = p.flatten(), is -2i mu_R(p) in hermitian coordinates.
     """
-    _require_on_variety(p, tol)
+    lay, x = p.layout, p.vec
+    mat = lay.hermitian_action_matrix(x)
+    _require_on_variety(p, tol, mat.T @ np.concatenate([x.real, x.imag]))
     scale = tol * max(1.0, p.norm())
-    lay = layout(p.quiver, p.dims)
-    target = RepPoint.from_slots(p.quiver, p.dims, [
-        -m if d else np.zeros_like(m) for m, d in zip(p.slots, lay.degree)])
-    mat = lay.hermitian_action_matrix(p.flatten())
-    flat = target.flatten()
-    rhs = np.concatenate([flat.real, flat.imag])
+    # the derivative of the scaling action at p, to be undone by the gauge
+    target = RepPoint.from_flat(p.quiver, p.dims, np.where(lay.scaled, -x, 0.0))
+    rhs = np.concatenate([target.vec.real, target.vec.imag])
     coeff = np.linalg.lstsq(mat, rhs, rcond=None)[0]
     resid = float(np.linalg.norm(mat @ coeff - rhs))
     gen = lay.herm_element(coeff)
@@ -90,8 +91,7 @@ def is_fixed_point(p: RepPoint, tol: float = CHECK_TOL) -> FixedPointReport:
     cross = 0.0
     if resid <= scale:
         for theta in (np.pi / 3, np.pi / 2):
-            g = lie_exp(LieElement(dims=p.dims,
-                                   blocks=[1j * theta * b for b in gen.blocks]))
+            g = lie_exp(gen * (1j * theta))
             moved = gauge_act(g, cstar_act(np.exp(1j * theta), p))
             cross = max(cross, (moved - p).norm())
     fixed = resid <= scale and cross <= SLACK * scale
@@ -125,33 +125,28 @@ class WeightGrading:
         gaps = [ws[-1] - ws[0] for ws in self.weights if ws]
         return max(gaps, default=0)
 
+    @functools.cached_property
+    def _lines(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Q, w): the eigenbases qmats as one V x V matrix, the column weights."""
+        return (block_matrix(self.dims, self.qmats),
+                np.array([w for ws in self.weights for w in ws], dtype=int))
+
     def power_gauge(self, s: complex) -> GaugeElement:
-        blocks = []
-        for k, q in enumerate(self.qmats):
-            d = np.diag([complex(s) ** w for w in self.weights[k]]) \
-                if self.weights[k] else np.zeros((0, 0), dtype=complex)
-            blocks.append(q @ d @ q.conj().T)
-        return GaugeElement(dims=self.dims, g=blocks)
+        """s^D: s to the power of each weight on its eigenline."""
+        q, w = self._lines
+        powers = np.array([complex(s) ** int(x) for x in w], dtype=complex)
+        return GaugeElement.from_matrix(self.dims, (q * powers) @ q.conj().T)
 
     def act(self, R: complex, p: RepPoint) -> RepPoint:
         """Combined scaling-plus-gauge action; fixes the base point."""
         return gauge_act(self.power_gauge(R), cstar_act(R, p))
 
-    def _to_eigen(self, xi: LieElement) -> list[np.ndarray]:
-        return [q.conj().T @ b @ q for q, b in zip(self.qmats, xi.blocks)]
-
-    def _from_eigen(self, blocks: list[np.ndarray]) -> LieElement:
-        out = [q @ b @ q.conj().T for q, b in zip(self.qmats, blocks)]
-        return LieElement(dims=self.dims, blocks=out)
-
     def lie_project(self, xi: LieElement, j: int) -> LieElement:
         """Keep only gauge-algebra components of adjoint weight |m| <= j."""
-        kept = []
-        for k, b in enumerate(self._to_eigen(xi)):
-            ws = np.array(self.weights[k], dtype=int)
-            mask = np.abs(ws[:, None] - ws[None, :]) <= j
-            kept.append(np.where(mask, b, 0.0))
-        return self._from_eigen(kept)
+        q, w = self._lines
+        eig = q.conj().T @ xi.mat @ q
+        kept = np.where(np.abs(w[:, None] - w[None, :]) <= j, eig, 0.0)
+        return LieElement.from_matrix(self.dims, q @ kept @ q.conj().T)
 
     def tangent_weight_counts(self) -> dict[int, int]:
         """Complex dimension of each full-action weight block of the rep space."""
@@ -161,16 +156,13 @@ class WeightGrading:
         """Full-action weight of every flat coordinate in the eigenbases: the
         row line's weight minus the column line's plus the slot's scaling
         degree, where framing lines weigh 0."""
-        lay = layout(self.quiver, self.dims)
-
-        def lines(s: int) -> np.ndarray:
-            return np.array(self.weights[s] if s >= 0 else (0,) * self.dims.w[~s], dtype=int)
-        return np.concatenate([(lines(r)[:, None] - lines(c)[None, :] + d).ravel()
-                               for (r, c), d in zip(lay.spaces, lay.degree)])
+        lay = self.base_point.layout
+        lines = np.concatenate([self._lines[1], np.zeros(sum(self.dims.w), dtype=int)])
+        return lines[lay.entry_lines[0]] - lines[lay.entry_lines[1]] + lay.scaled
 
     def project(self, q: RepPoint, keep: np.ndarray) -> RepPoint:
         """The part of q on the flat eigen-coordinates where keep holds."""
-        qm = block_matrix(self.dims, self.qmats)
+        qm = self._lines[0]
         eig = conjugate_slots(q, qm.conj().T, qm).flatten()
         kept = RepPoint.from_flat(q.quiver, q.dims, np.where(keep, eig, 0.0))
         return conjugate_slots(kept, qm, qm.conj().T)
@@ -204,9 +196,7 @@ def weight_grading(p: RepPoint, rep: FixedPointReport | None = None) -> WeightGr
         raise NotInjective(
             f"gauge action has kernel at the fixed point "
             f"(smallest singular value {rep.min_singular:.3e})")
-    weights = []
-    qmats = []
-    gen_blocks = []
+    weights, qmats = [], []
     for k, blk in enumerate(rep.generator.blocks):
         herm = 0.5 * (blk + blk.conj().T)
         evals, evecs = np.linalg.eigh(herm) if herm.size else (np.zeros(0), np.zeros((0, 0)))
@@ -214,14 +204,12 @@ def weight_grading(p: RepPoint, rep: FixedPointReport | None = None) -> WeightGr
         if evals.size and np.max(np.abs(evals - rounded)) > INT_WEIGHT_TOL:
             raise NonIntegerWeights(
                 f"vertex {k} weights {evals} are not integral")
-        ints = tuple(int(x) for x in rounded)
-        weights.append(ints)
+        weights.append(tuple(int(x) for x in rounded))
         qmats.append(evecs.astype(complex))
-        gen_blocks.append(evecs @ np.diag(rounded.astype(float)) @ evecs.conj().T
-                          if evals.size else np.zeros((0, 0), dtype=complex))
-    gen = LieElement(dims=p.dims, blocks=gen_blocks)
+    q = block_matrix(p.dims, qmats)
+    gen = (q * [w for ws in weights for w in ws]) @ q.conj().T
     grading = WeightGrading(base_point=p, weights=tuple(weights), qmats=qmats,
-                            generator=gen)
+                            generator=LieElement.from_matrix(p.dims, gen))
 
     # base-point structure: every slot entry sits at full-action weight 0
     # (oriented edges and i preserve line weight, reversed edges drop it by
@@ -244,15 +232,9 @@ def bb_expected_dimension(grading: WeightGrading) -> dict[str, int]:
     """
     counts = grading.tangent_weight_counts()
     dim_m_pos = sum(n for w, n in counts.items() if w >= 1)
-    dim_g_pos = 0
-    dim_g_nonneg = 0
-    for ws in grading.weights:
-        for wa in ws:
-            for wb in ws:
-                if wa - wb >= 1:
-                    dim_g_pos += 1
-                if wa - wb >= 0:
-                    dim_g_nonneg += 1
+    gaps = [np.subtract.outer(ws, ws) for ws in grading.weights]
+    dim_g_pos = sum(int((d >= 1).sum()) for d in gaps)
+    dim_g_nonneg = sum(int((d >= 0).sum()) for d in gaps)
     return {
         "rep_weight_ge1": dim_m_pos,
         "gauge_weight_ge1": dim_g_pos,
@@ -263,10 +245,8 @@ def bb_expected_dimension(grading: WeightGrading) -> dict[str, int]:
 
 def scaling_energy(p: RepPoint) -> float:
     """Squared norm of the slots the scaling action shrinks."""
-    degree = layout(p.quiver, p.dims).degree
-    total = sum(float(np.vdot(b, b).real) for b, d in zip(p.B, degree) if d)
-    total += sum(float(np.vdot(m, m).real) for m in p.j)
-    return total
+    shrinking = p.vec[p.layout.scaled]
+    return float(np.vdot(shrinking, shrinking).real)
 
 
 @dataclass

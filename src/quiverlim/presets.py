@@ -33,11 +33,7 @@ class Preset:
         if self.fixed_matrices is None:
             raise ValueError(f"preset {self.name} has no distinguished fixed point")
         B, i, j = self.fixed_matrices
-        return RepPoint(
-            quiver=self.quiver, dims=self.dims,
-            B=[np.array(m, dtype=complex) for m in B],
-            i=[np.array(m, dtype=complex) for m in i],
-            j=[np.array(m, dtype=complex) for m in j])
+        return RepPoint(self.quiver, self.dims, B, i, j)
 
 
 def _tstar_p1() -> Preset:

@@ -1,9 +1,15 @@
 """Linear-algebra core on the doubled representation space.
 
 A point holds one complex matrix per doubled edge (B), one framing-in map per
-vertex (i: W_k -> V_k) and one framing-out map per vertex (j: V_k -> W_k).
+vertex (i: W_k -> V_k) and one framing-out map per vertex (j: V_k -> W_k),
+stored as one flat complex vector ``RepPoint.vec`` in the order of its
+``FlatLayout``.  ``B``, ``i``, ``j`` and ``slots`` are views of that vector:
+``p.B[h] = M`` writes M into it (a wrongly shaped M raises ValueError).  A
+gauge-algebra element (LieElement) or gauge element (GaugeElement) holds one
+block-diagonal V x V matrix, V = sum v_k, whose vertex blocks are views of it.
 Moment maps, the complex symplectic form, the hermitian metric, gauge and
-infinitesimal actions, and the adjoint of the infinitesimal action live here.
+infinitesimal actions, and the adjoint of the infinitesimal action live here,
+each a fixed number of numpy calls on the vector or on the layout's stack.
 
 Conventions:
   mu_R(p)_k = (i/2) (sum_{h in H, in(h)=k} B_h B_h^dag - B_hbar^dag B_hbar
@@ -16,7 +22,6 @@ linear in its first slot.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -26,39 +31,61 @@ from .quiver import DimensionVectors, Quiver
 _CPLX = np.complex128
 
 
-def _as_matrix(a, rows: int, cols: int, name: str, index: int) -> np.ndarray:
+def _as_matrix(a, shape: tuple[int, int], name: str, index: int) -> np.ndarray:
     m = np.asarray(a, dtype=_CPLX)
-    if m.shape != (rows, cols):
-        raise ValueError(f"{name}[{index}] must have shape ({rows},{cols}), got {m.shape}")
+    if m.shape != shape:
+        raise ValueError(f"{name}[{index}] must have shape ({shape[0]},{shape[1]}), "
+                         f"got {m.shape}")
     return m
 
 
-@dataclass
+class _SlotList(list):
+    """Views of one point's vector; assigning an item copies into its view."""
+
+    def __init__(self, name: str, views):
+        super().__init__(views)
+        self.name = name
+
+    def __setitem__(self, k, m):
+        view = self[k]
+        view[...] = _as_matrix(m, view.shape, self.name, k)
+
+
 class RepPoint:
     """One point of the doubled representation space (with increments reusing
-    the same container).  B is indexed by the doubled edge set; i and j by
-    vertex.  ``slots`` lists the matrices in the flat order of the layout."""
+    the same container), stored as the flat vector ``vec`` of its layout.  B
+    is indexed by the doubled edge set and i and j by vertex; ``slots`` lists
+    the matrices in layout order.  All of them are views of ``vec``."""
 
-    quiver: Quiver
-    dims: DimensionVectors
-    B: list[np.ndarray] = field(default_factory=list)
-    i: list[np.ndarray] = field(default_factory=list)
-    j: list[np.ndarray] = field(default_factory=list)
+    def __init__(self, quiver: Quiver, dims: DimensionVectors, B=(), i=(), j=()):
+        self.quiver, self.dims = quiver, dims
+        self.layout = layout(quiver, dims)
+        self.vec = np.zeros(self.layout.rep_dim, dtype=_CPLX)
+        self._views, self._given = None, (B, i, j)
+        self.__post_init__()
 
     def __post_init__(self):
-        shapes = layout(self.quiver, self.dims).shapes
-        nh, n = self.quiver.num_h, self.quiver.n
-        if not self.B and not self.i and not self.j:
-            self.B = [np.zeros(s, dtype=_CPLX) for s in shapes[:nh]]
-            self.i = [np.zeros(s, dtype=_CPLX) for s in shapes[nh:nh + n]]
-            self.j = [np.zeros(s, dtype=_CPLX) for s in shapes[nh + n:]]
+        """Copy the matrices given to the constructor into ``vec``, checking
+        count and shapes; O(1) for a point built on a layout vector."""
+        given, self._given = self._given, None
+        if given is None or not any(len(mats) for mats in given):
             return
-        if (len(self.B), len(self.i), len(self.j)) != (nh, n, n):
+        nh, n = self.quiver.num_h, self.quiver.n
+        if tuple(len(mats) for mats in given) != (nh, n, n):
             raise ValueError(f"a point needs {nh} B, {n} i and {n} j matrices, got "
-                             f"{len(self.B)}, {len(self.i)} and {len(self.j)}")
-        self.B = [_as_matrix(m, *shapes[h], "B", h) for h, m in enumerate(self.B)]
-        self.i = [_as_matrix(m, *shapes[nh + k], "i", k) for k, m in enumerate(self.i)]
-        self.j = [_as_matrix(m, *shapes[nh + n + k], "j", k) for k, m in enumerate(self.j)]
+                             f"{len(given[0])}, {len(given[1])} and {len(given[2])}")
+        for views, mats in zip((self.B, self.i, self.j), given):
+            for k, m in enumerate(mats):
+                views[k] = m
+
+    @classmethod
+    def _wrap(cls, lay: "FlatLayout", vec: np.ndarray) -> "RepPoint":
+        """The point whose storage is vec itself: no copy and no checks."""
+        p = cls.__new__(cls)
+        p.quiver, p.dims, p.layout, p.vec = lay.quiver, lay.dims, lay, vec
+        p._views = p._given = None
+        p.__post_init__()
+        return p
 
     @classmethod
     def zeros(cls, quiver: Quiver, dims: DimensionVectors) -> "RepPoint":
@@ -70,28 +97,54 @@ class RepPoint:
         nh, n = quiver.num_h, quiver.n
         return cls(quiver, dims, slots[:nh], slots[nh:nh + n], slots[nh + n:])
 
+    @classmethod
+    def from_flat(cls, quiver: Quiver, dims: DimensionVectors, vec) -> "RepPoint":
+        """The point with flat coordinates vec, copied."""
+        lay = layout(quiver, dims)
+        if vec.size != lay.rep_dim:
+            raise ValueError("flat vector length does not match the representation space")
+        return cls._wrap(lay, np.array(vec, dtype=_CPLX))
+
     @property
     def slots(self) -> list[np.ndarray]:
-        return self.B + self.i + self.j
+        if self._views is None:
+            self._views = self.layout.slot_views(self.vec)
+        return list(self._views)
+
+    def __getstate__(self) -> dict:
+        # a copy or a pickle holds its own vector, so its views are rebuilt
+        return {**self.__dict__, "_views": None}
+
+    def _named(self, name: str) -> _SlotList:
+        nh, n = self.quiver.num_h, self.quiver.n
+        part = {"B": slice(nh), "i": slice(nh, nh + n), "j": slice(nh + n, None)}[name]
+        return _SlotList(name, self.slots[part])
+
+    B = property(lambda self: self._named("B"))
+    i = property(lambda self: self._named("i"))
+    j = property(lambda self: self._named("j"))
+
+    def flatten(self) -> np.ndarray:
+        """A copy of ``vec``."""
+        return self.vec.copy()
 
     def copy(self) -> "RepPoint":
-        return RepPoint.from_slots(self.quiver, self.dims, [m.copy() for m in self.slots])
+        return RepPoint._wrap(self.layout, self.vec.copy())
 
-    def _zip(self, other: "RepPoint", op) -> "RepPoint":
-        if other.quiver != self.quiver or other.dims != self.dims:
+    def _other(self, other: "RepPoint") -> np.ndarray:
+        if other.layout is not self.layout and (other.quiver != self.quiver
+                                                or other.dims != self.dims):
             raise ValueError("rep points live on different quivers")
-        return RepPoint.from_slots(self.quiver, self.dims,
-                                   [op(a, b) for a, b in zip(self.slots, other.slots)])
+        return other.vec
 
     def __add__(self, other: "RepPoint") -> "RepPoint":
-        return self._zip(other, np.add)
+        return RepPoint._wrap(self.layout, self.vec + self._other(other))
 
     def __sub__(self, other: "RepPoint") -> "RepPoint":
-        return self._zip(other, np.subtract)
+        return RepPoint._wrap(self.layout, self.vec - self._other(other))
 
     def __mul__(self, scalar) -> "RepPoint":
-        s = _CPLX(scalar)
-        return RepPoint.from_slots(self.quiver, self.dims, [s * m for m in self.slots])
+        return RepPoint._wrap(self.layout, _CPLX(scalar) * self.vec)
 
     __rmul__ = __mul__
 
@@ -101,24 +154,8 @@ class RepPoint:
     def norm(self) -> float:
         return float(np.sqrt(max(metric(self, self).real, 0.0)))
 
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([m.ravel() for m in self.slots])
-
-    @classmethod
-    def from_flat(cls, quiver: Quiver, dims: DimensionVectors, vec: np.ndarray) -> "RepPoint":
-        lay = layout(quiver, dims)
-        if vec.size != lay.rep_dim:
-            raise ValueError("flat vector length does not match the representation space")
-        vec = np.array(vec, dtype=_CPLX)  # one copy; the slots are views of it
-        return cls.from_slots(quiver, dims, [vec[a:a + r * c].reshape(r, c)
-                                             for a, (r, c) in zip(lay.starts, lay.shapes)])
-
     def to_dict(self) -> dict:
-        return {
-            "B": [_matrix_pairs(b) for b in self.B],
-            "i": [_matrix_pairs(m) for m in self.i],
-            "j": [_matrix_pairs(m) for m in self.j],
-        }
+        return {name: [_matrix_pairs(m) for m in getattr(self, name)] for name in "Bij"}
 
 
 def _matrix_pairs(m: np.ndarray) -> list:
@@ -130,65 +167,13 @@ def rep_dim(quiver: Quiver, dims: DimensionVectors) -> int:
     return layout(quiver, dims).rep_dim
 
 
-@dataclass
-class LieElement:
-    """Tuple of square blocks, one per vertex."""
-
-    dims: DimensionVectors
-    blocks: list[np.ndarray]
-
-    def __post_init__(self):
-        self.blocks = [_as_matrix(self.blocks[k], self.dims.v[k], self.dims.v[k], "xi", k)
-                       for k in range(self.dims.n)]
-
-    @classmethod
-    def zeros(cls, dims: DimensionVectors) -> "LieElement":
-        return cls(dims, [np.zeros((vk, vk), dtype=_CPLX) for vk in dims.v])
-
-    def copy(self) -> "LieElement":
-        return LieElement(self.dims, [b.copy() for b in self.blocks])
-
-    def __add__(self, other: "LieElement") -> "LieElement":
-        return LieElement(self.dims, [a + b for a, b in zip(self.blocks, other.blocks)])
-
-    def __sub__(self, other: "LieElement") -> "LieElement":
-        return LieElement(self.dims, [a - b for a, b in zip(self.blocks, other.blocks)])
-
-    def __mul__(self, scalar) -> "LieElement":
-        s = _CPLX(scalar)
-        return LieElement(self.dims, [s * b for b in self.blocks])
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "LieElement":
-        return LieElement(self.dims, [-b for b in self.blocks])
-
-    def dagger(self) -> "LieElement":
-        return LieElement(self.dims, [b.conj().T for b in self.blocks])
-
-    def norm(self) -> float:
-        return float(np.sqrt(sum(np.vdot(b, b).real for b in self.blocks)))
-
-    def flatten(self) -> np.ndarray:
-        """Blocks in vertex order, each row-major (the gauge flat layout)."""
-        if not self.blocks:
-            return np.zeros(0, dtype=_CPLX)
-        return np.concatenate([b.ravel() for b in self.blocks])
-
-    @classmethod
-    def from_flat(cls, dims: DimensionVectors, vec: np.ndarray) -> "LieElement":
-        starts = _starts([vk * vk for vk in dims.v])
-        return cls(dims, [vec[a:a + vk * vk].reshape(vk, vk).astype(_CPLX)
-                          for a, vk in zip(starts, dims.v)])
-
-    def matrix(self) -> np.ndarray:
-        """The blocks on the diagonal of one V x V matrix (see block_mask)."""
-        return block_matrix(self.dims, self.blocks)
-
-    @classmethod
-    def from_matrix(cls, dims: DimensionVectors, m: np.ndarray) -> "LieElement":
-        """The vertex blocks of a V x V matrix; entries off them are dropped."""
-        return cls.from_flat(dims, m[block_mask(dims)])
+@functools.lru_cache(maxsize=128)
+def _vertex_lines(dims: DimensionVectors) -> tuple[tuple[slice, ...], np.ndarray]:
+    """(the lines of each vertex block of a V x V matrix, the size v_k of the
+    block that each line belongs to)."""
+    ends = np.cumsum(dims.v)
+    spans = tuple(slice(int(e) - vk, int(e)) for e, vk in zip(ends, dims.v))
+    return spans, np.repeat(dims.v, dims.v).astype(float)
 
 
 @functools.lru_cache(maxsize=128)
@@ -203,190 +188,204 @@ def block_mask(dims: DimensionVectors) -> np.ndarray:
     return mask
 
 
-def block_matrix(dims: DimensionVectors, blocks) -> np.ndarray:
+def block_matrix(dims: DimensionVectors, blocks, name: str = "block") -> np.ndarray:
     """One V x V matrix with the given vertex blocks on its diagonal, zero
-    elsewhere (a block-diagonal gauge element or gauge-algebra element)."""
-    mask = block_mask(dims)
-    m = np.zeros(mask.shape, dtype=_CPLX)
-    m[mask] = np.concatenate([b.ravel() for b in blocks])
+    elsewhere (a block-diagonal gauge element or gauge-algebra element).
+    Each block must be v_k x v_k (ValueError otherwise)."""
+    m = np.zeros((sum(dims.v),) * 2, dtype=_CPLX)
+    for k, (s, b) in enumerate(zip(_vertex_lines(dims)[0], blocks, strict=True)):
+        m[s, s] = _as_matrix(b, (s.stop - s.start,) * 2, name, k)
     return m
+
+
+class _BlockDiagonal:
+    """One block-diagonal V x V matrix ``mat``, zero off the vertex blocks."""
+
+    @classmethod
+    def _of(cls, dims: DimensionVectors, mat: np.ndarray):
+        """The element held by the block-diagonal matrix mat: no copy, no checks."""
+        x = cls.__new__(cls)
+        x.dims, x.mat = dims, mat
+        return x
+
+    @classmethod
+    def from_matrix(cls, dims: DimensionVectors, m: np.ndarray):
+        """The vertex blocks of a V x V matrix; entries off them are dropped."""
+        return cls._of(dims, np.where(block_mask(dims), m, _CPLX(0)))
+
+    def matrix(self) -> np.ndarray:
+        """The V x V matrix that holds the element (see block_mask)."""
+        return self.mat
+
+    def _blocks(self) -> list[np.ndarray]:
+        """The vertex blocks, as views of ``mat``."""
+        return [self.mat[s, s] for s in _vertex_lines(self.dims)[0]]
+
+
+class LieElement(_BlockDiagonal):
+    """Tuple of square blocks, one per vertex, held as one block-diagonal
+    V x V matrix; ``blocks`` are views of it."""
+
+    def __init__(self, dims: DimensionVectors, blocks):
+        self.dims, self.mat = dims, block_matrix(dims, blocks, "xi")
+
+    blocks = property(_BlockDiagonal._blocks)
+
+    @classmethod
+    def zeros(cls, dims: DimensionVectors) -> "LieElement":
+        return cls._of(dims, np.zeros((sum(dims.v),) * 2, dtype=_CPLX))
+
+    def copy(self) -> "LieElement":
+        return LieElement._of(self.dims, self.mat.copy())
+
+    def __add__(self, other: "LieElement") -> "LieElement":
+        return LieElement._of(self.dims, self.mat + other.mat)
+
+    def __sub__(self, other: "LieElement") -> "LieElement":
+        return LieElement._of(self.dims, self.mat - other.mat)
+
+    def __mul__(self, scalar) -> "LieElement":
+        return LieElement._of(self.dims, _CPLX(scalar) * self.mat)
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> "LieElement":
+        return LieElement._of(self.dims, -self.mat)
+
+    def dagger(self) -> "LieElement":
+        return LieElement._of(self.dims, self.mat.conj().T)
+
+    def norm(self) -> float:
+        return float(np.sqrt(np.vdot(self.mat, self.mat).real))
+
+    def flatten(self) -> np.ndarray:
+        """Blocks in vertex order, each row-major (the gauge flat layout)."""
+        return self.mat[block_mask(self.dims)]
+
+    @classmethod
+    def from_flat(cls, dims: DimensionVectors, vec: np.ndarray) -> "LieElement":
+        mask = block_mask(dims)
+        m = np.zeros(mask.shape, dtype=_CPLX)
+        m[mask] = vec
+        return cls._of(dims, m)
 
 
 def lie_inner(a: LieElement, b: LieElement) -> complex:
     """Hermitian pairing sum_k Tr(a_k b_k^dag), linear in the first slot."""
-    return complex(sum(np.vdot(bk, ak) for ak, bk in zip(a.blocks, b.blocks)))
+    return complex(np.vdot(b.mat, a.mat))
+
+
+def central_lie(values, dims: DimensionVectors) -> LieElement:
+    """values[k] Id on every vertex k."""
+    vals = np.asarray(values, dtype=_CPLX)
+    return LieElement._of(dims, np.diag(np.repeat(vals, dims.v)))
 
 
 def zeta_real_lie(sigma, dims: DimensionVectors) -> LieElement:
     """zeta_R as a skew-hermitian element: i sigma_k Id per vertex."""
-    sig = np.asarray(sigma, dtype=float)
-    return LieElement(dims, [1j * sig[k] * np.eye(dims.v[k], dtype=_CPLX)
-                             for k in range(dims.n)])
-
-
-def central_lie(values, dims: DimensionVectors) -> LieElement:
-    vals = np.asarray(values, dtype=_CPLX)
-    return LieElement(dims, [vals[k] * np.eye(dims.v[k], dtype=_CPLX)
-                             for k in range(dims.n)])
+    return central_lie(1j * np.asarray(sigma, dtype=float), dims)
 
 
 def central_deviation(x: LieElement) -> float:
-    """How far each block is from a scalar matrix, max over vertices."""
-    dev = 0.0
-    for b in x.blocks:
-        if b.shape[0] == 0:
-            continue
-        scal = np.trace(b) / b.shape[0]
-        dev = max(dev, float(np.abs(b - scal * np.eye(b.shape[0])).max(initial=0.0)))
-    return dev
+    """How far each block is from a scalar matrix, max over vertices: one
+    reduction of x minus the mean of each block's diagonal on that block."""
+    d = np.diagonal(x.mat)
+    mean = (block_mask(x.dims) @ d) / _vertex_lines(x.dims)[1]
+    return float(np.abs(x.mat - np.diag(mean)).max(initial=0.0))
 
 
-@dataclass
-class GaugeElement:
-    """Invertible blocks per vertex acting by g.p = (g_in B g_out^-1, g i, j g^-1)."""
+class GaugeElement(_BlockDiagonal):
+    """Invertible blocks per vertex acting by g.p = (g_in B g_out^-1, g i, j g^-1),
+    held as one block-diagonal V x V matrix; ``g`` lists its blocks as views."""
 
-    dims: DimensionVectors
-    g: list[np.ndarray]
+    def __init__(self, dims: DimensionVectors, g):
+        self.dims, self.mat = dims, block_matrix(dims, g, "g")
 
-    def __post_init__(self):
-        self.g = [_as_matrix(self.g[k], self.dims.v[k], self.dims.v[k], "g", k)
-                  for k in range(self.dims.n)]
-
-    @classmethod
-    def identity(cls, dims: DimensionVectors) -> "GaugeElement":
-        return cls(dims, [np.eye(vk, dtype=_CPLX) for vk in dims.v])
+    g = property(_BlockDiagonal._blocks)
 
     def inverse(self) -> "GaugeElement":
-        return GaugeElement(self.dims, [np.linalg.inv(gk) for gk in self.g])
+        # the inverse of a block-diagonal matrix is block-diagonal: LU and the
+        # solves only ever add exact zeros across blocks
+        return GaugeElement._of(self.dims, np.linalg.inv(self.mat))
 
     def compose(self, other: "GaugeElement") -> "GaugeElement":
         """self after other (matrix product blockwise)."""
-        return GaugeElement(self.dims, [a @ b for a, b in zip(self.g, other.g)])
-
-    def matrix(self) -> np.ndarray:
-        """The blocks on the diagonal of one V x V matrix (see block_mask)."""
-        return block_matrix(self.dims, self.g)
+        return GaugeElement._of(self.dims, self.mat @ other.mat)
 
     def cond(self) -> float:
-        c = 1.0
-        for gk in self.g:
-            if gk.shape[0] > 0:
-                c = max(c, float(np.linalg.cond(gk)))
-        return c
+        """The largest condition number of a block, at least 1."""
+        return max((float(np.linalg.cond(gk)) for gk in self.g if gk.size), default=1.0)
 
 
 def lie_exp(xi: LieElement) -> GaugeElement:
-    """Blockwise matrix exponential (scaling-and-squaring Pade)."""
-    return GaugeElement(xi.dims, [scipy.linalg.expm(b) if b.size else b.copy()
-                                  for b in xi.blocks])
+    """Matrix exponential (scaling-and-squaring Pade) of the block-diagonal
+    matrix of xi, which is block-diagonal again."""
+    m = xi.mat
+    return GaugeElement._of(xi.dims, scipy.linalg.expm(m) if m.size else m.copy())
 
 
 def conjugate_slots(p: RepPoint, left: np.ndarray, right: np.ndarray) -> RepPoint:
     """left_r X right_c on every slot X of p from space c to space r, for
     block-diagonal V x V matrices left and right (no factor on a framing
     side): ``FlatLayout.conjugate`` on p's stack."""
-    lay = layout(p.quiver, p.dims)
-    stack = lay.conjugate(lay.to_stack(p.flatten()), left, right)
-    return RepPoint.from_flat(p.quiver, p.dims, lay.from_stack(stack))
+    lay = p.layout
+    return RepPoint._wrap(lay, lay.from_stack(lay.conjugate(lay.to_stack(p.vec),
+                                                            left, right)))
 
 
 def gauge_act(g: GaugeElement, p: RepPoint) -> RepPoint:
-    # the inverse of a block-diagonal matrix is block-diagonal: LU and the
-    # solves only ever add exact zeros across blocks
-    gm = g.matrix()
-    return conjugate_slots(p, gm, np.linalg.inv(gm))
+    return conjugate_slots(p, g.mat, g.inverse().mat)
 
 
 def inf_action(p: RepPoint, xi: LieElement) -> RepPoint:
     """Derivative of the gauge action at the identity, in direction xi."""
-    x = xi.blocks
-    out = []
-    for m, (r, c) in zip(p.slots, layout(p.quiver, p.dims).spaces):
-        if r < 0:
-            out.append(-m @ x[c])
-        elif c < 0:
-            out.append(x[r] @ m)
-        else:
-            out.append(x[r] @ m - m @ x[c])
-    return RepPoint.from_slots(p.quiver, p.dims, out)
-
-
-def _zero_blocks(dims: DimensionVectors) -> list[np.ndarray]:
-    return [np.zeros((vk, vk), dtype=_CPLX) for vk in dims.v]
+    return RepPoint._wrap(p.layout, p.layout.action_matrix(p) @ xi.flatten())
 
 
 def inf_action_adjoint(p: RepPoint, incr: RepPoint) -> LieElement:
     """Adjoint of inf_action(p, .) for the metric pairings:
     <inf_action(p, xi), q> = <xi, inf_action_adjoint(p, q)>."""
-    s, d, acc = p.slots, incr.slots, _zero_blocks(p.dims)
-    for k, pairs in enumerate(layout(p.quiver, p.dims).products):
-        for x, y, _ in pairs:
-            acc[k] += d[x] @ s[x].conj().T - s[y].conj().T @ d[y]
-    return LieElement(p.dims, acc)
+    return LieElement.from_flat(p.dims, p.layout.action_matrix(p).conj().T @ incr.vec)
 
 
 def metric(p: RepPoint, q: RepPoint) -> complex:
     """Hermitian metric, linear in p: sum Tr(B B'^dag) + Tr(i i'^dag) + Tr(j'^dag j)."""
-    acc = 0.0 + 0.0j
-    for a, b in zip(p.slots, q.slots):
-        acc += np.vdot(b, a)
-    return complex(acc)
+    return complex(np.vdot(q.vec, p.vec))
 
 
 def symplectic_form(p: RepPoint, q: RepPoint) -> complex:
-    """Complex-bilinear form sum_h Tr(eps(h) B_h B'_hbar) + sum_k Tr(i_k j'_k - i'_k j_k)."""
-    lay, t = layout(p.quiver, p.dims), q.slots
-    acc = 0.0 + 0.0j
-    for h, b in enumerate(p.B):
-        acc += (-1 if lay.degree[h] else 1) * np.trace(b @ t[lay.partner[h]])
-    for k in range(p.quiver.n):
-        acc += np.trace(p.i[k] @ q.j[k]) - np.trace(q.i[k] @ p.j[k])
-    return complex(acc)
+    """Complex-bilinear form sum_h Tr(eps(h) B_h B'_hbar) + sum_k Tr(i_k j'_k - i'_k j_k):
+    each entry of p times the transposed entry of q's partner slot, with the
+    sign -1 on the slots of scaling degree 1."""
+    lay = p.layout
+    return complex(np.dot(lay.sign * p.vec, q.vec[lay.partner_index]))
 
 
 def moment_real(p: RepPoint) -> LieElement:
-    s, acc = p.slots, _zero_blocks(p.dims)
-    for k, pairs in enumerate(layout(p.quiver, p.dims).products):
-        for x, y, _ in pairs:
-            acc[k] += s[x] @ s[x].conj().T - s[y].conj().T @ s[y]
-    return LieElement(p.dims, [0.5j * a for a in acc])
+    return LieElement._of(p.dims, 0.5j * p.layout.moment_form(p.vec, p.vec))
 
 
 def moment_complex(p: RepPoint) -> LieElement:
-    s, acc = p.slots, _zero_blocks(p.dims)
-    for k, pairs in enumerate(layout(p.quiver, p.dims).products):
-        for x, y, sign in pairs:
-            acc[k] += sign * (s[x] @ s[y])
-    return LieElement(p.dims, acc)
+    """mu_C(p) = dmu_complex(p, p) / 2, one product with the dmu matrix."""
+    return LieElement.from_flat(p.dims, 0.5 * (p.layout.dmu_matrix(p) @ p.vec))
 
 
 def dmu_complex(p: RepPoint, incr: RepPoint) -> LieElement:
     """Derivative of mu_C at p in direction incr; exact since mu_C is quadratic:
     mu_C(p + q) = mu_C(p) + dmu_complex(p, q) + mu_C(q)."""
-    s, d, acc = p.slots, incr.slots, _zero_blocks(p.dims)
-    for k, pairs in enumerate(layout(p.quiver, p.dims).products):
-        for x, y, sign in pairs:
-            acc[k] += sign * (s[x] @ d[y] + d[x] @ s[y])
-    return LieElement(p.dims, acc)
+    return LieElement.from_flat(p.dims, p.layout.dmu_matrix(p) @ incr.vec)
 
 
 def dmoment_real_scaled(p: RepPoint, incr: RepPoint) -> LieElement:
     """Derivative of -2i mu_R (the hermitian form of mu_R) at p in direction incr."""
-    s, d, acc = p.slots, incr.slots, _zero_blocks(p.dims)
-    for k, pairs in enumerate(layout(p.quiver, p.dims).products):
-        for x, y, _ in pairs:
-            acc[k] += d[x] @ s[x].conj().T + s[x] @ d[x].conj().T
-            acc[k] -= d[y].conj().T @ s[y] + s[y].conj().T @ d[y]
-    return LieElement(p.dims, acc)
+    half = p.layout.moment_form(incr.vec, p.vec)
+    return LieElement._of(p.dims, half + half.conj().T)
 
 
 def hermitian_residual(p: RepPoint, sigma) -> LieElement:
     """-2i (mu_R(p) - zeta_R(sigma)) as a hermitian element; zero iff on target."""
-    sig = np.asarray(sigma, dtype=float)
-    mr = moment_real(p)
-    blocks = [-2j * mr.blocks[k] - 2.0 * sig[k] * np.eye(p.dims.v[k], dtype=_CPLX)
-              for k in range(p.quiver.n)]
-    return LieElement(p.dims, blocks)
+    level = np.repeat(2.0 * np.asarray(sigma, dtype=float), p.dims.v)
+    return LieElement._of(p.dims, p.layout.moment_form(p.vec, p.vec) - np.diag(level))
 
 
 # -- operator layer ---------------------------------------------------------
@@ -405,8 +404,10 @@ class FlatLayout:
     edge structure; every slot-wise map works on it.  The matrices of
     xi -> inf_action(p, xi) and q -> dmu_complex(p, q) are linear in p with
     every entry +1 or -1 times one entry of p.flatten(), so each is a scatter
-    of that vector through index tables computed once here.  Get layouts
-    from ``layout``, which caches one per pair; treat them as frozen.
+    of that vector through index tables computed once here; inf_action, its
+    adjoint, dmu_complex and mu_C = dmu_complex(p, p) / 2 are products with
+    them.  Get layouts from ``layout``, which caches one per pair; treat them
+    as frozen.
 
     Per-slot table, indexed like ``RepPoint.slots``:
       spaces    (row space, column space); V_k is written k >= 0 (it has a
@@ -416,14 +417,20 @@ class FlatLayout:
     and per vertex k, ``products[k]`` lists the (x slot, y slot, sign) pairs
     of mu_C(p)_k = sum sign X Y: B_h B_hbar over the edges h into k in
     ascending order with sign eps(h), then i_k j_k.  ``token_slot`` maps the
-    path tokens h{e}, h{e}~, c{k} and j{k} to their slots.
+    path tokens h{e}, h{e}~, c{k} and j{k} to their slots.  Per flat entry,
+    ``scaled`` marks the entries of degree 1, ``sign`` is -1 on them and +1
+    elsewhere, and ``partner_index`` is the entry (b, a) of the partner slot
+    for the entry (a, b) of a slot: the symplectic form, the twistor rotation
+    and the conformal family pair every entry with that one.
 
     Block form, used by the Newton kernel: with lines ordered V_0.. V_{n-1}
     then W_0.. W_{n-1}, a point is one stack of (V+W) x (V+W) matrices in
     which slot X from space c to space r fills rows r and columns c; a space
     pair that repeats (parallel edges) takes one more layer.  Quivers are
     loop-free, so no slot sits on a diagonal block, and a gauge element is
-    one V x V block-diagonal matrix (``block_mask``).
+    one V x V block-diagonal matrix (``block_mask``).  ``entry_lines`` holds
+    the (row line, column line) of every flat entry in the stack.  The stack
+    gives -2i mu_R as one Gram difference (``moment_form``).
     """
 
     def __init__(self, quiver: Quiver, dims: DimensionVectors):
@@ -443,15 +450,23 @@ class FlatLayout:
             + [f"c{k}" for k in k_range] + [f"j{k}" for k in k_range])}
         self.shapes = tuple((dims.v[r] if r >= 0 else dims.w[~r],
                              dims.v[c] if c >= 0 else dims.w[~c]) for r, c in self.spaces)
-        self.starts = _starts([r * c for r, c in self.shapes])
-        self.rep_dim = sum(r * c for r, c in self.shapes)
+        sizes = [r * c for r, c in self.shapes]
+        self.starts, self.rep_dim = _starts(sizes), sum(sizes)
         self.lie_starts = _starts([vk * vk for vk in dims.v])
         self.lie_dim = sum(vk * vk for vk in dims.v)
+        self.nv = sum(dims.v)
+        self.scaled = np.repeat(np.array(self.degree, dtype=bool), sizes)
+        self.sign = np.where(self.scaled, -1.0, 1.0)
+        self.partner_index = np.concatenate(
+            [(self.starts[t] + np.arange(r * c).reshape(c, r).T).ravel()
+             for t, (r, c) in zip(self.partner, self.shapes)])
         self.herm = self._hermitian_basis()
         self._action = self._action_table()
         self._dmu = self._dmu_table()
         self.block_mask = block_mask(dims)
         self.stack_shape, self._stack_index = self._stack_table()
+        size = self.stack_shape[1]
+        self.entry_lines = (self._stack_index // size % size, self._stack_index % size)
 
     def _hermitian_basis(self) -> np.ndarray:
         """Columns: the real-orthonormal basis of hermitian tuples under
@@ -474,10 +489,9 @@ class FlatLayout:
     def _stack_table(self):
         """(shape, index): index[t] is the position of flat point entry t in
         the C-ordered stack of the given shape."""
-        nv = sum(self.dims.v)
         first = {k: o for k, o in enumerate(_starts(self.dims.v))}
-        first.update({~k: nv + o for k, o in enumerate(_starts(self.dims.w))})
-        size = nv + sum(self.dims.w)
+        first.update({~k: self.nv + o for k, o in enumerate(_starts(self.dims.w))})
+        size = self.nv + sum(self.dims.w)
         parts, layers = [], []
         for s, ((r, c), (nr, nc)) in enumerate(zip(self.spaces, self.shapes)):
             layers.append(self.spaces[:s].count((r, c)))
@@ -531,11 +545,11 @@ class FlatLayout:
 
     def action_matrix(self, p: RepPoint) -> np.ndarray:
         """Matrix of xi -> inf_action(p, xi) on flat coordinates."""
-        return self._scatter(self._action, (self.rep_dim, self.lie_dim), p.flatten())
+        return self._scatter(self._action, (self.rep_dim, self.lie_dim), p.vec)
 
     def dmu_matrix(self, p: RepPoint) -> np.ndarray:
         """Matrix of q -> dmu_complex(p, q) on flat coordinates."""
-        return self._scatter(self._dmu, (self.lie_dim, self.rep_dim), p.flatten())
+        return self._scatter(self._dmu, (self.lie_dim, self.rep_dim), p.vec)
 
     def hermitian_action_matrix(self, flat: np.ndarray) -> np.ndarray:
         """Real matrix of the action on hermitian coordinates at the point
@@ -550,6 +564,26 @@ class FlatLayout:
     def herm_element(self, coeffs: np.ndarray) -> LieElement:
         """The hermitian tuple with the given coordinates."""
         return LieElement.from_flat(self.dims, self.herm @ coeffs)
+
+    def slot_views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """The slot matrices of the flat point(s) ``flat``, as views of it;
+        leading axes of flat lead in every slot."""
+        lead = flat.shape[:-1]
+        return [flat[..., a:a + r * c].reshape(*lead, r, c)
+                for a, (r, c) in zip(self.starts, self.shapes)]
+
+    def moment_form(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """sum_l (A_l B_l^dag - B_l^dag A_l) on the vertex blocks, zero off
+        them, for the stacks A and B of the flat points a and b.  At a = b =
+        p.flatten() it is -2i mu_R(p): on block k, X X^dag summed over the
+        slots X into V_k minus X^dag X over the slots out of V_k."""
+        n, nv = self.stack_shape[1], self.nv
+        sa = self.to_stack(a)
+        sb = sa if b is a else self.to_stack(b)
+        rows_a, rows_b = (s.transpose(1, 0, 2).reshape(n, -1)[:nv] for s in (sa, sb))
+        cols_a, cols_b = (s.reshape(-1, n)[:, :nv] for s in (sa, sb))
+        m = rows_a @ rows_b.conj().T - cols_b.conj().T @ cols_a
+        return np.where(self.block_mask, m, _CPLX(0))
 
     def to_stack(self, flat: np.ndarray) -> np.ndarray:
         """The stack of the point with flat coordinates ``flat``."""

@@ -21,8 +21,7 @@ from .errors import (DimensionMismatch, IllConditioned, LeftBasin,
                      MaxIterations, NotOnSlice)
 from .fixedpoints import WeightGrading
 from .quiver import expected_dimension
-from .repspace import (RepPoint, central_deviation, inf_action_adjoint,
-                       layout, moment_complex)
+from .repspace import RepPoint, central_deviation, inf_action_adjoint, moment_complex
 
 
 def stacked_conditions(p: RepPoint, shift: RepPoint | None = None) -> np.ndarray:
@@ -33,7 +32,7 @@ def stacked_conditions(p: RepPoint, shift: RepPoint | None = None) -> np.ndarray
     Newton iterate.  The adjoint rows are the conjugate transpose of the
     action matrix.
     """
-    lay = layout(p.quiver, p.dims)
+    lay = p.layout
     at = p if shift is None else p + shift
     return np.concatenate([lay.dmu_matrix(at), lay.action_matrix(p).conj().T])
 
@@ -97,7 +96,7 @@ def tangent_basis(p: RepPoint) -> SliceBasis:
 
 def moment_derivative_matrix(p: RepPoint) -> np.ndarray:
     """Flat-coordinate matrix of q -> dmu_C(p, q)."""
-    return layout(p.quiver, p.dims).dmu_matrix(p)
+    return p.layout.dmu_matrix(p)
 
 
 def moment_correction(p: RepPoint, q: RepPoint) -> RepPoint:
@@ -177,10 +176,7 @@ def slice_solve(p: RepPoint, q0: RepPoint, tol: float = TOL) -> RepPoint:
         raise NotOnSlice("base point does not sit on a central complex level")
     null, row, _ = _null_and_row(stacked_conditions(p))
     flat0 = q0.flatten()
-    if null.shape[1]:
-        off = flat0 - null @ (null.conj().T @ flat0)
-    else:
-        off = flat0
+    off = flat0 - null @ (null.conj().T @ flat0)
     if float(np.linalg.norm(off)) > \
             CHECK_TOL * max(1.0, float(np.linalg.norm(flat0))):
         raise NotOnSlice("starting increment is not tangent to the slice")
@@ -209,7 +205,7 @@ def bb_tangent_basis(p0: RepPoint, grading: WeightGrading) -> SliceBasis:
 def _positive_weight_columns(p0: RepPoint, grading: WeightGrading) -> np.ndarray:
     """Orthonormal flat-coordinate basis of the full-action weight >= 1 subspace."""
     qs = grading.qmats
-    from_eigen = layout(p0.quiver, p0.dims).gauge_matrix(qs, [q.conj().T for q in qs])
+    from_eigen = p0.layout.gauge_matrix(qs, [q.conj().T for q in qs])
     return from_eigen[:, grading.slot_weights() >= 1]
 
 

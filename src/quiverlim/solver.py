@@ -36,13 +36,13 @@ from .config import (ARMIJO_SLOPE, CHECK_TOL, EIG_FLOOR_RATIO, MAX_HALVINGS,
                      MAX_NEWTON_ITER, SLACK, TOL, moment_scale)
 from .errors import GradingViolation, MaxIterations, NotInjective, NotOnVariety
 from .repspace import (FlatLayout, GaugeElement, LieElement, RepPoint,
-                       central_deviation, central_lie, layout, moment_complex)
+                       central_deviation, central_lie, moment_complex)
 
 
 def assemble_newton_matrix(p: RepPoint) -> np.ndarray:
     """Matrix of the full derivative on hermitian coordinates: 2 A^T A, with A
     the real hermitian action matrix (real symmetric PSD)."""
-    a = layout(p.quiver, p.dims).hermitian_action_matrix(p.flatten())
+    a = p.layout.hermitian_action_matrix(p.vec)
     return 2.0 * (a.T @ a)
 
 
@@ -91,14 +91,13 @@ def hermitian_log(g: GaugeElement) -> LieElement:
     return _polar_log(g.dims, *_polar_spectrum(g.matrix()))
 
 
-def _check_central_complex(p: RepPoint) -> LieElement:
-    mc = moment_complex(p)
-    dev = central_deviation(mc)
+def _check_central_complex(p: RepPoint) -> None:
+    """mu_C(p), one product of the dmu matrix with p's vector, must be central."""
+    dev = central_deviation(moment_complex(p))
     if dev > CHECK_TOL * moment_scale(p):
         raise NotOnVariety(
             f"complex moment map is not central (deviation {dev:.3e}); "
             "the real-moment solve is only defined on central levels")
-    return mc
 
 
 def _polar_point(p: RepPoint, g_total: np.ndarray, level: np.ndarray,
@@ -112,11 +111,11 @@ def _polar_point(p: RepPoint, g_total: np.ndarray, level: np.ndarray,
     SLACK tol max(1, |p|^2) infinite; such a solve raises NotOnVariety
     rather than report a point off the variety.
     """
-    coords = layout(p.quiver, p.dims)
+    coords = p.layout
     vals, vecs = _polar_spectrum(g_total)
     with np.errstate(all="ignore"):
         fwd, back = _spectral_pair(coords.block_mask, np.sqrt(vals), vecs)
-        x = coords.from_stack(coords.conjugate(coords.to_stack(p.flatten()), fwd, back))
+        x = coords.from_stack(coords.conjugate(coords.to_stack(p.vec), fwd, back))
         residual = float(np.linalg.norm(_residual(coords, x, level)[1]))
         point = RepPoint.from_flat(p.quiver, p.dims, x)
         bound = SLACK * tol * moment_scale(point)
@@ -152,10 +151,10 @@ def solve_real_moment(p: RepPoint, sigma, tol: float = TOL,
     if sig.shape != (p.quiver.n,):
         raise ValueError("sigma must provide one real entry per vertex")
 
-    coords = layout(p.quiver, p.dims)
+    coords = p.layout
     mask = coords.block_mask
     level = coords.herm_coords(central_lie(2.0 * sig, p.dims))
-    x = p.flatten()
+    x = p.vec
     stack, g_total = coords.to_stack(x), np.eye(len(mask), dtype=complex)
     a, res = _residual(coords, x, level)
     res_norm = float(np.linalg.norm(res))
@@ -214,12 +213,12 @@ def graded_solve(p_start: RepPoint, grading, r_scale: float, sigma,
     """
     p0 = grading.base_point
     sig = np.asarray(sigma, dtype=float)
-    coords = layout(p_start.quiver, p_start.dims)
+    coords = p_start.layout
     level = coords.herm_coords(central_lie(2.0 * sig, p_start.dims))
     frozen = assemble_newton_matrix(p0)
     m_max = grading.max_end_weight()
 
-    mask, x = coords.block_mask, p_start.flatten()
+    mask, x = coords.block_mask, p_start.vec
     stack, g_total = coords.to_stack(x), np.eye(len(mask), dtype=complex)
     stages: list[tuple[int, LieElement]] = []
     for j in range(m_max):

@@ -226,6 +226,18 @@ def component_norm(grading, xi, m):
     return ql.LieElement(grading.dims, blocks).norm()
 
 
+def central_deviation_by_blocks(x):
+    """The per-block body of central_deviation: the largest entry of each
+    block minus the mean of its diagonal times the identity."""
+    dev = 0.0
+    for b in x.blocks:
+        if b.shape[0] == 0:
+            continue
+        scal = np.trace(b) / b.shape[0]
+        dev = max(dev, float(np.abs(b - scal * np.eye(b.shape[0])).max(initial=0.0)))
+    return dev
+
+
 def max_deviation(x, klass):
     """Distance of the blocks of x from the hermitian or skew-hermitian cone."""
     dev = 0.0

@@ -4,12 +4,14 @@ and the layout's slot table against the Quiver index helpers.
 The action and moment-derivative matrices are scatters of p.flatten(), so they
 must equal the probes exactly; the Newton matrix (a Gram product) and the
 gauge conjugation matrix (a Kronecker product) sum in another order and are
-held to 1e-12 relative to their scale.  The slot-wise maps keep the operation
-order of the per-slot bodies in conftest, so they must equal them exactly,
-except the maps that conjugate (gauge_act, the weight projections): they run
-on the block form, whose matrix products also sum the exact zeros off the
-blocks and so may round the block sums in another order, and are held to
-CONJ_REL relative.
+held to 1e-12 relative to their scale.  The slot-wise maps that pair each
+entry with one other (twistor_rotate, conformal_point) keep the operation
+order of the per-slot bodies in conftest, so they must equal them exactly.
+The maps that conjugate (gauge_act, the weight projections) run on the block
+form, and the moment maps and their derivatives are contractions with the
+layout's tables: their products also sum the exact zeros off the blocks, or
+sum each term of mu_C twice before halving, and so may round in another
+order; they are held to CONJ_REL relative.
 """
 
 import os
@@ -22,7 +24,8 @@ from quiverlim.repspace import block_mask, block_matrix, layout
 from quiverlim.slices import moment_derivative_matrix, stacked_conditions
 from quiverlim.solver import _spectral_pair, assemble_newton_matrix
 
-from conftest import (conformal_point_by_slots, conjugate_by_slots,
+from conftest import (central_deviation_by_blocks, conformal_point_by_slots,
+                      conjugate_by_slots,
                       dmoment_real_scaled_by_vertex, dmu_complex_by_vertex,
                       gauge_act_by_slots, get_setup,
                       grade_increment_by_slots, inf_action_adjoint_by_vertex,
@@ -255,7 +258,8 @@ def assert_same(got, want):
 
 
 def assert_conjugated(got, want):
-    """got equals want up to the rounding of the block-form conjugation."""
+    """got equals want up to the rounding of the block form or of a
+    contraction (a point or a LieElement)."""
     a, b = got.flatten(), want.flatten()
     assert np.linalg.norm(a - b) <= CONJ_REL * np.linalg.norm(b)
 
@@ -293,11 +297,13 @@ def test_slotwise_maps_match_per_slot_bodies(case):
     for hbar in (0.5, 0.3 - 0.2j):
         assert_same(ql.conformal_point(p, zero, hbar),
                     conformal_point_by_slots(p, zero, hbar))
-    assert_same(ql.moment_real(p), moment_real_by_vertex(p))
-    assert_same(ql.moment_complex(p), moment_complex_by_vertex(p))
-    assert_same(ql.dmu_complex(p, shift), dmu_complex_by_vertex(p, shift))
-    assert_same(ql.dmoment_real_scaled(p, shift), dmoment_real_scaled_by_vertex(p, shift))
-    assert_same(ql.inf_action_adjoint(p, shift), inf_action_adjoint_by_vertex(p, shift))
+    assert_conjugated(ql.moment_real(p), moment_real_by_vertex(p))
+    assert_conjugated(ql.moment_complex(p), moment_complex_by_vertex(p))
+    assert_conjugated(ql.dmu_complex(p, shift), dmu_complex_by_vertex(p, shift))
+    assert_conjugated(ql.dmoment_real_scaled(p, shift),
+                      dmoment_real_scaled_by_vertex(p, shift))
+    assert_conjugated(ql.inf_action_adjoint(p, shift),
+                      inf_action_adjoint_by_vertex(p, shift))
     assert_graded_maps_match(shift, synthetic_grading(p, rng))
 
 
@@ -310,3 +316,50 @@ def test_graded_and_conformal_maps_match_at_fixed_points(name):
                     conformal_point_by_slots(s.p0, A, hbar))
     assert_graded_maps_match(A, s.grading)
     assert_graded_maps_match(s.p0, s.grading)
+
+
+def test_slot_assignment_writes_through(case):
+    lay, p, shift = case
+    q = p.copy()
+    for s, (name, k) in enumerate([("B", h) for h in range(p.quiver.num_h)]
+                                  + [("i", k) for k in range(p.quiver.n)]
+                                  + [("j", k) for k in range(p.quiver.n)]):
+        new = shift.slots[s]
+        getattr(q, name)[k] = new
+        a = lay.starts[s]
+        assert np.array_equal(q.flatten()[a:a + new.size], new.ravel())
+        r, c = lay.shapes[s]
+        with pytest.raises(ValueError, match=rf"{name}\[{k}\] must have shape"):
+            getattr(q, name)[k] = np.zeros((r + 1, c))
+    assert np.array_equal(q.flatten(), shift.flatten())
+
+
+def test_flatten_and_from_flat_copy(case):
+    _, p, _ = case
+    before = p.flatten()
+    out = p.flatten()
+    out += 1.0
+    assert np.array_equal(p.flatten(), before)
+    src = before.copy()
+    q = ql.RepPoint.from_flat(p.quiver, p.dims, src)
+    src += 1.0
+    assert np.array_equal(q.flatten(), before)
+
+
+def test_slots_are_views_of_one_vector(case):
+    _, p, _ = case
+    before = p.flatten()
+    assert all(a is b for a, b in zip(p.slots, p.B + p.i + p.j))
+    for m in p.slots:
+        assert m.size == 0 or np.shares_memory(m, p.vec)
+        m *= 2.0
+    assert np.array_equal(p.flatten(), 2.0 * before)
+
+
+def test_central_deviation_matches_per_block_body(case):
+    _, p, shift = case
+    rng = ql.make_rng(12)
+    scalar = ql.central_lie(rng.standard_normal(p.dims.n), p.dims)
+    for x in (ql.moment_complex(p), ql.moment_real(shift), scalar,
+              scalar + 1e-9 * random_lie(p.dims, rng)):
+        assert ql.central_deviation(x) == central_deviation_by_blocks(x)
