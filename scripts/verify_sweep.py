@@ -20,7 +20,10 @@ this tree and the ``--src`` tree, each in its own process, and prints per
 run whether the verdict strings match, the largest relative move of any
 number of magnitude >= 1e-6 across the five artefacts (JSON numbers and
 numeric CSV cells; 0 when none moved) with where it sits, and how many
-other entries (such as suite notes) differ, each of which is then listed:
+other entries (such as suite notes) differ, each of which is then listed.
+It ends with one summary line: the runs with identical verdicts out of all
+runs, the largest relative move over all runs with its run and location, and
+the number of runs with other differences:
 
     python3 scripts/verify_sweep.py --compare --src ../other/src
 
@@ -114,6 +117,8 @@ def _compare(other_src: str) -> int:
         if any(proc.returncode for proc in procs.values()):
             print("a sweep failed", file=sys.stderr)
             return 1
+        n_same = n_other = 0
+        top = (0.0, "-")
         for n, (old, new) in enumerate(zip(lines["old"], lines["new"])):
             quiver, seed, *_, old_verdicts = old.split()
             same = "same" if new.split()[-1] == old_verdicts else "differ"
@@ -123,6 +128,12 @@ def _compare(other_src: str) -> int:
                   f"at={worst[1]}", f"other={len(other)}", flush=True)
             for line in other:
                 print("   ", line)
+            n_same += same == "same"
+            n_other += bool(other)
+            if worst[0] > top[0]:
+                top = (worst[0], f"{quiver}:{seed}:{worst[1]}")
+        print(f"summary: verdicts same on {n_same}/{len(lines['new'])} runs, "
+              f"max_rel={top[0]:.2e} at={top[1]}, other differences on {n_other} runs")
     return 0
 
 
