@@ -48,7 +48,8 @@ def project_complex_level(p: RepPoint, c_values) -> RepPoint:
     target = central_lie(np.asarray(c_values, dtype=complex), p.dims)
     cur = p.copy()
     for _ in range(MAX_SLICE_ITER):
-        res = (moment_complex(cur) - target).flatten()
+        gap = moment_complex(cur) - target
+        res = gap.flatten()
         norm = float(np.linalg.norm(res))
         if norm <= LEVEL_TOL * moment_scale(cur):
             return cur
