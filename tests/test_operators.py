@@ -25,9 +25,8 @@ from quiverlim.slices import moment_derivative_matrix, stacked_conditions
 from quiverlim.solver import _spectral_pair, assemble_newton_matrix
 
 from conftest import (central_deviation_by_blocks, conformal_point_by_slots,
-                      conjugate_by_slots,
-                      dmoment_real_scaled_by_vertex, dmu_complex_by_vertex,
-                      gauge_act_by_slots, get_setup,
+                      conjugate_by_slots, dmoment_real_scaled_by_vertex,
+                      dmu_complex_by_vertex, gauge_act_by_slots, get_setup,
                       grade_increment_by_slots, inf_action_adjoint_by_vertex,
                       max_deviation, moment_complex_by_vertex,
                       moment_real_by_vertex, positive_weight_project_by_slots,
@@ -249,12 +248,7 @@ def test_slot_table_matches_quiver_helpers(case):
 
 
 def assert_same(got, want):
-    if isinstance(want, ql.LieElement):
-        assert len(got.blocks) == len(want.blocks)
-        for a, b in zip(got.blocks, want.blocks):
-            assert np.array_equal(a, b)
-    else:
-        assert np.array_equal(got.flatten(), want.flatten())
+    assert np.array_equal(got.flatten(), want.flatten())
 
 
 def assert_conjugated(got, want):
