@@ -16,7 +16,7 @@ import sys
 from .config import IDENTITY_TOL, ZERO_INVARIANT_TOL, RunConfig
 from .conformal import conformal_limit, convergence_study
 from .errors import QuiverLimError
-from .fixedpoints import FlowReport, bb_expected_dimension, flow_limit
+from .fixedpoints import FlowReport, bb_expected_dimension, flow_limit, is_stable
 from .invariants import PathSpec, escape_slope, fingerprint, fingerprint_labels
 from .presets import PRESET_NAMES, resolve_quiver_spec
 from .quiver import (expected_dimension, is_generic, require_generic,
@@ -118,7 +118,7 @@ def _cmd_flow(cfg: RunConfig, args) -> int:
         "R_final": flow.R_final,
         "rows": [[r, e, d] for r, e, d in flow.rows],
         "fixed": bool(flow.fixed_report.fixed),
-        "stable": bool(flow.fixed_report.stable),
+        "stable": is_stable(flow.limit)[0],
         "residual": flow.fixed_report.residual,
         "limit": flow.limit.to_dict(),
     })
@@ -128,14 +128,15 @@ def _cmd_flow(cfg: RunConfig, args) -> int:
 def _cmd_fixed(cfg: RunConfig, args) -> int:
     flow = _flow(cfg, *_load(cfg))
     rep, grading = flow.fixed_report, flow.grading
+    stable, smin = is_stable(flow.limit)
     audit = bb_expected_dimension(grading)
     print(f"fixed: {rep.fixed} (residual {rep.residual:.3e})")
-    print(f"stable: {rep.stable} (min singular value {rep.min_singular:.3e})")
+    print(f"stable: {stable} (min singular value {smin:.3e})")
     print(f"vertex weights: {[list(w) for w in grading.weights]}")
     print(f"attracting dimension audit: {audit}")
     _write_json(cfg.output_dir, "fixed.json", {
         "fixed": bool(rep.fixed), "residual": rep.residual,
-        "stable": bool(rep.stable),
+        "stable": stable,
         "weights": [list(map(int, w)) for w in grading.weights],
         "audit": audit, "point": flow.limit.to_dict(),
     })

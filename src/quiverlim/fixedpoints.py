@@ -43,14 +43,18 @@ def stability_margin(p: RepPoint) -> tuple[float, float]:
     return float(s[-1]), float(s[0])
 
 
+def is_stable(p: RepPoint) -> tuple[bool, float]:
+    """(whether the gauge action at p is injective, smallest singular value)."""
+    smin, smax = stability_margin(p)
+    return smin > STABILITY_RATIO * max(1.0, smax), smin
+
+
 @dataclass
 class FixedPointReport:
     fixed: bool
     residual: float
     tol_used: float
     generator: LieElement | None
-    stable: bool
-    min_singular: float
     crosscheck: float
 
 
@@ -80,13 +84,11 @@ def is_fixed_point(p: RepPoint, tol: float = CHECK_TOL) -> FixedPointReport:
     _require_on_variety(p, tol, mat.T @ np.concatenate([x.real, x.imag]))
     scale = tol * max(1.0, p.norm())
     # the derivative of the scaling action at p, to be undone by the gauge
-    target = RepPoint.from_flat(p.quiver, p.dims, np.where(lay.scaled, -x, 0.0))
-    rhs = np.concatenate([target.vec.real, target.vec.imag])
+    target = np.where(lay.scaled, -x, 0.0)
+    rhs = np.concatenate([target.real, target.imag])
     coeff = np.linalg.lstsq(mat, rhs, rcond=None)[0]
     resid = float(np.linalg.norm(mat @ coeff - rhs))
     gen = lay.herm_element(coeff)
-    smin, smax = stability_margin(p)
-    stable = smin > STABILITY_RATIO * max(1.0, smax)
 
     cross = 0.0
     if resid <= scale:
@@ -96,8 +98,7 @@ def is_fixed_point(p: RepPoint, tol: float = CHECK_TOL) -> FixedPointReport:
             cross = max(cross, (moved - p).norm())
     fixed = resid <= scale and cross <= SLACK * scale
     return FixedPointReport(fixed=fixed, residual=resid, tol_used=scale,
-                            generator=gen if fixed else None,
-                            stable=stable, min_singular=smin, crosscheck=cross)
+                            generator=gen if fixed else None, crosscheck=cross)
 
 
 @dataclass
@@ -192,10 +193,11 @@ def weight_grading(p: RepPoint, rep: FixedPointReport | None = None) -> WeightGr
     if not rep.fixed:
         raise NotFixed(f"point is not a scaling fixed point "
                        f"(residual {rep.residual:.3e} > {rep.tol_used:.3e})")
-    if not rep.stable:
+    stable, smin = is_stable(p)
+    if not stable:
         raise NotInjective(
             f"gauge action has kernel at the fixed point "
-            f"(smallest singular value {rep.min_singular:.3e})")
+            f"(smallest singular value {smin:.3e})")
     weights, qmats = [], []
     for k, blk in enumerate(rep.generator.blocks):
         herm = 0.5 * (blk + blk.conj().T)
@@ -268,9 +270,9 @@ def flow_limit(p: RepPoint, sigma, solve_tol: float = TOL) -> FlowReport:
     At each R the original point is rescaled and re-solved onto the real
     moment level.  The walk ends at the first iterate that passes the
     fixed-point test.  That iterate still carries O(R) dirt in its shrinking
-    slots; its weight-0 part (grade_increment) drops the dirt exactly, and
-    weight_grading certifies the result as the limit.  The energy of the
-    shrinking slots must decrease monotonically along the way.
+    slots; its weight-0 part (the iterate's grading projects it) drops the
+    dirt exactly, and weight_grading certifies the result as the limit.  The
+    energy of the shrinking slots must decrease monotonically along the way.
     rows: (R, shrinking-slot energy, fixed-point residual).
     """
     q = solve_real_moment(p, sigma, tol=solve_tol).point
@@ -293,8 +295,8 @@ def flow_limit(p: RepPoint, sigma, solve_tol: float = TOL) -> FlowReport:
                 f"at R={R:g}; the flow is not descending")
         energy = e_next
         if rep.fixed:
-            parts = grade_increment(q, weight_grading(q, rep))
-            limit = parts.get(0, RepPoint.zeros(p.quiver, p.dims))
+            grading = weight_grading(q, rep)
+            limit = grading.project(q, grading.slot_weights() == 0)
             fixed = is_fixed_point(limit)
             return FlowReport(limit=limit, R_final=R, rows=rows,
                               fixed_report=fixed,

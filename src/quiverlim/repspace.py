@@ -22,9 +22,9 @@ linear in its first slot.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
-import scipy.linalg
 
 from .quiver import DimensionVectors, Quiver
 
@@ -318,10 +318,15 @@ class GaugeElement(_BlockDiagonal):
 
 
 def lie_exp(xi: LieElement) -> GaugeElement:
-    """Matrix exponential (scaling-and-squaring Pade) of the block-diagonal
-    matrix of xi, which is block-diagonal again."""
+    """Matrix exponential of the block-diagonal matrix m of xi by scaling and
+    squaring: for the least s >= 0 with 1-norm |m|_1 < 2^(s-1), the degree-18
+    Taylor sum of exp(m / 2^s) (remainder below 2e-23), squared s times."""
     m = xi.mat
-    return GaugeElement._of(xi.dims, scipy.linalg.expm(m) if m.size else m.copy())
+    s = max(0, math.frexp(2.0 * float(np.abs(m).sum(axis=0).max(initial=0.0)))[1])
+    e = eye = np.eye(len(m), dtype=_CPLX)
+    for k in range(18, 0, -1):  # Horner form, in the scaled matrix m / 2^s
+        e = eye + (m @ e) / (k * 2.0 ** s)
+    return GaugeElement._of(xi.dims, np.linalg.matrix_power(e, 2 ** s))
 
 
 def conjugate_slots(p: RepPoint, left: np.ndarray, right: np.ndarray) -> RepPoint:
@@ -586,36 +591,26 @@ class FlatLayout:
         return np.where(self.block_mask, m, _CPLX(0))
 
     def to_stack(self, flat: np.ndarray) -> np.ndarray:
-        """The stack of the point with flat coordinates ``flat``."""
-        stack = np.zeros(self.stack_shape, dtype=_CPLX)
-        np.put(stack, self._stack_index, flat)
+        """The stack of the point with flat coordinates ``flat`` (leading axes
+        kept); on the transposed views one point is a first-axis scatter."""
+        stack = np.zeros(flat.shape[:-1] + self.stack_shape, dtype=_CPLX)
+        stack.reshape(*flat.shape[:-1], -1).T[self._stack_index] = flat.T
         return stack
 
     def from_stack(self, stack: np.ndarray) -> np.ndarray:
-        """Flat coordinates of the point held in a stack."""
-        return np.take(stack, self._stack_index)
+        """Flat coordinates of the point held in a stack (leading axes kept)."""
+        return stack.reshape(*stack.shape[:-3], -1).T[self._stack_index].T
 
     def conjugate(self, stack: np.ndarray, left: np.ndarray,
                   right: np.ndarray) -> np.ndarray:
-        """G P G' on every matrix P of the stack, where G and G' are the
-        V x V matrices left and right on the V lines and the identity on the
-        W lines: left[r] @ X @ right[c] on every slot X from space c to r for
-        block-diagonal left and right."""
+        """G P G' on every matrix P of the stack (leading axes kept), where G, G'
+        are left, right (V x V) on the V lines and the identity on the W lines:
+        each slot X from c to r becomes left[r] X right[c] for block-diagonal ones."""
         nv = left.shape[0]
         out = stack.copy()
-        out[:, :nv] = left @ stack[:, :nv]
-        out[:, :, :nv] = out[:, :, :nv] @ right
+        out[..., :nv, :] = left @ stack[..., :nv, :]
+        out[..., :nv] = out[..., :nv] @ right
         return out
-
-    def gauge_matrix(self, left: list[np.ndarray], right: list[np.ndarray]) -> np.ndarray:
-        """Matrix of p -> (left_in B right_out, left_k i_k, j_k right_k) for
-        one left and one right block per vertex; block diagonal over slots."""
-        m = np.zeros((self.rep_dim, self.rep_dim), dtype=_CPLX)
-        for (r, c), (nr, nc), start in zip(self.spaces, self.shapes, self.starts):
-            lm = left[r] if r >= 0 else np.eye(nr)
-            rm = right[c] if c >= 0 else np.eye(nc)
-            m[start:start + nr * nc, start:start + nr * nc] = np.kron(lm, rm.T)
-        return m
 
 
 @functools.lru_cache(maxsize=128)

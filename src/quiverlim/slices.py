@@ -21,7 +21,8 @@ from .errors import (DimensionMismatch, IllConditioned, LeftBasin,
                      MaxIterations, NotOnSlice)
 from .fixedpoints import WeightGrading
 from .quiver import expected_dimension
-from .repspace import RepPoint, central_deviation, inf_action_adjoint, moment_complex
+from .repspace import (RepPoint, block_matrix, central_deviation, inf_action_adjoint,
+                       moment_complex)
 
 
 def stacked_conditions(p: RepPoint, shift: RepPoint | None = None) -> np.ndarray:
@@ -204,9 +205,9 @@ def bb_tangent_basis(p0: RepPoint, grading: WeightGrading) -> SliceBasis:
 
 def _positive_weight_columns(p0: RepPoint, grading: WeightGrading) -> np.ndarray:
     """Orthonormal flat-coordinate basis of the full-action weight >= 1 subspace."""
-    qs = grading.qmats
-    from_eigen = p0.layout.gauge_matrix(qs, [q.conj().T for q in qs])
-    return from_eigen[:, grading.slot_weights() >= 1]
+    lay, qm = p0.layout, block_matrix(p0.dims, grading.qmats)
+    units = np.eye(lay.rep_dim, dtype=complex)[grading.slot_weights() >= 1]
+    return lay.from_stack(lay.conjugate(lay.to_stack(units), qm, qm.conj().T)).T
 
 
 def positive_weight_project(q: RepPoint, grading: WeightGrading) -> RepPoint:

@@ -2,9 +2,9 @@
 and the layout's slot table against the Quiver index helpers.
 
 The action and moment-derivative matrices are scatters of p.flatten(), so they
-must equal the probes exactly; the Newton matrix (a Gram product) and the
-gauge conjugation matrix (a Kronecker product) sum in another order and are
-held to 1e-12 relative to their scale.  The slot-wise maps that pair each
+must equal the probes exactly; the Newton matrix (a Gram product) sums in
+another order and is held to 1e-12 relative to its scale, as is a batched
+conjugation against gauge_act point by point.  The slot-wise maps that pair each
 entry with one other (twistor_rotate, conformal_point) keep the operation
 order of the per-slot bodies in conftest, so they must equal them exactly.
 The maps that conjugate (gauge_act, the weight projections) run on the block
@@ -15,6 +15,8 @@ order; they are held to CONJ_REL relative.
 """
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -143,13 +145,18 @@ def test_hermitian_residual_is_the_action_gradient(spec):
         assert np.linalg.norm(got - want) <= REL * max(1.0, np.linalg.norm(want))
 
 
-def test_gauge_matrix_matches_gauge_act(case):
-    lay, p, _ = case
+def test_batched_conjugate_matches_gauge_act(case):
+    # leading axes of to_stack, conjugate and from_stack run point by point
+    lay, p, shift = case
     g = ql.lie_exp(random_lie(p.dims, ql.make_rng(6), scale=0.5))
-    ginv = g.inverse()
-    got = lay.gauge_matrix(g.g, ginv.g) @ p.flatten()
-    want = ql.gauge_act(g, p).flatten()
-    assert np.linalg.norm(got - want) <= REL * max(1.0, np.linalg.norm(want))
+    points = [p, shift, p + shift, ql.random_rep(p.quiver, p.dims, ql.make_rng(7))]
+    batch = np.array([q.flatten() for q in points]).reshape(2, 2, -1)
+    stack = lay.to_stack(batch)
+    assert stack.shape == (2, 2, *lay.stack_shape)
+    got = lay.from_stack(lay.conjugate(stack, g.mat, g.inverse().mat)).reshape(4, -1)
+    for row, q in zip(got, points):
+        want = ql.gauge_act(g, q).flatten()
+        assert np.linalg.norm(row - want) <= REL * max(1.0, np.linalg.norm(want))
 
 
 def test_layout_is_cached_per_quiver_and_dims(case):
@@ -214,6 +221,48 @@ def test_block_exponentials_match_lie_exp(case):
                 assert not got[~mask].any()
                 for x, y in zip(ql.LieElement.from_matrix(p.dims, got).blocks, blocks):
                     assert np.linalg.norm(x - y) <= REL * max(1.0, np.linalg.norm(y))
+
+
+def test_lie_exp_of_nilpotent_is_its_closed_form(case):
+    # strictly upper triangular blocks of size <= 3 have N^3 = 0
+    lay, p, _ = case
+    rng = ql.make_rng(10)
+    n = ql.LieElement(p.dims, [np.triu(rng.standard_normal((vk, vk))
+                                       + 1j * rng.standard_normal((vk, vk)), 1)
+                               for vk in p.dims.v])
+    assert max(p.dims.v) <= 3 and not (n.mat @ n.mat @ n.mat).any()
+    want = np.eye(lay.nv) + n.mat + n.mat @ n.mat / 2
+    assert np.abs(ql.lie_exp(n).mat - want).max(initial=0.0) <= 1e-14 * max(
+        1.0, np.abs(want).max(initial=0.0))
+
+
+def test_lie_exp_of_hermitian_matches_eigh(case):
+    lay, p, _ = case
+    xi = random_lie(p.dims, ql.make_rng(11), klass="hermitian")
+    xi = xi * (10.0 / xi.norm())
+    lam, vecs = np.linalg.eigh(xi.mat)
+    want = (vecs * np.exp(lam)) @ vecs.conj().T
+    got = ql.lie_exp(xi).mat
+    assert np.linalg.norm(got - want) <= REL * max(1.0, np.linalg.norm(want))
+
+
+def test_lie_exp_is_block_diagonal_and_exact_at_zero(case):
+    lay, p, _ = case
+    g = ql.lie_exp(random_lie(p.dims, ql.make_rng(12), scale=2.0))
+    assert not g.mat[~block_mask(p.dims)].any()
+    assert np.array_equal(ql.lie_exp(ql.LieElement.zeros(p.dims)).mat, np.eye(lay.nv))
+
+
+def test_package_runs_without_scipy():
+    code = ("import sys, quiverlim as ql\n"
+            "ql.verify_run(ql.RunConfig(quiver_file='tstar-p1'))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_slot_table_matches_quiver_helpers(case):
