@@ -18,12 +18,18 @@ digests; compare only columns 1, 2 and 8 (quiver, seed, verdicts) instead:
 ``--compare`` does that comparison and also reads the numbers: it sweeps
 this tree and the ``--src`` tree, each in its own process, and prints per
 run whether the verdict strings match, the largest relative move of any
-number of magnitude >= 1e-6 across the five artefacts (JSON numbers and
-numeric CSV cells; 0 when none moved) with where it sits, and how many
-other entries (such as suite notes) differ, each of which is then listed.
-It ends with one summary line: the runs with identical verdicts out of all
-runs, the largest relative move over all runs with its run and location, and
-the number of runs with other differences:
+number of magnitude >= 1e-6 across the five artefacts (0 when none moved)
+with where it sits, and how many other entries differ, each of which is
+then listed.  Entries are matched by key, not by position: a JSON leaf by
+its path (``/suites/3/worst_residual``), a CSV cell by its data row number
+and column header (``2:distance``).  Numbers are compared at the keys both
+sides have; other differences are changed non-numbers (such as suite
+notes), keys present on one side only, and CSV columns present on one side
+only (listed once per file).  So a change that adds or drops a field still
+has every shared number checked.  It ends with one summary line: the runs
+with identical verdicts out of all runs, the largest relative move over all
+runs with its run and location, and the number of runs with other
+differences:
 
     python3 scripts/verify_sweep.py --compare --src ../other/src
 
@@ -57,19 +63,25 @@ NUMBER_FLOOR = 1e-6
 
 
 def _entries(path: str):
-    """(location, value) of every leaf of one artefact; numbers as floats."""
+    """({key: value} over every leaf of one artefact, its CSV header).
+
+    JSON leaves are keyed by their path, CSV cells by data row number and
+    column header (``3:distance``); numbers are floats.  A JSON artefact has
+    no header.
+    """
     if path.endswith(".json"):
         with open(path, encoding="utf-8") as fh:
-            return list(_json_leaves(json.load(fh), ""))
-    out = []
+            return dict(_json_leaves(json.load(fh), "")), ()
     with open(path, newline="", encoding="utf-8") as fh:
-        for r, row in enumerate(csv.reader(fh)):
-            for c, cell in enumerate(row):
-                try:
-                    out.append((f"{r}:{c}", float(cell)))
-                except ValueError:
-                    out.append((f"{r}:{c}", cell))
-    return out
+        header, *rows = list(csv.reader(fh)) or [[]]
+    cells = {}
+    for r, row in enumerate(rows, 1):
+        for col, cell in zip(header, row):
+            try:
+                cells[f"{r}:{col}"] = float(cell)
+            except ValueError:
+                cells[f"{r}:{col}"] = cell
+    return cells, tuple(header)
 
 
 def _json_leaves(node, where: str):
@@ -87,15 +99,28 @@ def _json_leaves(node, where: str):
 
 def _moves(old_dir: str, new_dir: str):
     """((largest relative move of a number >= NUMBER_FLOOR, where), other
-    differences)."""
+    differences).
+
+    Numbers are compared at the keys both sides have.  A key on one side
+    only is another difference, and so is a CSV column on one side only,
+    once per file instead of once per cell.
+    """
     worst, other = (0.0, "-"), []
     for name in ARTEFACTS:
-        old = _entries(os.path.join(old_dir, name))
-        new = _entries(os.path.join(new_dir, name))
-        if [w for w, _ in old] != [w for w, _ in new]:
-            other.append(f"{name}: layout differs")
-            continue
-        for (where, a), (_, b) in zip(old, new):
+        old, old_cols = _entries(os.path.join(old_dir, name))
+        new, new_cols = _entries(os.path.join(new_dir, name))
+        for side, cols, theirs in (("old", old_cols, new_cols),
+                                   ("new", new_cols, old_cols)):
+            other.extend(f"{name} column {c}: {side} side only"
+                         for c in cols if c not in theirs)
+        lone = set(old_cols) ^ set(new_cols)
+        old, new = ({k: v for k, v in cells.items() if k.partition(":")[2] not in lone}
+                    for cells in (old, new))
+        for side, cells, theirs in (("old", old, new), ("new", new, old)):
+            other.extend(f"{name} {key}: {side} side only"
+                         for key in cells if key not in theirs)
+        for where, a in old.items():
+            b = new.get(where, a)  # a key on one side only is listed above
             if isinstance(a, float) and isinstance(b, float):
                 scale = max(abs(a), abs(b))
                 if scale >= NUMBER_FLOOR and abs(a - b) > worst[0] * scale:

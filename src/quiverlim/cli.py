@@ -53,8 +53,8 @@ def _load(cfg: RunConfig, generic: bool = False) -> tuple:
 def _flow(cfg: RunConfig, quiver, dims, central) -> FlowReport:
     """The scaling flow from the seeded sample, as verify runs it: its limit
     is the fixed point p0 and its grading is the one that certified it."""
-    smp = sample_on_variety(quiver, dims, central, seed=cfg.seed, tol=cfg.tol)
-    return flow_limit(smp.point, central.sigma_array(), solve_tol=cfg.tol)
+    smp = sample_on_variety(quiver, dims, central, seed=cfg.seed)
+    return flow_limit(smp.point, central.sigma_array())
 
 
 def _limit_setup(cfg: RunConfig) -> tuple:
@@ -62,7 +62,7 @@ def _limit_setup(cfg: RunConfig) -> tuple:
     quiver, dims, central = _load(cfg, generic=True)
     flow = _flow(cfg, quiver, dims, central)
     A = attracting_increment(bb_tangent_basis(flow.limit, flow.grading),
-                             flow.grading, cfg.seed, cfg.tol)
+                             flow.grading, cfg.seed)
     return flow, A, central.sigma_array()
 
 
@@ -91,7 +91,7 @@ def _cmd_check(cfg: RunConfig, args) -> int:
 
 def _cmd_sample(cfg: RunConfig, args) -> int:
     quiver, dims, central = _load(cfg)
-    rep = sample_on_variety(quiver, dims, central, seed=cfg.seed, tol=cfg.tol)
+    rep = sample_on_variety(quiver, dims, central, seed=cfg.seed)
     p = rep.point
     res = hermitian_residual(p, central.sigma_array()).norm()
     dev = central_deviation(moment_complex(p))
@@ -165,7 +165,7 @@ def _cmd_bb_basis(cfg: RunConfig, args) -> int:
 def _cmd_climit(cfg: RunConfig, args) -> int:
     flow, A, _ = _limit_setup(cfg)
     p0 = flow.limit
-    rep = conformal_limit(p0, A, args.hbar, tol=cfg.tol, grading=flow.grading)
+    rep = conformal_limit(p0, A, args.hbar, grading=flow.grading)
     fp = fingerprint(rep.point, cfg.max_len)
     print(f"conformal limit at hbar={args.hbar:g}: "
           f"{rep.iterations} Newton steps, residual {rep.residual:.3e}")
@@ -187,8 +187,7 @@ def _cmd_climit(cfg: RunConfig, args) -> int:
 def _cmd_family(cfg: RunConfig, args) -> int:
     flow, A, sigma = _limit_setup(cfg)
     st = convergence_study(flow.limit, A, sigma, args.hbar, cfg.r_grid,
-                           grading=flow.grading, tol=cfg.tol,
-                           max_len=cfg.max_len)
+                           grading=flow.grading, max_len=cfg.max_len)
     print(f"family at hbar={args.hbar:g} over R grid {list(cfg.r_grid)}:")
     for r, d in st.rows:
         print(f"  R={r:.6g}  distance={d:.6e}")
@@ -205,7 +204,7 @@ def _cmd_family(cfg: RunConfig, args) -> int:
 
 def _cmd_invariants(cfg: RunConfig, args) -> int:
     quiver, dims, central = _load(cfg)
-    rep = sample_on_variety(quiver, dims, central, seed=cfg.seed, tol=cfg.tol)
+    rep = sample_on_variety(quiver, dims, central, seed=cfg.seed)
     labels = fingerprint_labels(quiver, dims, cfg.max_len)
     fp = fingerprint(rep.point, cfg.max_len)
     print(f"{len(labels)} invariant coordinates up to length {cfg.max_len}")
@@ -253,7 +252,6 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
 # the flag of each RunConfig field a subcommand can read
 _FIELD_FLAGS = {
     "seed": ("--seed", {"type": int}),
-    "tol": ("--tol", {"type": float}),
     "max_len": ("--max-len", {"type": int}),
     "r_grid": ("--grid", {"type": _grid, "help": "comma-separated decreasing positive reals"}),
     "hbar_grid": ("--hbar-grid", {"type": _grid}),
@@ -261,7 +259,7 @@ _FIELD_FLAGS = {
 }
 
 # name, handler, the RunConfig fields the handler reads, help
-_SEEDED = ("seed", "tol", "output_dir")
+_SEEDED = ("seed", "output_dir")
 _LONG = _SEEDED + ("max_len",)
 _COMMANDS = (
     ("check", _cmd_check, ("output_dir",), "validate a quiver file and genericity"),

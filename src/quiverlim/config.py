@@ -26,9 +26,9 @@ def check_grid(name: str, grid) -> tuple[float, ...]:
 
 
 # Numerical thresholds: every fixed bound the solvers, checks and verify
-# suites compare against.  TOL is the default of RunConfig.tol and of every
-# solve.  Moment-map residuals are bounded relative to moment_scale(p) =
-# max(1, |p|^2), linear conditions relative to max(1, |p|).
+# suites compare against.  TOL is the tolerance of every solve.  Moment-map
+# residuals are bounded relative to moment_scale(p) = max(1, |p|^2), linear
+# conditions relative to max(1, |p|).
 TOL = 1e-10                # Newton stopping tolerance of moment and slice solves
 CHECK_TOL = 1e-8           # a property tol-accurate data holds to round-off [1]
 SLACK = 10.0               # a bound derived from another may exceed it tenfold [2]
@@ -89,7 +89,6 @@ class RunConfig:
 
     quiver_file: str = "tstar-p1"  # preset name or path to a quiver JSON file
     seed: int = 0
-    tol: float = TOL
     max_len: int = 4
     r_grid: tuple[float, ...] = (0.4, 0.2, 0.1, 0.05)
     hbar_grid: tuple[float, ...] = (1.0, 0.5)
@@ -97,16 +96,9 @@ class RunConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "tol", float(self.tol))
         object.__setattr__(self, "max_len", int(self.max_len))
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.tol > CHECK_TOL:
-            # the checks hold tol-accurate data to CHECK_TOL; a looser tol
-            # fails them through the solver's own slack
-            raise ValueError(f"tol must be at most CHECK_TOL = {CHECK_TOL:g}")
         if self.max_len < 1:
             raise ValueError("max_len must be at least 1")
         object.__setattr__(self, "r_grid", check_grid("r_grid", self.r_grid))
@@ -117,7 +109,6 @@ class RunConfig:
         return {
             "quiver_file": self.quiver_file,
             "seed": self.seed,
-            "tol": self.tol,
             "max_len": self.max_len,
             "r_grid": list(self.r_grid),
             "hbar_grid": list(self.hbar_grid),

@@ -40,10 +40,11 @@ def twistor_rotate(p: RepPoint, xi: complex) -> RepPoint:
 
 
 def check_slice_increment(p0: RepPoint, A: RepPoint,
-                          grading: WeightGrading | None = None) -> None:
+                          grading: WeightGrading | None = None) -> tuple[float, float]:
     """Raise NotOnSlice unless A keeps the complex moment of p0 on its
     central level and is orthogonal to the gauge orbit of p0, and, given a
-    grading, has no support below weight one."""
+    grading, has no support below weight one.  Returns the complex-moment
+    move and the gauge-orbit component (mc_dev, adj)."""
     at = p0 + A
     mc_dev = (moment_complex(at) - moment_complex(p0)).norm()
     if mc_dev > CHECK_TOL * moment_scale(at):
@@ -58,6 +59,7 @@ def check_slice_increment(p0: RepPoint, A: RepPoint,
         if off > CHECK_TOL * max(1.0, A.norm()):
             raise NotOnSlice(
                 f"increment has support below weight one ({off:.3e})")
+    return mc_dev, adj
 
 
 def conformal_slots(p0: RepPoint, A: RepPoint, hbar) -> list[np.ndarray]:
@@ -87,11 +89,11 @@ def conformal_point(p0: RepPoint, A: RepPoint, hbar: complex,
     return RepPoint.from_slots(p0.quiver, p0.dims, conformal_slots(p0, A, hb))
 
 
-def conformal_limit(p0: RepPoint, A: RepPoint, hbar: complex, tol: float = TOL,
+def conformal_limit(p0: RepPoint, A: RepPoint, hbar: complex,
                     grading: WeightGrading | None = None) -> SolveReport:
     """Kempf-Ness representative of the closed-form point at real parameter zero."""
     pA = conformal_point(p0, A, hbar, grading=grading)
-    return solve_real_moment(pA, np.zeros(p0.quiver.n), tol=tol)
+    return solve_real_moment(pA, np.zeros(p0.quiver.n))
 
 
 @dataclass
@@ -105,7 +107,7 @@ class ConformalFamilySample:
 
 
 def conformal_family_sample(p0: RepPoint, A: RepPoint, sigma, hbar: complex,
-                            R: float, grading: WeightGrading, tol: float = TOL,
+                            R: float, grading: WeightGrading,
                             max_len: int = 4) -> ConformalFamilySample:
     """One member of the rotation-scaling family at circle parameter R.
 
@@ -125,12 +127,12 @@ def conformal_family_sample(p0: RepPoint, A: RepPoint, sigma, hbar: complex,
     sig = np.asarray(sigma, dtype=float)
     xi = hb * R
 
-    rep1 = graded_solve(p0 + grading.act(R, A), grading, R, sig, tol=tol)
+    rep1 = graded_solve(p0 + grading.act(R, A), grading, R, sig)
     q1 = rep1.point
 
     q2 = twistor_rotate(q1, xi)
     zr = zeta_real_lie(sig, p0.dims)
-    stage_tol2 = STAGE_SLACK * tol * moment_scale(q2)
+    stage_tol2 = STAGE_SLACK * TOL * moment_scale(q2)
     dev_real = (moment_real(q2) - zr * (1.0 - abs(xi) ** 2)).norm()
     dev_cplx = (moment_complex(q2) - central_lie(2.0 * xi * sig, p0.dims)).norm()
     if dev_real > stage_tol2 or dev_cplx > stage_tol2:
@@ -141,13 +143,13 @@ def conformal_family_sample(p0: RepPoint, A: RepPoint, sigma, hbar: complex,
     q3 = grading.act(1.0 / xi, q2)
     # rescaling conjugates the moment; its conditioning amplifies stage-2 noise
     amp = grading.power_gauge(1.0 / xi).cond() ** 2
-    stage_tol3 = STAGE_SLACK * tol * amp * moment_scale(q3)
+    stage_tol3 = STAGE_SLACK * TOL * amp * moment_scale(q3)
     dev3 = (moment_complex(q3) - central_lie(2.0 * sig, p0.dims)).norm()
     if dev3 > stage_tol3:
         raise NotOnVariety(
             f"rescaled point leaves the limiting complex level ({dev3:.3e})")
 
-    rep4 = solve_real_moment(q3, np.zeros(p0.quiver.n), tol=tol)
+    rep4 = solve_real_moment(q3, np.zeros(p0.quiver.n))
     point = rep4.point
     return ConformalFamilySample(
         R=R, hbar=hb, point=point,
@@ -174,7 +176,7 @@ class ConvergenceReport:
 
 
 def convergence_study(p0: RepPoint, A: RepPoint, sigma, hbar: complex,
-                      R_grid, grading: WeightGrading, tol: float = TOL,
+                      R_grid, grading: WeightGrading,
                       max_len: int = 4) -> ConvergenceReport:
     """Fit the approach rate of the family to its conformal limit.
 
@@ -184,19 +186,19 @@ def convergence_study(p0: RepPoint, A: RepPoint, sigma, hbar: complex,
     degenerate: the slope is None.
     """
     grid = check_grid("R_grid", R_grid)
-    limit = conformal_limit(p0, A, hbar, tol=tol, grading=grading)
+    limit = conformal_limit(p0, A, hbar, grading=grading)
     fp_limit = fingerprint(limit.point, max_len)
 
     samples: list[ConformalFamilySample] = []
     rows: list[tuple[float, float]] = []
     for R in grid:
         s = conformal_family_sample(p0, A, sigma, hbar, R, grading=grading,
-                                    tol=tol, max_len=max_len)
+                                    max_len=max_len)
         rows.append((R, float(np.linalg.norm(s.fingerprint - fp_limit))))
         samples.append(s)
 
     fp_scale = float(np.max(np.abs(fp_limit))) if fp_limit.size else 0.0
-    floor = FLOOR * tol * max(1.0, fp_scale)
+    floor = FLOOR * TOL * max(1.0, fp_scale)
     usable = [(r, d) for r, d in rows if d > floor]
     slope = fit_res = None
     if len(usable) >= 2:

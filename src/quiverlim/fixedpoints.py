@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import (CHECK_TOL, ENERGY_SLACK, FLOOR, FLOW_RATIO, FLOW_STEPS,
-                     INT_WEIGHT_TOL, SLACK, STABILITY_RATIO, TOL, moment_scale)
+                     INT_WEIGHT_TOL, SLACK, STABILITY_RATIO, moment_scale)
 from .errors import (GradingViolation, NoConvergence, NonIntegerWeights,
                      NotFixed, NotInjective, NotOnVariety)
 from .quiver import DimensionVectors, Quiver
@@ -58,10 +58,10 @@ class FixedPointReport:
     crosscheck: float
 
 
-def _require_on_variety(p: RepPoint, tol: float, real_coords: np.ndarray) -> None:
+def _require_on_variety(p: RepPoint, real_coords: np.ndarray) -> None:
     """Both moment maps must sit at central values (scalar blocks); real_coords
     holds -2i mu_R(p) in hermitian coordinates."""
-    scale = tol * moment_scale(p)
+    scale = CHECK_TOL * moment_scale(p)
     dev_r = 0.5 * central_deviation(p.layout.herm_element(real_coords))
     dev_c = central_deviation(moment_complex(p))
     if max(dev_r, dev_c) > scale:
@@ -70,7 +70,7 @@ def _require_on_variety(p: RepPoint, tol: float, real_coords: np.ndarray) -> Non
             f"(real deviation {dev_r:.3e}, complex deviation {dev_c:.3e})")
 
 
-def is_fixed_point(p: RepPoint, tol: float = CHECK_TOL) -> FixedPointReport:
+def is_fixed_point(p: RepPoint) -> FixedPointReport:
     """Detect a scaling-action fixed point and recover its compensating generator.
 
     Solves the least-squares problem matching the infinitesimal gauge action
@@ -81,8 +81,8 @@ def is_fixed_point(p: RepPoint, tol: float = CHECK_TOL) -> FixedPointReport:
     """
     lay, x = p.layout, p.vec
     mat = lay.hermitian_action_matrix(x)
-    _require_on_variety(p, tol, mat.T @ np.concatenate([x.real, x.imag]))
-    scale = tol * max(1.0, p.norm())
+    _require_on_variety(p, mat.T @ np.concatenate([x.real, x.imag]))
+    scale = CHECK_TOL * max(1.0, p.norm())
     # the derivative of the scaling action at p, to be undone by the gauge
     target = np.where(lay.scaled, -x, 0.0)
     rhs = np.concatenate([target.real, target.imag])
@@ -264,7 +264,7 @@ def default_schedule() -> tuple[float, ...]:
     return tuple(FLOW_RATIO ** t for t in range(1, FLOW_STEPS + 1))
 
 
-def flow_limit(p: RepPoint, sigma, solve_tol: float = TOL) -> FlowReport:
+def flow_limit(p: RepPoint, sigma) -> FlowReport:
     """Follow the scaling action towards R -> 0 along default_schedule().
 
     At each R the original point is rescaled and re-solved onto the real
@@ -275,7 +275,7 @@ def flow_limit(p: RepPoint, sigma, solve_tol: float = TOL) -> FlowReport:
     energy of the shrinking slots must decrease monotonically along the way.
     rows: (R, shrinking-slot energy, fixed-point residual).
     """
-    q = solve_real_moment(p, sigma, tol=solve_tol).point
+    q = solve_real_moment(p, sigma).point
     energy = scaling_energy(q)
     rows: list[tuple[float, float, float]] = []
     R_prev = 1.0
@@ -283,8 +283,7 @@ def flow_limit(p: RepPoint, sigma, solve_tol: float = TOL) -> FlowReport:
         # rescaling the previous representative by the bounded ratio reaches
         # the same orbit point as rescaling the original by R, with uniformly
         # bounded gauge travel per step
-        q = solve_real_moment(cstar_act(R / R_prev, q), sigma,
-                              tol=solve_tol).point
+        q = solve_real_moment(cstar_act(R / R_prev, q), sigma).point
         R_prev = R
         e_next = scaling_energy(q)
         rep = is_fixed_point(q)

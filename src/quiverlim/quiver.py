@@ -83,9 +83,6 @@ class Quiver:
             a[inn, out] += 1
         return a
 
-    def to_dict(self) -> dict:
-        return {"vertices": self.n, "edges": [list(e) for e in self.edges]}
-
 
 @dataclass(frozen=True)
 class DimensionVectors:

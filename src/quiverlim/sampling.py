@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (LEVEL_TOL, MAX_SLICE_ITER, SAMPLE_RESTARTS, TOL,
-                     moment_scale)
+from .config import LEVEL_TOL, MAX_SLICE_ITER, SAMPLE_RESTARTS, moment_scale
 from .errors import (MaxIterations, NotInjective, NotOnVariety, QuiverLimError,
                      SamplingFailed)
 from .fixedpoints import WeightGrading
@@ -69,8 +68,7 @@ class SampleReport:
 
 
 def sample_on_variety(quiver: Quiver, dims: DimensionVectors,
-                      central: CentralParameter, seed: int = 0,
-                      tol: float = TOL) -> SampleReport:
+                      central: CentralParameter, seed: int = 0) -> SampleReport:
     """Draw a random point of the variety at the configured central parameter.
 
     Retries with fresh gaussian draws when a projection or solve fails;
@@ -84,7 +82,7 @@ def sample_on_variety(quiver: Quiver, dims: DimensionVectors,
         raw = random_rep(quiver, dims, rng)
         try:
             leveled = project_complex_level(raw, c_vals)
-            rep = solve_real_moment(leveled, sigma, tol=tol)
+            rep = solve_real_moment(leveled, sigma)
         except (MaxIterations, NotInjective, NotOnVariety) as exc:
             last = exc
             continue
@@ -111,8 +109,8 @@ def seeded_increment(basis: SliceBasis, seed: int, scale: float) -> RepPoint:
     return RepPoint.from_flat(p.quiver, p.dims, vecs.T @ (vecs.conj() @ flat))
 
 
-def attracting_increment(basis: SliceBasis, grading: WeightGrading, seed: int,
-                         tol: float) -> RepPoint:
+def attracting_increment(basis: SliceBasis, grading: WeightGrading,
+                         seed: int) -> RepPoint:
     """The seeded attracting-slice increment A at the fixed point basis.base_point.
 
     seeded_increment(basis, seed + 5, 0.3) corrected onto the attracting
@@ -122,5 +120,4 @@ def attracting_increment(basis: SliceBasis, grading: WeightGrading, seed: int,
     p0 = basis.base_point
     if basis.count() == 0:
         return RepPoint.zeros(p0.quiver, p0.dims)
-    return bb_slice_solve(p0, seeded_increment(basis, seed + 5, 0.3), grading,
-                          tol=tol)
+    return bb_slice_solve(p0, seeded_increment(basis, seed + 5, 0.3), grading)

@@ -123,7 +123,7 @@ def moment_correction(p: RepPoint, q: RepPoint) -> RepPoint:
 
 
 def _constrained_newton(p: RepPoint, q0: RepPoint, directions: np.ndarray,
-                        target, tol: float, stay_inside=None) -> RepPoint:
+                        target, stay_inside=None) -> RepPoint:
     """Newton on F(q) = (mu_C(p+q) - target, adjoint-action_p(q)) with updates
     restricted to the span of `directions` (columns, flat coords)."""
     def residual(q: RepPoint) -> np.ndarray:
@@ -136,7 +136,7 @@ def _constrained_newton(p: RepPoint, q0: RepPoint, directions: np.ndarray,
     r_norm = float(np.linalg.norm(r))
     scale = moment_scale(p + q0)
     it = 0
-    while r_norm > tol * scale:
+    while r_norm > TOL * scale:
         if it >= MAX_SLICE_ITER:
             raise MaxIterations(
                 f"slice correction hit {MAX_SLICE_ITER} iterations, "
@@ -165,7 +165,7 @@ def _constrained_newton(p: RepPoint, q0: RepPoint, directions: np.ndarray,
     return q
 
 
-def slice_solve(p: RepPoint, q0: RepPoint, tol: float = TOL) -> RepPoint:
+def slice_solve(p: RepPoint, q0: RepPoint) -> RepPoint:
     """Correct a tangent increment so p + q solves the complex moment equation.
 
     The returned q keeps the tangential projection of q0 (chart condition):
@@ -181,7 +181,7 @@ def slice_solve(p: RepPoint, q0: RepPoint, tol: float = TOL) -> RepPoint:
     if float(np.linalg.norm(off)) > \
             CHECK_TOL * max(1.0, float(np.linalg.norm(flat0))):
         raise NotOnSlice("starting increment is not tangent to the slice")
-    return _constrained_newton(p, q0, row, mc.flatten(), tol)
+    return _constrained_newton(p, q0, row, mc.flatten())
 
 
 def bb_tangent_basis(p0: RepPoint, grading: WeightGrading) -> SliceBasis:
@@ -215,8 +215,7 @@ def positive_weight_project(q: RepPoint, grading: WeightGrading) -> RepPoint:
     return grading.project(q, grading.slot_weights() >= 1)
 
 
-def bb_slice_solve(p0: RepPoint, q0: RepPoint, grading: WeightGrading,
-                   tol: float = TOL) -> RepPoint:
+def bb_slice_solve(p0: RepPoint, q0: RepPoint, grading: WeightGrading) -> RepPoint:
     """Correct a positive-weight tangent increment onto the attracting slice.
 
     Newton updates stay inside the weight >= 1 subspace (projector applied
@@ -228,7 +227,7 @@ def bb_slice_solve(p0: RepPoint, q0: RepPoint, grading: WeightGrading,
     if norm0 > BASIN_NORM:
         R = 2.0 * norm0 / BASIN_NORM
         small = grading.act(1.0 / R, q0)
-        A_small = bb_slice_solve(p0, small, grading, tol=tol)
+        A_small = bb_slice_solve(p0, small, grading)
         return grading.act(R, A_small)
 
     plus = _positive_weight_columns(p0, grading)
@@ -242,5 +241,5 @@ def bb_slice_solve(p0: RepPoint, q0: RepPoint, grading: WeightGrading,
         return positive_weight_project(q, grading)
 
     target = moment_complex(p0).flatten()
-    return _constrained_newton(p0, keep_graded(q0), directions, target, tol,
+    return _constrained_newton(p0, keep_graded(q0), directions, target,
                                stay_inside=keep_graded)

@@ -201,14 +201,14 @@ class GradedSolveReport:
     point: RepPoint
 
 
-def graded_solve(p_start: RepPoint, grading, r_scale: float, sigma,
-                 tol: float = TOL) -> GradedSolveReport:
+def graded_solve(p_start: RepPoint, grading, r_scale: float,
+                 sigma) -> GradedSolveReport:
     """Stagewise solve near a graded fixed point.
 
     Stage j inverts the operator frozen at the fixed point on the weight
     blocks |m| <= j of the hermitian residual; the correction exponent is
     confined to those blocks (GradingViolation otherwise) and scales as
-    R^{j+2}.  A final plain Newton pass finishes to tol.  Returned stage
+    R^{j+2}.  A final plain Newton pass finishes to TOL.  Returned stage
     elements are the unscaled coefficients xi_j = delta_j / R^{j+2}.
     """
     p0 = grading.base_point
@@ -238,10 +238,10 @@ def graded_solve(p_start: RepPoint, grading, r_scale: float, sigma,
         stages.append((j, delta * float(r_scale) ** (-(j + 2))))
 
     final = solve_real_moment(RepPoint.from_flat(p_start.quiver, p_start.dims, x),
-                              sig, tol=tol)
+                              sig)
     lam, vecs = np.linalg.eigh(final.xi.matrix())
     g_total = _spectral_pair(mask, np.exp(lam), vecs)[0] @ g_total
     stages.append((m_max, final.xi * float(r_scale) ** (-(m_max + 2))))
 
-    _, point, residual = _polar_point(p_start, g_total, level, tol)
+    _, point, residual = _polar_point(p_start, g_total, level, TOL)
     return GradedSolveReport(stages=stages, residual=residual, point=point)

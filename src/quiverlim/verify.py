@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import (CHECK_TOL, CONFORMAL_SLOPE_RANGE, ESCAPE_MIN_INVARIANT,
-                     IDENTITY_TOL, ISOTROPY_TOL, SLACK, RunConfig,
+                     IDENTITY_TOL, ISOTROPY_TOL, SLACK, TOL, RunConfig,
                      moment_scale)
-from .conformal import conformal_point, convergence_study, twistor_rotate
+from .conformal import (check_slice_increment, conformal_slots,
+                        convergence_study, twistor_rotate)
 from .errors import QuiverLimError
 from .fixedpoints import bb_expected_dimension, cstar_act, flow_limit
 from .invariants import (enumerate_paths, escape_slope, fingerprint,
@@ -29,10 +30,10 @@ from .invariants import (enumerate_paths, escape_slope, fingerprint,
                          path_escape_exponent)
 from .presets import resolve_quiver_spec
 from .quiver import expected_dimension, is_generic, require_nonempty
-from .repspace import (LieElement, central_deviation, dmu_complex, gauge_act,
-                       hermitian_residual, inf_action, inf_action_adjoint,
-                       lie_exp, lie_inner, metric, moment_complex, moment_real,
-                       symplectic_form)
+from .repspace import (LieElement, RepPoint, central_deviation, dmu_complex,
+                       gauge_act, hermitian_residual, inf_action,
+                       inf_action_adjoint, lie_exp, lie_inner, metric,
+                       moment_complex, moment_real, symplectic_form)
 from .sampling import (attracting_increment, make_rng, random_rep,
                        sample_on_variety, seeded_increment)
 from .slices import (bb_tangent_basis, moment_correction, slice_solve,
@@ -122,8 +123,7 @@ def _suite_genericity(pl: _Pipeline) -> SuiteResult:
 
 def _suite_sampling(pl: _Pipeline) -> SuiteResult:
     def run():
-        return sample_on_variety(pl.quiver, pl.dims, pl.central,
-                                 seed=pl.cfg.seed, tol=pl.cfg.tol)
+        return sample_on_variety(pl.quiver, pl.dims, pl.central, seed=pl.cfg.seed)
     pl.sample = pl.stage("sampling", run)
     if pl.sample is None:
         return SuiteResult("sampling", False, np.inf, pl.failures["sampling"])
@@ -131,11 +131,10 @@ def _suite_sampling(pl: _Pipeline) -> SuiteResult:
     scale = moment_scale(p)
     res_r = hermitian_residual(p, pl.sigma).norm()
     dev_c = central_deviation(moment_complex(p))
-    twin = sample_on_variety(pl.quiver, pl.dims, pl.central,
-                             seed=pl.cfg.seed, tol=pl.cfg.tol)
+    twin = sample_on_variety(pl.quiver, pl.dims, pl.central, seed=pl.cfg.seed)
     identical = np.array_equal(p.flatten(), twin.point.flatten())
     worst = max(res_r, dev_c)
-    passed = (res_r <= SLACK * pl.cfg.tol * scale and dev_c <= CHECK_TOL * scale
+    passed = (res_r <= SLACK * TOL * scale and dev_c <= CHECK_TOL * scale
               and identical)
     note = "" if identical else "same seed gave different bytes"
     return SuiteResult("sampling", passed, float(worst), note)
@@ -163,9 +162,8 @@ def _suite_solver(pl: _Pipeline) -> SuiteResult:
     # rescaling keeps the complex moment central while leaving the real level
     start = cstar_act(0.7, pl.sample.point)
     try:
-        rep_a = solve_real_moment(start, pl.sigma, tol=pl.cfg.tol)
-        rep_b = solve_real_moment(start, pl.sigma, tol=pl.cfg.tol,
-                                  forced_damping=(0.5, 0.75))
+        rep_a = solve_real_moment(start, pl.sigma)
+        rep_b = solve_real_moment(start, pl.sigma, forced_damping=(0.5, 0.75))
     except QuiverLimError as exc:
         return SuiteResult("solver_uniqueness", False, np.inf, str(exc))
     diff = float(np.abs(lie_exp(rep_a.xi).mat - lie_exp(rep_b.xi).mat).max(initial=0.0))
@@ -197,7 +195,7 @@ def _suite_flow(pl: _Pipeline) -> SuiteResult:
         return _unmet("fixed_point_flow", "sampling")
 
     def run():
-        return flow_limit(pl.sample.point, pl.sigma, solve_tol=pl.cfg.tol)
+        return flow_limit(pl.sample.point, pl.sigma)
     pl.flow = pl.stage("flow", run)
     if pl.flow is None:
         return SuiteResult("fixed_point_flow", False, np.inf, pl.failures["flow"])
@@ -251,7 +249,7 @@ def _suite_slice(pl: _Pipeline) -> SuiteResult:
         return SuiteResult("slice_correction", True, 0.0, "zero-dimensional slice")
     q0 = seeded_increment(pl.basis, pl.cfg.seed + 4, 0.05)
     try:
-        q = slice_solve(p, q0, tol=pl.cfg.tol)
+        q = slice_solve(p, q0)
     except QuiverLimError as exc:
         return SuiteResult("slice_correction", False, np.inf, str(exc))
     scale = moment_scale(p + q)
@@ -275,21 +273,19 @@ def _suite_bb_slice(pl: _Pipeline) -> SuiteResult:
                            "zero-dimensional attracting slice")
 
     def run():
-        return attracting_increment(pl.bb_basis, pl.grading, pl.cfg.seed,
-                                    pl.cfg.tol)
+        return attracting_increment(pl.bb_basis, pl.grading, pl.cfg.seed)
     pl.A = pl.stage("bb_slice", run)
     if pl.A is None:
         return SuiteResult("attracting_slice", False, np.inf,
                            pl.failures["bb_slice"])
     scale = moment_scale(pl.p0 + pl.A)
-    dev_mc = (moment_complex(pl.p0 + pl.A) - moment_complex(pl.p0)).norm()
-    dev_adj = inf_action_adjoint(pl.p0, pl.A).norm()
     try:
-        pA = conformal_point(pl.p0, pl.A, pl.cfg.hbar_grid[0],
-                             grading=pl.grading)
-        dev_central = central_deviation(moment_complex(pA))
+        dev_mc, dev_adj = check_slice_increment(pl.p0, pl.A, pl.grading)
     except QuiverLimError as exc:
         return SuiteResult("attracting_slice", False, np.inf, str(exc))
+    pA = RepPoint.from_slots(pl.quiver, pl.dims,
+                             conformal_slots(pl.p0, pl.A, complex(pl.cfg.hbar_grid[0])))
+    dev_central = central_deviation(moment_complex(pA))
     worst = max(dev_mc, dev_adj, dev_central)
     return SuiteResult("attracting_slice", worst <= CHECK_TOL * scale, float(worst))
 
@@ -310,8 +306,7 @@ def _suite_conformal(pl: _Pipeline) -> SuiteResult:
     for hb in pl.cfg.hbar_grid:
         try:
             st = convergence_study(pl.p0, pl.A, pl.sigma, hb, pl.cfg.r_grid,
-                                   grading=pl.grading, tol=pl.cfg.tol,
-                                   max_len=pl.cfg.max_len)
+                                   grading=pl.grading, max_len=pl.cfg.max_len)
         except QuiverLimError as exc:
             return SuiteResult("conformal_convergence", False, np.inf, str(exc))
         pl.studies.append(st)
@@ -441,12 +436,9 @@ def write_outputs(report: VerifyReport, pl: "_Pipeline", out_dir: str) -> None:
     fp_rows = []
     if pl.p0 is not None:
         labels = fingerprint_labels(pl.quiver, pl.dims, pl.cfg.max_len)
-        base = fingerprint(pl.p0, pl.cfg.max_len)
         # the first conformal study solved the limit at hbar_grid[0]
         lim = pl.studies[0].limit_fingerprint if pl.studies else None
-        for t, lab in enumerate(labels):
-            row = [lab, float(base[t])]
-            row.append(float(lim[t]) if lim is not None else "")
-            fp_rows.append(row)
+        fp_rows = [[lab, float(lim[t]) if lim is not None else ""]
+                   for t, lab in enumerate(labels)]
     _write_csv(os.path.join(out_dir, "fingerprints.csv"),
-               ["path", "fixed_point_value", "conformal_limit_value"], fp_rows)
+               ["path", "conformal_limit_value"], fp_rows)

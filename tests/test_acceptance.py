@@ -27,10 +27,10 @@ def test_criterion_01_twistor_rotation_on_variety():
         sigma = s.central.sigma_array()
         zr = ql.zeta_real_lie(sigma, s.dims)
         for seed in range(50):
-            # sample tighter than the bound: the rotation amplifies the
+            # tighten the sample below the bound: the rotation amplifies the
             # sampling residual by up to 1 + |xi|^2
-            p = ql.sample_on_variety(s.quiver, s.dims, s.central, seed=seed,
-                                     tol=1e-12).point
+            p = ql.sample_on_variety(s.quiver, s.dims, s.central, seed=seed).point
+            p = ql.solve_real_moment(p, sigma, tol=1e-12).point
             z = rng.uniform(0, 2) * np.exp(2j * np.pi * rng.uniform())
             q = ql.twistor_rotate(p, z)
             dr = (ql.moment_real(q) - (1 - abs(z) ** 2) * zr).norm()

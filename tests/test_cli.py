@@ -12,18 +12,18 @@ from quiverlim.config import IDENTITY_TOL
 
 # the optional flags of each subcommand: the RunConfig fields its handler
 # reads (--out is output_dir), plus --hbar and --path
-SEEDED = ["--out", "--seed", "--tol"]
+SEEDED = ["--out", "--seed"]
 FLAGS = {
     "check": ["--out"],
     "sample": SEEDED,
     "flow": SEEDED,
     "fixed": SEEDED,
     "bb-basis": SEEDED,
-    "climit": ["--hbar", "--max-len", "--out", "--seed", "--tol"],
-    "family": ["--grid", "--hbar", "--max-len", "--out", "--seed", "--tol"],
-    "invariants": ["--max-len", "--out", "--seed", "--tol"],
-    "escape": ["--out", "--path", "--seed", "--tol"],
-    "verify": ["--grid", "--hbar-grid", "--max-len", "--out", "--seed", "--tol"],
+    "climit": ["--hbar", "--max-len", "--out", "--seed"],
+    "family": ["--grid", "--hbar", "--max-len", "--out", "--seed"],
+    "invariants": ["--max-len", "--out", "--seed"],
+    "escape": ["--out", "--path", "--seed"],
+    "verify": ["--grid", "--hbar-grid", "--max-len", "--out", "--seed"],
 }
 
 
@@ -149,11 +149,8 @@ def test_escape_bad_path(capsys, path):
 @pytest.mark.parametrize("argv, message", [
     (("invariants", "tstar-p1", "--max-len", "0"), "max_len must be at least 1"),
     (("climit", "tstar-p1", "--max-len", "0"), "max_len must be at least 1"),
-    (("sample", "tstar-p1", "--tol", "-1"), "tol must be positive"),
-    (("fixed", "tstar-p1", "--tol", "1e-7"), "tol must be at most CHECK_TOL = 1e-08"),
     (("family", "tstar-p1", "--grid", "0.1,0.2"), "r_grid must be strictly decreasing"),
-], ids=["invariants-max-len", "climit-max-len", "sample-tol", "fixed-tol-bound",
-        "family-grid"])
+], ids=["invariants-max-len", "climit-max-len", "family-grid"])
 def test_common_options_validated_for_every_command(capsys, argv, message):
     # main builds one RunConfig from the options a command reads, so its
     # rules refuse a bad value before any computation
@@ -170,15 +167,17 @@ def test_each_command_registers_only_the_flags_it_reads():
                           if opt not in ("-h", "--help"))
              for name, p in sub.choices.items()}
     assert flags == FLAGS
-    assert sum(map(len, flags.values())) == 38
+    assert sum(map(len, flags.values())) == 29
 
 
 def test_unread_flag_refused(capsys):
-    # flow reads no max_len, so it does not accept --max-len
-    with pytest.raises(SystemExit) as exc:
-        main(["flow", "tstar-p1", "--max-len", "9"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --max-len 9" in capsys.readouterr().err
+    # flow reads no max_len, and no command reads a tolerance
+    for argv in (("flow", "tstar-p1", "--max-len", "9"),
+                 ("verify", "tstar-p1", "--tol", "1e-10")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[2:])}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", sorted(FLAGS))

@@ -9,7 +9,6 @@ def test_defaults():
     cfg = ql.RunConfig()
     assert cfg.quiver_file == "tstar-p1"
     assert cfg.seed == 0
-    assert cfg.tol == 1e-10
     assert cfg.r_grid == (0.4, 0.2, 0.1, 0.05)
     assert cfg.hbar_grid == (1.0, 0.5)
 
@@ -18,8 +17,6 @@ def test_validation():
     with pytest.raises(ValueError):
         ql.RunConfig(seed=-1)
     with pytest.raises(ValueError):
-        ql.RunConfig(tol=0.0)
-    with pytest.raises(ValueError):
         ql.RunConfig(max_len=0)
     with pytest.raises(ValueError):
         ql.RunConfig(r_grid=())
@@ -27,14 +24,6 @@ def test_validation():
         ql.RunConfig(r_grid=(0.1, 0.2))
     with pytest.raises(ValueError):
         ql.RunConfig(hbar_grid=(1.0, -0.5))
-
-
-def test_tol_bounded_by_check_tol():
-    # the checks hold tol-accurate data to CHECK_TOL; a looser tol fails them
-    # for the solver's slack, so RunConfig refuses it by name
-    assert ql.RunConfig(tol=ql.config.CHECK_TOL).tol == ql.config.CHECK_TOL
-    with pytest.raises(ValueError, match="CHECK_TOL"):
-        ql.RunConfig(tol=2 * ql.config.CHECK_TOL)
 
 
 def test_digest_stable_and_destination_free():
@@ -47,11 +36,14 @@ def test_digest_stable_and_destination_free():
 
 
 def test_round_trip():
-    a = ql.RunConfig(quiver_file="a3-star", seed=12, tol=1e-9, max_len=3)
+    a = ql.RunConfig(quiver_file="a3-star", seed=12, max_len=3)
     b = ql.RunConfig.from_dict(a.to_dict())
     assert a == b
 
 
 def test_from_dict_rejects_unknown():
-    with pytest.raises(ValueError):
-        ql.RunConfig.from_dict({"seed": 0, "typo_field": 1})
+    # a config dict that still carries the removed tol is refused by name
+    for data, name in (({"seed": 0, "typo_field": 1}, "typo_field"),
+                       ({"tol": 1e-10}, "tol")):
+        with pytest.raises(ValueError, match=name):
+            ql.RunConfig.from_dict(data)

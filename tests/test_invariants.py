@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import quiverlim as ql
-from quiverlim.config import IDENTITY_TOL, TOL
+from quiverlim.config import IDENTITY_TOL
 from quiverlim.invariants import invariant_sizes
 from quiverlim.sampling import attracting_increment
 
@@ -169,7 +169,7 @@ def _bench_point_pair(name):
     smp = ql.sample_on_variety(quiver, dims, central, seed=0)
     p0 = ql.flow_limit(smp.point, central.sigma_array()).limit
     grading = ql.weight_grading(p0)
-    A = attracting_increment(ql.bb_tangent_basis(p0, grading), grading, 0, TOL)
+    A = attracting_increment(ql.bb_tangent_basis(p0, grading), grading, 0)
     return p0, A
 
 

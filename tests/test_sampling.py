@@ -84,7 +84,7 @@ def test_d4_star_samples_land_on_their_level():
     central = ql.CentralParameter(sigma=(1, 1, 1, 1), c=(0, 0, 0, 0))
     tol = 1e-10
     for seed in (284, 550, 831):
-        rep = ql.sample_on_variety(q, d, central, seed=seed, tol=tol)
+        rep = ql.sample_on_variety(q, d, central, seed=seed)
         p = rep.point
         res = ql.hermitian_residual(p, central.sigma_array()).norm()
         assert res <= 10 * tol * max(1.0, p.norm() ** 2), (seed, res)
@@ -102,12 +102,12 @@ def test_singular_polar_rebuild_redraws():
     q, d, central = ql.quiver_from_dict(A2_V22)
     tol = 1e-10
     for seed in (97, 104):
-        p = ql.sample_on_variety(q, d, central, seed=seed, tol=tol).point
+        p = ql.sample_on_variety(q, d, central, seed=seed).point
         res = ql.hermitian_residual(p, central.sigma_array()).norm()
         assert res <= 10 * tol * max(1.0, p.norm() ** 2), (seed, res)
     for seed in (49, 154):
         with pytest.raises(ql.SamplingFailed):
-            ql.sample_on_variety(q, d, central, seed=seed, tol=tol)
+            ql.sample_on_variety(q, d, central, seed=seed)
 
 
 @pytest.mark.parametrize("name", ["a3-star", "kronecker2"])
@@ -125,6 +125,6 @@ def test_attracting_increment_ignores_basis_choice(name):
     mixed = ql.SliceBasis(base_point=p0, kind=basis.kind, vectors=[
         ql.RepPoint.from_flat(p0.quiver, p0.dims, c) for c in cols.T])
     for seed in range(3):
-        a = ql.sampling.attracting_increment(basis, grading, seed, 1e-10)
-        b = ql.sampling.attracting_increment(mixed, grading, seed, 1e-10)
+        a = ql.sampling.attracting_increment(basis, grading, seed)
+        b = ql.sampling.attracting_increment(mixed, grading, seed)
         assert (a - b).norm() < 1e-10 * max(1.0, a.norm()), seed
