@@ -19,16 +19,16 @@ digests; compare only columns 1, 2 and 8 (quiver, seed, verdicts) instead:
 this tree and the ``--src`` tree, each in its own process, and prints per
 run whether the verdict strings match, the largest relative move of any
 number of magnitude >= 1e-6 across the five artefacts (0 when none moved)
-with where it sits, and how many other entries differ, each of which is
-then listed.  Entries are matched by key, not by position: a JSON leaf by
-its path (``/suites/3/worst_residual``), a CSV cell by its data row number
-and column header (``2:distance``).  Numbers are compared at the keys both
-sides have; other differences are changed non-numbers (such as suite
-notes), keys present on one side only, and CSV columns present on one side
-only (listed once per file).  So a change that adds or drops a field still
-has every shared number checked.  It ends with one summary line: the runs
-with identical verdicts out of all runs, the largest relative move over all
-runs with its run and location, and the number of runs with other
+with where it sits, and how many other entries differ, each of which is then
+listed. Entries are matched by key, not by position: a JSON leaf by its path
+(``/suites/3/worst_residual``), a CSV cell by its data row number and column
+header (``2:distance``). Numbers are compared at the keys both sides have;
+other differences are changed non-numbers (such as suite notes) and
+non-finite numbers, keys present on one side only, and CSV columns present
+on one side only (listed once per file). So a change that adds or drops a
+field still has every shared number checked. It ends with one summary line:
+the runs with identical verdicts out of all runs, the largest relative move
+over all runs with its run and location, and the number of runs with other
 differences:
 
     python3 scripts/verify_sweep.py --compare --src ../other/src
@@ -46,6 +46,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -121,11 +122,13 @@ def _moves(old_dir: str, new_dir: str):
                          for key in cells if key not in theirs)
         for where, a in old.items():
             b = new.get(where, a)  # a key on one side only is listed above
-            if isinstance(a, float) and isinstance(b, float):
+            if isinstance(a, float) and isinstance(b, float) \
+                    and math.isfinite(a) and math.isfinite(b):
                 scale = max(abs(a), abs(b))
                 if scale >= NUMBER_FLOOR and abs(a - b) > worst[0] * scale:
                     worst = (abs(a - b) / scale, f"{name}:{where}")
-            elif a != b:
+            elif repr(a) != repr(b):
+                # by repr: inf -> 0.5 is a difference, nan -> nan is not
                 other.append(f"{name} {where}: {a!r} -> {b!r}")
     return worst, other
 

@@ -52,3 +52,15 @@ def test_compare_survives_a_change_of_layout(tmp_path):
     assert where == "report.json:/suites/0/worst_residual"
     assert other == ["report.json /config/tol: old side only",
                      "fingerprints.csv column fixed_point_value: old side only"]
+
+
+def test_non_finite_change_is_another_difference(tmp_path):
+    # a failing suite reports an infinite worst residual; its relative move
+    # is undefined, so it is listed rather than lost
+    failed = json.loads(json.dumps(REPORT))
+    failed["suites"][0]["worst_residual"] = float("inf")
+    old = _write(tmp_path / "old", REPORT, CSV)
+    new = _write(tmp_path / "new", failed, CSV)
+    assert sweep._moves(old, new) == (
+        (0.0, "-"), ["report.json /suites/0/worst_residual: 0.999 -> inf"])
+    assert sweep._moves(new, new) == ((0.0, "-"), [])
