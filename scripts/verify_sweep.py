@@ -28,8 +28,10 @@ non-finite numbers, keys present on one side only, and CSV columns present
 on one side only (listed once per file). So a change that adds or drops a
 field still has every shared number checked. It ends with one summary line:
 the runs with identical verdicts out of all runs, the largest relative move
-over all runs with its run and location, and the number of runs with other
-differences:
+over all runs with its run and location, the number of runs with other
+differences, and then the largest move in each of the five files with its
+run and key (so a file whose rows pair different values, such as a
+flow_trace.csv with fewer rows, does not hide the moves in the others):
 
     python3 scripts/verify_sweep.py --compare --src ../other/src
 
@@ -98,39 +100,90 @@ def _json_leaves(node, where: str):
         yield where, node
 
 
-def _moves(old_dir: str, new_dir: str):
-    """((largest relative move of a number >= NUMBER_FLOOR, where), other
-    differences).
+def _file_moves(name: str, old_dir: str, new_dir: str):
+    """((largest relative move of a number >= NUMBER_FLOOR, its key), other
+    differences) in the artefact called name.
 
     Numbers are compared at the keys both sides have.  A key on one side
     only is another difference, and so is a CSV column on one side only,
     once per file instead of once per cell.
     """
     worst, other = (0.0, "-"), []
-    for name in ARTEFACTS:
-        old, old_cols = _entries(os.path.join(old_dir, name))
-        new, new_cols = _entries(os.path.join(new_dir, name))
-        for side, cols, theirs in (("old", old_cols, new_cols),
-                                   ("new", new_cols, old_cols)):
-            other.extend(f"{name} column {c}: {side} side only"
-                         for c in cols if c not in theirs)
-        lone = set(old_cols) ^ set(new_cols)
-        old, new = ({k: v for k, v in cells.items() if k.partition(":")[2] not in lone}
-                    for cells in (old, new))
-        for side, cells, theirs in (("old", old, new), ("new", new, old)):
-            other.extend(f"{name} {key}: {side} side only"
-                         for key in cells if key not in theirs)
-        for where, a in old.items():
-            b = new.get(where, a)  # a key on one side only is listed above
-            if isinstance(a, float) and isinstance(b, float) \
-                    and math.isfinite(a) and math.isfinite(b):
-                scale = max(abs(a), abs(b))
-                if scale >= NUMBER_FLOOR and abs(a - b) > worst[0] * scale:
-                    worst = (abs(a - b) / scale, f"{name}:{where}")
-            elif repr(a) != repr(b):
-                # by repr: inf -> 0.5 is a difference, nan -> nan is not
-                other.append(f"{name} {where}: {a!r} -> {b!r}")
+    old, old_cols = _entries(os.path.join(old_dir, name))
+    new, new_cols = _entries(os.path.join(new_dir, name))
+    for side, cols, theirs in (("old", old_cols, new_cols),
+                               ("new", new_cols, old_cols)):
+        other.extend(f"{name} column {c}: {side} side only"
+                     for c in cols if c not in theirs)
+    lone = set(old_cols) ^ set(new_cols)
+    old, new = ({k: v for k, v in cells.items() if k.partition(":")[2] not in lone}
+                for cells in (old, new))
+    for side, cells, theirs in (("old", old, new), ("new", new, old)):
+        other.extend(f"{name} {key}: {side} side only"
+                     for key in cells if key not in theirs)
+    for where, a in old.items():
+        b = new.get(where, a)  # a key on one side only is listed above
+        if isinstance(a, float) and isinstance(b, float) \
+                and math.isfinite(a) and math.isfinite(b):
+            scale = max(abs(a), abs(b))
+            if scale >= NUMBER_FLOOR and abs(a - b) > worst[0] * scale:
+                worst = (abs(a - b) / scale, where)
+        elif repr(a) != repr(b):
+            # by repr: inf -> 0.5 is a difference, nan -> nan is not
+            other.append(f"{name} {where}: {a!r} -> {b!r}")
     return worst, other
+
+
+def _per_file(old_dir: str, new_dir: str) -> dict:
+    """{artefact: _file_moves of it}."""
+    return {name: _file_moves(name, old_dir, new_dir) for name in ARTEFACTS}
+
+
+def _combined(per_file: dict):
+    """((largest move over the files, ``file:key``), all other differences)."""
+    worst, other = (0.0, "-"), []
+    for name, ((move, key), found) in per_file.items():
+        if move > worst[0]:
+            worst = (move, f"{name}:{key}")
+        other.extend(found)
+    return worst, other
+
+
+def _moves(old_dir: str, new_dir: str):
+    """((largest relative move of a number >= NUMBER_FLOOR, where), other
+    differences) over the five artefacts; where is ``file:key``."""
+    return _combined(_per_file(old_dir, new_dir))
+
+
+def _report(lines: dict, root: str) -> None:
+    """Print the per-run lines and the summary for the sweeps whose output
+    lines are lines["old"] and lines["new"] and whose run n kept its
+    artefacts in root/old/n and root/new/n."""
+    n_same = n_other = 0
+    top = (0.0, "-")
+    top_file = dict.fromkeys(ARTEFACTS, (0.0, "-"))
+    for n, (old, new) in enumerate(zip(lines["old"], lines["new"])):
+        quiver, seed, *_, old_verdicts = old.split()
+        same = "same" if new.split()[-1] == old_verdicts else "differ"
+        per_file = _per_file(os.path.join(root, "old", str(n)),
+                             os.path.join(root, "new", str(n)))
+        worst, other = _combined(per_file)
+        for name, ((move, key), _) in per_file.items():
+            if move > top_file[name][0]:
+                top_file[name] = (move, f"{quiver}:{seed}:{key}")
+        print(quiver, seed, f"verdicts={same}", f"max_rel={worst[0]:.2e}",
+              f"at={worst[1]}", f"other={len(other)}", flush=True)
+        for line in other:
+            print("   ", line)
+        n_same += same == "same"
+        n_other += bool(other)
+        if worst[0] > top[0]:
+            top = (worst[0], f"{quiver}:{seed}:{worst[1]}")
+    files = ", ".join(f"{name} max_rel={move:.2e} at={where}"
+                      for name, (move, where) in top_file.items())
+    print(f"summary: verdicts same on {n_same}/{len(lines['new'])} runs, "
+          f"max_rel={top[0]:.2e} at={top[1]}, other differences on {n_other} runs; "
+          f"per file: {files}")
 
 
 def _compare(other_src: str) -> int:
@@ -145,23 +198,7 @@ def _compare(other_src: str) -> int:
         if any(proc.returncode for proc in procs.values()):
             print("a sweep failed", file=sys.stderr)
             return 1
-        n_same = n_other = 0
-        top = (0.0, "-")
-        for n, (old, new) in enumerate(zip(lines["old"], lines["new"])):
-            quiver, seed, *_, old_verdicts = old.split()
-            same = "same" if new.split()[-1] == old_verdicts else "differ"
-            worst, other = _moves(os.path.join(tmp, "old", str(n)),
-                                  os.path.join(tmp, "new", str(n)))
-            print(quiver, seed, f"verdicts={same}", f"max_rel={worst[0]:.2e}",
-                  f"at={worst[1]}", f"other={len(other)}", flush=True)
-            for line in other:
-                print("   ", line)
-            n_same += same == "same"
-            n_other += bool(other)
-            if worst[0] > top[0]:
-                top = (worst[0], f"{quiver}:{seed}:{worst[1]}")
-        print(f"summary: verdicts same on {n_same}/{len(lines['new'])} runs, "
-              f"max_rel={top[0]:.2e} at={top[1]}, other differences on {n_other} runs")
+        _report(lines, tmp)
     return 0
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import quiverlim as ql
 from conftest import gauge_distance
-from quiverlim.config import CHECK_TOL, STABILITY_RATIO
+from quiverlim.config import CHECK_TOL, FLOW_STEPS, STABILITY_RATIO
 
 # hand-counted from the weights: entries of the dimension audit per preset,
 # (rep slots of weight >= 1, gauge weight >= 1, gauge weight >= 0, half count)
@@ -150,12 +150,12 @@ def test_power_gauge_condition(a3star):
     assert abs(g.cond() - 2.0 ** spread) < 1e-10
 
 
-def _walked_limit(p, sigma):
-    """The whole default_schedule() walked without a stopping rule (R down
-    to 2^-40), then polished to its weight-0 part."""
+def _walked_limit(p, sigma, schedule=None):
+    """The whole schedule (default_schedule(), R down to FLOW_RATIO^FLOW_STEPS)
+    walked without a stopping rule, then polished to its weight-0 part."""
     q = ql.solve_real_moment(p, sigma).point
     R_prev = 1.0
-    for R in ql.default_schedule():
+    for R in schedule or ql.default_schedule():
         q = ql.solve_real_moment(ql.cstar_act(R / R_prev, q), sigma).point
         R_prev = R
     return ql.grade_increment(q, ql.weight_grading(q))[0]
@@ -172,3 +172,26 @@ def test_flow_limit_matches_the_full_walk(a3star, seed):
     flow = ql.flow_limit(smp.point, sigma)
     ref = _walked_limit(smp.point, sigma)
     assert gauge_distance(flow.limit, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_flow_limit_does_not_depend_on_the_schedule(a3star, seed):
+    # the limit of an orbit is a property of the orbit: walking R through
+    # 2^-t instead of the default schedule lands on the same fixed point
+    sigma = a3star.central.sigma_array()
+    smp = ql.sample_on_variety(a3star.quiver, a3star.dims, a3star.central,
+                               seed=seed)
+    halving = tuple(0.5 ** t for t in range(1, FLOW_STEPS + 1))
+    flow = ql.flow_limit(smp.point, sigma)
+    assert gauge_distance(flow.limit, _walked_limit(smp.point, sigma, halving)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["tstar-p1", "a2-star", "kronecker2", "a3-star"])
+def test_flow_settles_in_few_steps(name):
+    # the fixed-point residual is O(R), so the walk meets CHECK_TOL after
+    # about log(1/CHECK_TOL) / log(1/FLOW_RATIO) steps
+    pre = ql.get_preset(name)
+    for seed in (0, 1, 2):
+        smp = ql.sample_on_variety(pre.quiver, pre.dims, pre.central, seed=seed)
+        flow = ql.flow_limit(smp.point, pre.central.sigma_array())
+        assert len(flow.rows) <= 12, (name, seed)

@@ -64,3 +64,30 @@ def test_non_finite_change_is_another_difference(tmp_path):
     assert sweep._moves(old, new) == (
         (0.0, "-"), ["report.json /suites/0/worst_residual: 0.999 -> inf"])
     assert sweep._moves(new, new) == ((0.0, "-"), [])
+
+
+def test_summary_gives_the_largest_move_per_file(tmp_path, capsys):
+    # run 0 moves flow_trace.csv completely (its rows pair different R),
+    # run 1 moves one report.json number by 1e-3: the summary's overall
+    # maximum names the first, and its per-file part still shows the second
+    moved_flow = dict(CSV, **{"flow_trace.csv": "R,shrinking_energy,fixed_point_residual\n"
+                                                "0.125,2.0,1e-3\n"})
+    moved_report = json.loads(json.dumps(REPORT))
+    moved_report["suites"][0]["worst_residual"] = 1.0
+    for n, (report, csvs) in enumerate([(REPORT, moved_flow), (moved_report, CSV)]):
+        (tmp_path / "old").mkdir(exist_ok=True)
+        (tmp_path / "new").mkdir(exist_ok=True)
+        _write(tmp_path / "old" / str(n), REPORT, CSV)
+        _write(tmp_path / "new" / str(n), report, csvs)
+    lines = {"old": ["a3-star 0 PPP", "a3-star 1 PPP"],
+             "new": ["a3-star 0 PPP", "a3-star 1 PPP"]}
+    sweep._report(lines, str(tmp_path))
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert summary == (
+        "summary: verdicts same on 2/2 runs, max_rel=7.50e-01 "
+        "at=a3-star:0:flow_trace.csv:1:R, other differences on 0 runs; per file: "
+        "report.json max_rel=1.00e-03 at=a3-star:1:/suites/0/worst_residual, "
+        "dimension_audit.csv max_rel=0.00e+00 at=-, "
+        "flow_trace.csv max_rel=7.50e-01 at=a3-star:0:1:R, "
+        "convergence.csv max_rel=0.00e+00 at=-, "
+        "fingerprints.csv max_rel=0.00e+00 at=-")
