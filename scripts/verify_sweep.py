@@ -35,7 +35,8 @@ flow_trace.csv with fewer rows, does not hide the moves in the others):
 
     python3 scripts/verify_sweep.py --compare --src ../other/src
 
-``--out DIR`` keeps the artefacts of run n in DIR/n.
+``--out DIR`` keeps the artefacts of run n in DIR/n.  A sweep prints its
+total wall time on standard error, so standard output stays comparable.
 
 Quiver files are named relative to the repository root, which is also the
 working directory of the runs, so the configs (and their digests) match
@@ -53,6 +54,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -224,6 +226,7 @@ def main(argv=None) -> int:
     import quiverlim as ql
 
     runs = [(q, s) for q in QUIVERS for s in SEEDS] + list(WALL_RUNS)
+    start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         for n, (quiver, seed) in enumerate(runs):
             out = os.path.join(keep or tmp, str(n))
@@ -235,6 +238,8 @@ def main(argv=None) -> int:
                     digests.append(hashlib.sha256(fh.read()).hexdigest())
             verdicts = "".join("P" if st.passed else "F" for st in report.suites)
             print(quiver, seed, *digests, verdicts, flush=True)
+    print(f"sweep of {len(runs)} runs: {time.perf_counter() - start:.2f} s wall time",
+          file=sys.stderr)
     return 0
 
 

@@ -20,7 +20,7 @@ from .fixedpoints import (FixedPointReport, FlowReport, WeightGrading,
                           flow_limit, grade_increment, is_fixed_point,
                           scaling_energy, stability_margin, weight_grading)
 from .invariants import (EscapeStudy, PathSpec, enumerate_paths, escape_slope,
-                         eval_path, fingerprint, fingerprint_labels,
+                         eval_path, fingerprint, fingerprint_labels, fingerprints,
                          invariant_size, is_nilpotent, nilpotency_bound,
                          path_escape_exponent)
 from .presets import PRESET_NAMES, Preset, get_preset, resolve_quiver_spec

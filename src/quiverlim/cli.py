@@ -186,8 +186,8 @@ def _cmd_climit(cfg: RunConfig, args) -> int:
 
 def _cmd_family(cfg: RunConfig, args) -> int:
     flow, A, sigma = _limit_setup(cfg)
-    st = convergence_study(flow.limit, A, sigma, args.hbar, cfg.r_grid,
-                           grading=flow.grading, max_len=cfg.max_len)
+    st, = convergence_study(flow.limit, A, sigma, (args.hbar,), cfg.r_grid,
+                            grading=flow.grading, max_len=cfg.max_len)
     print(f"family at hbar={args.hbar:g} over R grid {list(cfg.r_grid)}:")
     for r, d in st.rows:
         print(f"  R={r:.6g}  distance={d:.6e}")

@@ -6,23 +6,31 @@ by the real parameter.  Trading the real parameter for the complex one is
 realized by a sphere rotation of the quaternionic structure followed by the
 inverse circle rescaling; the final real-moment solve at parameter zero
 pins the gauge representative.
+
+Of a member's four stages at (hbar, R), only the first, the graded solve at
+the rescaled increment, does not depend on hbar; the rotation by hbar*R,
+the rescaling by 1/(hbar*R) and the final solve do, and so does the limit
+point.  convergence_study therefore runs the slice checks once and each
+start once per R, and finishes every hbar from the shared starts.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import (CHECK_TOL, FLOOR, STAGE_SLACK, TOL, check_grid,
                      moment_scale)
-from .errors import NotOnSlice, NotOnVariety
+from .errors import NotOnSlice, NotOnVariety, QuiverLimError
 from .fixedpoints import WeightGrading
-from .invariants import fingerprint
+from .invariants import fingerprint, fingerprints
 from .repspace import (RepPoint, central_lie, inf_action_adjoint,
                        moment_complex, moment_real, zeta_real_lie)
 from .slices import positive_weight_project
-from .solver import SolveReport, graded_solve, solve_real_moment
+from .solver import (GradedSolveReport, SolveReport, graded_solve,
+                     solve_real_moment)
 
 
 def twistor_rotate(p: RepPoint, xi: complex) -> RepPoint:
@@ -106,6 +114,51 @@ class ConformalFamilySample:
     iterations: int
 
 
+def _family_start(p0: RepPoint, A: RepPoint, sigma: np.ndarray, R: float,
+                  grading: WeightGrading) -> GradedSolveReport:
+    """Stage one of a family member: the graded real-moment solve at the
+    rescaled increment, the same for every hbar."""
+    base_gap = (grading.base_point - p0).norm()
+    if base_gap > CHECK_TOL * max(1.0, p0.norm()):
+        raise ValueError("grading was computed at a different base point")
+    return graded_solve(p0 + grading.act(R, A), grading, R, sigma)
+
+
+def _family_finish(p0: RepPoint, start: GradedSolveReport, sigma: np.ndarray,
+                   hb: complex, R: float,
+                   grading: WeightGrading) -> tuple[SolveReport, dict[str, float]]:
+    """Stages two to four of the member at (hb, R) from its start: the final
+    solve and the residual of every stage."""
+    xi = hb * R
+    q2 = twistor_rotate(start.point, xi)
+    zr = zeta_real_lie(sigma, p0.dims)
+    stage_tol2 = STAGE_SLACK * TOL * moment_scale(q2)
+    dev_real = (moment_real(q2) - zr * (1.0 - abs(xi) ** 2)).norm()
+    dev_cplx = (moment_complex(q2) - central_lie(2.0 * xi * sigma, p0.dims)).norm()
+    if dev_real > stage_tol2 or dev_cplx > stage_tol2:
+        raise NotOnVariety(
+            f"rotated point misses its exact moment targets "
+            f"(real {dev_real:.3e}, complex {dev_cplx:.3e}, tol {stage_tol2:.3e})")
+
+    q3 = grading.act(1.0 / xi, q2)
+    # rescaling conjugates the moment; its conditioning amplifies stage-2 noise
+    amp = grading.power_cond(1.0 / xi) ** 2
+    stage_tol3 = STAGE_SLACK * TOL * amp * moment_scale(q3)
+    dev3 = (moment_complex(q3) - central_lie(2.0 * sigma, p0.dims)).norm()
+    if dev3 > stage_tol3:
+        raise NotOnVariety(
+            f"rescaled point leaves the limiting complex level ({dev3:.3e})")
+
+    final = solve_real_moment(q3, np.zeros(p0.quiver.n))
+    return final, {
+        "start_solve": float(start.residual),
+        "rotation_real": float(dev_real),
+        "rotation_complex": float(dev_cplx),
+        "rescale_complex": float(dev3),
+        "final_solve": float(final.residual),
+    }
+
+
 def conformal_family_sample(p0: RepPoint, A: RepPoint, sigma, hbar: complex,
                             R: float, grading: WeightGrading,
                             max_len: int = 4) -> ConformalFamilySample:
@@ -121,47 +174,12 @@ def conformal_family_sample(p0: RepPoint, A: RepPoint, sigma, hbar: complex,
     hb = complex(hbar)
     if R <= 0 or hb == 0:
         raise ValueError("R must be positive and hbar nonzero")
-    base_gap = (grading.base_point - p0).norm()
-    if base_gap > CHECK_TOL * max(1.0, p0.norm()):
-        raise ValueError("grading was computed at a different base point")
     sig = np.asarray(sigma, dtype=float)
-    xi = hb * R
-
-    rep1 = graded_solve(p0 + grading.act(R, A), grading, R, sig)
-    q1 = rep1.point
-
-    q2 = twistor_rotate(q1, xi)
-    zr = zeta_real_lie(sig, p0.dims)
-    stage_tol2 = STAGE_SLACK * TOL * moment_scale(q2)
-    dev_real = (moment_real(q2) - zr * (1.0 - abs(xi) ** 2)).norm()
-    dev_cplx = (moment_complex(q2) - central_lie(2.0 * xi * sig, p0.dims)).norm()
-    if dev_real > stage_tol2 or dev_cplx > stage_tol2:
-        raise NotOnVariety(
-            f"rotated point misses its exact moment targets "
-            f"(real {dev_real:.3e}, complex {dev_cplx:.3e}, tol {stage_tol2:.3e})")
-
-    q3 = grading.act(1.0 / xi, q2)
-    # rescaling conjugates the moment; its conditioning amplifies stage-2 noise
-    amp = grading.power_gauge(1.0 / xi).cond() ** 2
-    stage_tol3 = STAGE_SLACK * TOL * amp * moment_scale(q3)
-    dev3 = (moment_complex(q3) - central_lie(2.0 * sig, p0.dims)).norm()
-    if dev3 > stage_tol3:
-        raise NotOnVariety(
-            f"rescaled point leaves the limiting complex level ({dev3:.3e})")
-
-    rep4 = solve_real_moment(q3, np.zeros(p0.quiver.n))
-    point = rep4.point
+    start = _family_start(p0, A, sig, R, grading)
+    final, stages = _family_finish(p0, start, sig, hb, R, grading)
     return ConformalFamilySample(
-        R=R, hbar=hb, point=point,
-        fingerprint=fingerprint(point, max_len),
-        stage_residuals={
-            "start_solve": float(rep1.residual),
-            "rotation_real": float(dev_real),
-            "rotation_complex": float(dev_cplx),
-            "rescale_complex": float(dev3),
-            "final_solve": float(rep4.residual),
-        },
-        iterations=rep4.iterations)
+        R=R, hbar=hb, point=final.point, fingerprint=fingerprint(final.point, max_len),
+        stage_residuals=stages, iterations=final.iterations)
 
 
 @dataclass
@@ -175,28 +193,10 @@ class ConvergenceReport:
     samples: list[ConformalFamilySample]
 
 
-def convergence_study(p0: RepPoint, A: RepPoint, sigma, hbar: complex,
-                      R_grid, grading: WeightGrading,
-                      max_len: int = 4) -> ConvergenceReport:
-    """Fit the approach rate of the family to its conformal limit.
-
-    Distances are gauge-invariant fingerprint distances; the fit is a
-    least-squares line in log-log coordinates over the grid points above
-    the solver floor.  With fewer than two usable points the study is
-    degenerate: the slope is None.
-    """
-    grid = check_grid("R_grid", R_grid)
-    limit = conformal_limit(p0, A, hbar, grading=grading)
-    fp_limit = fingerprint(limit.point, max_len)
-
-    samples: list[ConformalFamilySample] = []
-    rows: list[tuple[float, float]] = []
-    for R in grid:
-        s = conformal_family_sample(p0, A, sigma, hbar, R, grading=grading,
-                                    max_len=max_len)
-        rows.append((R, float(np.linalg.norm(s.fingerprint - fp_limit))))
-        samples.append(s)
-
+def _fit(hb: complex, fp_limit: np.ndarray,
+         samples: list[ConformalFamilySample]) -> ConvergenceReport:
+    """The report of one hbar from its limit's and its members' fingerprints."""
+    rows = [(s.R, float(np.linalg.norm(s.fingerprint - fp_limit))) for s in samples]
     fp_scale = float(np.max(np.abs(fp_limit))) if fp_limit.size else 0.0
     floor = FLOOR * TOL * max(1.0, fp_scale)
     usable = [(r, d) for r, d in rows if d > floor]
@@ -207,6 +207,58 @@ def convergence_study(p0: RepPoint, A: RepPoint, sigma, hbar: complex,
         coeffs = np.polyfit(lr, ld, 1)
         slope = float(coeffs[0])
         fit_res = float(np.max(np.abs(np.polyval(coeffs, lr) - ld)))
-    return ConvergenceReport(hbar=complex(hbar), rows=rows, limit_fingerprint=fp_limit,
+    return ConvergenceReport(hbar=hb, rows=rows, limit_fingerprint=fp_limit,
                              slope=slope, fit_residual=fit_res,
                              degenerate=slope is None, samples=samples)
+
+
+def convergence_study(p0: RepPoint, A: RepPoint, sigma, hbar_grid, R_grid,
+                      grading: WeightGrading,
+                      max_len: int = 4) -> Iterator[ConvergenceReport]:
+    """Fit the approach rate of the family to its conformal limit at every
+    hbar of hbar_grid; yields one report per hbar, in grid order.
+
+    Distances are gauge-invariant fingerprint distances; the fit is a
+    least-squares line in log-log coordinates over the grid points above
+    the solver floor.  With fewer than two usable points the study is
+    degenerate: the slope is None.
+
+    The slice checks of A run once, and the graded start solve at each R
+    runs once for all hbar.  Solves run hbar by hbar, each limit before its
+    members, and the limits and members are then fingerprinted in one
+    stacked walk.  When a solve raises, the reports of the hbar before it
+    are yielded first and its error is raised after them.
+    """
+    grid = check_grid("R_grid", R_grid)
+    hbars = [complex(h) for h in hbar_grid]
+    if any(hb == 0 for hb in hbars):
+        raise ValueError("hbar must be nonzero")
+    check_slice_increment(p0, A, grading)
+    sig = np.asarray(sigma, dtype=float)
+    starts: dict[float, GradedSolveReport] = {}
+    solved = []  # per finished hbar: (limit point, [(final solve, stage residuals)])
+    failure = None
+    try:
+        for hb in hbars:
+            pA = RepPoint.from_slots(p0.quiver, p0.dims, conformal_slots(p0, A, hb))
+            limit = solve_real_moment(pA, np.zeros(p0.quiver.n))
+            members = []
+            for R in grid:
+                if R not in starts:
+                    starts[R] = _family_start(p0, A, sig, R, grading)
+                members.append(_family_finish(p0, starts[R], sig, hb, R, grading))
+            solved.append((limit.point, members))
+    except QuiverLimError as exc:
+        failure = exc
+    if solved:
+        fps = iter(fingerprints([pt for limit, members in solved
+                                 for pt in (limit, *(f.point for f, _ in members))],
+                                max_len))
+        for hb, (_, members) in zip(hbars, solved):
+            fp_limit = next(fps)
+            yield _fit(hb, fp_limit, [
+                ConformalFamilySample(R=R, hbar=hb, point=f.point, fingerprint=next(fps),
+                                      stage_residuals=stages, iterations=f.iterations)
+                for R, (f, stages) in zip(grid, members)])
+    if failure is not None:
+        raise failure

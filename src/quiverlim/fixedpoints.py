@@ -25,7 +25,7 @@ from .quiver import DimensionVectors, Quiver
 from .repspace import (GaugeElement, LieElement, RepPoint, block_matrix,
                        central_deviation, conjugate_slots, gauge_act, lie_exp,
                        moment_complex)
-from .solver import solve_real_moment
+from .solver import newton_spectrum, solve_real_moment
 
 
 def cstar_act(R: complex, p: RepPoint) -> RepPoint:
@@ -132,11 +132,24 @@ class WeightGrading:
         return (block_matrix(self.dims, self.qmats),
                 np.array([w for ws in self.weights for w in ws], dtype=int))
 
+    @functools.cached_property
+    def frozen_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """newton_spectrum of the base point: the operator that every stage
+        of graded_solve inverts."""
+        return newton_spectrum(self.base_point)
+
     def power_gauge(self, s: complex) -> GaugeElement:
         """s^D: s to the power of each weight on its eigenline."""
         q, w = self._lines
         powers = np.array([complex(s) ** int(x) for x in w], dtype=complex)
         return GaugeElement.from_matrix(self.dims, (q * powers) @ q.conj().T)
+
+    def power_cond(self, s: complex) -> float:
+        """power_gauge(s).cond() in closed form: the block of V_k is unitarily
+        similar to diag(s^w), so its condition number is max(|s|, 1/|s|) to
+        the power of the spread of the weights on V_k."""
+        r = abs(complex(s))
+        return max(r, 1.0 / r) ** self.max_end_weight()
 
     def act(self, R: complex, p: RepPoint) -> RepPoint:
         """Combined scaling-plus-gauge action; fixes the base point."""

@@ -12,6 +12,8 @@ order, so eval multiplies right-to-left.
 Functionals over every enumerated path go through one prefix walk per
 (quiver, dims, max_len, kind): paths that share a prefix share its products,
 and each product is formed by the same matrix multiplications as eval_path.
+The walk also runs on the stacked slots of several points (fingerprints),
+one product per path for all of them.
 """
 
 from __future__ import annotations
@@ -171,11 +173,12 @@ def _prefix_walk(quiver: Quiver, dims: DimensionVectors, max_len: int,
     return tuple(depth), tuple(slot), tuple(out), tuple(skip)
 
 
-def _path_products(p: RepPoint, max_len: int, kind: str, prune: bool = False):
-    """Yield (index in enumerate_paths, eval_path product) for every path,
-    in walk order.  With prune, the paths that extend an exactly-zero
+def _path_products(p: RepPoint, slots, max_len: int, kind: str, prune: bool = False):
+    """Yield (index in enumerate_paths, eval_path product) for every path of
+    p's quiver and dimension vectors, in walk order, with the slot matrices
+    slots; leading axes of the slots (see FlatLayout.slot_views) lead in
+    every product.  With prune, the paths that extend an exactly-zero
     product are left out: their products are zero too."""
-    slots = p.slots
     depth, slot, out, skip = _prefix_walk(p.quiver, p.dims, max_len, kind)
     acc: list[np.ndarray | None] = [None] * max_len
     t = 0
@@ -196,7 +199,7 @@ def _size(m: np.ndarray, kind: str) -> float:
 def invariant_sizes(p: RepPoint, max_len: int, kind: str) -> list[float]:
     """invariant_size of every path of enumerate_paths(..., max_len, kind), in its order."""
     sizes = [0.0] * len(enumerate_paths(p.quiver, p.dims, max_len, kind))
-    for n, m in _path_products(p, max_len, kind):
+    for n, m in _path_products(p, p.slots, max_len, kind):
         sizes[n] = _size(m, kind)
     return sizes
 
@@ -218,18 +221,30 @@ def fingerprint_labels(quiver: Quiver, dims: DimensionVectors, max_len: int) -> 
     return tuple(labels)
 
 
-def fingerprint(p: RepPoint, max_len: int) -> np.ndarray:
-    """Canonically ordered vector of loop traces and admissible-path entries,
-    real and imaginary parts interleaved."""
+def fingerprints(points, max_len: int) -> np.ndarray:
+    """fingerprint of every point, one row each, from one prefix walk over
+    the stacked slots of the points, which share one quiver and dimension
+    vectors."""
+    p = points[0]
+    if any((q.quiver, q.dims) != (p.quiver, p.dims) for q in points):
+        raise ValueError("fingerprints needs points of one quiver and dimension vectors")
+    n = len(points)
+    slots = p.layout.slot_views(np.stack([q.vec for q in points]))
     blocks: list[np.ndarray] = []
     for kind in ("loop", "admissible"):
         part = [None] * len(enumerate_paths(p.quiver, p.dims, max_len, kind))
-        for n, m in _path_products(p, max_len, kind):
-            part[n] = np.trace(m) if kind == "loop" else m
+        for k, m in _path_products(p, slots, max_len, kind):
+            part[k] = np.trace(m, axis1=-2, axis2=-1) if kind == "loop" else m
         blocks.extend(part)
     if not blocks:
-        return np.zeros(0)
-    return np.concatenate([np.ravel(b) for b in blocks]).view(np.float64)
+        return np.zeros((n, 0))
+    return np.concatenate([b.reshape(n, -1) for b in blocks], axis=1).view(np.float64)
+
+
+def fingerprint(p: RepPoint, max_len: int) -> np.ndarray:
+    """Canonically ordered vector of loop traces and admissible-path entries,
+    real and imaginary parts interleaved: the one row of fingerprints([p])."""
+    return fingerprints([p], max_len)[0]
 
 
 def nilpotency_bound(dims: DimensionVectors) -> int:
@@ -240,7 +255,7 @@ def is_nilpotent(p: RepPoint) -> bool:
     """True when every invariant up to the decision bound is below CHECK_TOL."""
     bound = nilpotency_bound(p.dims)
     for kind in ("loop", "admissible"):
-        for _, m in _path_products(p, bound, kind, prune=True):
+        for _, m in _path_products(p, p.slots, bound, kind, prune=True):
             if _size(m, kind) > CHECK_TOL:
                 return False
     return True

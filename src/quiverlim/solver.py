@@ -52,16 +52,27 @@ def _residual(coords: FlatLayout, x: np.ndarray, level: np.ndarray):
     return a, a.T @ np.concatenate([x.real, x.imag]) - level
 
 
-def _spectral_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve by eigendecomposition, guarding the smallest-eigenvalue ratio."""
+def _spectrum(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of the symmetric PSD mat, guarding the smallest-eigenvalue ratio."""
     if mat.shape[0] == 0:
-        return rhs.copy()
+        return np.zeros(0), np.zeros((0, 0))
     vals, vecs = np.linalg.eigh(mat)
     top = float(vals.max(initial=0.0))
     if top <= 0.0 or float(vals.min()) < EIG_FLOOR_RATIO * top:
         raise NotInjective(
             f"linearized operator eigenvalue ratio below {EIG_FLOOR_RATIO:g} "
             f"(min {vals.min():.3e}, max {top:.3e})")
+    return vals, vecs
+
+
+def newton_spectrum(p: RepPoint) -> tuple[np.ndarray, np.ndarray]:
+    """The guarded eigendecomposition of assemble_newton_matrix(p)."""
+    return _spectrum(assemble_newton_matrix(p))
+
+
+def _spectral_solve(spectrum: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    """Solve with the matrix whose (eigenvalues, eigenvectors) are spectrum."""
+    vals, vecs = spectrum
     return vecs @ ((vecs.T @ rhs) / vals)
 
 
@@ -166,7 +177,7 @@ def solve_real_moment(p: RepPoint, sigma, tol: float = TOL,
             raise MaxIterations(
                 f"real-moment solve hit {max_iter} iterations, residual {res_norm:.3e}")
         step = np.zeros(mask.shape, dtype=complex)
-        step[mask] = coords.herm @ _spectral_solve(2.0 * (a.T @ a), -res)
+        step[mask] = coords.herm @ _spectral_solve(_spectrum(2.0 * (a.T @ a)), -res)
         lam, vecs = np.linalg.eigh(step)
 
         t = forced_damping[it] if it < len(forced_damping) else 1.0
@@ -205,17 +216,16 @@ def graded_solve(p_start: RepPoint, grading, r_scale: float,
                  sigma) -> GradedSolveReport:
     """Stagewise solve near a graded fixed point.
 
-    Stage j inverts the operator frozen at the fixed point on the weight
-    blocks |m| <= j of the hermitian residual; the correction exponent is
+    Stage j inverts the operator frozen at the fixed point (the grading's
+    frozen_spectrum, factored once per grading) on the weight blocks
+    |m| <= j of the hermitian residual; the correction exponent is
     confined to those blocks (GradingViolation otherwise) and scales as
     R^{j+2}.  A final plain Newton pass finishes to TOL.  Returned stage
     elements are the unscaled coefficients xi_j = delta_j / R^{j+2}.
     """
-    p0 = grading.base_point
     sig = np.asarray(sigma, dtype=float)
     coords = p_start.layout
     level = coords.herm_coords(central_lie(2.0 * sig, p_start.dims))
-    frozen = assemble_newton_matrix(p0)
     m_max = grading.max_end_weight()
 
     mask, x = coords.block_mask, p_start.vec
@@ -223,7 +233,8 @@ def graded_solve(p_start: RepPoint, grading, r_scale: float,
     stages: list[tuple[int, LieElement]] = []
     for j in range(m_max):
         res_j = grading.lie_project(coords.herm_element(_residual(coords, x, level)[1]), j)
-        delta = coords.herm_element(_spectral_solve(frozen, -coords.herm_coords(res_j)))
+        delta = coords.herm_element(_spectral_solve(grading.frozen_spectrum,
+                                                          -coords.herm_coords(res_j)))
         outside = (delta - grading.lie_project(delta, j)).norm()
         d_norm = delta.norm()
         if d_norm > 0 and outside > CHECK_TOL * d_norm:

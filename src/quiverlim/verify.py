@@ -26,8 +26,8 @@ from .conformal import (check_slice_increment, conformal_slots,
 from .errors import QuiverLimError
 from .fixedpoints import bb_expected_dimension, cstar_act, flow_limit
 from .invariants import (enumerate_paths, escape_slope, fingerprint,
-                         fingerprint_labels, invariant_sizes, is_nilpotent,
-                         path_escape_exponent)
+                         fingerprint_labels, fingerprints, invariant_sizes,
+                         is_nilpotent, path_escape_exponent)
 from .presets import resolve_quiver_spec
 from .quiver import expected_dimension, is_generic, require_nonempty
 from .repspace import (LieElement, RepPoint, central_deviation, dmu_complex,
@@ -303,21 +303,21 @@ def _suite_conformal(pl: _Pipeline) -> SuiteResult:
     notes = []
     passed = True
     lo, hi = CONFORMAL_SLOPE_RANGE
-    for hb in pl.cfg.hbar_grid:
-        try:
-            st = convergence_study(pl.p0, pl.A, pl.sigma, hb, pl.cfg.r_grid,
-                                   grading=pl.grading, max_len=pl.cfg.max_len)
-        except QuiverLimError as exc:
-            return SuiteResult("conformal_convergence", False, np.inf, str(exc))
-        pl.studies.append(st)
-        if st.degenerate:
-            notes.append(f"hbar={hb:g}: degenerate (distances at floor)")
-            continue
-        notes.append(f"hbar={hb:g}: slope {st.slope:.3f}")
-        if worst is None or abs(st.slope - 2.0) > abs(worst - 2.0):
-            worst = st.slope
-        if not (lo <= st.slope <= hi):
-            passed = False
+    study = convergence_study(pl.p0, pl.A, pl.sigma, pl.cfg.hbar_grid, pl.cfg.r_grid,
+                              grading=pl.grading, max_len=pl.cfg.max_len)
+    try:
+        for st in study:
+            pl.studies.append(st)
+            if st.degenerate:
+                notes.append(f"hbar={st.hbar.real:g}: degenerate (distances at floor)")
+                continue
+            notes.append(f"hbar={st.hbar.real:g}: slope {st.slope:.3f}")
+            if worst is None or abs(st.slope - 2.0) > abs(worst - 2.0):
+                worst = st.slope
+            if not (lo <= st.slope <= hi):
+                passed = False
+    except QuiverLimError as exc:
+        return SuiteResult("conformal_convergence", False, np.inf, str(exc))
     return SuiteResult("conformal_convergence", passed,
                        0.0 if worst is None else float(worst), "; ".join(notes))
 
@@ -329,11 +329,11 @@ def _suite_invariance(pl: _Pipeline) -> SuiteResult:
     rng = make_rng(pl.cfg.seed + 6)
     base = fingerprint(p, pl.cfg.max_len)
     ref = max(1.0, float(np.linalg.norm(base)))
+    moved = fingerprints([gauge_act(lie_exp(_rand_lie(pl.dims, rng, 0.4)), p)
+                          for _ in range(10)], pl.cfg.max_len)
     worst = 0.0
-    for _ in range(10):
-        g = lie_exp(_rand_lie(pl.dims, rng, 0.4))
-        moved = fingerprint(gauge_act(g, p), pl.cfg.max_len)
-        worst = max(worst, float(np.linalg.norm(moved - base)) / ref)
+    for fp in moved:
+        worst = max(worst, float(np.linalg.norm(fp - base)) / ref)
     return SuiteResult("gauge_invariance", worst <= IDENTITY_TOL, float(worst))
 
 

@@ -135,15 +135,15 @@ def test_criterion_07_conformal_limit_convergence():
     assert any(np.linalg.norm(j) > 1e-8 for j in A.j)
     sigma = s.central.sigma_array()
     worst = 0.0
-    for hbar in (1.0, 0.5):
-        rep = ql.convergence_study(s.p0, A, sigma, hbar, (0.4, 0.2, 0.1, 0.05),
-                                   grading=s.grading)
+    for rep in ql.convergence_study(s.p0, A, sigma, (1.0, 0.5), (0.4, 0.2, 0.1, 0.05),
+                                    grading=s.grading):
         assert not rep.degenerate
         assert 1.75 <= rep.slope <= 2.5
         worst = max(worst, abs(rep.slope - 2.0))
     zero = ql.RepPoint.zeros(s.quiver, s.dims)
-    assert ql.convergence_study(s.p0, zero, sigma, 1.0, (0.4, 0.2, 0.1, 0.05),
-                                grading=s.grading).degenerate
+    flat, = ql.convergence_study(s.p0, zero, sigma, (1.0,), (0.4, 0.2, 0.1, 0.05),
+                                 grading=s.grading)
+    assert flat.degenerate
     _report(7, "family converges at order two; zero datum reports degenerate",
             worst)
 

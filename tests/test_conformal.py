@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import quiverlim as ql
+from quiverlim import conformal
+from quiverlim.sampling import attracting_increment
 
-from conftest import convergence_rows, fingerprint_distance
+from conftest import convergence_rows, fingerprint_distance, get_setup
 
 
 def test_twistor_moment_identities(a3star):
@@ -105,9 +107,10 @@ def test_convergence_slope_quadratic(tstar):
     p0, grading = tstar.p0, tstar.grading
     A = tstar.slice_point(seed=68)
     sigma = tstar.central.sigma_array()
-    for hbar in (1.0, 0.5):
-        rep = ql.convergence_study(p0, A, sigma, hbar, (0.4, 0.2, 0.1, 0.05),
-                                   grading=grading)
+    reports = list(ql.convergence_study(p0, A, sigma, (1.0, 0.5), (0.4, 0.2, 0.1, 0.05),
+                                        grading=grading))
+    assert [rep.hbar for rep in reports] == [1.0, 0.5]
+    for rep in reports:
         assert not rep.degenerate
         assert 1.75 <= rep.slope <= 2.5
         dists = [row[1] for row in rep.rows]
@@ -118,8 +121,8 @@ def test_zero_datum_is_degenerate(tstar):
     p0, grading = tstar.p0, tstar.grading
     zero = ql.RepPoint.zeros(tstar.quiver, tstar.dims)
     sigma = tstar.central.sigma_array()
-    rep = ql.convergence_study(p0, zero, sigma, 1.0, (0.4, 0.2, 0.1, 0.05),
-                               grading=grading)
+    rep, = ql.convergence_study(p0, zero, sigma, (1.0,), (0.4, 0.2, 0.1, 0.05),
+                                grading=grading)
     assert rep.degenerate
     assert rep.slope is None and rep.fit_residual is None
 
@@ -128,9 +131,71 @@ def test_convergence_report_rows(tstar):
     p0, grading = tstar.p0, tstar.grading
     A = tstar.slice_point(seed=69)
     sigma = tstar.central.sigma_array()
-    rep = ql.convergence_study(p0, A, sigma, 1.0, (0.2, 0.1), grading=grading)
+    rep, = ql.convergence_study(p0, A, sigma, (1.0,), (0.2, 0.1), grading=grading)
     assert rep.hbar == 1.0
     rows = convergence_rows(rep)
     assert len(rows) == 2
     assert rows[0]["R"] == 0.2
     assert rows[0]["distance"] > rows[1]["distance"]
+
+
+def _study_setup(name, seed):
+    s = get_setup(name)
+    return s, attracting_increment(s.basis, s.grading, seed)
+
+
+@pytest.mark.parametrize("name", ["a3-star", "kronecker2"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_study_over_a_grid_matches_one_study_per_hbar(name, seed):
+    # the shared starts and the stacked fingerprints change no bit of a report
+    s, A = _study_setup(name, seed)
+    sigma, r_grid = s.central.sigma_array(), (0.4, 0.2, 0.1, 0.05)
+    both = list(ql.convergence_study(s.p0, A, sigma, (1.0, 0.5), r_grid,
+                                     grading=s.grading))
+    assert len(both) == 2
+    for hbar, rep in zip((1.0, 0.5), both):
+        alone, = ql.convergence_study(s.p0, A, sigma, (hbar,), r_grid, grading=s.grading)
+        assert rep.hbar == alone.hbar == hbar
+        assert rep.rows == alone.rows
+        assert np.array_equal(rep.limit_fingerprint, alone.limit_fingerprint)
+        assert rep.slope == alone.slope and rep.fit_residual == alone.fit_residual
+        for a, b in zip(rep.samples, alone.samples, strict=True):
+            assert a.stage_residuals == b.stage_residuals
+            assert np.array_equal(a.fingerprint, b.fingerprint)
+
+
+def test_study_solves_each_start_once(a3star, monkeypatch):
+    calls = []
+    solve = conformal.graded_solve
+    monkeypatch.setattr(conformal, "graded_solve",
+                        lambda *args: calls.append(args[2]) or solve(*args))
+    A = attracting_increment(a3star.basis, a3star.grading, 0)
+    r_grid = (0.4, 0.2, 0.1, 0.05)
+    reports = list(ql.convergence_study(a3star.p0, A, a3star.central.sigma_array(),
+                                        (1.0, 0.5), r_grid, grading=a3star.grading))
+    assert len(reports) == 2
+    assert calls == list(r_grid)
+
+
+def test_study_failure_keeps_the_finished_hbar(monkeypatch, tmp_path):
+    # the rotation fails at the second hbar: the first report is kept and
+    # written, and the suite note names the error
+    cfg = ql.RunConfig(quiver_file="a3-star", seed=0)
+    assert cfg.hbar_grid == (1.0, 0.5)
+    rotations = []
+    rotate = conformal.twistor_rotate
+
+    def faulty(p, xi):
+        rotations.append(xi)
+        if len(rotations) > len(cfg.r_grid):
+            raise ql.NotOnVariety("injected rotation fault")
+        return rotate(p, xi)
+    monkeypatch.setattr(conformal, "twistor_rotate", faulty)
+    report, pl = ql.verify_run(cfg)
+    suite = {st.name: st for st in report.suites}["conformal_convergence"]
+    assert not suite.passed and suite.note == "injected rotation fault"
+    assert [st.hbar for st in pl.studies] == [1.0]
+    ql.write_outputs(report, pl, str(tmp_path))
+    rows = (tmp_path / "convergence.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(cfg.r_grid)
+    assert all(row.startswith("1.0,") for row in rows)

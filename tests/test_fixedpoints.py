@@ -150,6 +150,14 @@ def test_power_gauge_condition(a3star):
     assert abs(g.cond() - 2.0 ** spread) < 1e-10
 
 
+def test_power_cond_is_the_condition_number(a3star):
+    grading = a3star.grading
+    assert grading.max_end_weight() > 0
+    for s in (0.5, 2.0, 0.05 * (1 + 1j)):
+        cond = grading.power_gauge(s).cond()
+        assert abs(grading.power_cond(s) - cond) <= 1e-10 * cond
+
+
 def _walked_limit(p, sigma, schedule=None):
     """The whole schedule (default_schedule(), R down to FLOW_RATIO^FLOW_STEPS)
     walked without a stopping rule, then polished to its weight-0 part."""

@@ -213,3 +213,31 @@ def test_only_the_longest_path_survives_on_a_forward_chain():
     labels = ql.fingerprint_labels(q, d, bound)
     assert {lab: v for lab, v in zip(labels, fp) if v} == \
         {"P:c0.h0.h1.h2.h3.j4[0,0]:im": 24.0}
+
+
+@pytest.mark.parametrize("spec", list(ql.PRESET_NAMES) + sorted(
+    str(p.relative_to(ROOT)) for p in (ROOT / "bench" / "quivers").glob("*.json")))
+def test_stacked_fingerprints_match_one_walk_per_point(spec):
+    quiver, dims, _, _ = ql.resolve_quiver_spec(str(ROOT / spec) if spec.endswith(".json")
+                                                else spec)
+    rng = ql.make_rng(50)
+    pts = [ql.random_rep(quiver, dims, rng) for _ in range(8)]
+    pts.append(ql.RepPoint.zeros(quiver, dims))
+    stacked = ql.fingerprints(pts, 4)
+    assert stacked.shape[1] > 0
+    assert np.array_equal(stacked, np.stack([ql.fingerprint(p, 4) for p in pts]))
+    assert np.array_equal(stacked[0], fingerprint_by_paths(pts[0], 4))
+
+
+def test_fingerprints_without_paths_have_no_columns():
+    # no edges and no framing: no loop and no admissible path
+    q = ql.Quiver(1, ())
+    d = ql.DimensionVectors(v=(2,), w=(0,))
+    pts = [ql.RepPoint.zeros(q, d), ql.RepPoint.zeros(q, d)]
+    assert ql.fingerprints(pts, 4).shape == (2, 0)
+    assert ql.fingerprint(pts[0], 4).shape == (0,)
+
+
+def test_fingerprints_refuse_mixed_dimension_vectors(tstar, a3star):
+    with pytest.raises(ValueError):
+        ql.fingerprints([tstar.p0, a3star.p0], 4)

@@ -1,8 +1,11 @@
-"""scripts/verify_sweep.py --compare: entries matched by key across layouts."""
+"""scripts/verify_sweep.py: its output lines, and --compare matching entries by key."""
 
+import hashlib
 import importlib.util
 import json
 import pathlib
+import re
+import sys
 
 import pytest
 
@@ -91,3 +94,24 @@ def test_summary_gives_the_largest_move_per_file(tmp_path, capsys):
         "flow_trace.csv max_rel=7.50e-01 at=a3-star:0:1:R, "
         "convergence.csv max_rel=0.00e+00 at=-, "
         "fingerprints.csv max_rel=0.00e+00 at=-")
+
+
+def test_sweep_prints_digests_on_stdout_and_its_time_on_stderr(tmp_path, monkeypatch,
+                                                              capsys):
+    # standard output is one line per run and nothing else, so two sweeps
+    # still diff line by line; the wall time goes to standard error
+    monkeypatch.setattr(sweep, "QUIVERS", ("tstar-p1",))
+    monkeypatch.setattr(sweep, "SEEDS", range(1))
+    monkeypatch.setattr(sweep, "WALL_RUNS", ())
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.chdir(ROOT)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    assert sweep.main(["--out", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    digests = [hashlib.sha256((tmp_path / "0" / name).read_bytes()).hexdigest()
+               for name in sweep.ARTEFACTS]
+    report = json.loads((tmp_path / "0" / "report.json").read_text())
+    verdicts = "".join("P" if st["passed"] else "F" for st in report["suites"])
+    assert out == " ".join(["tstar-p1", "0", *digests, verdicts]) + "\n"
+    assert re.fullmatch(r"sweep of 1 runs: \d+\.\d\d s wall time\n", err)
