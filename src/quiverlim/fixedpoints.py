@@ -25,7 +25,7 @@ from .quiver import DimensionVectors, Quiver
 from .repspace import (GaugeElement, LieElement, RepPoint, block_matrix,
                        central_deviation, conjugate_slots, gauge_act, lie_exp,
                        moment_complex)
-from .solver import newton_spectrum, solve_real_moment
+from .solver import assemble_newton_matrix, guarded_eigh, solve_real_moment
 
 
 def cstar_act(R: complex, p: RepPoint) -> RepPoint:
@@ -134,9 +134,9 @@ class WeightGrading:
 
     @functools.cached_property
     def frozen_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """newton_spectrum of the base point: the operator that every stage
-        of graded_solve inverts."""
-        return newton_spectrum(self.base_point)
+        """guarded_eigh of the Newton matrix at the base point: the operator
+        that every stage of graded_solve inverts."""
+        return guarded_eigh(assemble_newton_matrix(self.base_point))
 
     def power_gauge(self, s: complex) -> GaugeElement:
         """s^D: s to the power of each weight on its eigenline."""

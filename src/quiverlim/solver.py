@@ -52,7 +52,7 @@ def _residual(coords: FlatLayout, x: np.ndarray, level: np.ndarray):
     return a, a.T @ np.concatenate([x.real, x.imag]) - level
 
 
-def _spectrum(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def guarded_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """eigh of the symmetric PSD mat, guarding the smallest-eigenvalue ratio."""
     if mat.shape[0] == 0:
         return np.zeros(0), np.zeros((0, 0))
@@ -63,11 +63,6 @@ def _spectrum(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"linearized operator eigenvalue ratio below {EIG_FLOOR_RATIO:g} "
             f"(min {vals.min():.3e}, max {top:.3e})")
     return vals, vecs
-
-
-def newton_spectrum(p: RepPoint) -> tuple[np.ndarray, np.ndarray]:
-    """The guarded eigendecomposition of assemble_newton_matrix(p)."""
-    return _spectrum(assemble_newton_matrix(p))
 
 
 def _spectral_solve(spectrum: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
@@ -177,7 +172,7 @@ def solve_real_moment(p: RepPoint, sigma, tol: float = TOL,
             raise MaxIterations(
                 f"real-moment solve hit {max_iter} iterations, residual {res_norm:.3e}")
         step = np.zeros(mask.shape, dtype=complex)
-        step[mask] = coords.herm @ _spectral_solve(_spectrum(2.0 * (a.T @ a)), -res)
+        step[mask] = coords.herm @ _spectral_solve(guarded_eigh(2.0 * (a.T @ a)), -res)
         lam, vecs = np.linalg.eigh(step)
 
         t = forced_damping[it] if it < len(forced_damping) else 1.0
@@ -233,8 +228,8 @@ def graded_solve(p_start: RepPoint, grading, r_scale: float,
     stages: list[tuple[int, LieElement]] = []
     for j in range(m_max):
         res_j = grading.lie_project(coords.herm_element(_residual(coords, x, level)[1]), j)
-        delta = coords.herm_element(_spectral_solve(grading.frozen_spectrum,
-                                                          -coords.herm_coords(res_j)))
+        delta = coords.herm_element(
+            _spectral_solve(grading.frozen_spectrum, -coords.herm_coords(res_j)))
         outside = (delta - grading.lie_project(delta, j)).norm()
         d_norm = delta.norm()
         if d_norm > 0 and outside > CHECK_TOL * d_norm:

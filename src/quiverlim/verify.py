@@ -303,10 +303,10 @@ def _suite_conformal(pl: _Pipeline) -> SuiteResult:
     notes = []
     passed = True
     lo, hi = CONFORMAL_SLOPE_RANGE
-    study = convergence_study(pl.p0, pl.A, pl.sigma, pl.cfg.hbar_grid, pl.cfg.r_grid,
-                              grading=pl.grading, max_len=pl.cfg.max_len)
     try:
-        for st in study:
+        for st in convergence_study(pl.p0, pl.A, pl.sigma, pl.cfg.hbar_grid,
+                                    pl.cfg.r_grid, grading=pl.grading,
+                                    max_len=pl.cfg.max_len):
             pl.studies.append(st)
             if st.degenerate:
                 notes.append(f"hbar={st.hbar.real:g}: degenerate (distances at floor)")
