@@ -226,8 +226,8 @@ def convergence_study(p0: RepPoint, A: RepPoint, sigma, hbar_grid, R_grid,
     The slice checks of A run once, and the graded start solve at each R
     runs once for all hbar.  Solves run hbar by hbar, each limit before its
     members, and the limits and members are then fingerprinted in one
-    stacked walk.  When a solve raises, the reports of the hbar before it
-    are yielded first and its error is raised after them.
+    stacked walk.  When a solve raises a QuiverLimError, the reports of the
+    hbar before it are yielded first and the error is raised after them.
     """
     grid = check_grid("R_grid", R_grid)
     hbars = [complex(h) for h in hbar_grid]

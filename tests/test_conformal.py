@@ -139,16 +139,12 @@ def test_convergence_report_rows(tstar):
     assert rows[0]["distance"] > rows[1]["distance"]
 
 
-def _study_setup(name, seed):
-    s = get_setup(name)
-    return s, attracting_increment(s.basis, s.grading, seed)
-
-
 @pytest.mark.parametrize("name", ["a3-star", "kronecker2"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_study_over_a_grid_matches_one_study_per_hbar(name, seed):
     # the shared starts and the stacked fingerprints change no bit of a report
-    s, A = _study_setup(name, seed)
+    s = get_setup(name)
+    A = attracting_increment(s.basis, s.grading, seed)
     sigma, r_grid = s.central.sigma_array(), (0.4, 0.2, 0.1, 0.05)
     both = list(ql.convergence_study(s.p0, A, sigma, (1.0, 0.5), r_grid,
                                      grading=s.grading))
