@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import (CHECK_TOL, FLOOR, STAGE_SLACK, TOL, check_grid,
                      moment_scale)
-from .errors import NotOnSlice, NotOnVariety, QuiverLimError
+from .errors import NotOnSlice, NotOnVariety
 from .fixedpoints import WeightGrading
 from .invariants import fingerprint, fingerprints
 from .repspace import (RepPoint, central_lie, inf_action_adjoint,
@@ -70,15 +70,13 @@ def check_slice_increment(p0: RepPoint, A: RepPoint,
     return mc_dev, adj
 
 
-def conformal_slots(p0: RepPoint, A: RepPoint, hbar) -> list[np.ndarray]:
-    """The slots of conformal_point(p0, A, hbar) without its slice checks; an
-    array hbar of shape (N, 1, 1) stacks N family members slot by slot.  Each
+def conformal_flat(p0: RepPoint, A: RepPoint, hbar) -> np.ndarray:
+    """The flat coordinates of conformal_point(p0, A, hbar) without its slice
+    checks; an array hbar of shape (N, 1) gives one member per row.  Each
     entry pairs with the conjugate of its partner entry (see FlatLayout)."""
     lay, x, a = p0.layout, p0.vec, A.vec
-    hb = np.asarray(hbar)
-    hb = hb.reshape(hb.shape[:-1]) if hb.ndim else hb  # (N, 1): one member per row
     back = np.conj(x[lay.partner_index])
-    return lay.slot_views(np.where(lay.scaled, (x + a) / hb + back, x + a - hb * back))
+    return np.where(lay.scaled, (x + a) / hbar + back, x + a - hbar * back)
 
 
 def conformal_point(p0: RepPoint, A: RepPoint, hbar: complex,
@@ -94,7 +92,7 @@ def conformal_point(p0: RepPoint, A: RepPoint, hbar: complex,
     if hb == 0:
         raise ValueError("hbar must be nonzero")
     check_slice_increment(p0, A, grading)
-    return RepPoint.from_slots(p0.quiver, p0.dims, conformal_slots(p0, A, hb))
+    return RepPoint.from_flat(p0.quiver, p0.dims, conformal_flat(p0, A, hb))
 
 
 def conformal_limit(p0: RepPoint, A: RepPoint, hbar: complex,
@@ -224,10 +222,9 @@ def convergence_study(p0: RepPoint, A: RepPoint, sigma, hbar_grid, R_grid,
     degenerate: the slope is None.
 
     The slice checks of A run once, and the graded start solve at each R
-    runs once for all hbar.  Solves run hbar by hbar, each limit before its
-    members, and the limits and members are then fingerprinted in one
-    stacked walk.  When a solve raises a QuiverLimError, the reports of the
-    hbar before it are yielded first and the error is raised after them.
+    runs once for all hbar.  Each hbar solves its limit and its members and
+    fingerprints them in one stacked walk before its report is yielded, so
+    a solve error at one hbar comes after the reports of the hbar before it.
     """
     grid = check_grid("R_grid", R_grid)
     hbars = [complex(h) for h in hbar_grid]
@@ -236,29 +233,17 @@ def convergence_study(p0: RepPoint, A: RepPoint, sigma, hbar_grid, R_grid,
     check_slice_increment(p0, A, grading)
     sig = np.asarray(sigma, dtype=float)
     starts: dict[float, GradedSolveReport] = {}
-    solved = []  # per finished hbar: (limit point, [(final solve, stage residuals)])
-    failure = None
-    try:
-        for hb in hbars:
-            pA = RepPoint.from_slots(p0.quiver, p0.dims, conformal_slots(p0, A, hb))
-            limit = solve_real_moment(pA, np.zeros(p0.quiver.n))
-            members = []
-            for R in grid:
-                if R not in starts:
-                    starts[R] = _family_start(p0, A, sig, R, grading)
-                members.append(_family_finish(p0, starts[R], sig, hb, R, grading))
-            solved.append((limit.point, members))
-    except QuiverLimError as exc:
-        failure = exc
-    if solved:
-        fps = iter(fingerprints([pt for limit, members in solved
-                                 for pt in (limit, *(f.point for f, _ in members))],
-                                max_len))
-        for hb, (_, members) in zip(hbars, solved):
-            fp_limit = next(fps)
-            yield _fit(hb, fp_limit, [
-                ConformalFamilySample(R=R, hbar=hb, point=f.point, fingerprint=next(fps),
-                                      stage_residuals=stages, iterations=f.iterations)
-                for R, (f, stages) in zip(grid, members)])
-    if failure is not None:
-        raise failure
+    for hb in hbars:
+        pA = RepPoint.from_flat(p0.quiver, p0.dims, conformal_flat(p0, A, hb))
+        limit = solve_real_moment(pA, np.zeros(p0.quiver.n))
+        members = []
+        for R in grid:
+            if R not in starts:
+                starts[R] = _family_start(p0, A, sig, R, grading)
+            members.append(_family_finish(p0, starts[R], sig, hb, R, grading))
+        fp_limit, *fps = fingerprints([limit.point, *(f.point for f, _ in members)],
+                                      max_len)
+        yield _fit(hb, fp_limit, [
+            ConformalFamilySample(R=R, hbar=hb, point=f.point, fingerprint=fp,
+                                  stage_residuals=stages, iterations=f.iterations)
+            for R, (f, stages), fp in zip(grid, members, fps)])

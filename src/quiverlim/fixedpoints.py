@@ -145,9 +145,10 @@ class WeightGrading:
         return GaugeElement.from_matrix(self.dims, (q * powers) @ q.conj().T)
 
     def power_cond(self, s: complex) -> float:
-        """power_gauge(s).cond() in closed form: the block of V_k is unitarily
-        similar to diag(s^w), so its condition number is max(|s|, 1/|s|) to
-        the power of the spread of the weights on V_k."""
+        """The largest condition number of a block of power_gauge(s), in
+        closed form: the block of V_k is unitarily similar to diag(s^w), so
+        its condition number is max(|s|, 1/|s|) to the power of the spread
+        of the weights on V_k."""
         r = abs(complex(s))
         return max(r, 1.0 / r) ** self.max_end_weight()
 
@@ -173,6 +174,13 @@ class WeightGrading:
         lay = self.base_point.layout
         lines = np.concatenate([self._lines[1], np.zeros(sum(self.dims.w), dtype=int)])
         return lines[lay.entry_lines[0]] - lines[lay.entry_lines[1]] + lay.scaled
+
+    def columns(self, keep: np.ndarray) -> np.ndarray:
+        """The flat eigen-coordinates where keep holds, as orthonormal
+        columns in flat coordinates: project(q, keep) projects onto their span."""
+        lay, qm = self.base_point.layout, self._lines[0]
+        units = np.eye(lay.rep_dim, dtype=complex)[keep]
+        return lay.from_stack(lay.conjugate(lay.to_stack(units), qm, qm.conj().T)).T
 
     def project(self, q: RepPoint, keep: np.ndarray) -> RepPoint:
         """The part of q on the flat eigen-coordinates where keep holds."""

@@ -303,13 +303,13 @@ def escape_slope(p0: RepPoint, A: RepPoint, paths) -> list[EscapeStudy]:
     count, gives every coefficient (the trapezoidal rule on the unit circle);
     powers below hbar^-e alias into the top bins.
     """
-    from .conformal import check_slice_increment, conformal_slots
+    from .conformal import check_slice_increment, conformal_flat
 
     check_slice_increment(p0, A)
     longest = max((len(path.tokens) for path in paths), default=0)
     n_pts = 1 << (2 * (longest + 1)).bit_length()
-    mats = conformal_slots(
-        p0, A, np.exp(2j * np.pi * np.arange(n_pts) / n_pts)[:, None, None])
+    mats = p0.layout.slot_views(conformal_flat(
+        p0, A, np.exp(2j * np.pi * np.arange(n_pts) / n_pts)[:, None]))
     at, studies = p0 + A, []
     for path in paths:
         ref = eval_path(at, path)

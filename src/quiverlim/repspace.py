@@ -92,12 +92,6 @@ class RepPoint:
         return cls(quiver=quiver, dims=dims)
 
     @classmethod
-    def from_slots(cls, quiver: Quiver, dims: DimensionVectors, slots) -> "RepPoint":
-        """The point with the given matrices in slot order (B, then i, then j)."""
-        nh, n = quiver.num_h, quiver.n
-        return cls(quiver, dims, slots[:nh], slots[nh:nh + n], slots[nh + n:])
-
-    @classmethod
     def from_flat(cls, quiver: Quiver, dims: DimensionVectors, vec) -> "RepPoint":
         """The point with flat coordinates vec, copied."""
         lay = layout(quiver, dims)
@@ -307,14 +301,6 @@ class GaugeElement(_BlockDiagonal):
         # the inverse of a block-diagonal matrix is block-diagonal: LU and the
         # solves only ever add exact zeros across blocks
         return GaugeElement._of(self.dims, np.linalg.inv(self.mat))
-
-    def compose(self, other: "GaugeElement") -> "GaugeElement":
-        """self after other (matrix product blockwise)."""
-        return GaugeElement._of(self.dims, self.mat @ other.mat)
-
-    def cond(self) -> float:
-        """The largest condition number of a block, at least 1."""
-        return max((float(np.linalg.cond(gk)) for gk in self.g if gk.size), default=1.0)
 
 
 # Taylor coefficients 1/k! of exp through degree 18, in five chunks of four

@@ -21,7 +21,7 @@ from .errors import (DimensionMismatch, IllConditioned, LeftBasin,
                      MaxIterations, NotOnSlice)
 from .fixedpoints import WeightGrading
 from .quiver import expected_dimension
-from .repspace import (RepPoint, block_matrix, central_deviation, inf_action_adjoint,
+from .repspace import (RepPoint, central_deviation, inf_action_adjoint,
                        moment_complex)
 
 
@@ -189,7 +189,7 @@ def bb_tangent_basis(p0: RepPoint, grading: WeightGrading) -> SliceBasis:
 
     Its real dimension must be half the full slice dimension.
     """
-    plus = _positive_weight_columns(p0, grading)
+    plus = grading.columns(grading.slot_weights() >= 1)
     mat = stacked_conditions(p0) @ plus
     null, _, _ = _null_and_row(mat)
     expected = expected_dimension(p0.quiver, p0.dims)
@@ -201,13 +201,6 @@ def bb_tangent_basis(p0: RepPoint, grading: WeightGrading) -> SliceBasis:
     vectors = [RepPoint.from_flat(p0.quiver, p0.dims, plus @ null[:, t])
                for t in range(null.shape[1])]
     return SliceBasis(base_point=p0, vectors=vectors, kind="bb_tangent")
-
-
-def _positive_weight_columns(p0: RepPoint, grading: WeightGrading) -> np.ndarray:
-    """Orthonormal flat-coordinate basis of the full-action weight >= 1 subspace."""
-    lay, qm = p0.layout, block_matrix(p0.dims, grading.qmats)
-    units = np.eye(lay.rep_dim, dtype=complex)[grading.slot_weights() >= 1]
-    return lay.from_stack(lay.conjugate(lay.to_stack(units), qm, qm.conj().T)).T
 
 
 def positive_weight_project(q: RepPoint, grading: WeightGrading) -> RepPoint:
@@ -230,7 +223,7 @@ def bb_slice_solve(p0: RepPoint, q0: RepPoint, grading: WeightGrading) -> RepPoi
         A_small = bb_slice_solve(p0, small, grading)
         return grading.act(R, A_small)
 
-    plus = _positive_weight_columns(p0, grading)
+    plus = grading.columns(grading.slot_weights() >= 1)
     if plus.shape[1] == 0:
         return q0.copy()
     mat = stacked_conditions(p0) @ plus

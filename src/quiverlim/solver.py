@@ -215,8 +215,9 @@ def graded_solve(p_start: RepPoint, grading, r_scale: float,
     frozen_spectrum, factored once per grading) on the weight blocks
     |m| <= j of the hermitian residual; the correction exponent is
     confined to those blocks (GradingViolation otherwise) and scales as
-    R^{j+2}.  A final plain Newton pass finishes to TOL.  Returned stage
-    elements are the unscaled coefficients xi_j = delta_j / R^{j+2}.
+    R^{j+2}.  A final plain Newton pass finishes to TOL and gives the
+    returned point and residual.  Returned stage elements are the unscaled
+    coefficients xi_j = delta_j / R^{j+2}.
     """
     sig = np.asarray(sigma, dtype=float)
     coords = p_start.layout
@@ -224,30 +225,25 @@ def graded_solve(p_start: RepPoint, grading, r_scale: float,
     m_max = grading.max_end_weight()
 
     mask, x = coords.block_mask, p_start.vec
-    stack, g_total = coords.to_stack(x), np.eye(len(mask), dtype=complex)
+    stack = coords.to_stack(x)
     stages: list[tuple[int, LieElement]] = []
     for j in range(m_max):
         res_j = grading.lie_project(coords.herm_element(_residual(coords, x, level)[1]), j)
         delta = coords.herm_element(
             _spectral_solve(grading.frozen_spectrum, -coords.herm_coords(res_j)))
-        outside = (delta - grading.lie_project(delta, j)).norm()
+        kept = grading.lie_project(delta, j)
+        outside = (delta - kept).norm()
         d_norm = delta.norm()
         if d_norm > 0 and outside > CHECK_TOL * d_norm:
             raise GradingViolation(
                 f"stage {j} correction leaves its weight block "
                 f"(relative leakage {outside / d_norm:.3e})")
-        delta = grading.lie_project(delta, j)
-        lam, vecs = np.linalg.eigh(delta.matrix())
-        fwd, back = _spectral_pair(mask, np.exp(lam), vecs)
-        stack = coords.conjugate(stack, fwd, back)
-        x, g_total = coords.from_stack(stack), fwd @ g_total
-        stages.append((j, delta * float(r_scale) ** (-(j + 2))))
+        lam, vecs = np.linalg.eigh(kept.matrix())
+        stack = coords.conjugate(stack, *_spectral_pair(mask, np.exp(lam), vecs))
+        x = coords.from_stack(stack)
+        stages.append((j, kept * float(r_scale) ** (-(j + 2))))
 
     final = solve_real_moment(RepPoint.from_flat(p_start.quiver, p_start.dims, x),
                               sig)
-    lam, vecs = np.linalg.eigh(final.xi.matrix())
-    g_total = _spectral_pair(mask, np.exp(lam), vecs)[0] @ g_total
     stages.append((m_max, final.xi * float(r_scale) ** (-(m_max + 2))))
-
-    _, point, residual = _polar_point(p_start, g_total, level, TOL)
-    return GradedSolveReport(stages=stages, residual=residual, point=point)
+    return GradedSolveReport(stages=stages, residual=final.residual, point=final.point)

@@ -21,7 +21,7 @@ import numpy as np
 from .config import (CHECK_TOL, CONFORMAL_SLOPE_RANGE, ESCAPE_MIN_INVARIANT,
                      IDENTITY_TOL, ISOTROPY_TOL, SLACK, TOL, RunConfig,
                      moment_scale)
-from .conformal import (check_slice_increment, conformal_slots,
+from .conformal import (check_slice_increment, conformal_flat,
                         convergence_study, twistor_rotate)
 from .errors import QuiverLimError
 from .fixedpoints import bb_expected_dimension, cstar_act, flow_limit
@@ -283,8 +283,8 @@ def _suite_bb_slice(pl: _Pipeline) -> SuiteResult:
         dev_mc, dev_adj = check_slice_increment(pl.p0, pl.A, pl.grading)
     except QuiverLimError as exc:
         return SuiteResult("attracting_slice", False, np.inf, str(exc))
-    pA = RepPoint.from_slots(pl.quiver, pl.dims,
-                             conformal_slots(pl.p0, pl.A, complex(pl.cfg.hbar_grid[0])))
+    pA = RepPoint.from_flat(pl.quiver, pl.dims,
+                            conformal_flat(pl.p0, pl.A, complex(pl.cfg.hbar_grid[0])))
     dev_central = central_deviation(moment_complex(pA))
     worst = max(dev_mc, dev_adj, dev_central)
     return SuiteResult("attracting_slice", worst <= CHECK_TOL * scale, float(worst))

@@ -203,6 +203,11 @@ def unitary_defect(g):
     return dev
 
 
+def gauge_cond(g):
+    """The largest condition number of a block of a gauge element, at least 1."""
+    return max((float(np.linalg.cond(gk)) for gk in g.g if gk.size), default=1.0)
+
+
 def history_rows(report):
     """SolveReport.history as dicts."""
     return [{"iter": it, "residual": res, "damping": damp}

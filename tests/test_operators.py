@@ -292,8 +292,6 @@ def test_slot_table_matches_quiver_helpers(case):
     slots = p.slots
     assert [m.shape for m in slots] == list(lay.shapes)
     assert slots == p.B + p.i + p.j
-    assert np.array_equal(ql.RepPoint.from_slots(p.quiver, p.dims, slots).flatten(),
-                          p.flatten())
 
 
 def assert_same(got, want):

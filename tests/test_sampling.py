@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import quiverlim as ql
+from quiverlim.config import CHECK_TOL, moment_scale
 
 
 def test_make_rng_deterministic():
@@ -88,6 +89,8 @@ def test_d4_star_samples_land_on_their_level():
         p = rep.point
         res = ql.hermitian_residual(p, central.sigma_array()).norm()
         assert res <= 10 * tol * max(1.0, p.norm() ** 2), (seed, res)
+        dev = ql.central_deviation(ql.moment_complex(p))
+        assert dev <= CHECK_TOL * moment_scale(p), (seed, dev)
 
 
 # A2 with v=(2,2), w=(2,1): on some seeds a draw converges with a numerically
@@ -105,6 +108,8 @@ def test_singular_polar_rebuild_redraws():
         p = ql.sample_on_variety(q, d, central, seed=seed).point
         res = ql.hermitian_residual(p, central.sigma_array()).norm()
         assert res <= 10 * tol * max(1.0, p.norm() ** 2), (seed, res)
+        dev = ql.central_deviation(ql.moment_complex(p))
+        assert dev <= CHECK_TOL * moment_scale(p), (seed, dev)
     for seed in (49, 154):
         with pytest.raises(ql.SamplingFailed):
             ql.sample_on_variety(q, d, central, seed=seed)
