@@ -9,15 +9,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields
 
 
 def check_grid(name: str, grid) -> tuple[float, ...]:
-    """grid as floats; ValueError unless it is nonempty, positive and
+    """grid as floats; ValueError unless it is nonempty, finite, positive and
     strictly decreasing."""
     vals = tuple(float(x) for x in grid)
     if not vals:
         raise ValueError(f"{name} must not be empty")
+    if not all(math.isfinite(x) for x in vals):
+        raise ValueError(f"{name} entries must be finite")
     if any(x <= 0 for x in vals):
         raise ValueError(f"{name} entries must be positive")
     if any(b >= a for a, b in zip(vals, vals[1:])):

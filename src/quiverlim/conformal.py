@@ -16,6 +16,7 @@ start once per R, and finishes every hbar from the shared starts.
 
 from __future__ import annotations
 
+import cmath
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -70,6 +71,14 @@ def check_slice_increment(p0: RepPoint, A: RepPoint,
     return mc_dev, adj
 
 
+def _check_hbar(hbar) -> complex:
+    """hbar as a complex number; ValueError unless it is finite and nonzero."""
+    hb = complex(hbar)
+    if hb == 0 or not cmath.isfinite(hb):
+        raise ValueError("hbar must be finite and nonzero")
+    return hb
+
+
 def conformal_flat(p0: RepPoint, A: RepPoint, hbar) -> np.ndarray:
     """The flat coordinates of conformal_point(p0, A, hbar) without its slice
     checks; an array hbar of shape (N, 1) gives one member per row.  Each
@@ -88,9 +97,7 @@ def conformal_point(p0: RepPoint, A: RepPoint, hbar: complex,
     slots; the result keeps its complex moment on the central level set by
     the real parameter of the base point, uniformly as hbar shrinks.
     """
-    hb = complex(hbar)
-    if hb == 0:
-        raise ValueError("hbar must be nonzero")
+    hb = _check_hbar(hbar)
     check_slice_increment(p0, A, grading)
     return RepPoint.from_flat(p0.quiver, p0.dims, conformal_flat(p0, A, hb))
 
@@ -168,10 +175,8 @@ def conformal_family_sample(p0: RepPoint, A: RepPoint, sigma, hbar: complex,
     bounded), and re-solve at real parameter zero.  The exact moment values
     after the middle stages are asserted.
     """
-    R = float(R)
-    hb = complex(hbar)
-    if R <= 0 or hb == 0:
-        raise ValueError("R must be positive and hbar nonzero")
+    R, = check_grid("R", (R,))
+    hb = _check_hbar(hbar)
     sig = np.asarray(sigma, dtype=float)
     start = _family_start(p0, A, sig, R, grading)
     final, stages = _family_finish(p0, start, sig, hb, R, grading)
@@ -227,9 +232,7 @@ def convergence_study(p0: RepPoint, A: RepPoint, sigma, hbar_grid, R_grid,
     a solve error at one hbar comes after the reports of the hbar before it.
     """
     grid = check_grid("R_grid", R_grid)
-    hbars = [complex(h) for h in hbar_grid]
-    if any(hb == 0 for hb in hbars):
-        raise ValueError("hbar must be nonzero")
+    hbars = [_check_hbar(h) for h in hbar_grid]
     check_slice_increment(p0, A, grading)
     sig = np.asarray(sigma, dtype=float)
     starts: dict[float, GradedSolveReport] = {}

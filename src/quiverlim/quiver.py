@@ -12,14 +12,23 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
 from .config import WALL_TOL
 from .errors import EmptyVariety, OnWall
+
+
+def _number(field: str, x, kind=Real):
+    """x; ValueError naming the field unless x is a finite number of the given
+    kind (Integral or Real), a bool being neither."""
+    if isinstance(x, bool) or not isinstance(x, kind) or not math.isfinite(x):
+        raise ValueError(f"{field}: {x!r} is not a finite {kind.__name__.lower()} number")
+    return x
 
 
 @dataclass(frozen=True)
@@ -35,9 +44,12 @@ class Quiver:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", int(_number("vertices", self.n, Integral)))
         if self.n < 1:
             raise ValueError("quiver needs at least one vertex")
-        edges = tuple((int(a), int(b)) for a, b in self.edges)
+        if any(not isinstance(e, (tuple, list)) or len(e) != 2 for e in self.edges):
+            raise ValueError(f"edges: each edge must be an (out, in) pair, got {self.edges!r}")
+        edges = tuple(tuple(int(_number("edges", x, Integral)) for x in e) for e in self.edges)
         object.__setattr__(self, "edges", edges)
         for a, b in edges:
             if not (0 <= a < self.n and 0 <= b < self.n):
@@ -92,8 +104,8 @@ class DimensionVectors:
     w: tuple[int, ...]
 
     def __post_init__(self):
-        v = tuple(int(x) for x in self.v)
-        w = tuple(int(x) for x in self.w)
+        v = tuple(int(_number("v", x, Integral)) for x in self.v)
+        w = tuple(int(_number("w", x, Integral)) for x in self.w)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "w", w)
         if len(v) != len(w):
@@ -123,16 +135,21 @@ class CentralParameter:
     """Moment-map level: zeta_R,k = i sigma_k Id and zeta_C,k = c_k Id.
 
     sigma entries may be ints, Fractions, or floats; c entries may be the
-    same, or complex, or (re, im) pairs.  Exact rational wall arithmetic is
-    used when every entry is exact.
+    same, or complex, or (re, im) pairs.  Every entry must be finite.  Exact
+    rational wall arithmetic is used when every entry is exact.
     """
 
     sigma: tuple
     c: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma", tuple(self.sigma))
+        object.__setattr__(self, "sigma", tuple(_number("sigma", s) for s in self.sigma))
         object.__setattr__(self, "c", tuple(self.c))
+        for k, x in enumerate(self.c):
+            if isinstance(x, (tuple, list)) and len(x) != 2:
+                raise ValueError(f"c: {x!r} is not a number or an [re, im] pair")
+            for part in self.c_pair(k):
+                _number("c", part)
         if len(self.sigma) != len(self.c):
             raise ValueError("sigma and c must have the same length")
 
@@ -261,17 +278,22 @@ def quiver_to_dict(quiver: Quiver, dims: DimensionVectors, zeta: CentralParamete
     }
 
 
-def quiver_from_dict(data: dict) -> tuple[Quiver, DimensionVectors, CentralParameter]:
-    try:
-        q = Quiver(n=int(data["vertices"]),
-                   edges=tuple((int(a), int(b)) for a, b in data["edges"]))
-        dims = DimensionVectors(v=tuple(data["v"]), w=tuple(data["w"]))
-        c_raw = data.get("c", [[0.0, 0.0]] * q.n)
-        c = tuple((entry[0], entry[1]) if isinstance(entry, (list, tuple)) else entry
-                  for entry in c_raw)
-        zeta = CentralParameter(sigma=tuple(data["sigma"]), c=c)
-    except KeyError as exc:
-        raise ValueError(f"quiver file is missing field {exc}") from exc
+def quiver_from_dict(data) -> tuple[Quiver, DimensionVectors, CentralParameter]:
+    """The quiver, dimension vectors and central parameter of a quiver file's
+    JSON object; ValueError naming the field that is missing or malformed."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a quiver file holds a JSON object, not a {type(data).__name__}")
+    for field in ("vertices", "edges", "v", "w", "sigma"):
+        if field not in data:
+            raise ValueError(f"quiver file is missing field {field!r}")
+    for field in ("edges", "v", "w", "sigma", "c"):
+        if not isinstance(data.get(field, []), list):
+            raise ValueError(f"{field} must be a list")
+    q = Quiver(n=data["vertices"], edges=data["edges"])
+    dims = DimensionVectors(v=data["v"], w=data["w"])
+    c = tuple(tuple(entry) if isinstance(entry, list) else entry
+              for entry in data.get("c", [[0.0, 0.0]] * q.n))
+    zeta = CentralParameter(sigma=data["sigma"], c=c)
     dims.check_quiver(q)
     if zeta.n != q.n:
         raise ValueError("sigma/c length does not match the vertex count")

@@ -411,36 +411,35 @@ class FlatLayout:
     A point flattens slot by slot (B by doubled edge, then i, then j by
     vertex) and a gauge-algebra element block by block, all row-major.  The
     per-slot table below is the one place that reads the quiver's doubled
-    edge structure; every slot-wise map works on it.  The matrices of
-    xi -> inf_action(p, xi) and q -> dmu_complex(p, q) are linear in p with
-    every entry +1 or -1 times one entry of p.flatten(), so each is a scatter
-    of that vector through index tables computed once here; inf_action, its
-    adjoint, dmu_complex and mu_C = dmu_complex(p, p) / 2 are products with
-    them.  Get layouts from ``layout``, which caches one per pair; treat them
-    as frozen.
+    edge structure; every slot-wise map works on it.  The matrix of
+    xi -> inf_action(p, xi) has every entry +1 or -1 times one entry of
+    p.flatten(): a scatter of that vector through an index table built once
+    here.  The moment maps follow from it by the moment-map identities
+      Tr(xi dmu_C(p)[q]) = omega_C(xi.p, q),   Tr(xi (-2i mu_R(p))) = <xi.p, p>:
+    the dmu table is the action table with entry (s, b) moved to (b
+    transposed, partner_index[s]) and signed by sign[s], and mu_R is
+    ``moment_form``.  Get layouts from ``layout``, which caches one per
+    pair; treat them as frozen.
 
     Per-slot table, indexed like ``RepPoint.slots``:
       spaces    (row space, column space); V_k is written k >= 0 (it has a
                 gauge block) and W_k is written ~k < 0
       degree    scaling degree: 1 on reversed edges and j maps, else 0
       partner   symplectic partner: h <-> hbar, i_k <-> j_k
-    and per vertex k, ``products[k]`` lists the (x slot, y slot, sign) pairs
-    of mu_C(p)_k = sum sign X Y: B_h B_hbar over the edges h into k in
-    ascending order with sign eps(h), then i_k j_k.  ``token_slot`` maps the
-    path tokens h{e}, h{e}~, c{k} and j{k} to their slots.  Per flat entry,
-    ``scaled`` marks the entries of degree 1, ``sign`` is -1 on them and +1
-    elsewhere, and ``partner_index`` is the entry (b, a) of the partner slot
-    for the entry (a, b) of a slot: the symplectic form, the twistor rotation
-    and the conformal family pair every entry with that one.
+    ``token_slot`` maps the path tokens h{e}, h{e}~, c{k} and j{k} to their
+    slots.  Per flat entry, ``scaled`` marks the entries of degree 1,
+    ``sign`` is -1 on them and +1 elsewhere, and ``partner_index`` is the
+    entry (b, a) of the partner slot for the entry (a, b) of a slot: the
+    symplectic form, the twistor rotation and the conformal family pair
+    every entry with that one.
 
-    Block form, used by the Newton kernel: with lines ordered V_0.. V_{n-1}
-    then W_0.. W_{n-1}, a point is one stack of (V+W) x (V+W) matrices in
-    which slot X from space c to space r fills rows r and columns c; a space
-    pair that repeats (parallel edges) takes one more layer.  Quivers are
-    loop-free, so no slot sits on a diagonal block, and a gauge element is
-    one V x V block-diagonal matrix (``block_mask``).  ``entry_lines`` holds
-    the (row line, column line) of every flat entry in the stack.  The stack
-    gives -2i mu_R as one Gram difference (``moment_form``).
+    Block form, which serves finite conjugation only: with lines ordered
+    V_0.. V_{n-1} then W_0.. W_{n-1}, a point is one stack of (V+W) x (V+W)
+    matrices in which slot X from space c to space r fills rows r and
+    columns c; a space pair that repeats (parallel edges) takes one more
+    layer.  Quivers are loop-free, so no slot sits on a diagonal block, and
+    a gauge element is one V x V block-diagonal matrix (``block_mask``).
+    ``entry_lines`` holds the (row line, column line) of every flat entry.
     """
 
     def __init__(self, quiver: Quiver, dims: DimensionVectors):
@@ -452,8 +451,6 @@ class FlatLayout:
         self.degree = tuple([int(q.h_eps(h) < 0) for h in range(nh)] + [0] * n + [1] * n)
         self.partner = tuple([q.h_bar(h) for h in range(nh)]
                              + [nh + n + k for k in range(n)] + [nh + k for k in range(n)])
-        self.products = tuple(tuple((h, q.h_bar(h), q.h_eps(h)) for h in q.h_into(k))
-                              + ((nh + k, nh + n + k, 1),) for k in range(n))
         e_range, k_range = range(q.num_edges), range(n)
         self.token_slot = {tok: s for s, tok in enumerate(
             [f"h{e}" for e in e_range] + [f"h{e}~" for e in e_range]
@@ -471,9 +468,12 @@ class FlatLayout:
             [(self.starts[t] + np.arange(r * c).reshape(c, r).T).ravel()
              for t, (r, c) in zip(self.partner, self.shapes)])
         self.herm = self._hermitian_basis()
-        self._action = self._action_table()
-        self._dmu = self._dmu_table()
         self.block_mask = block_mask(dims)
+        position = np.zeros((self.nv,) * 2, dtype=int)
+        position[self.block_mask] = np.arange(self.lie_dim)
+        self._lie_transpose = position.T[self.block_mask]  # gauge entry (b, a) of (a, b)
+        self._action = self._action_table()
+        self._dmu = self._dmu_from_action()
         self.stack_shape, self._stack_index = self._stack_table()
         size = self.stack_shape[1]
         self.entry_lines = (self._stack_index // size % size, self._stack_index % size)
@@ -486,14 +486,13 @@ class FlatLayout:
         s = 1.0 / np.sqrt(2.0)
         col = 0
         for start, vk in zip(self.lie_starts, self.dims.v):
-            for a in range(vk):
-                h[start + a * vk + a, col] = 1.0
-                col += 1
-            for a in range(vk):
-                for b in range(a + 1, vk):
-                    pair = [start + a * vk + b, start + b * vk + a]
-                    h[pair, col], h[pair, col + 1] = s, (1j * s, -1j * s)
-                    col += 2
+            a, b = np.triu_indices(vk, 1)
+            pairs = col + vk + 2 * np.arange(a.size)
+            upper, lower = start + a * vk + b, start + b * vk + a
+            h[start + np.arange(vk) * (vk + 1), col + np.arange(vk)] = 1.0
+            h[upper, pairs], h[lower, pairs] = s, s
+            h[upper, pairs + 1], h[lower, pairs + 1] = 1j * s, -1j * s
+            col += vk * vk
         return h
 
     def _stack_table(self):
@@ -522,49 +521,38 @@ class FlatLayout:
                 a, b, x = np.indices((nr, nc, nc)).reshape(3, -1)
                 parts.append((start + a * nc + b, self.lie_starts[c] + x * nc + b,
                               start + a * nc + x, -1.0))
-        return self._table(parts, self.lie_dim)
-
-    def _dmu_table(self):
-        """Entries of q -> dmu_complex(p, q), the sum of X qY + qX Y over the
-        signed slot pairs X Y of ``products``."""
-        parts = []
-        for k, pairs in enumerate(self.products):
-            vk = self.dims.v[k]
-            for x_slot, y_slot, sign in pairs:
-                inner = self.shapes[x_slot][1]
-                sx, sy = self.starts[x_slot], self.starts[y_slot]
-                a, b, x = np.indices((vk, vk, inner)).reshape(3, -1)
-                row = self.lie_starts[k] + a * vk + b
-                parts.append((row, sy + x * vk + b, sx + a * inner + x, float(sign)))  # X qY
-                parts.append((row, sx + a * inner + x, sy + x * vk + b, float(sign)))  # qX Y
-        return self._table(parts, self.rep_dim)
-
-    @staticmethod
-    def _table(parts, ncols: int):
-        """(flat matrix index, source index into p.flatten(), sign) arrays."""
-        return (np.concatenate([row * ncols + col for row, col, _, _ in parts]),
+        # (flat matrix index, source index into p.flatten(), sign, shape)
+        return (np.concatenate([row * self.lie_dim + col for row, col, _, _ in parts]),
                 np.concatenate([src for _, _, src, _ in parts]),
-                np.concatenate([np.full(src.size, sg) for _, _, src, sg in parts]))
+                np.concatenate([np.full(src.size, sg) for _, _, src, sg in parts]),
+                (self.rep_dim, self.lie_dim))
+
+    def _dmu_from_action(self):
+        """The dmu table: action entry (s, b) signed by sign[s] at (b^T, partner_index[s])."""
+        idx, src, sign, _ = self._action
+        s, b = np.divmod(idx, self.lie_dim)
+        return (self._lie_transpose[b] * self.rep_dim + self.partner_index[s],
+                src, sign * self.sign[s], (self.lie_dim, self.rep_dim))
 
     @staticmethod
-    def _scatter(table, shape: tuple[int, int], flat: np.ndarray) -> np.ndarray:
-        idx, src, sign = table
+    def _scatter(table, flat: np.ndarray) -> np.ndarray:
+        idx, src, sign, shape = table
         m = np.zeros(shape[0] * shape[1], dtype=_CPLX)
         m[idx] = sign * flat[src]
         return m.reshape(shape)
 
     def action_matrix(self, p: RepPoint) -> np.ndarray:
         """Matrix of xi -> inf_action(p, xi) on flat coordinates."""
-        return self._scatter(self._action, (self.rep_dim, self.lie_dim), p.vec)
+        return self._scatter(self._action, p.vec)
 
     def dmu_matrix(self, p: RepPoint) -> np.ndarray:
         """Matrix of q -> dmu_complex(p, q) on flat coordinates."""
-        return self._scatter(self._dmu, (self.lie_dim, self.rep_dim), p.vec)
+        return self._scatter(self._dmu, p.vec)
 
     def hermitian_action_matrix(self, flat: np.ndarray) -> np.ndarray:
         """Real matrix of the action on hermitian coordinates at the point
         ``flat``: the real parts of the image stacked over the imaginary."""
-        a = self._scatter(self._action, (self.rep_dim, self.lie_dim), flat) @ self.herm
+        a = self._scatter(self._action, flat) @ self.herm
         return np.concatenate([a.real, a.imag])
 
     def herm_coords(self, x: LieElement) -> np.ndarray:
@@ -583,17 +571,13 @@ class FlatLayout:
                 for a, (r, c) in zip(self.starts, self.shapes)]
 
     def moment_form(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """sum_l (A_l B_l^dag - B_l^dag A_l) on the vertex blocks, zero off
-        them, for the stacks A and B of the flat points a and b.  At a = b =
-        p.flatten() it is -2i mu_R(p): on block k, X X^dag summed over the
-        slots X into V_k minus X^dag X over the slots out of V_k."""
-        n, nv = self.stack_shape[1], self.nv
-        sa = self.to_stack(a)
-        sb = sa if b is a else self.to_stack(b)
-        rows_a, rows_b = (s.transpose(1, 0, 2).reshape(n, -1)[:nv] for s in (sa, sb))
-        cols_a, cols_b = (s.reshape(-1, n)[:, :nv] for s in (sa, sb))
-        m = rows_a @ rows_b.conj().T - cols_b.conj().T @ cols_a
-        return np.where(self.block_mask, m, _CPLX(0))
+        """The block-diagonal V x V matrix M with Tr(xi M) = <inf_action(a, xi), b>
+        for flat points a, b: A^T conj(b) (A the action matrix at a) read through
+        the Lie transpose.  Block k sums X Y^dag over the slots into V_k minus
+        Y^dag X over those out of it (X of a, Y of b): -2i mu_R(p) at a = b = p."""
+        m = np.zeros((self.nv,) * 2, dtype=_CPLX)
+        m[self.block_mask] = (np.conj(b) @ self._scatter(self._action, a))[self._lie_transpose]
+        return m
 
     def to_stack(self, flat: np.ndarray) -> np.ndarray:
         """The stack of the point with flat coordinates ``flat`` (leading axes

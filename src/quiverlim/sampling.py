@@ -19,7 +19,7 @@ from .errors import (MaxIterations, NotInjective, NotOnVariety, QuiverLimError,
                      SamplingFailed)
 from .fixedpoints import WeightGrading
 from .quiver import CentralParameter, DimensionVectors, Quiver
-from .repspace import RepPoint, central_lie, moment_complex, rep_dim
+from .repspace import RepPoint, central_lie, rep_dim
 from .slices import SliceBasis, bb_slice_solve, moment_derivative_matrix
 from .solver import SolveReport, solve_real_moment
 
@@ -44,15 +44,14 @@ def project_complex_level(p: RepPoint, c_values) -> RepPoint:
     picks the increment orthogonal to the kernel; quadratic convergence
     makes the projection sharp at desk scale.
     """
-    target = central_lie(np.asarray(c_values, dtype=complex), p.dims)
+    target = central_lie(np.asarray(c_values, dtype=complex), p.dims).flatten()
     cur = p.copy()
     for _ in range(MAX_SLICE_ITER):
-        gap = moment_complex(cur) - target
-        res = gap.flatten()
+        D = moment_derivative_matrix(cur)
+        res = 0.5 * (D @ cur.vec) - target  # mu_C(cur) - c, as mu_C(p) = dmu_C(p, p) / 2
         norm = float(np.linalg.norm(res))
         if norm <= LEVEL_TOL * moment_scale(cur):
             return cur
-        D = moment_derivative_matrix(cur)
         delta, *_ = np.linalg.lstsq(D, -res, rcond=None)
         cur = cur + RepPoint.from_flat(p.quiver, p.dims, delta)
     raise MaxIterations(

@@ -21,33 +21,27 @@ from .errors import (DimensionMismatch, IllConditioned, LeftBasin,
                      MaxIterations, NotOnSlice)
 from .fixedpoints import WeightGrading
 from .quiver import expected_dimension
-from .repspace import (RepPoint, central_deviation, inf_action_adjoint,
-                       moment_complex)
+from .repspace import RepPoint, central_deviation, moment_complex
 
 
 def stacked_conditions(p: RepPoint, shift: RepPoint | None = None) -> np.ndarray:
     """Matrix of q -> (dmu_C(p + shift, q), adjoint-action_p(q)) on flat coords.
 
-    The adjoint row block is always taken at the base point p: the slice
-    orthogonality condition is fixed while the moment rows move with the
-    Newton iterate.  The adjoint rows are the conjugate transpose of the
-    action matrix.
-    """
+    The adjoint rows, the conjugate transpose of the action matrix, are
+    taken at the base point p: the slice orthogonality condition is fixed
+    while the moment rows move with the Newton iterate."""
     lay = p.layout
     at = p if shift is None else p + shift
     return np.concatenate([lay.dmu_matrix(at), lay.action_matrix(p).conj().T])
 
 
-def _null_and_row(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(null-space basis columns, row-space basis columns, singular values)."""
+def _null_and_row(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(null-space basis columns, row-space basis columns)."""
     if mat.shape[1] == 0:
-        return np.zeros((0, 0), dtype=complex), np.zeros((0, 0), dtype=complex), np.zeros(0)
-    u, s, vh = np.linalg.svd(mat, full_matrices=True)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > SV_RATIO * smax)) if smax > 0 else 0
-    null = vh[rank:].conj().T
-    row = vh[:rank].conj().T
-    return null, row, s
+        return np.zeros((0, 0), dtype=complex), np.zeros((0, 0), dtype=complex)
+    _, s, vh = np.linalg.svd(mat, full_matrices=True)
+    rank = int(np.sum(s > SV_RATIO * s[0])) if s.size and s[0] > 0 else 0
+    return vh[rank:].conj().T, vh[:rank].conj().T
 
 
 @dataclass
@@ -79,14 +73,13 @@ def tangent_basis(p: RepPoint) -> SliceBasis:
     a mismatch signals non-genericity or instability.
     """
     conditions = stacked_conditions(p)
-    null, _, _ = _null_and_row(conditions)
+    null, _ = _null_and_row(conditions)
     expected = expected_dimension(p.quiver, p.dims)
     if 2 * null.shape[1] != expected:
         raise DimensionMismatch(
             f"tangent null space has real dimension {2 * null.shape[1]}, "
             f"expected {expected}")
-    vectors = [RepPoint.from_flat(p.quiver, p.dims, null[:, t])
-               for t in range(null.shape[1])]
+    vectors = [RepPoint.from_flat(p.quiver, p.dims, col) for col in null.T]
     scale = max(1.0, p.norm())
     worst = float(np.linalg.norm(conditions @ null, axis=0).max(initial=0.0))
     if worst > TANGENT_TOL * scale:
@@ -125,15 +118,19 @@ def moment_correction(p: RepPoint, q: RepPoint) -> RepPoint:
 def _constrained_newton(p: RepPoint, q0: RepPoint, directions: np.ndarray,
                         target, stay_inside=None) -> RepPoint:
     """Newton on F(q) = (mu_C(p+q) - target, adjoint-action_p(q)) with updates
-    restricted to the span of `directions` (columns, flat coords)."""
-    def residual(q: RepPoint) -> np.ndarray:
-        mc = moment_complex(p + q)
-        top = mc.flatten() - target
-        return np.concatenate([top, inf_action_adjoint(p, q).flatten()])
+    restricted to the span of `directions` (columns, flat coords).  Each
+    trial's stacked_conditions give its residual (mu_C(p+q) = dmu_C(p+q, p+q)
+    / 2) and, once it is accepted, the next Jacobian."""
+    lay, x = p.layout, p.vec
+    adjoint = lay.action_matrix(p).conj().T
 
-    q = q0.copy()
-    r = residual(q)
-    r_norm = float(np.linalg.norm(r))
+    def trial(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        cond = stacked_conditions(p, shift=RepPoint._wrap(lay, q))
+        r = np.concatenate([0.5 * (cond[:lay.lie_dim] @ (x + q)) - target, adjoint @ q])
+        return r, cond, float(np.linalg.norm(r))
+
+    q = q0.flatten()
+    r, cond, r_norm = trial(q)
     scale = moment_scale(p + q0)
     it = 0
     while r_norm > TOL * scale:
@@ -141,28 +138,24 @@ def _constrained_newton(p: RepPoint, q0: RepPoint, directions: np.ndarray,
             raise MaxIterations(
                 f"slice correction hit {MAX_SLICE_ITER} iterations, "
                 f"residual {r_norm:.3e}")
-        jac = stacked_conditions(p, shift=q) @ directions
-        delta_c, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        delta_c, *_ = np.linalg.lstsq(cond @ directions, -r, rcond=None)
         delta_flat = directions @ delta_c
         t = 1.0
-        accepted = False
         for _ in range(MAX_HALVINGS + 1):
-            q_try = q + RepPoint.from_flat(p.quiver, p.dims, t * delta_flat)
+            q_try = q + t * delta_flat
             if stay_inside is not None:
-                q_try = stay_inside(q_try)
-            r_try = residual(q_try)
-            n_try = float(np.linalg.norm(r_try))
+                q_try = stay_inside(RepPoint._wrap(lay, q_try)).vec
+            r_try, cond_try, n_try = trial(q_try)
             if n_try <= (1.0 - ARMIJO_SLOPE * t) * r_norm:
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
+        else:
             raise LeftBasin(
                 f"slice correction stalled at residual {r_norm:.3e}; "
                 "starting increment is outside the Newton basin")
-        q, r, r_norm = q_try, r_try, n_try
+        q, r, cond, r_norm = q_try, r_try, cond_try, n_try
         it += 1
-    return q
+    return RepPoint._wrap(lay, q)
 
 
 def slice_solve(p: RepPoint, q0: RepPoint) -> RepPoint:
@@ -175,7 +168,7 @@ def slice_solve(p: RepPoint, q0: RepPoint) -> RepPoint:
     mc = moment_complex(p)
     if central_deviation(mc) > CHECK_TOL * moment_scale(p):
         raise NotOnSlice("base point does not sit on a central complex level")
-    null, row, _ = _null_and_row(stacked_conditions(p))
+    null, row = _null_and_row(stacked_conditions(p))
     flat0 = q0.flatten()
     off = flat0 - null @ (null.conj().T @ flat0)
     if float(np.linalg.norm(off)) > \
@@ -190,16 +183,14 @@ def bb_tangent_basis(p0: RepPoint, grading: WeightGrading) -> SliceBasis:
     Its real dimension must be half the full slice dimension.
     """
     plus = grading.columns(grading.slot_weights() >= 1)
-    mat = stacked_conditions(p0) @ plus
-    null, _, _ = _null_and_row(mat)
+    null, _ = _null_and_row(stacked_conditions(p0) @ plus)
     expected = expected_dimension(p0.quiver, p0.dims)
     got = 2 * null.shape[1]
     if 2 * got != expected:
         raise DimensionMismatch(
             f"positive-weight null space has real dimension {got}, "
             f"expected half of {expected}")
-    vectors = [RepPoint.from_flat(p0.quiver, p0.dims, plus @ null[:, t])
-               for t in range(null.shape[1])]
+    vectors = [RepPoint.from_flat(p0.quiver, p0.dims, plus @ col) for col in null.T]
     return SliceBasis(base_point=p0, vectors=vectors, kind="bb_tangent")
 
 
@@ -219,15 +210,12 @@ def bb_slice_solve(p0: RepPoint, q0: RepPoint, grading: WeightGrading) -> RepPoi
     norm0 = q0.norm()
     if norm0 > BASIN_NORM:
         R = 2.0 * norm0 / BASIN_NORM
-        small = grading.act(1.0 / R, q0)
-        A_small = bb_slice_solve(p0, small, grading)
-        return grading.act(R, A_small)
+        return grading.act(R, bb_slice_solve(p0, grading.act(1.0 / R, q0), grading))
 
     plus = grading.columns(grading.slot_weights() >= 1)
     if plus.shape[1] == 0:
         return q0.copy()
-    mat = stacked_conditions(p0) @ plus
-    _, row_c, _ = _null_and_row(mat)
+    _, row_c = _null_and_row(stacked_conditions(p0) @ plus)
     directions = plus @ row_c if row_c.shape[1] else plus[:, :0]
 
     def keep_graded(q: RepPoint) -> RepPoint:

@@ -151,7 +151,13 @@ def test_escape_bad_path(capsys, path):
     (("invariants", "tstar-p1", "--max-len", "0"), "max_len must be at least 1"),
     (("climit", "tstar-p1", "--max-len", "0"), "max_len must be at least 1"),
     (("family", "tstar-p1", "--grid", "0.1,0.2"), "r_grid must be strictly decreasing"),
-], ids=["invariants-max-len", "climit-max-len", "family-grid"])
+    (("family", "a3-star", "--grid", "inf,0.1"), "r_grid entries must be finite"),
+    (("family", "a3-star", "--grid", "0.4,nan"), "r_grid entries must be finite"),
+    (("verify", "a3-star", "--hbar-grid", "1,nan"), "hbar_grid entries must be finite"),
+    (("climit", "a3-star", "--hbar", "nan"), "hbar must be finite and nonzero"),
+    (("climit", "a3-star", "--hbar", "inf"), "hbar must be finite and nonzero"),
+], ids=["invariants-max-len", "climit-max-len", "family-grid", "family-grid-inf",
+        "family-grid-nan", "verify-hbar-grid-nan", "climit-hbar-nan", "climit-hbar-inf"])
 def test_common_options_validated_for_every_command(capsys, argv, message):
     # main builds one RunConfig from the options a command reads, so its
     # rules refuse a bad value before any computation
@@ -265,6 +271,45 @@ def test_empty_variety_refused_by_name(capsys, tmp_path, command, name):
     code, out, err = run(capsys, command, path)
     assert code == 1
     assert err.startswith("error: EmptyVariety: expected dimension -4")
+
+
+GOOD_FILE = {"vertices": 2, "edges": [[0, 1]], "v": [1, 1], "w": [1, 1],
+             "sigma": [1.0, -1.0], "c": [[0.0, 0.0], [0.0, 0.0]]}
+MALFORMED_FILES = {
+    # each entry: (the change to GOOD_FILE, the field the error names)
+    "vertices-float": ({"vertices": 2.7}, "vertices"),
+    "edge-end-float": ({"edges": [[0, 1.9]]}, "edges"),
+    "edge-not-pair": ({"edges": [[0]]}, "edges"),
+    "edges-not-list": ({"edges": 1}, "edges"),
+    "v-float": ({"v": [1.5, 2]}, "v"),
+    "w-bool": ({"w": [True, 0]}, "w"),
+    "sigma-string-nan": ({"sigma": ["nan", 1.0]}, "sigma"),
+    "sigma-nan": ({"sigma": [float("nan"), 1.0]}, "sigma"),
+    "c-short-pair": ({"c": [[1]]}, "c"),
+    "c-inf": ({"c": [[0.0, float("inf")], 0.0]}, "c"),
+    "c-string": ({"c": ["1", 0.0]}, "c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FILES) + ["top-level-list"])
+def test_malformed_quiver_file_refused_by_field(capsys, tmp_path, name):
+    # a file whose fields have the wrong type is refused before anything
+    # reads it, with a ValueError that names the field (exit 2)
+    if name == "top-level-list":
+        data, field = [GOOD_FILE], "JSON object"
+    else:
+        change, field = MALFORMED_FILES[name]
+        data = {**GOOD_FILE, **change}
+    code, out, err = run(capsys, "check", write_quiver(tmp_path, name, data))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and field in err
+    assert "Traceback" not in err
+
+
+def test_well_formed_quiver_file_is_checked(capsys, tmp_path):
+    code, out, err = run(capsys, "check", write_quiver(tmp_path, "good", GOOD_FILE))
+    assert code == 0 and err == ""
 
 
 @pytest.mark.parametrize("command", ["climit", "family", "escape"])

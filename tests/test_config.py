@@ -24,6 +24,11 @@ def test_validation():
         ql.RunConfig(r_grid=(0.1, 0.2))
     with pytest.raises(ValueError):
         ql.RunConfig(hbar_grid=(1.0, -0.5))
+    for bad in ((float("inf"), 0.1), (0.4, float("nan")), (float("nan"),)):
+        with pytest.raises(ValueError, match="r_grid entries must be finite"):
+            ql.RunConfig(r_grid=bad)
+        with pytest.raises(ValueError, match="hbar_grid entries must be finite"):
+            ql.RunConfig(hbar_grid=bad)
 
 
 def test_digest_stable_and_destination_free():

@@ -195,3 +195,16 @@ def test_study_failure_keeps_the_finished_hbar(monkeypatch, tmp_path):
     rows = (tmp_path / "convergence.csv").read_text().splitlines()[1:]
     assert len(rows) == len(cfg.r_grid)
     assert all(row.startswith("1.0,") for row in rows)
+
+
+@pytest.mark.parametrize("hbar", [0.0, float("nan"), float("inf"), complex(1.0, float("nan"))])
+def test_hbar_must_be_finite_and_nonzero(tstar, hbar):
+    # refused before any solve, by each entry point that takes an hbar
+    p0, grading, A = tstar.p0, tstar.grading, tstar.slice_point(seed=70)
+    sigma = tstar.central.sigma_array()
+    with pytest.raises(ValueError, match="hbar must be finite and nonzero"):
+        ql.conformal_point(p0, A, hbar, grading=grading)
+    with pytest.raises(ValueError, match="hbar must be finite and nonzero"):
+        ql.conformal_family_sample(p0, A, sigma, hbar, 0.1, grading)
+    with pytest.raises(ValueError, match="hbar must be finite and nonzero"):
+        next(ql.convergence_study(p0, A, sigma, (1.0, hbar), (0.2, 0.1), grading=grading))

@@ -1,0 +1,67 @@
+"""Static checks on the package source, with the standard library's ast only.
+
+Every module of quiverlim except ``__init__.py`` (which imports to export)
+must use each of its top-level imports, and every private function, method
+or class (a ``_name`` that is not a dunder) must be referenced somewhere in
+the package: a helper that nothing uses should go.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "quiverlim"
+TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+         for path in sorted(SRC.glob("*.py"))}
+MODULES = sorted(name for name in TREES if name != "__init__.py")
+
+
+def _names_read(tree) -> set[str]:
+    """The Name ids of a module, with those inside string annotations."""
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations = [node.returns] + [a.annotation for a in ast.walk(node.args)
+                                            if isinstance(a, ast.arg)]
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        else:
+            continue
+        for ann in filter(None, annotations):
+            for sub in ast.walk(ann):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    names |= {n.id for n in ast.walk(ast.parse(sub.value, mode="eval"))
+                              if isinstance(n, ast.Name)}
+    return names
+
+
+def _imported(tree) -> list[str]:
+    """The names that the module's top-level imports bind."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    return bound
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_top_level_import_is_used(module):
+    tree = TREES[module]
+    used = _names_read(tree)
+    assert [name for name in _imported(tree) if name not in used] == []
+
+
+def test_every_private_helper_is_referenced():
+    referenced = set()
+    for tree in TREES.values():
+        referenced |= _names_read(tree)
+        referenced |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    unused = [f"{module}:{node.name}" for module in MODULES
+              for node in ast.walk(TREES[module])
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and node.name.startswith("_") and not node.name.endswith("__")
+              and node.name not in referenced]
+    assert unused == []
