@@ -27,7 +27,7 @@ from .config import (CHECK_TOL, FLOOR, STAGE_SLACK, TOL, check_grid,
 from .errors import NotOnSlice, NotOnVariety
 from .fixedpoints import WeightGrading
 from .invariants import fingerprint, fingerprints
-from .repspace import (RepPoint, central_lie, inf_action_adjoint,
+from .repspace import (LieElement, RepPoint, central_lie, inf_action_adjoint,
                        moment_complex, moment_real, zeta_real_lie)
 from .slices import positive_weight_project
 from .solver import (GradedSolveReport, SolveReport, graded_solve,
@@ -130,10 +130,11 @@ def _family_start(p0: RepPoint, A: RepPoint, sigma: np.ndarray, R: float,
 
 
 def _family_finish(p0: RepPoint, start: GradedSolveReport, sigma: np.ndarray,
-                   hb: complex, R: float,
-                   grading: WeightGrading) -> tuple[SolveReport, dict[str, float]]:
+                   hb: complex, R: float, grading: WeightGrading,
+                   guess: LieElement | None = None) -> tuple[SolveReport, dict[str, float]]:
     """Stages two to four of the member at (hb, R) from its start: the final
-    solve and the residual of every stage."""
+    solve, started from guess (see solve_real_moment), and the residual of
+    every stage."""
     xi = hb * R
     q2 = twistor_rotate(start.point, xi)
     zr = zeta_real_lie(sigma, p0.dims)
@@ -154,7 +155,7 @@ def _family_finish(p0: RepPoint, start: GradedSolveReport, sigma: np.ndarray,
         raise NotOnVariety(
             f"rescaled point leaves the limiting complex level ({dev3:.3e})")
 
-    final = solve_real_moment(q3, np.zeros(p0.quiver.n))
+    final = solve_real_moment(q3, np.zeros(p0.quiver.n), guess=guess)
     return final, {
         "start_solve": float(start.residual),
         "rotation_real": float(dev_real),
@@ -230,6 +231,8 @@ def convergence_study(p0: RepPoint, A: RepPoint, sigma, hbar_grid, R_grid,
     runs once for all hbar.  Each hbar solves its limit and its members and
     fingerprints them in one stacked walk before its report is yielded, so
     a solve error at one hbar comes after the reports of the hbar before it.
+    Within one hbar, each member's final solve starts from the exponent of
+    the previous R's (the answer does not depend on the start).
     """
     grid = check_grid("R_grid", R_grid)
     hbars = [_check_hbar(h) for h in hbar_grid]
@@ -239,11 +242,12 @@ def convergence_study(p0: RepPoint, A: RepPoint, sigma, hbar_grid, R_grid,
     for hb in hbars:
         pA = RepPoint.from_flat(p0.quiver, p0.dims, conformal_flat(p0, A, hb))
         limit = solve_real_moment(pA, np.zeros(p0.quiver.n))
-        members = []
+        members: list[tuple[SolveReport, dict[str, float]]] = []
         for R in grid:
             if R not in starts:
                 starts[R] = _family_start(p0, A, sig, R, grading)
-            members.append(_family_finish(p0, starts[R], sig, hb, R, grading))
+            members.append(_family_finish(p0, starts[R], sig, hb, R, grading,
+                                          members[-1][0].xi if members else None))
         fp_limit, *fps = fingerprints([limit.point, *(f.point for f, _ in members)],
                                       max_len)
         yield _fit(hb, fp_limit, [

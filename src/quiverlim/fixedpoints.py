@@ -289,23 +289,27 @@ def flow_limit(p: RepPoint, sigma) -> FlowReport:
     """Follow the scaling action towards R -> 0 along default_schedule().
 
     At each R the original point is rescaled and re-solved onto the real
-    moment level.  The walk ends at the first iterate that passes the
-    fixed-point test.  That iterate still carries O(R) dirt in its shrinking
-    slots; its weight-0 part (the iterate's grading projects it) drops the
-    dirt exactly, and weight_grading certifies the result as the limit.  The
-    energy of the shrinking slots must decrease monotonically along the way.
+    moment level, each solve after the first starting from the exponent of
+    the one before (the answer does not depend on the start).  The walk
+    ends at the first iterate that passes the fixed-point test.  That
+    iterate still carries O(R) dirt in its shrinking slots; its weight-0
+    part (the iterate's grading projects it) drops the dirt exactly, and
+    weight_grading certifies the result as the limit.  The energy of the
+    shrinking slots must decrease monotonically along the way.
     rows: (R, shrinking-slot energy, fixed-point residual).
     """
     q = solve_real_moment(p, sigma).point
     energy = scaling_energy(q)
     rows: list[tuple[float, float, float]] = []
-    R_prev = 1.0
+    R_prev, xi = 1.0, None
     for R in default_schedule():
         # rescaling the previous representative by the bounded ratio reaches
         # the same orbit point as rescaling the original by R, with uniformly
-        # bounded gauge travel per step
-        q = solve_real_moment(cstar_act(R / R_prev, q), sigma).point
-        R_prev = R
+        # bounded gauge travel per step; near the limit each step's exponent
+        # is about -ln(R_prev / R) times the weight generator, so the
+        # previous step's exponent starts the next solve
+        step = solve_real_moment(cstar_act(R / R_prev, q), sigma, guess=xi)
+        q, xi, R_prev = step.point, step.xi, R
         e_next = scaling_energy(q)
         rep = is_fixed_point(q)
         rows.append((R, e_next, rep.residual))

@@ -173,12 +173,13 @@ def _prefix_walk(quiver: Quiver, dims: DimensionVectors, max_len: int,
     return tuple(depth), tuple(slot), tuple(out), tuple(skip)
 
 
-def _path_products(p: RepPoint, slots, max_len: int, kind: str, prune: bool = False):
+def _path_products(p: RepPoint, slots, max_len: int, kind: str,
+                   prune: tuple[float, ...] | None = None):
     """Yield (index in enumerate_paths, eval_path product) for every path of
     p's quiver and dimension vectors, in walk order, with the slot matrices
     slots; leading axes of the slots (see FlatLayout.slot_views) lead in
-    every product.  With prune, the paths that extend an exactly-zero
-    product are left out: their products are zero too."""
+    every product.  With prune, one bound per depth, the paths that extend a
+    product at depth d of Frobenius norm at most prune[d] are left out."""
     depth, slot, out, skip = _prefix_walk(p.quiver, p.dims, max_len, kind)
     acc: list[np.ndarray | None] = [None] * max_len
     t = 0
@@ -187,7 +188,7 @@ def _path_products(p: RepPoint, slots, max_len: int, kind: str, prune: bool = Fa
         acc[d] = slots[slot[t]] if d == 0 else slots[slot[t]] @ acc[d - 1]
         if out[t] >= 0:
             yield out[t], acc[d]
-        t = skip[t] if prune and not acc[d].any() else t + 1
+        t = skip[t] if prune and np.linalg.norm(acc[d]) <= prune[d] else t + 1
 
 
 def _size(m: np.ndarray, kind: str) -> float:
@@ -252,10 +253,23 @@ def nilpotency_bound(dims: DimensionVectors) -> int:
 
 
 def is_nilpotent(p: RepPoint) -> bool:
-    """True when every invariant up to the decision bound is below CHECK_TOL."""
+    """True when every invariant up to the decision bound is below CHECK_TOL.
+
+    A product P at depth d (d + 1 tokens) extends to products M of at most
+    bound - 1 - d more tokens, so |M|_F <= |P|_F g^(bound - 1 - d) with g
+    the largest slot norm, or 1; both invariant sizes of M are at most
+    n |M|_F (|tr M| <= sqrt(dim) |M|_F, max |M_ij| <= |M|_F), n the largest
+    entry of v and w.  The walk skips the extensions of P once that bound
+    is at most CHECK_TOL: none of them can change the verdict.
+    """
     bound = nilpotency_bound(p.dims)
+    g = max([1.0] + [float(np.linalg.norm(m)) for m in p.slots])
+    n = max(p.dims.v + p.dims.w + (1,))
+    # g ** -k underflows to 0 rather than overflow: the bound then prunes
+    # only exactly-zero products
+    prune = tuple(CHECK_TOL / n * g ** -(bound - 1 - d) for d in range(bound))
     for kind in ("loop", "admissible"):
-        for _, m in _path_products(p, p.slots, bound, kind, prune=True):
+        for _, m in _path_products(p, p.slots, bound, kind, prune):
             if _size(m, kind) > CHECK_TOL:
                 return False
     return True

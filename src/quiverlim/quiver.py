@@ -10,6 +10,7 @@ genericity test walks the bounded root box of the Cartan form.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -144,7 +145,9 @@ class CentralParameter:
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", tuple(_number("sigma", s) for s in self.sigma))
-        object.__setattr__(self, "c", tuple(self.c))
+        # (re, im) pairs as tuples, so that the parameter hashes (see walls)
+        object.__setattr__(self, "c", tuple(tuple(x) if isinstance(x, list) else x
+                                            for x in self.c))
         for k, x in enumerate(self.c):
             if isinstance(x, (tuple, list)) and len(x) != 2:
                 raise ValueError(f"c: {x!r} is not a number or an [re, im] pair")
@@ -205,6 +208,7 @@ def require_nonempty(quiver: Quiver, dims: DimensionVectors) -> None:
             f"(v={list(dims.v)}, w={list(dims.w)})")
 
 
+@functools.lru_cache(maxsize=128)
 def positive_roots_bounded(quiver: Quiver, dims: DimensionVectors) -> tuple[tuple[int, ...], ...]:
     """Nonzero theta in the box 0 <= theta <= v with theta^T C theta <= 2."""
     dims.check_quiver(quiver)
@@ -243,12 +247,22 @@ def wall_margins(zeta: CentralParameter, quiver: Quiver, dims: DimensionVectors)
     return out
 
 
-def walls(zeta: CentralParameter, quiver: Quiver, dims: DimensionVectors):
+def walls(zeta: CentralParameter, quiver: Quiver,
+          dims: DimensionVectors) -> tuple[tuple[tuple[int, ...], float], ...]:
     """(theta, margin) for every bounded root whose wall holds the parameter:
-    exactly when all entries are exact, else within WALL_TOL."""
-    return [(theta, margin) for theta, margin, on_wall
-            in wall_margins(zeta, quiver, dims)
-            if on_wall is True or (on_wall is None and margin <= WALL_TOL)]
+    exactly when all entries are exact, else within WALL_TOL.  Computed once
+    per parameter, quiver and dimension vectors."""
+    return _walls(zeta, zeta.is_exact(), quiver, dims)
+
+
+@functools.lru_cache(maxsize=128)
+def _walls(zeta: CentralParameter, exact: bool, quiver: Quiver, dims: DimensionVectors):
+    """walls, cached.  exact is part of the key because a parameter with
+    exact entries compares equal to one with the same values as floats,
+    while their walls are decided differently."""
+    return tuple((theta, margin) for theta, margin, on_wall
+                 in wall_margins(zeta, quiver, dims)
+                 if on_wall is True or (on_wall is None and margin <= WALL_TOL))
 
 
 def is_generic(zeta: CentralParameter, quiver: Quiver, dims: DimensionVectors) -> bool:

@@ -468,6 +468,9 @@ class FlatLayout:
             [(self.starts[t] + np.arange(r * c).reshape(c, r).T).ravel()
              for t, (r, c) in zip(self.partner, self.shapes)])
         self.herm = self._hermitian_basis()
+        # the diagonal-unit columns of herm, vertex by vertex
+        self._unit_columns = np.concatenate(
+            [start + np.arange(vk) for start, vk in zip(self.lie_starts, dims.v)]).astype(int)
         self.block_mask = block_mask(dims)
         position = np.zeros((self.nv,) * 2, dtype=int)
         position[self.block_mask] = np.arange(self.lie_dim)
@@ -558,6 +561,13 @@ class FlatLayout:
     def herm_coords(self, x: LieElement) -> np.ndarray:
         """Coordinates of a hermitian tuple in the basis ``herm``."""
         return (self.herm.conj().T @ x.flatten()).real
+
+    def central_herm_coords(self, values) -> np.ndarray:
+        """herm_coords(central_lie(values, dims)) for real values, in closed
+        form: values[k] on the diagonal-unit columns of vertex k."""
+        coeffs = np.zeros(self.lie_dim)
+        coeffs[self._unit_columns] = np.repeat(values, self.dims.v)
+        return coeffs
 
     def herm_element(self, coeffs: np.ndarray) -> LieElement:
         """The hermitian tuple with the given coordinates."""

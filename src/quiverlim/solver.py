@@ -16,19 +16,25 @@ tr eta_k: with x = p.flatten() and A the real matrix of xi -> inf_action(p, xi)
 on hermitian coordinates, its coordinates are A^T [Re x; Im x] - c_sigma
 (c_sigma those of 2 sigma Id) and its derivative is 2 A^T A, so the A of an
 accepted trial gives its residual and the next Newton matrix.  Gauge elements
-come from one hermitian eigendecomposition of a V x V matrix, with no expm
-and no inverse: a step Delta = V diag(l) V^dag gives exp(+-t Delta) =
-V diag(e^{+-t l}) V^dag for every halving t, and the eigh g^dag g =
-V diag(l) V^dag gives both the polar exponent xi = V diag(log(l) / 2) V^dag
-and exp(+-xi) = V diag(l^{+-1/2}) V^dag.  A function of a block-diagonal
-hermitian matrix is block-diagonal even where eigh mixes eigenvectors of
-equal eigenvalues across blocks, so the entries off the blocks are set to
-exact zero.
+come from one decomposition of a V x V matrix, with no expm and no
+inverse: a step Delta = V diag(l) V^dag gives exp(+-t Delta) =
+V diag(e^{+-t l}) V^dag for every halving t, and the SVD g = U diag(s) V^dag
+gives both the polar exponent xi = V diag(log(s)) V^dag and exp(+-xi) =
+V diag(s^{+-1}) V^dag (the SVD rather than an eigh of g^dag g, whose small
+eigenvalues carry relative error eps cond(g)^2 instead of eps cond(g)).  A
+function of a block-diagonal hermitian matrix is block-diagonal even where
+eigh or the SVD mixes vectors of equal values across blocks, so the entries
+off the blocks are set to exact zero.
+
+A solve may start from a guess eta: the loop then runs from exp(eta).p
+with the accumulated gauge exp(eta), and the rebuild still starts from p,
+so the returned point and xi are those of a cold solve up to tol.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +42,7 @@ from .config import (ARMIJO_SLOPE, CHECK_TOL, EIG_FLOOR_RATIO, MAX_HALVINGS,
                      MAX_NEWTON_ITER, SLACK, TOL, moment_scale)
 from .errors import GradingViolation, MaxIterations, NotInjective, NotOnVariety
 from .repspace import (FlatLayout, GaugeElement, LieElement, RepPoint,
-                       central_deviation, central_lie, moment_complex)
+                       central_deviation, moment_complex)
 
 
 def assemble_newton_matrix(p: RepPoint) -> np.ndarray:
@@ -81,10 +87,10 @@ def _spectral_pair(mask: np.ndarray, d: np.ndarray, vecs: np.ndarray):
 
 def _polar_spectrum(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(l, V) with g^dag g = V diag(l) V^dag for the block-diagonal V x V
-    gauge matrix g, l floored at tiny."""
-    h = g.conj().T @ g
-    vals, vecs = np.linalg.eigh(0.5 * (h + h.conj().T))
-    return np.maximum(vals, np.finfo(float).tiny), vecs
+    gauge matrix g, l floored at tiny: the squared singular values and the
+    right singular vectors of g."""
+    _, s, vh = np.linalg.svd(g)
+    return np.maximum(s * s, np.finfo(float).tiny), vh.conj().T
 
 
 def _polar_log(dims, vals: np.ndarray, vecs: np.ndarray) -> LieElement:
@@ -132,6 +138,47 @@ def _polar_point(p: RepPoint, g_total: np.ndarray, level: np.ndarray,
     return _polar_log(p.dims, vals, vecs), point, residual
 
 
+class _Iterate(NamedTuple):
+    """An iterate of the Newton loop: its stack, the real action matrix A at
+    it, its residual and the residual's norm."""
+    stack: np.ndarray
+    a: np.ndarray
+    res: np.ndarray
+    norm: float
+
+
+def _move(coords: FlatLayout, level: np.ndarray, stack: np.ndarray,
+          spectrum: tuple[np.ndarray, np.ndarray],
+          t: float) -> tuple[np.ndarray, _Iterate]:
+    """(exp(t X), the iterate exp(t X).P) for the point P held in stack and
+    the block-diagonal hermitian X of the given (eigenvalues, eigenvectors);
+    an overflowing move has a non-finite residual norm."""
+    lam, vecs = spectrum
+    with np.errstate(all="ignore"):
+        fwd, back = _spectral_pair(coords.block_mask, np.exp(t * lam), vecs)
+        trial = coords.conjugate(stack, fwd, back)
+        a, res = _residual(coords, coords.from_stack(trial), level)
+        return fwd, _Iterate(trial, a, res, float(np.linalg.norm(res)))
+
+
+def _newton_step(coords: FlatLayout, level: np.ndarray, cur: _Iterate, t: float,
+                 halvings: int) -> tuple[float, np.ndarray, _Iterate] | None:
+    """The Newton step from cur at fraction t, halved at most `halvings`
+    times until the residual norm falls to (1 - ARMIJO_SLOPE t) times cur's:
+    (the accepted fraction, exp(t step), the new iterate), or None."""
+    step = np.zeros(coords.block_mask.shape, dtype=complex)
+    step[coords.block_mask] = coords.herm @ _spectral_solve(
+        guarded_eigh(2.0 * (cur.a.T @ cur.a)), -cur.res)
+    spectrum = np.linalg.eigh(step)
+    for _ in range(halvings + 1):
+        # an overflowing trial is an ordinary rejection
+        fwd, nxt = _move(coords, level, cur.stack, spectrum, t)
+        if np.isfinite(nxt.norm) and nxt.norm <= (1.0 - ARMIJO_SLOPE * t) * cur.norm:
+            return t, fwd, nxt
+        t *= 0.5
+    return None
+
+
 @dataclass
 class SolveReport:
     xi: LieElement
@@ -143,7 +190,8 @@ class SolveReport:
 
 def solve_real_moment(p: RepPoint, sigma, tol: float = TOL,
                       max_iter: int = MAX_NEWTON_ITER,
-                      forced_damping: tuple[float, ...] = ()) -> SolveReport:
+                      forced_damping: tuple[float, ...] = (), *,
+                      guess: LieElement | None = None) -> SolveReport:
     """Damped Newton on the complex-gauge orbit of p.
 
     forced_damping pins the step fraction of the first iterations (used to
@@ -151,6 +199,12 @@ def solve_real_moment(p: RepPoint, sigma, tol: float = TOL,
     step with up to MAX_HALVINGS halvings on the residual norm is used.  The
     returned point meets its level within SLACK tol max(1, |p|^2);
     NotOnVariety otherwise.
+
+    guess, a hermitian element near the answer's xi (a neighbouring solve's),
+    moves the start to exp(guess).p; a start that already meets tol takes one
+    more step if that step passes the Armijo test, so that a warm solve ends
+    at the round-off of a cold one rather than just under tol.  The returned
+    point and xi are the unique Kempf-Ness answer either way.
     """
     _check_central_complex(p)
     sig = np.asarray(sigma, dtype=float)
@@ -158,42 +212,35 @@ def solve_real_moment(p: RepPoint, sigma, tol: float = TOL,
         raise ValueError("sigma must provide one real entry per vertex")
 
     coords = p.layout
-    mask = coords.block_mask
-    level = coords.herm_coords(central_lie(2.0 * sig, p.dims))
-    x = p.vec
-    stack, g_total = coords.to_stack(x), np.eye(len(mask), dtype=complex)
-    a, res = _residual(coords, x, level)
-    res_norm = float(np.linalg.norm(res))
-    history: list[tuple[int, float, float]] = [(0, res_norm, 0.0)]
+    level = coords.central_herm_coords(2.0 * sig)
+    stack = coords.to_stack(p.vec)
+    if guess is None:
+        a, res = _residual(coords, p.vec, level)
+        g_total = np.eye(coords.nv, dtype=complex)
+        cur = _Iterate(stack, a, res, float(np.linalg.norm(res)))
+    else:
+        g_total, cur = _move(coords, level, stack, np.linalg.eigh(guess.matrix()), 1.0)
+    history: list[tuple[int, float, float]] = [(0, cur.norm, 0.0)]
 
+    # a guessed start inside tol still tries one step: the guess alone
+    # would end the solve just under tol, short of a cold solve's round-off
     it = 0
-    while res_norm > tol:
+    while cur.norm > tol or (guess is not None and it == 0 < max_iter):
         if it >= max_iter:
             raise MaxIterations(
-                f"real-moment solve hit {max_iter} iterations, residual {res_norm:.3e}")
-        step = np.zeros(mask.shape, dtype=complex)
-        step[mask] = coords.herm @ _spectral_solve(guarded_eigh(2.0 * (a.T @ a)), -res)
-        lam, vecs = np.linalg.eigh(step)
-
+                f"real-moment solve hit {max_iter} iterations, residual {cur.norm:.3e}")
         t = forced_damping[it] if it < len(forced_damping) else 1.0
-        for _ in range(MAX_HALVINGS + 1):
-            # an overflowing trial is an ordinary rejection
-            with np.errstate(all="ignore"):
-                fwd, back = _spectral_pair(mask, np.exp(t * lam), vecs)
-                trial = coords.conjugate(stack, fwd, back)
-                x_try = coords.from_stack(trial)
-                a_try, res_try = _residual(coords, x_try, level)
-                new_norm = float(np.linalg.norm(res_try))
-            if np.isfinite(new_norm) and new_norm <= (1.0 - ARMIJO_SLOPE * t) * res_norm:
+        taken = _newton_step(coords, level, cur, t,
+                             MAX_HALVINGS if cur.norm > tol else 0)
+        if taken is None:
+            if cur.norm <= tol:
                 break
-            t *= 0.5
-        else:
             raise MaxIterations(
-                f"residual stalled at {res_norm:.3e} after {MAX_HALVINGS} halvings")
-        stack, x, a, res, res_norm = trial, x_try, a_try, res_try, new_norm
+                f"residual stalled at {cur.norm:.3e} after {MAX_HALVINGS} halvings")
+        t, fwd, cur = taken
         g_total = fwd @ g_total
         it += 1
-        history.append((it, res_norm, t))
+        history.append((it, cur.norm, t))
 
     xi, point, final = _polar_point(p, g_total, level, tol)
     return SolveReport(xi=xi, residual=final, iterations=it,
@@ -221,7 +268,7 @@ def graded_solve(p_start: RepPoint, grading, r_scale: float,
     """
     sig = np.asarray(sigma, dtype=float)
     coords = p_start.layout
-    level = coords.herm_coords(central_lie(2.0 * sig, p_start.dims))
+    level = coords.central_herm_coords(2.0 * sig)
     m_max = grading.max_end_weight()
 
     mask, x = coords.block_mask, p_start.vec

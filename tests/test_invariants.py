@@ -120,6 +120,20 @@ def test_nilpotency(tstar):
     assert ql.nilpotency_bound(tstar.dims) == 2
 
 
+def test_nilpotency_pruning_keeps_small_prefixes_of_large_paths():
+    # i0 = 1e-9 is below CHECK_TOL, but the edges (1e3 each) lift the path
+    # c0.h0.h1.j2 to 1e-3: the walk may not drop the paths under a prefix
+    # for being small unless the remaining slots cannot make them large
+    q = ql.Quiver(3, ((0, 1), (1, 2)))
+    d = ql.DimensionVectors(v=(1, 1, 1), w=(1, 0, 1))
+    p = ql.RepPoint.zeros(q, d)
+    p.B[0][0, 0] = p.B[1][0, 0] = 1e3
+    p.i[0][0, 0] = 1e-9
+    p.j[2][0, 0] = 1.0
+    assert not ql.is_nilpotent(p)
+    assert not is_nilpotent_by_paths(p)
+
+
 def test_zero_invariant_guard(tstar):
     p0 = tstar.p0
     path = ql.PathSpec.parse("P:c0.j0")

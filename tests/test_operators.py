@@ -148,6 +148,18 @@ def test_hermitian_residual_is_the_action_gradient(spec):
 @pytest.mark.parametrize("spec", list(ql.PRESET_NAMES) + [
     os.path.join(BENCH_QUIVERS, f) for f in ("a3_chain.json", "d4_star.json")],
     ids=os.path.basename)
+def test_central_herm_coords_is_the_closed_form(spec):
+    quiver, dims, central, _ = ql.resolve_quiver_spec(spec)
+    lay = layout(quiver, dims)
+    for values in (2.0 * central.sigma_array(), np.zeros(quiver.n),
+                   ql.make_rng(42).normal(size=quiver.n)):
+        assert np.array_equal(lay.central_herm_coords(values),
+                              lay.herm_coords(ql.central_lie(values, dims)))
+
+
+@pytest.mark.parametrize("spec", list(ql.PRESET_NAMES) + [
+    os.path.join(BENCH_QUIVERS, f) for f in ("a3_chain.json", "d4_star.json")],
+    ids=os.path.basename)
 def test_moment_maps_are_the_moment_map_identities(spec):
     # the layout derives dmu_C and mu_R from the action matrix by
     # Tr(xi dmu_C(p)[q]) = omega_C(xi.p, q) and Tr(xi (-2i mu_R(p))) = <xi.p, p>;

@@ -106,6 +106,22 @@ def test_wall_test_is_exact_for_rationals():
     assert not ql.is_generic(zeta, q, dims)
 
 
+def test_walls_are_cached_per_kind_of_entry():
+    # equal parameters, one exact and one in floats: 1/2 + (-1/2 + 1e-13)
+    # is off the theta=(1,1) wall exactly but within WALL_TOL of it, so the
+    # cache must not hand one parameter's walls to the other
+    from fractions import Fraction
+    q = ql.Quiver(2, ((0, 1),))
+    dims = ql.DimensionVectors(v=(1, 1), w=(1, 0))
+    inexact = ql.CentralParameter(sigma=(0.5, -0.5 + 1e-13), c=(0.0, 0.0))
+    exact = ql.CentralParameter(sigma=(Fraction(1, 2), Fraction(-0.5 + 1e-13)), c=(0, 0))
+    assert exact == inexact
+    assert not ql.is_generic(inexact, q, dims)
+    assert ql.is_generic(exact, q, dims)
+    on_walls = ql.walls(inexact, q, dims)
+    assert isinstance(on_walls, tuple) and ql.walls(inexact, q, dims) is on_walls
+
+
 def test_dict_round_trip():
     pre = ql.get_preset("a3-star")
     data = ql.quiver_to_dict(pre.quiver, pre.dims, pre.central)

@@ -6,6 +6,7 @@ solvable by hand or bisection without any of the package machinery.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -224,3 +225,69 @@ def test_graded_solve_stage_scales_shrink(a3star):
     assert keys[0] == 0
     if len(keys) > 1:
         assert stages[keys[-1]] < stages[keys[0]]
+
+
+COMMITTED_QUIVERS = ("tstar-p1", "a2-star", "kronecker2", "a3-star",
+                     "bench/quivers/a3_chain.json", "bench/quivers/d4_star.json")
+
+
+def _flow_step_start(spec, seed):
+    """(p, sigma): a sample rescaled by one flow step, as flow_limit solves it."""
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    path = os.path.join(root, spec) if spec.endswith(".json") else spec
+    quiver, dims, central, _ = ql.resolve_quiver_spec(path)
+    smp = ql.sample_on_variety(quiver, dims, central, seed=seed)
+    return ql.cstar_act(0.125, smp.point), central.sigma_array()
+
+
+@pytest.mark.parametrize("spec", COMMITTED_QUIVERS, ids=os.path.basename)
+def test_warm_solve_returns_the_cold_answer(spec):
+    # the positive polar exponent is unique, so a start from exp(guess).p
+    # must land on the cold solve's point and xi, whatever the guess
+    for seed in range(4):
+        p, sigma = _flow_step_start(spec, seed)
+        cold = ql.solve_real_moment(p, sigma)
+        for scale in (1.0, 0.8, 1.5):
+            warm = ql.solve_real_moment(p, sigma, guess=scale * cold.xi)
+            assert warm.residual <= 1e-10
+            assert (warm.point - cold.point).norm() <= 1e-9 * max(1.0, cold.point.norm())
+            assert (warm.xi - cold.xi).norm() <= 1e-9 * max(1.0, cold.xi.norm())
+
+
+@pytest.mark.parametrize("spec", COMMITTED_QUIVERS, ids=os.path.basename)
+def test_warm_start_inside_tol_takes_one_more_step(spec):
+    # a guess within 1e-12 of the answer starts under tol but above the
+    # round-off a cold solve can end at; the extra Newton step must close
+    # that gap instead of returning the start.  The last iterate is what the
+    # step controls; the point rebuilt from p adds its own round-off
+    # (up to 7e-14 here)
+    rng = ql.make_rng(28)
+    for seed in range(4):
+        p, sigma = _flow_step_start(spec, seed)
+        cold = ql.solve_real_moment(p, sigma)
+        exact = ql.solve_real_moment(p, sigma, guess=cold.xi)
+        assert exact.iterations <= 1 and exact.residual <= 1e-12
+        nudge = random_lie(p.dims, rng, klass="hermitian")
+        warm = ql.solve_real_moment(p, sigma, guess=cold.xi + (1e-12 / nudge.norm()) * nudge)
+        start = warm.history[0][1]
+        assert 1e-13 < start <= 1e-10, (seed, start)
+        assert warm.history[-1][1] <= 1e-2 * start, (seed, start, warm.history)
+        assert warm.residual <= 1e-12
+
+
+def test_hermitian_log_is_accurate_on_a_wide_spectrum():
+    # g = u exp(xi) with exponent eigenvalues over [-6, 6]: cond(g) = e^12,
+    # so an eigh of g^dag g would lose eps cond(g)^2 ~ 6e-6 on the small end
+    dims = ql.DimensionVectors(v=(3, 4, 1), w=(0, 0, 0))
+    rng = np.random.default_rng(29)
+    xi_blocks, u_blocks = [], []
+    for vk in dims.v:
+        q, _ = np.linalg.qr(rng.normal(size=(vk, vk)) + 1j * rng.normal(size=(vk, vk)))
+        u, _ = np.linalg.qr(rng.normal(size=(vk, vk)) + 1j * rng.normal(size=(vk, vk)))
+        xi_blocks.append((q * np.linspace(-6.0, 6.0, vk)) @ q.conj().T if vk > 1
+                         else np.array([[6.0]]))
+        u_blocks.append(u)
+    xi = ql.LieElement(dims, xi_blocks)
+    g = ql.GaugeElement(dims, [u @ e for u, e in zip(u_blocks, ql.lie_exp(xi).g)])
+    back = ql.hermitian_log(g)
+    assert (back - xi).norm() <= 1e-10 * xi.norm()
