@@ -100,12 +100,11 @@ def seeded_increment(basis: SliceBasis, seed: int, scale: float) -> RepPoint:
     depends only on the span, not on which orthonormal basis of it the SVD
     returned.
     """
-    p = basis.base_point
+    p, span = basis.base_point, basis.span
     n = rep_dim(p.quiver, p.dims)
     rng = make_rng(seed)
     flat = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    vecs = np.array([v.flatten() for v in basis.vectors], dtype=complex).reshape(-1, n)
-    return RepPoint.from_flat(p.quiver, p.dims, vecs.T @ (vecs.conj() @ flat))
+    return RepPoint.from_flat(p.quiver, p.dims, span @ (span.conj().T @ flat))
 
 
 def attracting_increment(basis: SliceBasis, grading: WeightGrading,
@@ -116,7 +115,4 @@ def attracting_increment(basis: SliceBasis, grading: WeightGrading,
     slice; zero when the slice is zero-dimensional.  verify and the CLI both
     draw A here, so they study the same conformal limit.
     """
-    p0 = basis.base_point
-    if basis.count() == 0:
-        return RepPoint.zeros(p0.quiver, p0.dims)
-    return bb_slice_solve(p0, seeded_increment(basis, seed + 5, 0.3), grading)
+    return bb_slice_solve(basis, seeded_increment(basis, seed + 5, 0.3), grading)

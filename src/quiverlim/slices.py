@@ -1,11 +1,12 @@
 """Transverse slices to gauge orbits on the complex moment level.
 
 The tangent space at a stable point is the joint kernel of the complex
-moment derivative and the adjoint of the infinitesimal action.  The slice
-solvers correct a tangent increment nonlinearly so that p + q stays on the
-central complex level while remaining metric-orthogonal to the orbit; the
-positive-weight variants run the same construction inside the attracting
-subspace of a fixed-point grading.
+moment derivative and the adjoint of the infinitesimal action.  One builder
+takes one SVD of these conditions per base point, on the whole space or on
+the positive-weight subspace of a fixed-point grading; its SliceBasis
+carries the tangent columns `span` and the Newton `directions`.  The slice
+solvers take that basis and correct a tangent increment so that p + q stays
+on the central complex level while remaining metric-orthogonal to the orbit.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ def stacked_conditions(p: RepPoint, shift: RepPoint | None = None) -> np.ndarray
     """Matrix of q -> (dmu_C(p + shift, q), adjoint-action_p(q)) on flat coords.
 
     The adjoint rows, the conjugate transpose of the action matrix, are
-    taken at the base point p: the slice orthogonality condition is fixed
-    while the moment rows move with the Newton iterate."""
+    taken at the base point p: the slice orthogonality condition stays fixed
+    while the moment rows move to p + shift."""
     lay = p.layout
     at = p if shift is None else p + shift
     return np.concatenate([lay.dmu_matrix(at), lay.action_matrix(p).conj().T])
@@ -46,15 +47,23 @@ def _null_and_row(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class SliceBasis:
+    """The slice tangent at base_point from one SVD: span holds its orthonormal
+    flat columns, directions those of its complement in the same subspace."""
     base_point: RepPoint
-    vectors: list[RepPoint]
+    span: np.ndarray
+    directions: np.ndarray
     kind: str  # "full_tangent" | "bb_tangent"
 
+    @property
+    def vectors(self) -> list[RepPoint]:
+        p = self.base_point
+        return [RepPoint.from_flat(p.quiver, p.dims, col) for col in self.span.T]
+
     def count(self) -> int:
-        return len(self.vectors)
+        return self.span.shape[1]
 
     def real_dimension(self) -> int:
-        return 2 * len(self.vectors)
+        return 2 * self.count()
 
     def to_dict(self) -> dict:
         return {
@@ -66,26 +75,43 @@ class SliceBasis:
         }
 
 
-def tangent_basis(p: RepPoint) -> SliceBasis:
-    """Orthonormal basis of the slice tangent space at a stable point.
+def _slice_basis(p: RepPoint, sub: np.ndarray | None) -> SliceBasis:
+    """Slice tangent at p inside the span of the orthonormal columns sub
+    (the whole space when None), from one SVD of the conditions on it.
 
-    The count must match the expected dimension (as a real dimension);
-    a mismatch signals non-genericity or instability.
+    Its real dimension must be the expected dimension on the whole space and
+    half of it on a subspace; a mismatch signals non-genericity or
+    instability.
     """
     conditions = stacked_conditions(p)
-    null, _ = _null_and_row(conditions)
-    expected = expected_dimension(p.quiver, p.dims)
-    if 2 * null.shape[1] != expected:
+    null, row = _null_and_row(conditions if sub is None else conditions @ sub)
+    if sub is not None:
+        null, row = sub @ null, sub @ row
+    expected, got = expected_dimension(p.quiver, p.dims), 2 * null.shape[1]
+    if sub is None and got != expected:
         raise DimensionMismatch(
-            f"tangent null space has real dimension {2 * null.shape[1]}, "
-            f"expected {expected}")
-    vectors = [RepPoint.from_flat(p.quiver, p.dims, col) for col in null.T]
-    scale = max(1.0, p.norm())
+            f"tangent null space has real dimension {got}, expected {expected}")
+    if sub is not None and 2 * got != expected:
+        raise DimensionMismatch(
+            f"positive-weight null space has real dimension {got}, "
+            f"expected half of {expected}")
     worst = float(np.linalg.norm(conditions @ null, axis=0).max(initial=0.0))
-    if worst > TANGENT_TOL * scale:
+    if worst > TANGENT_TOL * max(1.0, p.norm()):
         raise DimensionMismatch(
             f"tangent vector violates the defining conditions ({worst:.3e})")
-    return SliceBasis(base_point=p, vectors=vectors, kind="full_tangent")
+    return SliceBasis(base_point=p, span=null, directions=row,
+                      kind="full_tangent" if sub is None else "bb_tangent")
+
+
+def tangent_basis(p: RepPoint) -> SliceBasis:
+    """Orthonormal basis of the slice tangent space at a stable point."""
+    return _slice_basis(p, None)
+
+
+def bb_tangent_basis(p0: RepPoint, grading: WeightGrading) -> SliceBasis:
+    """Slice tangent basis inside the strictly positive weight subspace;
+    its real dimension must be half the full slice dimension."""
+    return _slice_basis(p0, grading.columns(grading.slot_weights() >= 1))
 
 
 def moment_derivative_matrix(p: RepPoint) -> np.ndarray:
@@ -115,22 +141,26 @@ def moment_correction(p: RepPoint, q: RepPoint) -> RepPoint:
     return q + RepPoint.from_flat(p.quiver, p.dims, corr)
 
 
-def _constrained_newton(p: RepPoint, q0: RepPoint, directions: np.ndarray,
-                        target, stay_inside=None) -> RepPoint:
-    """Newton on F(q) = (mu_C(p+q) - target, adjoint-action_p(q)) with updates
-    restricted to the span of `directions` (columns, flat coords).  Each
-    trial's stacked_conditions give its residual (mu_C(p+q) = dmu_C(p+q, p+q)
-    / 2) and, once it is accepted, the next Jacobian."""
+def _constrained_newton(basis: SliceBasis, q0: RepPoint) -> RepPoint:
+    """Newton on F(q) = (mu_C(p+q) - mu_C(p), adjoint-action_p(q)) at the base
+    point p, with updates restricted to the span of basis.directions.  The
+    adjoint rows and their product with the directions are formed once per
+    solve; each trial's dmu_matrix(p + q) gives its residual (mu_C(p+q) =
+    dmu_C(p+q, p+q) / 2) and, once it is accepted, the next Jacobian."""
+    p, directions = basis.base_point, basis.directions
     lay, x = p.layout, p.vec
+    target = moment_complex(p).flatten()
     adjoint = lay.action_matrix(p).conj().T
+    adjoint_dir = adjoint @ directions
 
     def trial(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        cond = stacked_conditions(p, shift=RepPoint._wrap(lay, q))
-        r = np.concatenate([0.5 * (cond[:lay.lie_dim] @ (x + q)) - target, adjoint @ q])
-        return r, cond, float(np.linalg.norm(r))
+        at = x + q
+        dmu = lay.dmu_matrix(RepPoint._wrap(lay, at))
+        r = np.concatenate([0.5 * (dmu @ at) - target, adjoint @ q])
+        return r, dmu, float(np.linalg.norm(r))
 
     q = q0.flatten()
-    r, cond, r_norm = trial(q)
+    r, dmu, r_norm = trial(q)
     scale = moment_scale(p + q0)
     it = 0
     while r_norm > TOL * scale:
@@ -138,14 +168,13 @@ def _constrained_newton(p: RepPoint, q0: RepPoint, directions: np.ndarray,
             raise MaxIterations(
                 f"slice correction hit {MAX_SLICE_ITER} iterations, "
                 f"residual {r_norm:.3e}")
-        delta_c, *_ = np.linalg.lstsq(cond @ directions, -r, rcond=None)
+        jac = np.concatenate([dmu @ directions, adjoint_dir])
+        delta_c, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         delta_flat = directions @ delta_c
         t = 1.0
         for _ in range(MAX_HALVINGS + 1):
             q_try = q + t * delta_flat
-            if stay_inside is not None:
-                q_try = stay_inside(RepPoint._wrap(lay, q_try)).vec
-            r_try, cond_try, n_try = trial(q_try)
+            r_try, dmu_try, n_try = trial(q_try)
             if n_try <= (1.0 - ARMIJO_SLOPE * t) * r_norm:
                 break
             t *= 0.5
@@ -153,45 +182,28 @@ def _constrained_newton(p: RepPoint, q0: RepPoint, directions: np.ndarray,
             raise LeftBasin(
                 f"slice correction stalled at residual {r_norm:.3e}; "
                 "starting increment is outside the Newton basin")
-        q, r, cond, r_norm = q_try, r_try, cond_try, n_try
+        q, r, dmu, r_norm = q_try, r_try, dmu_try, n_try
         it += 1
     return RepPoint._wrap(lay, q)
 
 
-def slice_solve(p: RepPoint, q0: RepPoint) -> RepPoint:
-    """Correct a tangent increment so p + q solves the complex moment equation.
+def slice_solve(basis: SliceBasis, q0: RepPoint) -> RepPoint:
+    """Correct a tangent increment so p + q solves the complex moment equation,
+    p the base point of the full slice basis.
 
     The returned q keeps the tangential projection of q0 (chart condition):
-    Newton updates are restricted to the metric complement of the tangent
-    space.  The complex moment target is the central value at p itself.
+    Newton updates move along basis.directions, the metric complement of the
+    tangent space.  The complex moment target is the central value at p itself.
     """
-    mc = moment_complex(p)
-    if central_deviation(mc) > CHECK_TOL * moment_scale(p):
+    p = basis.base_point
+    if central_deviation(moment_complex(p)) > CHECK_TOL * moment_scale(p):
         raise NotOnSlice("base point does not sit on a central complex level")
-    null, row = _null_and_row(stacked_conditions(p))
-    flat0 = q0.flatten()
-    off = flat0 - null @ (null.conj().T @ flat0)
+    span, flat0 = basis.span, q0.flatten()
+    off = flat0 - span @ (span.conj().T @ flat0)
     if float(np.linalg.norm(off)) > \
             CHECK_TOL * max(1.0, float(np.linalg.norm(flat0))):
         raise NotOnSlice("starting increment is not tangent to the slice")
-    return _constrained_newton(p, q0, row, mc.flatten())
-
-
-def bb_tangent_basis(p0: RepPoint, grading: WeightGrading) -> SliceBasis:
-    """Slice tangent basis inside the strictly positive weight subspace.
-
-    Its real dimension must be half the full slice dimension.
-    """
-    plus = grading.columns(grading.slot_weights() >= 1)
-    null, _ = _null_and_row(stacked_conditions(p0) @ plus)
-    expected = expected_dimension(p0.quiver, p0.dims)
-    got = 2 * null.shape[1]
-    if 2 * got != expected:
-        raise DimensionMismatch(
-            f"positive-weight null space has real dimension {got}, "
-            f"expected half of {expected}")
-    vectors = [RepPoint.from_flat(p0.quiver, p0.dims, plus @ col) for col in null.T]
-    return SliceBasis(base_point=p0, vectors=vectors, kind="bb_tangent")
+    return _constrained_newton(basis, q0)
 
 
 def positive_weight_project(q: RepPoint, grading: WeightGrading) -> RepPoint:
@@ -199,28 +211,19 @@ def positive_weight_project(q: RepPoint, grading: WeightGrading) -> RepPoint:
     return grading.project(q, grading.slot_weights() >= 1)
 
 
-def bb_slice_solve(p0: RepPoint, q0: RepPoint, grading: WeightGrading) -> RepPoint:
-    """Correct a positive-weight tangent increment onto the attracting slice.
+def bb_slice_solve(basis: SliceBasis, q0: RepPoint,
+                   grading: WeightGrading) -> RepPoint:
+    """Correct a positive-weight tangent increment onto the attracting slice
+    at the base point of the attracting basis.
 
-    Newton updates stay inside the weight >= 1 subspace (projector applied
-    each step).  Increments beyond the basin are first shrunk with the
-    inverse blockwise rescaling, solved small, and mapped back with the
-    forward rescaling, which preserves both slice equations.
+    The start is projected onto the weight >= 1 subspace once; the basis
+    directions lie in that subspace, so every Newton iterate stays there.
+    Increments beyond the basin are first shrunk with the inverse blockwise
+    rescaling, solved small, and mapped back with the forward rescaling,
+    which preserves both slice equations.
     """
     norm0 = q0.norm()
     if norm0 > BASIN_NORM:
         R = 2.0 * norm0 / BASIN_NORM
-        return grading.act(R, bb_slice_solve(p0, grading.act(1.0 / R, q0), grading))
-
-    plus = grading.columns(grading.slot_weights() >= 1)
-    if plus.shape[1] == 0:
-        return q0.copy()
-    _, row_c = _null_and_row(stacked_conditions(p0) @ plus)
-    directions = plus @ row_c if row_c.shape[1] else plus[:, :0]
-
-    def keep_graded(q: RepPoint) -> RepPoint:
-        return positive_weight_project(q, grading)
-
-    target = moment_complex(p0).flatten()
-    return _constrained_newton(p0, keep_graded(q0), directions, target,
-                               stay_inside=keep_graded)
+        return grading.act(R, bb_slice_solve(basis, grading.act(1.0 / R, q0), grading))
+    return _constrained_newton(basis, positive_weight_project(q0, grading))

@@ -249,15 +249,15 @@ def _suite_slice(pl: _Pipeline) -> SuiteResult:
         return SuiteResult("slice_correction", True, 0.0, "zero-dimensional slice")
     q0 = seeded_increment(pl.basis, pl.cfg.seed + 4, 0.05)
     try:
-        q = slice_solve(p, q0)
+        q = slice_solve(pl.basis, q0)
     except QuiverLimError as exc:
         return SuiteResult("slice_correction", False, np.inf, str(exc))
     scale = moment_scale(p + q)
     dev_mc = (moment_complex(p + q) - moment_complex(p)).norm()
     dev_adj = inf_action_adjoint(p, q).norm()
     # the tangential projection of the output must be the input increment
-    null = np.stack([v.flatten() for v in pl.basis.vectors], axis=1)
-    tang = null @ (null.conj().T @ q.flatten())
+    span = pl.basis.span
+    tang = span @ (span.conj().T @ q.flatten())
     dev_chart = float(np.linalg.norm(tang - q0.flatten()))
     v0 = pl.basis.vectors[0]
     dev_proj = (moment_correction(p, v0) - v0).norm()

@@ -22,7 +22,7 @@ class Setup:
         self.full_basis = ql.tangent_basis(self.p0)
 
     def slice_point(self, seed: int = 11, scale: float = 0.3) -> ql.RepPoint:
-        return ql.bb_slice_solve(self.p0, ql.seeded_increment(self.basis, seed, scale),
+        return ql.bb_slice_solve(self.basis, ql.seeded_increment(self.basis, seed, scale),
                                  self.grading)
 
 

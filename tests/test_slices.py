@@ -1,9 +1,13 @@
 """Local charts: tangent spaces, moment corrections, and slice Newton solves."""
 
+import os
+
 import numpy as np
 import pytest
 
 import quiverlim as ql
+from quiverlim import slices
+from quiverlim.config import BASIN_NORM
 
 from conftest import get_setup
 
@@ -79,7 +83,7 @@ def test_slice_solve_chart_conditions(a3star, a3star_sample):
     p = a3star_sample.point
     basis = ql.tangent_basis(p)
     q0 = ql.seeded_increment(basis, 52, 0.1)
-    q = ql.slice_solve(p, q0)
+    q = ql.slice_solve(basis, q0)
     # on the level set, orthogonal to the orbit
     c_level = ql.moment_complex(p)
     assert (ql.moment_complex(p + q) - c_level).norm() < 1e-9
@@ -92,7 +96,7 @@ def test_slice_solve_chart_conditions(a3star, a3star_sample):
 def test_slice_solve_identity_on_zero(a3star, a3star_sample):
     p = a3star_sample.point
     z = ql.RepPoint.zeros(a3star.quiver, a3star.dims)
-    q = ql.slice_solve(p, z)
+    q = ql.slice_solve(ql.tangent_basis(p), z)
     assert q.norm() < 1e-10
 
 
@@ -102,7 +106,7 @@ def test_slice_solve_far_start(a3star, a3star_sample):
     basis = ql.tangent_basis(p)
     huge = 50.0 * sum(basis.vectors[1:], basis.vectors[0])
     try:
-        q = ql.slice_solve(p, huge)
+        q = ql.slice_solve(basis, huge)
     except (ql.LeftBasin, ql.MaxIterations):
         return
     scale = max(1.0, q.norm() ** 2)
@@ -125,7 +129,7 @@ def test_bb_slice_solve_global_reach(a3star):
     p0, grading, basis = a3star.p0, a3star.grading, a3star.basis
     q0 = ql.seeded_increment(basis, 54, 2.0)
     assert q0.norm() > 1.0
-    A = ql.bb_slice_solve(p0, q0, grading)
+    A = ql.bb_slice_solve(basis, q0, grading)
     assert (ql.moment_complex(p0 + A) - ql.moment_complex(p0)).norm() < 1e-9
     assert ql.inf_action_adjoint(p0, A).norm() < 1e-9
 
@@ -134,9 +138,9 @@ def test_bb_slice_solve_equivariance(a3star):
     # solving a rescaled seed equals rescaling the solution
     p0, grading, basis = a3star.p0, a3star.grading, a3star.basis
     q0 = ql.seeded_increment(basis, 55, 0.25)
-    A = ql.bb_slice_solve(p0, q0, grading)
+    A = ql.bb_slice_solve(basis, q0, grading)
     for R in (0.5, 2.0):
-        lhs = ql.bb_slice_solve(p0, grading.act(R, q0), grading)
+        lhs = ql.bb_slice_solve(basis, grading.act(R, q0), grading)
         rhs = grading.act(R, A)
         assert (lhs - rhs).norm() < 1e-8 * max(1.0, rhs.norm())
 
@@ -150,3 +154,54 @@ def test_positive_weight_project(a3star):
     # idempotent and dominated by the original
     assert (ql.positive_weight_project(plus, grading) - plus).norm() < 1e-12
     assert plus.norm() <= q.norm() + 1e-12
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    """Replace owner.name by a wrapper that records each call in the list."""
+    calls, real = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_bases_take_the_one_svd_and_solves_reuse_it(monkeypatch, a3star, a3star_sample):
+    # each basis takes one SVD of one stacked_conditions; the solves read
+    # span and directions off the basis, also through the rescaled far start
+    p, p0, grading = a3star_sample.point, a3star.p0, a3star.grading
+    svd = _count_calls(monkeypatch, np.linalg, "svd")
+    cond = _count_calls(monkeypatch, slices, "stacked_conditions")
+    full = ql.tangent_basis(p)
+    assert (len(svd), len(cond)) == (1, 1)
+    bb = ql.bb_tangent_basis(p0, grading)
+    assert (len(svd), len(cond)) == (2, 2)
+    ql.slice_solve(full, ql.seeded_increment(full, 52, 0.1))
+    ql.bb_slice_solve(bb, ql.seeded_increment(bb, 53, 0.3), grading)
+    far = ql.seeded_increment(bb, 54, 2.0)
+    assert far.norm() > BASIN_NORM
+    ql.bb_slice_solve(bb, far, grading)
+    assert (len(svd), len(cond)) == (2, 2)
+
+
+COMMITTED_QUIVERS = ("tstar-p1", "a2-star", "kronecker2", "a3-star",
+                     "bench/quivers/a3_chain.json", "bench/quivers/d4_star.json")
+
+
+@pytest.mark.parametrize("spec", COMMITTED_QUIVERS, ids=os.path.basename)
+def test_bb_slice_solve_stays_in_positive_weight(spec):
+    # no projector runs inside the Newton loop: the attracting directions
+    # keep every iterate in the weight >= 1 subspace on their own
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    path = os.path.join(root, spec) if spec.endswith(".json") else spec
+    quiver, dims, central, _ = ql.resolve_quiver_spec(path)
+    for seed in range(6):
+        smp = ql.sample_on_variety(quiver, dims, central, seed=seed)
+        flow = ql.flow_limit(smp.point, central.sigma_array())
+        basis = ql.bb_tangent_basis(flow.limit, flow.grading)
+        for scale in (0.3, 2.0):
+            A = ql.bb_slice_solve(basis, ql.seeded_increment(basis, seed, scale),
+                                  flow.grading)
+            off = (A - ql.positive_weight_project(A, flow.grading)).norm()
+            assert off <= 1e-12 * max(1.0, A.norm()), (seed, scale, off)
