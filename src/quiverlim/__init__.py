@@ -21,8 +21,7 @@ from .fixedpoints import (FixedPointReport, FlowReport, WeightGrading,
                           scaling_energy, stability_margin, weight_grading)
 from .invariants import (EscapeStudy, PathSpec, enumerate_paths, escape_slope,
                          eval_path, fingerprint, fingerprint_labels, fingerprints,
-                         invariant_size, is_nilpotent, nilpotency_bound,
-                         path_escape_exponent)
+                         invariant_size, is_nilpotent, path_escape_exponent)
 from .presets import PRESET_NAMES, Preset, get_preset, resolve_quiver_spec
 from .quiver import (CentralParameter, DimensionVectors, Quiver, cartan_matrix,
                      expected_dimension, is_generic, load_quiver_file,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import CHECK_TOL, IDENTITY_TOL, ZERO_INVARIANT_TOL
+from .config import IDENTITY_TOL, SV_RATIO, ZERO_INVARIANT_TOL
 from .errors import ZeroInvariant
 from .quiver import DimensionVectors, Quiver
 from .repspace import RepPoint, layout
@@ -141,10 +141,9 @@ def enumerate_paths(quiver: Quiver, dims: DimensionVectors, max_len: int,
 def _prefix_walk(quiver: Quiver, dims: DimensionVectors, max_len: int,
                  kind: str) -> tuple[tuple[int, ...], ...]:
     """Depth-first walk over enumerate_paths(quiver, dims, max_len, kind) as
-    four flat tuples (depth, slot, out, skip): step t sets level depth[t] of
-    the product stack to the token matrix at slot[t] applied after level
-    depth[t] - 1, out[t] is the index of the path ending there, or -1, and
-    skip[t] is the first later step outside the subtree of step t."""
+    three flat tuples (depth, slot, out): step t sets level depth[t] of the
+    product stack to the token matrix at slot[t] applied after level
+    depth[t] - 1, and out[t] is the index of the path ending there, or -1."""
     paths = enumerate_paths(quiver, dims, max_len, kind)
     depth: list[int] = []
     slot: list[int] = []
@@ -163,32 +162,19 @@ def _prefix_walk(quiver: Quiver, dims: DimensionVectors, max_len: int,
             slot.append(slots[d])
             out.append(n if d == len(tokens) - 1 else -1)
         prev = tokens
-    # a subtree ends at the next step that is no deeper than its root
-    skip = [len(depth)] * len(depth)
-    open_steps: list[int] = []
-    for t, d in enumerate(depth):
-        while open_steps and depth[open_steps[-1]] >= d:
-            skip[open_steps.pop()] = t
-        open_steps.append(t)
-    return tuple(depth), tuple(slot), tuple(out), tuple(skip)
+    return tuple(depth), tuple(slot), tuple(out)
 
 
-def _path_products(p: RepPoint, slots, max_len: int, kind: str,
-                   prune: tuple[float, ...] | None = None):
+def _path_products(p: RepPoint, slots, max_len: int, kind: str):
     """Yield (index in enumerate_paths, eval_path product) for every path of
     p's quiver and dimension vectors, in walk order, with the slot matrices
     slots; leading axes of the slots (see FlatLayout.slot_views) lead in
-    every product.  With prune, one bound per depth, the paths that extend a
-    product at depth d of Frobenius norm at most prune[d] are left out."""
-    depth, slot, out, skip = _prefix_walk(p.quiver, p.dims, max_len, kind)
+    every product."""
     acc: list[np.ndarray | None] = [None] * max_len
-    t = 0
-    while t < len(depth):
-        d = depth[t]
-        acc[d] = slots[slot[t]] if d == 0 else slots[slot[t]] @ acc[d - 1]
-        if out[t] >= 0:
-            yield out[t], acc[d]
-        t = skip[t] if prune and np.linalg.norm(acc[d]) <= prune[d] else t + 1
+    for d, s, n in zip(*_prefix_walk(p.quiver, p.dims, max_len, kind)):
+        acc[d] = slots[s] if d == 0 else slots[s] @ acc[d - 1]
+        if n >= 0:
+            yield n, acc[d]
 
 
 def _size(m: np.ndarray, kind: str) -> float:
@@ -248,30 +234,41 @@ def fingerprint(p: RepPoint, max_len: int) -> np.ndarray:
     return fingerprints([p], max_len)[0]
 
 
-def nilpotency_bound(dims: DimensionVectors) -> int:
-    return 2 * sum(dims.v)
-
-
 def is_nilpotent(p: RepPoint) -> bool:
-    """True when every invariant up to the decision bound is below CHECK_TOL.
+    """True when every loop trace and admissible path entry of p vanishes.
 
-    A product P at depth d (d + 1 tokens) extends to products M of at most
-    bound - 1 - d more tokens, so |M|_F <= |P|_F g^(bound - 1 - d) with g
-    the largest slot norm, or 1; both invariant sizes of M are at most
-    n |M|_F (|tr M| <= sqrt(dim) |M|_F, max |M_ij| <= |M|_F), n the largest
-    entry of v and w.  The walk skips the extensions of P once that bound
-    is at most CHECK_TOL: none of them can change the verdict.
+    Crawley-Boevey's framed representation on C + V has a line infinity, an
+    arrow infinity -> k per column of i_k, an arrow k -> infinity per row of
+    j_k, and the B_h.  Those invariants are its cycle traces, which all vanish
+    exactly when it is nilpotent (Le Bruyn and Procesi): when the kernel flag
+    K_0 = 0, K_(t+1) = {u : every arrow maps u into K_t} fills C + V, which at
+    most 1 + sum(v) SVDs of the stacked arrows decide.  Ranks are cut at
+    SV_RATIO times the largest slot norm, or 1, so an entry below that counts
+    as zero even where long paths lift it: edges 1e3 with i_0 = 1e-9 read
+    nilpotent although the path c0.h0.h1.j2 is 1e-3.
     """
-    bound = nilpotency_bound(p.dims)
-    g = max([1.0] + [float(np.linalg.norm(m)) for m in p.slots])
-    n = max(p.dims.v + p.dims.w + (1,))
-    # g ** -k underflows to 0 rather than overflow: the bound then prunes
-    # only exactly-zero products
-    prune = tuple(CHECK_TOL / n * g ** -(bound - 1 - d) for d in range(bound))
-    for kind in ("loop", "admissible"):
-        for _, m in _path_products(p, p.slots, bound, kind, prune):
-            if _size(m, kind) > CHECK_TOL:
-                return False
+    first = np.cumsum((1,) + p.dims.v)  # V_k holds lines first[k]..; infinity is line 0
+    n = int(first[-1])
+
+    def lines(node: int) -> slice:
+        return slice(0, 1) if node < 0 else slice(first[node], first[node + 1])
+
+    arrows = [np.zeros((0, n, n))]
+    for (r, c), m in zip(p.layout.spaces, p.slots):
+        if m.size:
+            block = m[:, None, :] if r < 0 else m.T[:, :, None] if c < 0 else m[None]
+            arrows.append(np.zeros((len(block), n, n), dtype=m.dtype))
+            arrows[-1][:, lines(r), lines(c)] = block
+    stack = np.concatenate(arrows)
+    cut = SV_RATIO * max([1.0] + [float(np.linalg.norm(m)) for m in p.slots])
+    # the rows of comp span the orthogonal complement of K_t
+    comp = np.eye(n)
+    while len(comp):
+        _, s, vh = np.linalg.svd((comp @ stack).reshape(-1, n), full_matrices=False)
+        rank = int(np.sum(s > cut))
+        if rank == len(comp):
+            return False
+        comp = vh[:rank]
     return True
 
 

@@ -1,10 +1,37 @@
 """Shared fixtures: preset setups are expensive (Newton solves), so cache them."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
 import quiverlim as ql
 from quiverlim.config import CHECK_TOL
+from quiverlim.sampling import attracting_increment
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# the quivers whose every suite is checked over seeds 0-11: four presets and
+# the two benchmark files, named as verify_sweep.py names them
+COMMITTED_QUIVERS = ("tstar-p1", "a2-star", "kronecker2", "a3-star",
+                     "bench/quivers/a3_chain.json", "bench/quivers/d4_star.json")
+BENCH_QUIVER_FILES = tuple(str(ROOT / spec) for spec in COMMITTED_QUIVERS
+                           if spec.endswith(".json"))
+
+
+def quiver_spec(spec):
+    """A preset name as it is, a quiver file relative to the repository root."""
+    return str(ROOT / spec) if spec.endswith(".json") else spec
+
+
+def verify_pair(spec, seed):
+    """(p0, A) as verify_run draws them for this seed: the scaling flow's
+    limit of the seeded sample and the seeded attracting increment there."""
+    quiver, dims, central, _ = ql.resolve_quiver_spec(quiver_spec(spec))
+    smp = ql.sample_on_variety(quiver, dims, central, seed=seed)
+    flow = ql.flow_limit(smp.point, central.sigma_array())
+    basis = ql.bb_tangent_basis(flow.limit, flow.grading)
+    return flow.limit, attracting_increment(basis, flow.grading, seed)
 
 
 class Setup:
@@ -185,9 +212,15 @@ def fingerprint_by_paths(p, max_len):
     return np.array(vals, dtype=float)
 
 
+def nilpotency_bound(dims):
+    """Path length that decides nilpotency on the path side: 2 sum(v) tokens."""
+    return 2 * sum(dims.v)
+
+
 def is_nilpotent_by_paths(p):
-    """is_nilpotent with one invariant_size per enumerated path."""
-    bound = ql.nilpotency_bound(p.dims)
+    """Every loop and admissible path up to nilpotency_bound tokens has
+    invariant_size at most CHECK_TOL, checked one path at a time."""
+    bound = nilpotency_bound(p.dims)
     for kind in ("loop", "admissible"):
         for ps in ql.enumerate_paths(p.quiver, p.dims, bound, kind):
             if ql.invariant_size(p, ps) > CHECK_TOL:

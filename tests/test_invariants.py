@@ -1,20 +1,15 @@
 """Path and loop functionals: enumeration, evaluation, invariance, escape."""
 
-import pathlib
-
 import numpy as np
 import pytest
 
 import quiverlim as ql
 from quiverlim.config import IDENTITY_TOL
 from quiverlim.invariants import invariant_sizes
-from quiverlim.sampling import attracting_increment
 
-from conftest import (escape_profile, fingerprint_by_paths,
+from conftest import (COMMITTED_QUIVERS, escape_profile, fingerprint_by_paths,
                       fingerprint_distance, get_setup, is_nilpotent_by_paths,
-                      random_lie)
-
-ROOT = pathlib.Path(__file__).resolve().parents[1]
+                      nilpotency_bound, quiver_spec, random_lie, verify_pair)
 
 
 def test_admissible_enumeration_no_edges(tstar):
@@ -117,21 +112,67 @@ def test_nilpotency(tstar):
     assert ql.is_nilpotent(p0)
     A = tstar.slice_point(seed=46)
     assert not ql.is_nilpotent(p0 + A)
-    assert ql.nilpotency_bound(tstar.dims) == 2
+    assert nilpotency_bound(tstar.dims) == 2
 
 
-def test_nilpotency_pruning_keeps_small_prefixes_of_large_paths():
-    # i0 = 1e-9 is below CHECK_TOL, but the edges (1e3 each) lift the path
-    # c0.h0.h1.j2 to 1e-3: the walk may not drop the paths under a prefix
-    # for being small unless the remaining slots cannot make them large
+def test_nilpotency_sees_a_small_framing_lifted_by_large_edges():
+    # i0 = 1e-4 is below CHECK_TOL, but the edges (1e3 each) lift the path
+    # c0.h0.h1.j2 to 100; i0 is above the rank cut SV_RATIO * 1e3, so the
+    # kernel flag stops at K_1 = 0
     q = ql.Quiver(3, ((0, 1), (1, 2)))
     d = ql.DimensionVectors(v=(1, 1, 1), w=(1, 0, 1))
     p = ql.RepPoint.zeros(q, d)
     p.B[0][0, 0] = p.B[1][0, 0] = 1e3
-    p.i[0][0, 0] = 1e-9
+    p.i[0][0, 0] = 1e-4
     p.j[2][0, 0] = 1.0
     assert not ql.is_nilpotent(p)
     assert not is_nilpotent_by_paths(p)
+    # the rank cut is relative: i0 = 1e-9, 1e-12 of the largest slot, counts
+    # as zero although the path lifts it to 1e-3
+    p.i[0][0, 0] = 1e-9
+    assert ql.is_nilpotent(p)
+    assert not is_nilpotent_by_paths(p)
+
+
+@pytest.mark.parametrize("spec", COMMITTED_QUIVERS + ("tests/quivers/cycle3.json",))
+def test_kernel_flag_agrees_with_the_path_oracle(spec):
+    for seed in range(4):
+        p0, A = verify_pair(spec, seed)
+        for label, p in (("p0", p0), ("p0+A", p0 + A)):
+            assert ql.is_nilpotent(p) is is_nilpotent_by_paths(p), (seed, label)
+
+
+def _triangular_rep(quiver, dims, rng):
+    """A random point whose framed representation on C + V maps every line
+    only into earlier ones, with the line infinity first and the lines of V
+    in a random order: so i = 0, j is arbitrary and B strictly triangular."""
+    order = rng.permutation(sum(dims.v)) + 1
+    first = np.cumsum((0,) + dims.v)
+    p = ql.RepPoint.zeros(quiver, dims)
+    for (r, c), m in zip(p.layout.spaces, p.slots):
+        rows, cols = (np.zeros(n, dtype=int) if node < 0 else order[first[node]:first[node + 1]]
+                      for node, n in ((r, m.shape[0]), (c, m.shape[1])))
+        m[...] = (rows[:, None] < cols) * (rng.standard_normal(m.shape)
+                                           + 1j * rng.standard_normal(m.shape))
+    return p
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kernel_flag_on_a_gauge_moved_triangular_rep(seed):
+    # the A4 chain (2,3,3,2): paths up to 2 sum(v) = 20 tokens number 3.6
+    # million, out of reach of the path oracle
+    quiver, dims, _, _ = ql.resolve_quiver_spec(quiver_spec("tests/quivers/a4_chain.json"))
+    rng = ql.make_rng(60 + seed)
+    p = _triangular_rep(quiver, dims, rng)
+    assert np.any(p.j[0]) and any(np.any(b) for b in p.B)
+    g = ql.lie_exp(random_lie(dims, rng, scale=0.5))
+    assert ql.is_nilpotent(ql.gauge_act(g, p))
+    assert np.abs(ql.fingerprint(ql.gauge_act(g, p), 4)).max() <= 1e-10
+    # one arrow infinity -> V_0 closes the cycle c0.j0
+    p.i[0][0, 0] = 1.0
+    q = ql.gauge_act(g, p)
+    assert abs(ql.eval_path(q, ql.PathSpec.parse("P:c0.j0"))[0, 0]) > 1e-3
+    assert not ql.is_nilpotent(q)
 
 
 def test_zero_invariant_guard(tstar):
@@ -176,17 +217,6 @@ def test_escape_profile_monotone(tstar):
     assert values[-1] > values[0]
 
 
-def _bench_point_pair(name):
-    """(p0, A) for a bench quiver file, built as the escape command builds them."""
-    quiver, dims, central, _ = ql.resolve_quiver_spec(
-        str(ROOT / "bench" / "quivers" / f"{name}.json"))
-    smp = ql.sample_on_variety(quiver, dims, central, seed=0)
-    p0 = ql.flow_limit(smp.point, central.sigma_array()).limit
-    grading = ql.weight_grading(p0)
-    A = attracting_increment(ql.bb_tangent_basis(p0, grading), grading, 0)
-    return p0, A
-
-
 @pytest.mark.parametrize("name", ["tstar-p1", "a2-star", "kronecker2", "a3-star",
                                   "a3_chain", "d4_star"])
 def test_prefix_walk_matches_per_path_evaluation(name):
@@ -194,9 +224,9 @@ def test_prefix_walk_matches_per_path_evaluation(name):
         s = get_setup(name)
         p0, A = s.p0, s.slice_point()
     else:
-        p0, A = _bench_point_pair(name)
+        p0, A = verify_pair(f"bench/quivers/{name}.json", 0)
     rand = ql.random_rep(p0.quiver, p0.dims, ql.make_rng(49))
-    bound = ql.nilpotency_bound(p0.dims)
+    bound = nilpotency_bound(p0.dims)
     for label, p in (("p0", p0), ("p0+A", p0 + A), ("random", rand)):
         for max_len in sorted({4, bound}):
             assert np.array_equal(ql.fingerprint(p, max_len),
@@ -222,18 +252,17 @@ def test_only_the_longest_path_survives_on_a_forward_chain():
     assert not np.any(ql.fingerprint(p, 4))
     assert not ql.is_nilpotent(p)
     assert not is_nilpotent_by_paths(p)
-    bound = ql.nilpotency_bound(d)
+    bound = nilpotency_bound(d)
     fp = ql.fingerprint(p, bound)
     labels = ql.fingerprint_labels(q, d, bound)
     assert {lab: v for lab, v in zip(labels, fp) if v} == \
         {"P:c0.h0.h1.h2.h3.j4[0,0]:im": 24.0}
 
 
-@pytest.mark.parametrize("spec", list(ql.PRESET_NAMES) + sorted(
-    str(p.relative_to(ROOT)) for p in (ROOT / "bench" / "quivers").glob("*.json")))
+@pytest.mark.parametrize("spec", list(ql.PRESET_NAMES) + [
+    spec for spec in COMMITTED_QUIVERS if spec.endswith(".json")])
 def test_stacked_fingerprints_match_one_walk_per_point(spec):
-    quiver, dims, _, _ = ql.resolve_quiver_spec(str(ROOT / spec) if spec.endswith(".json")
-                                                else spec)
+    quiver, dims, _, _ = ql.resolve_quiver_spec(quiver_spec(spec))
     rng = ql.make_rng(50)
     pts = [ql.random_rep(quiver, dims, rng) for _ in range(8)]
     pts.append(ql.RepPoint.zeros(quiver, dims))

@@ -26,7 +26,8 @@ from quiverlim.repspace import block_mask, block_matrix, layout
 from quiverlim.slices import moment_derivative_matrix, stacked_conditions
 from quiverlim.solver import _spectral_pair, assemble_newton_matrix
 
-from conftest import (central_deviation_by_blocks, conformal_point_by_slots,
+from conftest import (BENCH_QUIVER_FILES, central_deviation_by_blocks,
+                      conformal_point_by_slots,
                       conjugate_by_slots, dmoment_real_scaled_by_vertex,
                       dmu_complex_by_vertex, gauge_act_by_slots, get_setup,
                       grade_increment_by_slots, inf_action_adjoint_by_vertex,
@@ -125,12 +126,8 @@ def test_hermitian_action_matrix_matches_inf_action(case):
             initial=0.0) <= REL * max(1.0, p.norm())
 
 
-BENCH_QUIVERS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "quivers")
-
-
-@pytest.mark.parametrize("spec", list(ql.PRESET_NAMES) + [
-    os.path.join(BENCH_QUIVERS, f) for f in ("a3_chain.json", "d4_star.json")],
-    ids=os.path.basename)
+@pytest.mark.parametrize("spec", list(ql.PRESET_NAMES) + list(BENCH_QUIVER_FILES),
+                         ids=os.path.basename)
 def test_hermitian_residual_is_the_action_gradient(spec):
     # the Newton residual of solve_real_moment: -2i mu_R(p) - 2 sigma Id has
     # coordinates A^T [Re x; Im x] - herm_coords(2 sigma Id), x = p.flatten()
@@ -145,9 +142,8 @@ def test_hermitian_residual_is_the_action_gradient(spec):
         assert np.linalg.norm(got - want) <= REL * max(1.0, np.linalg.norm(want))
 
 
-@pytest.mark.parametrize("spec", list(ql.PRESET_NAMES) + [
-    os.path.join(BENCH_QUIVERS, f) for f in ("a3_chain.json", "d4_star.json")],
-    ids=os.path.basename)
+@pytest.mark.parametrize("spec", list(ql.PRESET_NAMES) + list(BENCH_QUIVER_FILES),
+                         ids=os.path.basename)
 def test_central_herm_coords_is_the_closed_form(spec):
     quiver, dims, central, _ = ql.resolve_quiver_spec(spec)
     lay = layout(quiver, dims)
@@ -157,9 +153,8 @@ def test_central_herm_coords_is_the_closed_form(spec):
                               lay.herm_coords(ql.central_lie(values, dims)))
 
 
-@pytest.mark.parametrize("spec", list(ql.PRESET_NAMES) + [
-    os.path.join(BENCH_QUIVERS, f) for f in ("a3_chain.json", "d4_star.json")],
-    ids=os.path.basename)
+@pytest.mark.parametrize("spec", list(ql.PRESET_NAMES) + list(BENCH_QUIVER_FILES),
+                         ids=os.path.basename)
 def test_moment_maps_are_the_moment_map_identities(spec):
     # the layout derives dmu_C and mu_R from the action matrix by
     # Tr(xi dmu_C(p)[q]) = omega_C(xi.p, q) and Tr(xi (-2i mu_R(p))) = <xi.p, p>;

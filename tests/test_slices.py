@@ -9,7 +9,7 @@ import quiverlim as ql
 from quiverlim import slices
 from quiverlim.config import BASIN_NORM
 
-from conftest import get_setup
+from conftest import COMMITTED_QUIVERS, get_setup, quiver_spec
 
 # frozen complex tangent counts per preset (full chart, attracting chart)
 HAND_COUNTS = {
@@ -185,17 +185,11 @@ def test_bases_take_the_one_svd_and_solves_reuse_it(monkeypatch, a3star, a3star_
     assert (len(svd), len(cond)) == (2, 2)
 
 
-COMMITTED_QUIVERS = ("tstar-p1", "a2-star", "kronecker2", "a3-star",
-                     "bench/quivers/a3_chain.json", "bench/quivers/d4_star.json")
-
-
 @pytest.mark.parametrize("spec", COMMITTED_QUIVERS, ids=os.path.basename)
 def test_bb_slice_solve_stays_in_positive_weight(spec):
     # no projector runs inside the Newton loop: the attracting directions
     # keep every iterate in the weight >= 1 subspace on their own
-    root = os.path.join(os.path.dirname(__file__), os.pardir)
-    path = os.path.join(root, spec) if spec.endswith(".json") else spec
-    quiver, dims, central, _ = ql.resolve_quiver_spec(path)
+    quiver, dims, central, _ = ql.resolve_quiver_spec(quiver_spec(spec))
     for seed in range(6):
         smp = ql.sample_on_variety(quiver, dims, central, seed=seed)
         flow = ql.flow_limit(smp.point, central.sigma_array())

@@ -15,8 +15,9 @@ import quiverlim as ql
 from quiverlim.repspace import block_mask, layout
 from quiverlim.solver import _polar_point, _polar_spectrum, _spectral_pair
 
-from conftest import (fingerprint_distance, history_rows, linearized_operator,
-                      newton_derivative, random_lie)
+from conftest import (COMMITTED_QUIVERS, fingerprint_distance, history_rows,
+                      linearized_operator, newton_derivative, quiver_spec,
+                      random_lie)
 
 # bisection of e^{2x}*1.79 - e^{-2x}*1.01 - 1.2 on [-10, 10], frozen
 BISECT_X = 0.07324080802172214
@@ -227,15 +228,9 @@ def test_graded_solve_stage_scales_shrink(a3star):
         assert stages[keys[-1]] < stages[keys[0]]
 
 
-COMMITTED_QUIVERS = ("tstar-p1", "a2-star", "kronecker2", "a3-star",
-                     "bench/quivers/a3_chain.json", "bench/quivers/d4_star.json")
-
-
 def _flow_step_start(spec, seed):
     """(p, sigma): a sample rescaled by one flow step, as flow_limit solves it."""
-    root = os.path.join(os.path.dirname(__file__), os.pardir)
-    path = os.path.join(root, spec) if spec.endswith(".json") else spec
-    quiver, dims, central, _ = ql.resolve_quiver_spec(path)
+    quiver, dims, central, _ = ql.resolve_quiver_spec(quiver_spec(spec))
     smp = ql.sample_on_variety(quiver, dims, central, seed=seed)
     return ql.cstar_act(0.125, smp.point), central.sigma_array()
 

@@ -1,14 +1,13 @@
 """The composite verification pipeline and its file outputs."""
 
 import json
-import pathlib
 
 import numpy as np
 import pytest
 
 import quiverlim as ql
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
+from conftest import COMMITTED_QUIVERS, is_nilpotent_by_paths, quiver_spec
 
 EXPECTED_SUITES = [
     "genericity", "sampling", "adjoint_identities", "solver_uniqueness",
@@ -59,7 +58,7 @@ def test_output_files(verify_tstar, tmp_path):
 def test_outputs_are_reproducible(tmp_path, quiver):
     # same config apart from the destination, fresh run: identical bytes in
     # every artifact
-    spec = str(ROOT / quiver) if quiver.endswith(".json") else quiver
+    spec = quiver_spec(quiver)
     for run in ("a", "b"):
         out = str(tmp_path / run)
         report, pipeline = ql.verify_run(
@@ -72,21 +71,49 @@ def test_outputs_are_reproducible(tmp_path, quiver):
         assert a == b, name
 
 
-COMMITTED_QUIVERS = ("tstar-p1", "a2-star", "kronecker2", "a3-star",
-                     "bench/quivers/a3_chain.json", "bench/quivers/d4_star.json")
-
-
 # the verdict net: every suite must pass on each committed quiver over
 # seeds 0-11 (the former log-log fit of the escape rates failed on 29 of
 # these 72 runs)
 @pytest.mark.parametrize("quiver, seed", [
     (quiver, seed) for quiver in COMMITTED_QUIVERS for seed in range(12)])
 def test_every_suite_passes_on_committed_quivers(quiver, seed):
-    spec = str(ROOT / quiver) if quiver.endswith(".json") else quiver
+    spec = quiver_spec(quiver)
     report, _ = ql.verify_run(ql.RunConfig(quiver_file=spec, seed=seed))
     assert [s.name for s in report.suites] == EXPECTED_SUITES
     failed = {s.name: s.note for s in report.suites if not s.passed}
     assert not failed
+
+
+def test_a4_chain_passes_without_long_path_walks(monkeypatch):
+    # rep dim 62: the paths up to 2 sum(v) = 20 tokens number 3.6 million,
+    # so every path walk must stay at the configured max_len
+    lengths = []
+    enumerate_paths = ql.invariants.enumerate_paths
+
+    def recorded(quiver, dims, max_len, kind):
+        lengths.append(max_len)
+        return enumerate_paths(quiver, dims, max_len, kind)
+    monkeypatch.setattr(ql.invariants, "enumerate_paths", recorded)
+    monkeypatch.setattr(ql.verify, "enumerate_paths", recorded)
+    for seed in range(3):
+        cfg = ql.RunConfig(quiver_file=quiver_spec("tests/quivers/a4_chain.json"), seed=seed)
+        report, _ = ql.verify_run(cfg)
+        assert [s.name for s in report.suites] == EXPECTED_SUITES
+        assert not {s.name: s.note for s in report.suites if not s.passed}, seed
+    assert lengths and max(lengths) <= cfg.max_len
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_oriented_cycle_fails_escape_as_not_nilpotent(seed):
+    # the oriented 3-cycle keeps the degree-0 trace of B2 B1 B0 at the
+    # scaling limit, so its limit point is not nilpotent
+    report, pipeline = ql.verify_run(ql.RunConfig(
+        quiver_file=quiver_spec("tests/quivers/cycle3.json"), seed=seed))
+    by_name = {s.name: s for s in report.suites}
+    assert not by_name["escape_rates"].passed
+    assert by_name["escape_rates"].note == "scaling limit point is not nilpotent"
+    assert not ql.is_nilpotent(pipeline.p0)
+    assert not is_nilpotent_by_paths(pipeline.p0)
 
 
 def test_wall_quiver_fails_genericity_only():
