@@ -229,7 +229,7 @@ def convergence_study(p0: RepPoint, A: RepPoint, sigma, hbar_grid, R_grid,
 
     The slice checks of A run once, and the graded start solve at each R
     runs once for all hbar.  Each hbar solves its limit and its members and
-    fingerprints them in one stacked walk before its report is yielded, so
+    fingerprints them in one fingerprints call before its report is yielded, so
     a solve error at one hbar comes after the reports of the hbar before it.
     Within one hbar, each member's final solve starts from the exponent of
     the previous R's (the answer does not depend on the start).

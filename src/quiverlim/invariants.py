@@ -9,11 +9,9 @@ its matrix is a framing-to-framing block and every entry is gauge invariant;
 loop traces are gauge invariant as well.  Tokens are listed in application
 order, so eval multiplies right-to-left.
 
-Functionals over every enumerated path go through one prefix walk per
-(quiver, dims, max_len, kind): paths that share a prefix share its products,
-and each product is formed by the same matrix multiplications as eval_path.
-The walk also runs on the stacked slots of several points (fingerprints),
-one product per path for all of them.
+Functionals over every enumerated path evaluate one path at a time with
+eval_path's product; on the stacked slots of several points (fingerprints)
+one product per path serves all of them.
 """
 
 from __future__ import annotations
@@ -137,58 +135,10 @@ def enumerate_paths(quiver: Quiver, dims: DimensionVectors, max_len: int,
     return tuple(out_paths)
 
 
-@functools.lru_cache(maxsize=128)
-def _prefix_walk(quiver: Quiver, dims: DimensionVectors, max_len: int,
-                 kind: str) -> tuple[tuple[int, ...], ...]:
-    """Depth-first walk over enumerate_paths(quiver, dims, max_len, kind) as
-    three flat tuples (depth, slot, out): step t sets level depth[t] of the
-    product stack to the token matrix at slot[t] applied after level
-    depth[t] - 1, and out[t] is the index of the path ending there, or -1."""
-    paths = enumerate_paths(quiver, dims, max_len, kind)
-    depth: list[int] = []
-    slot: list[int] = []
-    out: list[int] = []
-    prev: tuple[str, ...] = ()
-    # in lexicographic order each path shares its longest common prefix with
-    # the path before it, and no path follows one that extends it
-    for n in sorted(range(len(paths)), key=lambda n: paths[n].tokens):
-        slots = validate_path(paths[n], quiver, dims)
-        tokens = paths[n].tokens
-        common = 0
-        while common < min(len(prev), len(tokens)) and prev[common] == tokens[common]:
-            common += 1
-        for d in range(common, len(tokens)):
-            depth.append(d)
-            slot.append(slots[d])
-            out.append(n if d == len(tokens) - 1 else -1)
-        prev = tokens
-    return tuple(depth), tuple(slot), tuple(out)
-
-
-def _path_products(p: RepPoint, slots, max_len: int, kind: str):
-    """Yield (index in enumerate_paths, eval_path product) for every path of
-    p's quiver and dimension vectors, in walk order, with the slot matrices
-    slots; leading axes of the slots (see FlatLayout.slot_views) lead in
-    every product."""
-    acc: list[np.ndarray | None] = [None] * max_len
-    for d, s, n in zip(*_prefix_walk(p.quiver, p.dims, max_len, kind)):
-        acc[d] = slots[s] if d == 0 else slots[s] @ acc[d - 1]
-        if n >= 0:
-            yield n, acc[d]
-
-
 def _size(m: np.ndarray, kind: str) -> float:
     if kind == "loop":
         return abs(complex(np.trace(m)))
     return float(np.abs(m).max(initial=0.0))
-
-
-def invariant_sizes(p: RepPoint, max_len: int, kind: str) -> list[float]:
-    """invariant_size of every path of enumerate_paths(..., max_len, kind), in its order."""
-    sizes = [0.0] * len(enumerate_paths(p.quiver, p.dims, max_len, kind))
-    for n, m in _path_products(p, p.slots, max_len, kind):
-        sizes[n] = _size(m, kind)
-    return sizes
 
 
 def fingerprint_labels(quiver: Quiver, dims: DimensionVectors, max_len: int) -> tuple[str, ...]:
@@ -209,9 +159,9 @@ def fingerprint_labels(quiver: Quiver, dims: DimensionVectors, max_len: int) -> 
 
 
 def fingerprints(points, max_len: int) -> np.ndarray:
-    """fingerprint of every point, one row each, from one prefix walk over
-    the stacked slots of the points, which share one quiver and dimension
-    vectors."""
+    """fingerprint of every point, one row each, from the stacked slots of
+    the points, which share one quiver and dimension vectors: one eval_path
+    product per path for all of them."""
     p = points[0]
     if any((q.quiver, q.dims) != (p.quiver, p.dims) for q in points):
         raise ValueError("fingerprints needs points of one quiver and dimension vectors")
@@ -219,10 +169,9 @@ def fingerprints(points, max_len: int) -> np.ndarray:
     slots = p.layout.slot_views(np.stack([q.vec for q in points]))
     blocks: list[np.ndarray] = []
     for kind in ("loop", "admissible"):
-        part = [None] * len(enumerate_paths(p.quiver, p.dims, max_len, kind))
-        for k, m in _path_products(p, slots, max_len, kind):
-            part[k] = np.trace(m, axis1=-2, axis2=-1) if kind == "loop" else m
-        blocks.extend(part)
+        for path in enumerate_paths(p.quiver, p.dims, max_len, kind):
+            m = _product(slots, validate_path(path, p.quiver, p.dims))
+            blocks.append(np.trace(m, axis1=-2, axis2=-1) if kind == "loop" else m)
     if not blocks:
         return np.zeros((n, 0))
     return np.concatenate([b.reshape(n, -1) for b in blocks], axis=1).view(np.float64)
@@ -323,17 +272,17 @@ def escape_slope(p0: RepPoint, A: RepPoint, paths) -> list[EscapeStudy]:
         p0, A, np.exp(2j * np.pi * np.arange(n_pts) / n_pts)[:, None]))
     at, studies = p0 + A, []
     for path in paths:
-        ref = eval_path(at, path)
+        slots = validate_path(path, p0.quiver, p0.dims)
+        ref = _product(at.slots, slots)
         if (size := _size(ref, path.kind)) <= ZERO_INVARIANT_TOL:
             raise ZeroInvariant(
                 f"invariant of {path} vanishes at the slice point ({size:.3e})")
-        slots = validate_path(path, p0.quiver, p0.dims)
         vals = _product(mats, slots)
         if path.kind == "loop":
             ref, vals = np.trace(ref), np.trace(vals, axis1=1, axis2=2)
         scale = np.abs(vals).max()
         coef = np.fft.fft(vals, axis=0) / n_pts
-        e = path_escape_exponent(path, p0.quiver, p0.dims)
+        e = sum(p0.layout.degree[s] for s in slots)
         # bin b holds the power m = b mod n_pts with len - e - n_pts < m <= len - e,
         # so hbar^-e sits at bin -e
         top = len(slots) - e

@@ -593,12 +593,14 @@ class FlatLayout:
         """The stack of the point with flat coordinates ``flat`` (leading axes
         kept); on the transposed views one point is a first-axis scatter."""
         stack = np.zeros(flat.shape[:-1] + self.stack_shape, dtype=_CPLX)
-        stack.reshape(*flat.shape[:-1], -1).T[self._stack_index] = flat.T
+        stack.reshape(*flat.shape[:-1], math.prod(self.stack_shape)).T[
+            self._stack_index] = flat.T
         return stack
 
     def from_stack(self, stack: np.ndarray) -> np.ndarray:
         """Flat coordinates of the point held in a stack (leading axes kept)."""
-        return stack.reshape(*stack.shape[:-3], -1).T[self._stack_index].T
+        size = math.prod(stack.shape[-3:])
+        return stack.reshape(*stack.shape[:-3], size).T[self._stack_index].T
 
     def conjugate(self, stack: np.ndarray, left: np.ndarray,
                   right: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from .conformal import (check_slice_increment, conformal_flat,
 from .errors import QuiverLimError
 from .fixedpoints import bb_expected_dimension, cstar_act, flow_limit
 from .invariants import (enumerate_paths, escape_slope, fingerprint,
-                         fingerprint_labels, fingerprints, invariant_sizes,
+                         fingerprint_labels, fingerprints, invariant_size,
                          is_nilpotent, path_escape_exponent)
 from .presets import resolve_quiver_spec
 from .quiver import expected_dimension, is_generic, require_nonempty
@@ -84,7 +84,7 @@ def _rand_lie(dims, rng, scale: float) -> LieElement:
 
 
 class _Pipeline:
-    """Builds the shared artifacts; each stage records its failure once."""
+    """The shared artifacts, filled in by the suites in turn."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
@@ -99,16 +99,14 @@ class _Pipeline:
         self.bb_basis = None
         self.A = None
         self.studies = []
-        self.failures: dict[str, str] = {}
 
-    def stage(self, name: str, fn):
-        if name in self.failures:
-            return None
-        try:
-            return fn()
-        except (QuiverLimError, ValueError, np.linalg.LinAlgError) as exc:
-            self.failures[name] = f"{type(exc).__name__}: {exc}"
-            return None
+
+def _stage(fn, *args):
+    """(fn(*args), "") or, when it raises, (None, a note naming the error)."""
+    try:
+        return fn(*args), ""
+    except (QuiverLimError, ValueError, np.linalg.LinAlgError) as exc:
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def _unmet(name: str, what: str) -> SuiteResult:
@@ -122,11 +120,10 @@ def _suite_genericity(pl: _Pipeline) -> SuiteResult:
 
 
 def _suite_sampling(pl: _Pipeline) -> SuiteResult:
-    def run():
-        return sample_on_variety(pl.quiver, pl.dims, pl.central, seed=pl.cfg.seed)
-    pl.sample = pl.stage("sampling", run)
+    pl.sample, note = _stage(sample_on_variety, pl.quiver, pl.dims, pl.central,
+                             pl.cfg.seed)
     if pl.sample is None:
-        return SuiteResult("sampling", False, np.inf, pl.failures["sampling"])
+        return SuiteResult("sampling", False, np.inf, note)
     p = pl.sample.point
     scale = moment_scale(p)
     res_r = hermitian_residual(p, pl.sigma).norm()
@@ -193,12 +190,9 @@ def _suite_twistor(pl: _Pipeline) -> SuiteResult:
 def _suite_flow(pl: _Pipeline) -> SuiteResult:
     if pl.sample is None:
         return _unmet("fixed_point_flow", "sampling")
-
-    def run():
-        return flow_limit(pl.sample.point, pl.sigma)
-    pl.flow = pl.stage("flow", run)
+    pl.flow, note = _stage(flow_limit, pl.sample.point, pl.sigma)
     if pl.flow is None:
-        return SuiteResult("fixed_point_flow", False, np.inf, pl.failures["flow"])
+        return SuiteResult("fixed_point_flow", False, np.inf, note)
     pl.p0, pl.grading = pl.flow.limit, pl.flow.grading
     worst = float(pl.flow.fixed_report.residual)
     return SuiteResult("fixed_point_flow", True, worst,
@@ -209,20 +203,12 @@ def _suite_dimensions(pl: _Pipeline) -> SuiteResult:
     if pl.sample is None or pl.grading is None:
         return _unmet("dimension_audit", "sampling or grading")
     expected = expected_dimension(pl.quiver, pl.dims)
-
-    def full():
-        return tangent_basis(pl.sample.point)
-    pl.basis = pl.stage("tangent", full)
+    pl.basis, note = _stage(tangent_basis, pl.sample.point)
     if pl.basis is None:
-        return SuiteResult("dimension_audit", False, np.inf,
-                           pl.failures["tangent"])
-
-    def bb():
-        return bb_tangent_basis(pl.p0, pl.grading)
-    pl.bb_basis = pl.stage("bb_tangent", bb)
+        return SuiteResult("dimension_audit", False, np.inf, note)
+    pl.bb_basis, note = _stage(bb_tangent_basis, pl.p0, pl.grading)
     if pl.bb_basis is None:
-        return SuiteResult("dimension_audit", False, np.inf,
-                           pl.failures["bb_tangent"])
+        return SuiteResult("dimension_audit", False, np.inf, note)
     audit = bb_expected_dimension(pl.grading)
     ok = (pl.basis.real_dimension() == expected
           and 2 * pl.bb_basis.real_dimension() == expected
@@ -271,13 +257,9 @@ def _suite_bb_slice(pl: _Pipeline) -> SuiteResult:
     if pl.bb_basis.count() == 0:
         return SuiteResult("attracting_slice", True, 0.0,
                            "zero-dimensional attracting slice")
-
-    def run():
-        return attracting_increment(pl.bb_basis, pl.grading, pl.cfg.seed)
-    pl.A = pl.stage("bb_slice", run)
+    pl.A, note = _stage(attracting_increment, pl.bb_basis, pl.grading, pl.cfg.seed)
     if pl.A is None:
-        return SuiteResult("attracting_slice", False, np.inf,
-                           pl.failures["bb_slice"])
+        return SuiteResult("attracting_slice", False, np.inf, note)
     scale = moment_scale(pl.p0 + pl.A)
     try:
         dev_mc, dev_adj = check_slice_increment(pl.p0, pl.A, pl.grading)
@@ -349,13 +331,10 @@ def _suite_escape(pl: _Pipeline) -> SuiteResult:
         return SuiteResult("escape_rates", False, 1.0,
                            "scaling limit point is not nilpotent")
     at = pl.p0 + pl.A
-    candidates = []
-    for kind in ("admissible", "loop"):
-        paths = enumerate_paths(pl.quiver, pl.dims, pl.cfg.max_len, kind)
-        sizes = invariant_sizes(at, pl.cfg.max_len, kind)
-        candidates.extend(ps for ps, size in zip(paths, sizes)
-                          if path_escape_exponent(ps, pl.quiver, pl.dims) >= 1
-                          and size > ESCAPE_MIN_INVARIANT)
+    candidates = [ps for kind in ("admissible", "loop")
+                  for ps in enumerate_paths(pl.quiver, pl.dims, pl.cfg.max_len, kind)
+                  if path_escape_exponent(ps, pl.quiver, pl.dims) >= 1
+                  and invariant_size(at, ps) > ESCAPE_MIN_INVARIANT]
     if not candidates:
         return SuiteResult("escape_rates", True, 0.0,
                            "no non-vanishing escaping invariant at this point")

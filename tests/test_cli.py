@@ -11,6 +11,8 @@ import quiverlim as ql
 from quiverlim.cli import build_parser, main
 from quiverlim.config import IDENTITY_TOL
 
+from conftest import quiver_spec
+
 # the optional flags of each subcommand: the RunConfig fields its handler
 # reads (--out is output_dir), plus --hbar and --path
 SEEDED = ["--out", "--seed"]
@@ -193,6 +195,14 @@ def test_every_command_runs_with_defaults(capsys, command):
     code, out, err = run(capsys, command, "tstar-p1", *extra)
     assert code == 0, err
     assert err == ""
+
+
+@pytest.mark.parametrize("command", ["bb-basis", "climit", "family"])
+def test_commands_run_on_the_point_quiver(capsys, tmp_path, command):
+    # every rep-space axis of tests/quivers/point.json has length 0
+    code, out, err = run(capsys, command, quiver_spec("tests/quivers/point.json"),
+                         "--out", str(tmp_path))
+    assert code == 0, err
 
 
 def test_verify_exit_codes(capsys):

@@ -5,7 +5,6 @@ import pytest
 
 import quiverlim as ql
 from quiverlim.config import IDENTITY_TOL
-from quiverlim.invariants import invariant_sizes
 
 from conftest import (COMMITTED_QUIVERS, escape_profile, fingerprint_by_paths,
                       fingerprint_distance, get_setup, is_nilpotent_by_paths,
@@ -66,16 +65,23 @@ def test_eval_loop_by_hand(kronecker):
     assert abs(complex(val.item()) - hand) < 1e-12 * max(1.0, abs(hand))
 
 
-def test_fingerprint_matches_labels(kronecker):
-    p = ql.random_rep(kronecker.quiver, kronecker.dims, ql.make_rng(42))
-    fp = ql.fingerprint(p, 4)
-    labels = ql.fingerprint_labels(kronecker.quiver, kronecker.dims, 4)
-    assert fp.shape == (len(labels),)
-    assert fp.dtype == np.float64
-    k = labels.index("L:h0.h1~[tr]:re")
-    want = np.trace(p.B[3] @ p.B[0])
-    assert abs(fp[k] - want.real) < 1e-12
-    assert abs(fp[labels.index("L:h0.h1~[tr]:im")] - want.imag) < 1e-12
+def test_fingerprint_matches_labels():
+    # write_outputs and `quiverlim invariants` pair labels with values by
+    # position: each value must be the entry its label names
+    for spec in COMMITTED_QUIVERS:
+        quiver, dims, _, _ = ql.resolve_quiver_spec(quiver_spec(spec))
+        p = ql.random_rep(quiver, dims, ql.make_rng(42))
+        for max_len in range(1, 6):
+            fp = ql.fingerprint(p, max_len)
+            labels = ql.fingerprint_labels(quiver, dims, max_len)
+            assert fp.shape == (len(labels),), (spec, max_len)
+            assert fp.dtype == np.float64
+            for value, label in zip(fp, labels):
+                path, _, rest = label.partition("[")
+                entry, part = rest.split("]:")
+                m = ql.eval_path(p, ql.PathSpec.parse(path))
+                x = np.trace(m) if entry == "tr" else m[tuple(map(int, entry.split(",")))]
+                assert value == (x.real if part == "re" else x.imag), (spec, label)
 
 
 def test_fingerprint_gauge_invariance(kronecker):
@@ -219,22 +225,17 @@ def test_escape_profile_monotone(tstar):
 
 @pytest.mark.parametrize("name", ["tstar-p1", "a2-star", "kronecker2", "a3-star",
                                   "a3_chain", "d4_star"])
-def test_prefix_walk_matches_per_path_evaluation(name):
+def test_fingerprint_matches_per_path_evaluation(name):
     if name in ql.PRESET_NAMES:
         s = get_setup(name)
         p0, A = s.p0, s.slice_point()
     else:
         p0, A = verify_pair(f"bench/quivers/{name}.json", 0)
     rand = ql.random_rep(p0.quiver, p0.dims, ql.make_rng(49))
-    bound = nilpotency_bound(p0.dims)
     for label, p in (("p0", p0), ("p0+A", p0 + A), ("random", rand)):
-        for max_len in sorted({4, bound}):
+        for max_len in (4, 6):
             assert np.array_equal(ql.fingerprint(p, max_len),
                                   fingerprint_by_paths(p, max_len)), (label, max_len)
-        for kind in ("loop", "admissible"):
-            paths = ql.enumerate_paths(p.quiver, p.dims, 4, kind)
-            assert invariant_sizes(p, 4, kind) == \
-                [ql.invariant_size(p, ps) for ps in paths], (label, kind)
         assert ql.is_nilpotent(p) is is_nilpotent_by_paths(p), label
     assert ql.is_nilpotent(p0)
 

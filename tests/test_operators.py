@@ -212,6 +212,10 @@ def test_stack_embedding_round_trip(case):
     assert stack.shape == lay.stack_shape
     assert np.array_equal(stack, stack_by_slots(lay, p.slots))
     assert np.array_equal(lay.from_stack(stack), x)
+    # a leading axis of length 0 holds no point
+    none = lay.to_stack(x.reshape(1, 1, -1)[:, :0])
+    assert none.shape == (1, 0) + lay.stack_shape
+    assert lay.from_stack(none).shape == (1, 0, lay.rep_dim)
 
 
 def random_blocks(dims, rng):

@@ -116,6 +116,16 @@ def test_oriented_cycle_fails_escape_as_not_nilpotent(seed):
     assert not is_nilpotent_by_paths(pipeline.p0)
 
 
+@pytest.mark.parametrize("seed", range(2))
+def test_point_quiver_passes_every_suite(seed):
+    # A2 with v = (0, 0): the variety is one point and every rep-space axis
+    # has length 0
+    report, _ = ql.verify_run(ql.RunConfig(
+        quiver_file=quiver_spec("tests/quivers/point.json"), seed=seed))
+    assert [s.name for s in report.suites] == EXPECTED_SUITES
+    assert not {s.name: s.note for s in report.suites if not s.passed}
+
+
 def test_wall_quiver_fails_genericity_only():
     report, pipeline = ql.verify_run(ql.RunConfig(quiver_file="a2-wall", seed=0))
     assert not report.all_passed
