@@ -112,7 +112,6 @@ class WeightGrading:
     base_point: RepPoint
     weights: tuple[tuple[int, ...], ...]
     qmats: list[np.ndarray]
-    generator: LieElement
 
     @property
     def quiver(self) -> Quiver:
@@ -229,10 +228,7 @@ def weight_grading(p: RepPoint, rep: FixedPointReport | None = None) -> WeightGr
                 f"vertex {k} weights {evals} are not integral")
         weights.append(tuple(int(x) for x in rounded))
         qmats.append(evecs.astype(complex))
-    q = block_matrix(p.dims, qmats)
-    gen = (q * [w for ws in weights for w in ws]) @ q.conj().T
-    grading = WeightGrading(base_point=p, weights=tuple(weights), qmats=qmats,
-                            generator=LieElement.from_matrix(p.dims, gen))
+    grading = WeightGrading(base_point=p, weights=tuple(weights), qmats=qmats)
 
     # base-point structure: every slot entry sits at full-action weight 0
     # (oriented edges and i preserve line weight, reversed edges drop it by

@@ -7,6 +7,10 @@ dimension audits, slice corrections, conformal-family convergence, and the
 gauge invariance and escape behavior of path invariants.  Results are
 collected per suite and written as a JSON report plus CSV tables keyed by
 the configuration digest.
+
+Each suite returns (passed, worst[, note]) and the one runner, _suite, makes
+its result: a failed prerequisite reads "prerequisite failed: <stage>" and a
+raised error "<ErrorType>: <message>", both with worst_residual inf.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import csv
 import json
 import os
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -83,6 +88,10 @@ def _rand_lie(dims, rng, scale: float) -> LieElement:
                              for n in dims.v])
 
 
+class _Unmet(Exception):
+    """A stage that a suite builds on did not produce its artifact."""
+
+
 class _Pipeline:
     """The shared artifacts, filled in by the suites in turn."""
 
@@ -100,30 +109,39 @@ class _Pipeline:
         self.A = None
         self.studies = []
 
-
-def _stage(fn, *args):
-    """(fn(*args), "") or, when it raises, (None, a note naming the error)."""
-    try:
-        return fn(*args), ""
-    except (QuiverLimError, ValueError, np.linalg.LinAlgError) as exc:
-        return None, f"{type(exc).__name__}: {exc}"
+    def need(self, what: str, *attrs: str):
+        """The named artifacts, as attrgetter gives them; _Unmet(what) if one is None."""
+        if any(getattr(self, a) is None for a in attrs):
+            raise _Unmet(what)
+        return attrgetter(*attrs)(self)
 
 
-def _unmet(name: str, what: str) -> SuiteResult:
-    return SuiteResult(name, False, np.inf, f"prerequisite failed: {what}")
+def _suite(name: str):
+    """The suite named name from fn(pl) -> (passed, worst[, note]); a missing
+    prerequisite or a raised error fails it with worst inf and a note."""
+    def wrap(fn):
+        def run(pl: _Pipeline) -> SuiteResult:
+            try:
+                passed, worst, *note = fn(pl)
+            except _Unmet as exc:
+                passed, worst, note = False, np.inf, [f"prerequisite failed: {exc}"]
+            except (QuiverLimError, ValueError, np.linalg.LinAlgError) as exc:
+                passed, worst, note = False, np.inf, [f"{type(exc).__name__}: {exc}"]
+            return SuiteResult(name, bool(passed), float(worst), *note)
+        return run
+    return wrap
 
 
-def _suite_genericity(pl: _Pipeline) -> SuiteResult:
+@_suite("genericity")
+def _suite_genericity(pl: _Pipeline):
     ok = is_generic(pl.central, pl.quiver, pl.dims)
     note = "" if ok else "central parameter lies on a wall"
-    return SuiteResult("genericity", bool(ok), 0.0 if ok else 1.0, note)
+    return ok, 0.0 if ok else 1.0, note
 
 
-def _suite_sampling(pl: _Pipeline) -> SuiteResult:
-    pl.sample, note = _stage(sample_on_variety, pl.quiver, pl.dims, pl.central,
-                             pl.cfg.seed)
-    if pl.sample is None:
-        return SuiteResult("sampling", False, np.inf, note)
+@_suite("sampling")
+def _suite_sampling(pl: _Pipeline):
+    pl.sample = sample_on_variety(pl.quiver, pl.dims, pl.central, pl.cfg.seed)
     p = pl.sample.point
     scale = moment_scale(p)
     res_r = hermitian_residual(p, pl.sigma).norm()
@@ -134,10 +152,11 @@ def _suite_sampling(pl: _Pipeline) -> SuiteResult:
     passed = (res_r <= SLACK * TOL * scale and dev_c <= CHECK_TOL * scale
               and identical)
     note = "" if identical else "same seed gave different bytes"
-    return SuiteResult("sampling", passed, float(worst), note)
+    return passed, worst, note
 
 
-def _suite_adjoint(pl: _Pipeline) -> SuiteResult:
+@_suite("adjoint_identities")
+def _suite_adjoint(pl: _Pipeline):
     rng = make_rng(pl.cfg.seed + 1)
     worst = 0.0
     for _ in range(20):
@@ -150,27 +169,23 @@ def _suite_adjoint(pl: _Pipeline) -> SuiteResult:
         # derivative of the complex moment agrees with its odd finite part
         odd = (moment_complex(p + q) - moment_complex(p - q)) * 0.5
         worst = max(worst, (dmu_complex(p, q) - odd).norm())
-    return SuiteResult("adjoint_identities", worst <= IDENTITY_TOL, float(worst))
+    return worst <= IDENTITY_TOL, worst
 
 
-def _suite_solver(pl: _Pipeline) -> SuiteResult:
-    if pl.sample is None:
-        return _unmet("solver_uniqueness", "sampling")
+@_suite("solver_uniqueness")
+def _suite_solver(pl: _Pipeline):
+    sample = pl.need("sampling", "sample")
     # rescaling keeps the complex moment central while leaving the real level
-    start = cstar_act(0.7, pl.sample.point)
-    try:
-        rep_a = solve_real_moment(start, pl.sigma)
-        rep_b = solve_real_moment(start, pl.sigma, forced_damping=(0.5, 0.75))
-    except QuiverLimError as exc:
-        return SuiteResult("solver_uniqueness", False, np.inf, str(exc))
+    start = cstar_act(0.7, sample.point)
+    rep_a = solve_real_moment(start, pl.sigma)
+    rep_b = solve_real_moment(start, pl.sigma, forced_damping=(0.5, 0.75))
     diff = float(np.abs(lie_exp(rep_a.xi).mat - lie_exp(rep_b.xi).mat).max(initial=0.0))
-    return SuiteResult("solver_uniqueness", diff <= CHECK_TOL, float(diff))
+    return diff <= CHECK_TOL, diff
 
 
-def _suite_twistor(pl: _Pipeline) -> SuiteResult:
-    if pl.sample is None:
-        return _unmet("twistor_rotation", "sampling")
-    p = pl.sample.point
+@_suite("twistor_rotation")
+def _suite_twistor(pl: _Pipeline):
+    p = pl.need("sampling", "sample").point
     mr, mc = moment_real(p), moment_complex(p)
     rng = make_rng(pl.cfg.seed + 3)
     worst = 0.0
@@ -183,131 +198,105 @@ def _suite_twistor(pl: _Pipeline) -> SuiteResult:
         tgt_c = mc - mr * (2j * xi) - mc.dagger() * (xi ** 2)
         worst = max(worst, (moment_real(q) - tgt_r).norm(),
                     (moment_complex(q) - tgt_c).norm())
-    return SuiteResult("twistor_rotation", worst <= IDENTITY_TOL * moment_scale(p),
-                       float(worst))
+    return worst <= IDENTITY_TOL * moment_scale(p), worst
 
 
-def _suite_flow(pl: _Pipeline) -> SuiteResult:
-    if pl.sample is None:
-        return _unmet("fixed_point_flow", "sampling")
-    pl.flow, note = _stage(flow_limit, pl.sample.point, pl.sigma)
-    if pl.flow is None:
-        return SuiteResult("fixed_point_flow", False, np.inf, note)
+@_suite("fixed_point_flow")
+def _suite_flow(pl: _Pipeline):
+    sample = pl.need("sampling", "sample")
+    pl.flow = flow_limit(sample.point, pl.sigma)
     pl.p0, pl.grading = pl.flow.limit, pl.flow.grading
-    worst = float(pl.flow.fixed_report.residual)
-    return SuiteResult("fixed_point_flow", True, worst,
-                       f"settled at R={pl.flow.R_final:g}")
+    return True, pl.flow.fixed_report.residual, f"settled at R={pl.flow.R_final:g}"
 
 
-def _suite_dimensions(pl: _Pipeline) -> SuiteResult:
-    if pl.sample is None or pl.grading is None:
-        return _unmet("dimension_audit", "sampling or grading")
+@_suite("dimension_audit")
+def _suite_dimensions(pl: _Pipeline):
+    sample, grading = pl.need("sampling or grading", "sample", "grading")
     expected = expected_dimension(pl.quiver, pl.dims)
-    pl.basis, note = _stage(tangent_basis, pl.sample.point)
-    if pl.basis is None:
-        return SuiteResult("dimension_audit", False, np.inf, note)
-    pl.bb_basis, note = _stage(bb_tangent_basis, pl.p0, pl.grading)
-    if pl.bb_basis is None:
-        return SuiteResult("dimension_audit", False, np.inf, note)
-    audit = bb_expected_dimension(pl.grading)
+    pl.basis = tangent_basis(sample.point)
+    pl.bb_basis = bb_tangent_basis(pl.p0, grading)
+    audit = bb_expected_dimension(grading)
     ok = (pl.basis.real_dimension() == expected
           and 2 * pl.bb_basis.real_dimension() == expected
           and pl.bb_basis.count() == audit["bb_dimension"])
     note = (f"expected {expected}, tangent {pl.basis.real_dimension()}, "
             f"attracting {pl.bb_basis.real_dimension()}, "
             f"formula {audit['bb_dimension']}")
-    return SuiteResult("dimension_audit", ok, 0.0 if ok else 1.0, note)
+    return ok, 0.0 if ok else 1.0, note
 
 
-def _suite_isotropy(pl: _Pipeline) -> SuiteResult:
-    if pl.bb_basis is None:
-        return _unmet("isotropy", "attracting basis")
-    vecs = pl.bb_basis.vectors
+@_suite("isotropy")
+def _suite_isotropy(pl: _Pipeline):
+    vecs = pl.need("attracting basis", "bb_basis").vectors
     worst = max((abs(symplectic_form(a, b)) for a in vecs for b in vecs), default=0.0)
-    return SuiteResult("isotropy", worst <= ISOTROPY_TOL, float(worst))
+    return worst <= ISOTROPY_TOL, worst
 
 
-def _suite_slice(pl: _Pipeline) -> SuiteResult:
-    if pl.basis is None:
-        return _unmet("slice_correction", "tangent basis")
+@_suite("slice_correction")
+def _suite_slice(pl: _Pipeline):
+    basis = pl.need("tangent basis", "basis")
     p = pl.sample.point
-    if pl.basis.count() == 0:
-        return SuiteResult("slice_correction", True, 0.0, "zero-dimensional slice")
-    q0 = seeded_increment(pl.basis, pl.cfg.seed + 4, 0.05)
-    try:
-        q = slice_solve(pl.basis, q0)
-    except QuiverLimError as exc:
-        return SuiteResult("slice_correction", False, np.inf, str(exc))
+    if basis.count() == 0:
+        return True, 0.0, "zero-dimensional slice"
+    q0 = seeded_increment(basis, pl.cfg.seed + 4, 0.05)
+    q = slice_solve(basis, q0)
     scale = moment_scale(p + q)
     dev_mc = (moment_complex(p + q) - moment_complex(p)).norm()
     dev_adj = inf_action_adjoint(p, q).norm()
     # the tangential projection of the output must be the input increment
-    span = pl.basis.span
-    tang = span @ (span.conj().T @ q.flatten())
+    tang = basis.span @ (basis.span.conj().T @ q.flatten())
     dev_chart = float(np.linalg.norm(tang - q0.flatten()))
-    v0 = pl.basis.vectors[0]
+    v0 = basis.vectors[0]
     dev_proj = (moment_correction(p, v0) - v0).norm()
     worst = max(dev_mc, dev_adj, dev_chart, dev_proj)
-    return SuiteResult("slice_correction", worst <= CHECK_TOL * scale, float(worst))
+    return worst <= CHECK_TOL * scale, worst
 
 
-def _suite_bb_slice(pl: _Pipeline) -> SuiteResult:
-    if pl.bb_basis is None or pl.grading is None:
-        return _unmet("attracting_slice", "attracting basis")
-    if pl.bb_basis.count() == 0:
-        return SuiteResult("attracting_slice", True, 0.0,
-                           "zero-dimensional attracting slice")
-    pl.A, note = _stage(attracting_increment, pl.bb_basis, pl.grading, pl.cfg.seed)
-    if pl.A is None:
-        return SuiteResult("attracting_slice", False, np.inf, note)
+@_suite("attracting_slice")
+def _suite_bb_slice(pl: _Pipeline):
+    bb_basis, grading = pl.need("attracting basis", "bb_basis", "grading")
+    if bb_basis.count() == 0:
+        return True, 0.0, "zero-dimensional attracting slice"
+    pl.A = attracting_increment(bb_basis, grading, pl.cfg.seed)
     scale = moment_scale(pl.p0 + pl.A)
-    try:
-        dev_mc, dev_adj = check_slice_increment(pl.p0, pl.A, pl.grading)
-    except QuiverLimError as exc:
-        return SuiteResult("attracting_slice", False, np.inf, str(exc))
+    dev_mc, dev_adj = check_slice_increment(pl.p0, pl.A, grading)
     pA = RepPoint.from_flat(pl.quiver, pl.dims,
                             conformal_flat(pl.p0, pl.A, complex(pl.cfg.hbar_grid[0])))
     dev_central = central_deviation(moment_complex(pA))
     worst = max(dev_mc, dev_adj, dev_central)
-    return SuiteResult("attracting_slice", worst <= CHECK_TOL * scale, float(worst))
+    return worst <= CHECK_TOL * scale, worst
 
 
-def _suite_conformal(pl: _Pipeline) -> SuiteResult:
+@_suite("conformal_convergence")
+def _suite_conformal(pl: _Pipeline):
     # a rigid quiver has no slice directions, so there is nothing to converge
     if pl.bb_basis is not None and pl.bb_basis.count() == 0:
-        return SuiteResult("conformal_convergence", True, 0.0,
-                           "zero-dimensional attracting slice")
-    if pl.A is None or pl.grading is None:
-        return _unmet("conformal_convergence", "attracting slice")
+        return True, 0.0, "zero-dimensional attracting slice"
+    A, grading = pl.need("attracting slice", "A", "grading")
     # the fitted slope farthest from 2 itself, not |slope - 2|: that
     # difference cancels most digits and would magnify round-off
     worst = None
     notes = []
     passed = True
     lo, hi = CONFORMAL_SLOPE_RANGE
-    try:
-        for st in convergence_study(pl.p0, pl.A, pl.sigma, pl.cfg.hbar_grid,
-                                    pl.cfg.r_grid, grading=pl.grading,
-                                    max_len=pl.cfg.max_len):
-            pl.studies.append(st)
-            if st.degenerate:
-                notes.append(f"hbar={st.hbar.real:g}: degenerate (distances at floor)")
-                continue
-            notes.append(f"hbar={st.hbar.real:g}: slope {st.slope:.3f}")
-            if worst is None or abs(st.slope - 2.0) > abs(worst - 2.0):
-                worst = st.slope
-            if not (lo <= st.slope <= hi):
-                passed = False
-    except QuiverLimError as exc:
-        return SuiteResult("conformal_convergence", False, np.inf, str(exc))
-    return SuiteResult("conformal_convergence", passed,
-                       0.0 if worst is None else float(worst), "; ".join(notes))
+    for st in convergence_study(pl.p0, A, pl.sigma, pl.cfg.hbar_grid,
+                                pl.cfg.r_grid, grading=grading,
+                                max_len=pl.cfg.max_len):
+        pl.studies.append(st)
+        if st.degenerate:
+            notes.append(f"hbar={st.hbar.real:g}: degenerate (distances at floor)")
+            continue
+        notes.append(f"hbar={st.hbar.real:g}: slope {st.slope:.3f}")
+        if worst is None or abs(st.slope - 2.0) > abs(worst - 2.0):
+            worst = st.slope
+        if not (lo <= st.slope <= hi):
+            passed = False
+    return passed, 0.0 if worst is None else worst, "; ".join(notes)
 
 
-def _suite_invariance(pl: _Pipeline) -> SuiteResult:
-    if pl.sample is None:
-        return _unmet("gauge_invariance", "sampling")
-    p = pl.sample.point
+@_suite("gauge_invariance")
+def _suite_invariance(pl: _Pipeline):
+    p = pl.need("sampling", "sample").point
     rng = make_rng(pl.cfg.seed + 6)
     base = fingerprint(p, pl.cfg.max_len)
     ref = max(1.0, float(np.linalg.norm(base)))
@@ -316,40 +305,37 @@ def _suite_invariance(pl: _Pipeline) -> SuiteResult:
     worst = 0.0
     for fp in moved:
         worst = max(worst, float(np.linalg.norm(fp - base)) / ref)
-    return SuiteResult("gauge_invariance", worst <= IDENTITY_TOL, float(worst))
+    return worst <= IDENTITY_TOL, worst
 
 
-def _suite_escape(pl: _Pipeline) -> SuiteResult:
+@_suite("escape_rates")
+def _suite_escape(pl: _Pipeline):
     # no slice directions means no invariant can blow up along them
     if pl.bb_basis is not None and pl.bb_basis.count() == 0:
-        return SuiteResult("escape_rates", True, 0.0,
-                           "zero-dimensional attracting slice")
-    if pl.A is None or pl.p0 is None:
-        return _unmet("escape_rates", "attracting slice")
-    if np.all(np.abs(pl.central.c_array()) == 0) \
-            and not is_nilpotent(pl.p0):
-        return SuiteResult("escape_rates", False, 1.0,
-                           "scaling limit point is not nilpotent")
-    at = pl.p0 + pl.A
-    candidates = [ps for kind in ("admissible", "loop")
-                  for ps in enumerate_paths(pl.quiver, pl.dims, pl.cfg.max_len, kind)
+        return True, 0.0, "zero-dimensional attracting slice"
+    A, p0 = pl.need("attracting slice", "A", "p0")
+    paths = [ps for kind in ("admissible", "loop")
+             for ps in enumerate_paths(pl.quiver, pl.dims, pl.cfg.max_len, kind)]
+    if np.all(np.abs(pl.central.c_array()) == 0) and not is_nilpotent(p0):
+        # name the largest invariant of length max_len or less at the limit
+        size, path = max(((invariant_size(p0, ps), str(ps)) for ps in paths),
+                         default=(0.0, ""))
+        survivor = f"; {path} has size {size:.3e}" if size > CHECK_TOL else ""
+        return False, 1.0, "scaling limit point is not nilpotent" + survivor
+    at = p0 + A
+    candidates = [ps for ps in paths
                   if path_escape_exponent(ps, pl.quiver, pl.dims) >= 1
                   and invariant_size(at, ps) > ESCAPE_MIN_INVARIANT]
     if not candidates:
-        return SuiteResult("escape_rates", True, 0.0,
-                           "no non-vanishing escaping invariant at this point")
-    try:
-        studies = escape_slope(pl.p0, pl.A, candidates)
-    except QuiverLimError as exc:
-        return SuiteResult("escape_rates", False, np.inf, str(exc))
+        return True, 0.0, "no non-vanishing escaping invariant at this point"
+    studies = escape_slope(p0, A, candidates)
     failed = [st for st in studies if not st.passed]
     note = f"checked {len(studies)} paths"
     if failed:
         note = (f"{len(failed)} of {len(studies)} paths fail; {failed[0].path}: "
                 f"coefficient mismatch {failed[0].mismatch:.3e}, "
                 f"outside the window {failed[0].outside:.3e}")
-    return SuiteResult("escape_rates", not failed,
-                       float(max(st.mismatch for st in studies)), note)
+    return not failed, max(st.mismatch for st in studies), note
 
 
 def verify_run(cfg: RunConfig) -> tuple[VerifyReport, "_Pipeline"]:

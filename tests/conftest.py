@@ -228,6 +228,27 @@ def is_nilpotent_by_paths(p):
     return True
 
 
+def nilpotent_by_paths(points):
+    """is_nilpotent_by_paths of each of several points of one quiver and
+    dimension vectors: every path is validated once and its product taken
+    once on the stacked slots of all the points."""
+    p = points[0]
+    slots = p.layout.slot_views(np.stack([q.vec for q in points]))
+    nilpotent = np.ones(len(points), dtype=bool)
+    for kind in ("loop", "admissible"):
+        for ps in ql.enumerate_paths(p.quiver, p.dims, nilpotency_bound(p.dims), kind):
+            order = ql.invariants.validate_path(ps, p.quiver, p.dims)
+            m = slots[order[0]]
+            for s in order[1:]:
+                m = slots[s] @ m
+            if kind == "loop":
+                sizes = np.abs(np.trace(m, axis1=-2, axis2=-1))
+            else:
+                sizes = np.abs(m).max(axis=(-2, -1), initial=0.0)
+            nilpotent &= sizes <= CHECK_TOL
+    return [bool(x) for x in nilpotent]
+
+
 def unitary_defect(g):
     """Largest entry of g^dag g - Id over the blocks of a gauge element."""
     dev = 0.0

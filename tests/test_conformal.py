@@ -189,7 +189,7 @@ def test_study_failure_keeps_the_finished_hbar(monkeypatch, tmp_path):
     monkeypatch.setattr(conformal, "twistor_rotate", faulty)
     report, pl = ql.verify_run(cfg)
     suite = {st.name: st for st in report.suites}["conformal_convergence"]
-    assert not suite.passed and suite.note == "injected rotation fault"
+    assert not suite.passed and suite.note == "NotOnVariety: injected rotation fault"
     assert [st.hbar for st in pl.studies] == [1.0]
     ql.write_outputs(report, pl, str(tmp_path))
     rows = (tmp_path / "convergence.csv").read_text().splitlines()[1:]

@@ -341,8 +341,7 @@ def synthetic_grading(p, rng):
         weights.append(tuple(sorted(int(w) for w in rng.integers(-1, 3, size=vk))))
         z = rng.standard_normal((vk, vk)) + 1j * rng.standard_normal((vk, vk))
         qmats.append(np.linalg.qr(z)[0] if vk else np.zeros((0, 0), dtype=complex))
-    return ql.WeightGrading(base_point=p, weights=tuple(weights), qmats=qmats,
-                            generator=ql.LieElement.zeros(p.dims))
+    return ql.WeightGrading(base_point=p, weights=tuple(weights), qmats=qmats)
 
 
 def assert_graded_maps_match(q, grading):

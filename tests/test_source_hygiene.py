@@ -3,7 +3,8 @@
 Every module of quiverlim except ``__init__.py`` (which imports to export)
 must use each of its top-level imports, and every private function, method
 or class (a ``_name`` that is not a dunder) must be referenced somewhere in
-the package: a helper that nothing uses should go.
+the package: a helper that nothing uses should go.  The verify suites hold
+no error handling of their own: the one runner that wraps them does.
 """
 
 import ast
@@ -65,3 +66,12 @@ def test_every_private_helper_is_referenced():
               and node.name.startswith("_") and not node.name.endswith("__")
               and node.name not in referenced]
     assert unused == []
+
+
+def test_verify_suites_leave_errors_to_their_runner():
+    suites = [node for node in TREES["verify.py"].body
+              if isinstance(node, ast.FunctionDef) and node.name.startswith("_suite_")]
+    assert len(suites) == 13
+    handling = [node.name for node in suites
+                if any(isinstance(sub, ast.Try) for sub in ast.walk(node))]
+    assert handling == []

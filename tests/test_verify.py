@@ -111,7 +111,11 @@ def test_oriented_cycle_fails_escape_as_not_nilpotent(seed):
         quiver_file=quiver_spec("tests/quivers/cycle3.json"), seed=seed))
     by_name = {s.name: s for s in report.suites}
     assert not by_name["escape_rates"].passed
-    assert by_name["escape_rates"].note == "scaling limit point is not nilpotent"
+    assert by_name["escape_rates"].worst == 1.0
+    # the note names the surviving 3-cycle trace and its size
+    assert by_name["escape_rates"].note == (
+        "scaling limit point is not nilpotent; L:h0.h1.h2 has size "
+        + ("8.564e-03", "4.095e-01")[seed])
     assert not ql.is_nilpotent(pipeline.p0)
     assert not is_nilpotent_by_paths(pipeline.p0)
 
@@ -157,3 +161,49 @@ def test_rigid_quiver_passes_vacuously(tmp_path):
     for name in ("slice_correction", "attracting_slice",
                  "conformal_convergence", "escape_rates"):
         assert "zero-dimensional" in notes[name]
+
+
+def test_sampling_fault_fails_its_dependents_by_name(monkeypatch):
+    # the sampling stage raises: it reports the error by type, the two
+    # suites that draw their own points still pass, and every suite that
+    # builds on the sample names the stage it is missing
+    def faulty(*args, **kwargs):
+        raise ql.SamplingFailed("injected")
+    monkeypatch.setattr(ql.verify, "sample_on_variety", faulty)
+    report, _ = ql.verify_run(ql.RunConfig(quiver_file="a3-star", seed=0))
+    assert [(s.name, s.note) for s in report.suites] == [
+        ("genericity", ""),
+        ("sampling", "SamplingFailed: injected"),
+        ("adjoint_identities", ""),
+        ("solver_uniqueness", "prerequisite failed: sampling"),
+        ("twistor_rotation", "prerequisite failed: sampling"),
+        ("fixed_point_flow", "prerequisite failed: sampling"),
+        ("dimension_audit", "prerequisite failed: sampling or grading"),
+        ("isotropy", "prerequisite failed: attracting basis"),
+        ("slice_correction", "prerequisite failed: tangent basis"),
+        ("attracting_slice", "prerequisite failed: attracting basis"),
+        ("conformal_convergence", "prerequisite failed: attracting slice"),
+        ("gauge_invariance", "prerequisite failed: sampling"),
+        ("escape_rates", "prerequisite failed: attracting slice"),
+    ]
+    passed = {s.name for s in report.suites if s.passed}
+    assert passed == {"genericity", "adjoint_identities"}
+    assert all(s.worst == np.inf for s in report.suites if not s.passed)
+
+
+def test_linalg_error_in_one_suite_fails_that_suite_only(monkeypatch):
+    # an error type no stage raises on purpose still becomes the suite's
+    # verdict, and the run goes on with every other suite as before
+    cfg = ql.RunConfig(quiver_file="a3-star", seed=0)
+    clean, _ = ql.verify_run(cfg)
+
+    def faulty(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected")
+    monkeypatch.setattr(ql.verify, "slice_solve", faulty)
+    report, _ = ql.verify_run(cfg)
+    faulted = {s.name: s for s in report.suites}["slice_correction"]
+    assert faulted.to_dict() == {"name": "slice_correction", "passed": False,
+                                 "worst_residual": np.inf,
+                                 "note": "LinAlgError: injected"}
+    assert ([s.to_dict() for s in report.suites if s.name != "slice_correction"]
+            == [s.to_dict() for s in clean.suites if s.name != "slice_correction"])
