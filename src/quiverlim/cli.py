@@ -165,7 +165,7 @@ def _cmd_bb_basis(cfg: RunConfig, args) -> int:
 def _cmd_climit(cfg: RunConfig, args) -> int:
     flow, A, _ = _limit_setup(cfg)
     p0 = flow.limit
-    rep = conformal_limit(p0, A, args.hbar, grading=flow.grading)
+    rep = conformal_limit(p0, A, args.hbar, flow.grading)
     fp = fingerprint(rep.point, cfg.max_len)
     print(f"conformal limit at hbar={args.hbar:g}: "
           f"{rep.iterations} Newton steps, residual {rep.residual:.3e}")
@@ -220,7 +220,7 @@ def _cmd_invariants(cfg: RunConfig, args) -> int:
 def _cmd_escape(cfg: RunConfig, args) -> int:
     path = PathSpec.parse(args.path)
     flow, A, _ = _limit_setup(cfg)
-    st, = escape_slope(flow.limit, A, [path])
+    st, = escape_slope(flow.limit, A, [path], flow.grading)
     print(f"path {path}: predicted blow-up exponent {st.expected_exponent}")
     print(f"leading power of hbar: {st.slope:g}")
     print(f"Laurent coefficients, relative to the largest sampled entry: "

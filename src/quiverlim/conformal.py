@@ -7,11 +7,16 @@ realized by a sphere rotation of the quaternionic structure followed by the
 inverse circle rescaling; the final real-moment solve at parameter zero
 pins the gauge representative.
 
-Of a member's four stages at (hbar, R), only the first, the graded solve at
-the rescaled increment, does not depend on hbar; the rotation by hbar*R,
-the rescaling by 1/(hbar*R) and the final solve do, and so does the limit
-point.  convergence_study therefore runs the slice checks once and each
-start once per R, and finishes every hbar from the shared starts.
+Every entry point that takes a slice increment also takes the weight
+grading of its base point, and refuses an increment that moves the complex
+moment, meets the gauge orbit or has support below weight one.  Members are
+built in one place, convergence_study; conformal_family_sample is its
+one-member case.  Of a member's four stages at (hbar, R), only the first,
+the graded solve at the rescaled increment, does not depend on hbar; the
+rotation by hbar*R, the rescaling by 1/(hbar*R) and the final solve do, and
+so does the limit point.  The study therefore runs the slice and base-point
+checks once and each start once per R, and finishes every hbar from the
+shared starts.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .config import (CHECK_TOL, FLOOR, STAGE_SLACK, TOL, check_grid,
                      moment_scale)
 from .errors import NotOnSlice, NotOnVariety
 from .fixedpoints import WeightGrading
-from .invariants import fingerprint, fingerprints
+from .invariants import fingerprints
 from .repspace import (LieElement, RepPoint, central_lie, inf_action_adjoint,
                        moment_complex, moment_real, zeta_real_lie)
 from .slices import positive_weight_project
@@ -49,11 +54,11 @@ def twistor_rotate(p: RepPoint, xi: complex) -> RepPoint:
 
 
 def check_slice_increment(p0: RepPoint, A: RepPoint,
-                          grading: WeightGrading | None = None) -> tuple[float, float]:
+                          grading: WeightGrading) -> tuple[float, float]:
     """Raise NotOnSlice unless A keeps the complex moment of p0 on its
-    central level and is orthogonal to the gauge orbit of p0, and, given a
-    grading, has no support below weight one.  Returns the complex-moment
-    move and the gauge-orbit component (mc_dev, adj)."""
+    central level, is orthogonal to the gauge orbit of p0 and has no support
+    below weight one of grading.  Returns the complex-moment move and the
+    gauge-orbit component (mc_dev, adj)."""
     at = p0 + A
     mc_dev = (moment_complex(at) - moment_complex(p0)).norm()
     if mc_dev > CHECK_TOL * moment_scale(at):
@@ -63,11 +68,10 @@ def check_slice_increment(p0: RepPoint, A: RepPoint,
     if adj > CHECK_TOL * max(1.0, p0.norm() * A.norm()):
         raise NotOnSlice(
             f"increment is not orthogonal to the gauge orbit ({adj:.3e})")
-    if grading is not None:
-        off = (A - positive_weight_project(A, grading)).norm()
-        if off > CHECK_TOL * max(1.0, A.norm()):
-            raise NotOnSlice(
-                f"increment has support below weight one ({off:.3e})")
+    off = (A - positive_weight_project(A, grading)).norm()
+    if off > CHECK_TOL * max(1.0, A.norm()):
+        raise NotOnSlice(
+            f"increment has support below weight one ({off:.3e})")
     return mc_dev, adj
 
 
@@ -89,7 +93,7 @@ def conformal_flat(p0: RepPoint, A: RepPoint, hbar) -> np.ndarray:
 
 
 def conformal_point(p0: RepPoint, A: RepPoint, hbar: complex,
-                    grading: WeightGrading | None = None) -> RepPoint:
+                    grading: WeightGrading) -> RepPoint:
     """Closed-form family member attached to a slice increment A at scale hbar.
 
     Reversed-edge and outgoing-framing data of the base point enter divided
@@ -103,9 +107,9 @@ def conformal_point(p0: RepPoint, A: RepPoint, hbar: complex,
 
 
 def conformal_limit(p0: RepPoint, A: RepPoint, hbar: complex,
-                    grading: WeightGrading | None = None) -> SolveReport:
+                    grading: WeightGrading) -> SolveReport:
     """Kempf-Ness representative of the closed-form point at real parameter zero."""
-    pA = conformal_point(p0, A, hbar, grading=grading)
+    pA = conformal_point(p0, A, hbar, grading)
     return solve_real_moment(pA, np.zeros(p0.quiver.n))
 
 
@@ -117,16 +121,6 @@ class ConformalFamilySample:
     fingerprint: np.ndarray
     stage_residuals: dict[str, float]
     iterations: int
-
-
-def _family_start(p0: RepPoint, A: RepPoint, sigma: np.ndarray, R: float,
-                  grading: WeightGrading) -> GradedSolveReport:
-    """Stage one of a family member: the graded real-moment solve at the
-    rescaled increment, the same for every hbar."""
-    base_gap = (grading.base_point - p0).norm()
-    if base_gap > CHECK_TOL * max(1.0, p0.norm()):
-        raise ValueError("grading was computed at a different base point")
-    return graded_solve(p0 + grading.act(R, A), grading, R, sigma)
 
 
 def _family_finish(p0: RepPoint, start: GradedSolveReport, sigma: np.ndarray,
@@ -168,7 +162,8 @@ def _family_finish(p0: RepPoint, start: GradedSolveReport, sigma: np.ndarray,
 def conformal_family_sample(p0: RepPoint, A: RepPoint, sigma, hbar: complex,
                             R: float, grading: WeightGrading,
                             max_len: int = 4) -> ConformalFamilySample:
-    """One member of the rotation-scaling family at circle parameter R.
+    """One member of the rotation-scaling family at circle parameter R: the
+    one-member convergence_study, with its slice checks and limit solve.
 
     Four stages: solve the real moment equation at the rescaled increment,
     rotate the sphere direction by hbar*R, apply the inverse weighted
@@ -176,14 +171,8 @@ def conformal_family_sample(p0: RepPoint, A: RepPoint, sigma, hbar: complex,
     bounded), and re-solve at real parameter zero.  The exact moment values
     after the middle stages are asserted.
     """
-    R, = check_grid("R", (R,))
-    hb = _check_hbar(hbar)
-    sig = np.asarray(sigma, dtype=float)
-    start = _family_start(p0, A, sig, R, grading)
-    final, stages = _family_finish(p0, start, sig, hb, R, grading)
-    return ConformalFamilySample(
-        R=R, hbar=hb, point=final.point, fingerprint=fingerprint(final.point, max_len),
-        stage_residuals=stages, iterations=final.iterations)
+    st, = convergence_study(p0, A, sigma, (hbar,), (R,), grading, max_len)
+    return st.samples[0]
 
 
 @dataclass
@@ -227,16 +216,20 @@ def convergence_study(p0: RepPoint, A: RepPoint, sigma, hbar_grid, R_grid,
     the solver floor.  With fewer than two usable points the study is
     degenerate: the slope is None.
 
-    The slice checks of A run once, and the graded start solve at each R
-    runs once for all hbar.  Each hbar solves its limit and its members and
-    fingerprints them in one fingerprints call before its report is yielded, so
-    a solve error at one hbar comes after the reports of the hbar before it.
+    The slice checks of A and the check that grading was computed at p0 run
+    once, and the graded start solve at each R runs once for all hbar.  Each
+    hbar solves its limit and its members and fingerprints them in one
+    fingerprints call before its report is yielded, so a solve error at one
+    hbar comes after the reports of the hbar before it.
     Within one hbar, each member's final solve starts from the exponent of
     the previous R's (the answer does not depend on the start).
     """
     grid = check_grid("R_grid", R_grid)
     hbars = [_check_hbar(h) for h in hbar_grid]
     check_slice_increment(p0, A, grading)
+    base_gap = (grading.base_point - p0).norm()
+    if base_gap > CHECK_TOL * max(1.0, p0.norm()):
+        raise ValueError("grading was computed at a different base point")
     sig = np.asarray(sigma, dtype=float)
     starts: dict[float, GradedSolveReport] = {}
     for hb in hbars:
@@ -245,7 +238,7 @@ def convergence_study(p0: RepPoint, A: RepPoint, sigma, hbar_grid, R_grid,
         members: list[tuple[SolveReport, dict[str, float]]] = []
         for R in grid:
             if R not in starts:
-                starts[R] = _family_start(p0, A, sig, R, grading)
+                starts[R] = graded_solve(p0 + grading.act(R, A), grading, R, sig)
             members.append(_family_finish(p0, starts[R], sig, hb, R, grading,
                                           members[-1][0].xi if members else None))
         fp_limit, *fps = fingerprints([limit.point, *(f.point for f, _ in members)],

@@ -252,8 +252,9 @@ class EscapeStudy:
         return max(self.mismatch, self.outside) <= IDENTITY_TOL
 
 
-def escape_slope(p0: RepPoint, A: RepPoint, paths) -> list[EscapeStudy]:
-    """Laurent coefficients in hbar of path invariants along conformal_point.
+def escape_slope(p0: RepPoint, A: RepPoint, paths, grading) -> list[EscapeStudy]:
+    """Laurent coefficients in hbar of path invariants along conformal_point,
+    after the slice checks of A against p0 and its weight grading.
 
     Every slot of conformal_point(p0, A, hbar) is affine in hbar or in 1/hbar,
     so an invariant of escape exponent e is hbar^-e times a polynomial of
@@ -265,7 +266,7 @@ def escape_slope(p0: RepPoint, A: RepPoint, paths) -> list[EscapeStudy]:
     """
     from .conformal import check_slice_increment, conformal_flat
 
-    check_slice_increment(p0, A)
+    check_slice_increment(p0, A, grading)
     longest = max((len(path.tokens) for path in paths), default=0)
     n_pts = 1 << (2 * (longest + 1)).bit_length()
     mats = p0.layout.slot_views(conformal_flat(

@@ -305,9 +305,7 @@ def quiver_from_dict(data) -> tuple[Quiver, DimensionVectors, CentralParameter]:
             raise ValueError(f"{field} must be a list")
     q = Quiver(n=data["vertices"], edges=data["edges"])
     dims = DimensionVectors(v=data["v"], w=data["w"])
-    c = tuple(tuple(entry) if isinstance(entry, list) else entry
-              for entry in data.get("c", [[0.0, 0.0]] * q.n))
-    zeta = CentralParameter(sigma=data["sigma"], c=c)
+    zeta = CentralParameter(sigma=data["sigma"], c=data.get("c", [[0.0, 0.0]] * q.n))
     dims.check_quiver(q)
     if zeta.n != q.n:
         raise ValueError("sigma/c length does not match the vertex count")

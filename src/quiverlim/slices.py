@@ -25,15 +25,12 @@ from .quiver import expected_dimension
 from .repspace import RepPoint, central_deviation, moment_complex
 
 
-def stacked_conditions(p: RepPoint, shift: RepPoint | None = None) -> np.ndarray:
-    """Matrix of q -> (dmu_C(p + shift, q), adjoint-action_p(q)) on flat coords.
-
-    The adjoint rows, the conjugate transpose of the action matrix, are
-    taken at the base point p: the slice orthogonality condition stays fixed
-    while the moment rows move to p + shift."""
+def stacked_conditions(p: RepPoint) -> np.ndarray:
+    """Matrix of q -> (dmu_C(p, q), adjoint-action_p(q)) on flat coords:
+    the moment rows over the adjoint rows, the conjugate transpose of the
+    action matrix."""
     lay = p.layout
-    at = p if shift is None else p + shift
-    return np.concatenate([lay.dmu_matrix(at), lay.action_matrix(p).conj().T])
+    return np.concatenate([lay.dmu_matrix(p), lay.action_matrix(p).conj().T])
 
 
 def _null_and_row(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -30,9 +30,9 @@ from .conformal import (check_slice_increment, conformal_flat,
                         convergence_study, twistor_rotate)
 from .errors import QuiverLimError
 from .fixedpoints import bb_expected_dimension, cstar_act, flow_limit
-from .invariants import (enumerate_paths, escape_slope, fingerprint,
-                         fingerprint_labels, fingerprints, invariant_size,
-                         is_nilpotent, path_escape_exponent)
+from .invariants import (enumerate_paths, escape_slope, fingerprint_labels,
+                         fingerprints, invariant_size, is_nilpotent,
+                         path_escape_exponent)
 from .presets import resolve_quiver_spec
 from .quiver import expected_dimension, is_generic, require_nonempty
 from .repspace import (LieElement, RepPoint, central_deviation, dmu_complex,
@@ -298,10 +298,9 @@ def _suite_conformal(pl: _Pipeline):
 def _suite_invariance(pl: _Pipeline):
     p = pl.need("sampling", "sample").point
     rng = make_rng(pl.cfg.seed + 6)
-    base = fingerprint(p, pl.cfg.max_len)
+    moves = [gauge_act(lie_exp(_rand_lie(pl.dims, rng, 0.4)), p) for _ in range(10)]
+    base, *moved = fingerprints([p, *moves], pl.cfg.max_len)
     ref = max(1.0, float(np.linalg.norm(base)))
-    moved = fingerprints([gauge_act(lie_exp(_rand_lie(pl.dims, rng, 0.4)), p)
-                          for _ in range(10)], pl.cfg.max_len)
     worst = 0.0
     for fp in moved:
         worst = max(worst, float(np.linalg.norm(fp - base)) / ref)
@@ -313,7 +312,7 @@ def _suite_escape(pl: _Pipeline):
     # no slice directions means no invariant can blow up along them
     if pl.bb_basis is not None and pl.bb_basis.count() == 0:
         return True, 0.0, "zero-dimensional attracting slice"
-    A, p0 = pl.need("attracting slice", "A", "p0")
+    A, p0, grading = pl.need("attracting slice", "A", "p0", "grading")
     paths = [ps for kind in ("admissible", "loop")
              for ps in enumerate_paths(pl.quiver, pl.dims, pl.cfg.max_len, kind)]
     if np.all(np.abs(pl.central.c_array()) == 0) and not is_nilpotent(p0):
@@ -328,7 +327,7 @@ def _suite_escape(pl: _Pipeline):
                   and invariant_size(at, ps) > ESCAPE_MIN_INVARIANT]
     if not candidates:
         return True, 0.0, "no non-vanishing escaping invariant at this point"
-    studies = escape_slope(p0, A, candidates)
+    studies = escape_slope(p0, A, candidates, grading)
     failed = [st for st in studies if not st.passed]
     note = f"checked {len(studies)} paths"
     if failed:

@@ -1,5 +1,6 @@
 """Shared fixtures: preset setups are expensive (Newton solves), so cache them."""
 
+import importlib.util
 import pathlib
 
 import numpy as np
@@ -10,11 +11,14 @@ from quiverlim.config import CHECK_TOL
 from quiverlim.sampling import attracting_increment
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+_sweep_spec = importlib.util.spec_from_file_location(
+    "verify_sweep", ROOT / "scripts" / "verify_sweep.py")
+_sweep = importlib.util.module_from_spec(_sweep_spec)
+_sweep_spec.loader.exec_module(_sweep)
 
-# the quivers whose every suite is checked over seeds 0-11: four presets and
-# the two benchmark files, named as verify_sweep.py names them
-COMMITTED_QUIVERS = ("tstar-p1", "a2-star", "kronecker2", "a3-star",
-                     "bench/quivers/a3_chain.json", "bench/quivers/d4_star.json")
+# the quivers whose every suite is checked over seeds 0-11: the presets and
+# the benchmark files that scripts/verify_sweep.py sweeps, named as it names them
+COMMITTED_QUIVERS = _sweep.QUIVERS
 BENCH_QUIVER_FILES = tuple(str(ROOT / spec) for spec in COMMITTED_QUIVERS
                            if spec.endswith(".json"))
 
@@ -137,12 +141,12 @@ def newton_derivative(p, xi):
     return ql.dmoment_real_scaled(p, ql.inf_action(p, xi))
 
 
-def escape_profile(p0, A, hbar_grid, max_len):
+def escape_profile(p0, A, grading, hbar_grid, max_len):
     """(hbar, largest fingerprint magnitude) along the algebraic limit family,
     hbar decreasing.  Non-nilpotent slice points must blow up down the tail."""
     rows = []
     for h in sorted(hbar_grid, reverse=True):
-        f = ql.fingerprint(ql.conformal_point(p0, A, h), max_len)
+        f = ql.fingerprint(ql.conformal_point(p0, A, h, grading), max_len)
         rows.append((float(h), float(np.abs(f).max(initial=0.0))))
     return rows
 
@@ -231,16 +235,23 @@ def is_nilpotent_by_paths(p):
 def nilpotent_by_paths(points):
     """is_nilpotent_by_paths of each of several points of one quiver and
     dimension vectors: every path is validated once and its product taken
-    once on the stacked slots of all the points."""
+    once on the stacked slots of all the points.  A path reuses the partial
+    products of the prefix it shares with the path before it (enumerate_paths
+    lists paths depth first), each formed as slots[s] @ acc in path order."""
     p = points[0]
     slots = p.layout.slot_views(np.stack([q.vec for q in points]))
     nilpotent = np.ones(len(points), dtype=bool)
     for kind in ("loop", "admissible"):
+        prev, prods = [], []
         for ps in ql.enumerate_paths(p.quiver, p.dims, nilpotency_bound(p.dims), kind):
             order = ql.invariants.validate_path(ps, p.quiver, p.dims)
-            m = slots[order[0]]
-            for s in order[1:]:
-                m = slots[s] @ m
+            shared = 0
+            while shared < min(len(prev), len(order)) and prev[shared] == order[shared]:
+                shared += 1
+            del prods[shared:]
+            for s in order[shared:]:
+                prods.append(slots[s] @ prods[-1] if prods else slots[s])
+            prev, m = order, prods[-1]
             if kind == "loop":
                 sizes = np.abs(np.trace(m, axis1=-2, axis2=-1))
             else:

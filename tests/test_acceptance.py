@@ -100,7 +100,7 @@ def test_criterion_05_conformal_representative_level():
         for k in range(25):
             A = s.slice_point(seed=2000 + k, scale=0.4)
             hbar = rng.uniform(0.3, 2.0) * np.exp(1j * rng.uniform(-0.5, 0.5))
-            pA = ql.conformal_point(s.p0, A, hbar)
+            pA = ql.conformal_point(s.p0, A, hbar, s.grading)
             dev = (ql.moment_complex(pA) + 2j * zr).norm()
             worst = max(worst, dev)
             assert dev <= 1e-10
@@ -169,7 +169,7 @@ def test_criterion_09_escape_rates():
     # one framing exit: first-order blow-up
     s = get_setup("tstar-p1")
     A = s.slice_point(seed=2300)
-    study, = ql.escape_slope(s.p0, A, [ql.PathSpec.parse("P:c0.j0")])
+    study, = ql.escape_slope(s.p0, A, [ql.PathSpec.parse("P:c0.j0")], s.grading)
     dev = abs(study.slope + 1.0)
     worst = max(worst, dev)
     assert dev <= 0.2
@@ -180,12 +180,12 @@ def test_criterion_09_escape_rates():
              if ql.path_escape_exponent(t, k.quiver, k.dims) == 2
              and ql.invariant_size(k.p0 + Ak, t) > 1e-6]
     assert loops, "need a loop with two reversed edges alive on the slice"
-    study2, = ql.escape_slope(k.p0, Ak, [loops[0]])
+    study2, = ql.escape_slope(k.p0, Ak, [loops[0]], k.grading)
     dev2 = abs(study2.slope + 2.0)
     worst = max(worst, dev2)
     assert dev2 <= 0.2
     # the largest invariant grows monotonically once hbar passes the threshold
-    prof = escape_profile(s.p0, A, (0.4, 0.2, 0.1, 0.05, 0.025), 4)
+    prof = escape_profile(s.p0, A, s.grading, (0.4, 0.2, 0.1, 0.05, 0.025), 4)
     values = [v for _, v in prof]
     assert all(b > a for a, b in zip(values, values[1:]))
     _report(9, "invariants blow up at the predicted rates", worst)

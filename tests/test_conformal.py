@@ -48,7 +48,7 @@ def test_conformal_point_level(tstar):
     sigma = tstar.central.sigma_array()
     zr = ql.zeta_real_lie(sigma, tstar.dims)
     for hbar in (1.0, 0.5, 0.25):
-        pA = ql.conformal_point(p0, A, hbar)
+        pA = ql.conformal_point(p0, A, hbar, tstar.grading)
         assert (ql.moment_complex(pA) + 2j * zr).norm() < 1e-10
 
 
@@ -56,13 +56,22 @@ def test_conformal_point_rejects_off_slice_seed(tstar):
     p0 = tstar.p0
     bad = ql.random_rep(tstar.quiver, tstar.dims, ql.make_rng(63), scale=0.3)
     with pytest.raises(ql.NotOnSlice):
-        ql.conformal_point(p0, bad, 1.0)
+        ql.conformal_point(p0, bad, 1.0, tstar.grading)
+
+
+def test_family_sample_rejects_off_slice_seed(tstar):
+    # the one-member study runs the slice checks before any solve
+    p0, grading = tstar.p0, tstar.grading
+    bad = ql.random_rep(tstar.quiver, tstar.dims, ql.make_rng(63), scale=0.3)
+    with pytest.raises(ql.NotOnSlice):
+        ql.conformal_family_sample(p0, bad, tstar.central.sigma_array(), 1.0, 0.1,
+                                   grading)
 
 
 def test_conformal_limit_solves(tstar):
     p0 = tstar.p0
     A = tstar.slice_point(seed=64)
-    rep = ql.conformal_limit(p0, A, 1.0)
+    rep = ql.conformal_limit(p0, A, 1.0, tstar.grading)
     assert rep.residual <= 1e-10
     # real moment vanishes, complex moment stays central at -2i zeta_R
     assert ql.moment_real(rep.point).norm() < 1e-9

@@ -189,7 +189,8 @@ def test_zero_invariant_guard(tstar):
     path = ql.PathSpec.parse("P:c0.j0")
     assert ql.invariant_size(p0, path) < 1e-14
     with pytest.raises(ql.ZeroInvariant):
-        ql.escape_slope(p0, ql.RepPoint.zeros(tstar.quiver, tstar.dims), [path])
+        ql.escape_slope(p0, ql.RepPoint.zeros(tstar.quiver, tstar.dims), [path],
+                        tstar.grading)
 
 
 def test_escape_exponent_counts_reversals_and_exits(kronecker):
@@ -211,7 +212,8 @@ def test_escape_exponent_refuses_unknown_tokens(tstar):
 
 def test_escape_slope_on_smallest_example(tstar):
     A = tstar.slice_point(seed=47)
-    study, = ql.escape_slope(tstar.p0, A, [ql.PathSpec.parse("P:c0.j0")])
+    study, = ql.escape_slope(tstar.p0, A, [ql.PathSpec.parse("P:c0.j0")],
+                             tstar.grading)
     assert study.expected_exponent == 1
     assert abs(study.slope + 1.0) < 0.2
     assert study.slope == -1
@@ -220,7 +222,7 @@ def test_escape_slope_on_smallest_example(tstar):
 
 def test_escape_profile_monotone(tstar):
     A = tstar.slice_point(seed=48)
-    prof = escape_profile(tstar.p0, A, (0.4, 0.2, 0.1, 0.05), 4)
+    prof = escape_profile(tstar.p0, A, tstar.grading, (0.4, 0.2, 0.1, 0.05), 4)
     values = [v for _, v in prof]
     assert values == sorted(values)
     assert values[-1] > values[0]
@@ -235,11 +237,14 @@ def test_fingerprint_matches_per_path_evaluation(name):
     else:
         p0, A = verify_pair(f"bench/quivers/{name}.json", 0)
     rand = ql.random_rep(p0.quiver, p0.dims, ql.make_rng(49))
-    for label, p in (("p0", p0), ("p0+A", p0 + A), ("random", rand)):
+    points = (("p0", p0), ("p0+A", p0 + A), ("random", rand))
+    for label, p in points:
         for max_len in (4, 6):
             assert np.array_equal(ql.fingerprint(p, max_len),
                                   fingerprint_by_paths(p, max_len)), (label, max_len)
-        assert ql.is_nilpotent(p) is is_nilpotent_by_paths(p), label
+    by_paths = nilpotent_by_paths([p for _, p in points])
+    for (label, p), want in zip(points, by_paths):
+        assert ql.is_nilpotent(p) is want, label
     assert ql.is_nilpotent(p0)
 
 

@@ -85,13 +85,13 @@ def test_dmu_matrix_matches_dmu_complex(case):
 
 
 def test_stacked_conditions_match_probes(case):
-    lay, p, shift = case
+    lay, p, _ = case
     want = np.zeros((2 * lay.lie_dim, lay.rep_dim), dtype=complex)
     for t, e in enumerate(units(lay.rep_dim)):
         q = ql.RepPoint.from_flat(p.quiver, p.dims, e)
-        want[:, t] = np.concatenate([ql.dmu_complex(p + shift, q).flatten(),
+        want[:, t] = np.concatenate([ql.dmu_complex(p, q).flatten(),
                                      ql.inf_action_adjoint(p, q).flatten()])
-    assert np.array_equal(stacked_conditions(p, shift=shift), want)
+    assert np.array_equal(stacked_conditions(p), want)
 
 
 def test_hermitian_basis_is_real_orthonormal(case):
@@ -361,9 +361,9 @@ def test_slotwise_maps_match_per_slot_bodies(case):
     assert_conjugated(ql.gauge_act(g, p), gauge_act_by_slots(g, p))
     for xi in (complex(*rng.uniform(-2, 2, size=2)), 0.35, 0.0):
         assert_same(ql.twistor_rotate(p, xi), twistor_rotate_by_slots(p, xi))
-    zero = ql.RepPoint.zeros(p.quiver, p.dims)
+    zero, grading = ql.RepPoint.zeros(p.quiver, p.dims), synthetic_grading(p, rng)
     for hbar in (0.5, 0.3 - 0.2j):
-        assert_same(ql.conformal_point(p, zero, hbar),
+        assert_same(ql.conformal_point(p, zero, hbar, grading),
                     conformal_point_by_slots(p, zero, hbar))
     assert_conjugated(ql.moment_real(p), moment_real_by_vertex(p))
     assert_conjugated(ql.moment_complex(p), moment_complex_by_vertex(p))
@@ -372,7 +372,7 @@ def test_slotwise_maps_match_per_slot_bodies(case):
                       dmoment_real_scaled_by_vertex(p, shift))
     assert_conjugated(ql.inf_action_adjoint(p, shift),
                       inf_action_adjoint_by_vertex(p, shift))
-    assert_graded_maps_match(shift, synthetic_grading(p, rng))
+    assert_graded_maps_match(shift, grading)
 
 
 @pytest.mark.parametrize("name", ["tstar-p1", "a2-star", "a3-star", "kronecker2"])
