@@ -31,7 +31,10 @@ the runs with identical verdicts out of all runs, the largest relative move
 over all runs with its run and location, the number of runs with other
 differences, and then the largest move in each of the five files with its
 run and key (so a file whose rows pair different values, such as a
-flow_trace.csv with fewer rows, does not hide the moves in the others):
+flow_trace.csv with fewer rows, does not hide the moves in the others).
+It exits 1 when the verdicts of any run differ or when the two sweeps print
+different numbers of lines (it then says so and compares the runs both
+have), and 0 otherwise; moved numbers alone do not fail it:
 
     python3 scripts/verify_sweep.py --compare --src ../other/src
 
@@ -157,10 +160,11 @@ def _moves(old_dir: str, new_dir: str):
     return _combined(_per_file(old_dir, new_dir))
 
 
-def _report(lines: dict, root: str) -> None:
+def _report(lines: dict, root: str) -> int:
     """Print the per-run lines and the summary for the sweeps whose output
     lines are lines["old"] and lines["new"] and whose run n kept its
-    artefacts in root/old/n and root/new/n."""
+    artefacts in root/old/n and root/new/n; 1 when the verdicts of a run
+    differ or the sweeps have different numbers of lines, else 0."""
     n_same = n_other = 0
     top = (0.0, "-")
     top_file = dict.fromkeys(ARTEFACTS, (0.0, "-"))
@@ -181,11 +185,16 @@ def _report(lines: dict, root: str) -> None:
         n_other += bool(other)
         if worst[0] > top[0]:
             top = (worst[0], f"{quiver}:{seed}:{worst[1]}")
+    n_old, n_new = len(lines["old"]), len(lines["new"])
+    if n_old != n_new:
+        print(f"line counts differ: old {n_old}, new {n_new}; "
+              f"the first {min(n_old, n_new)} runs are compared")
     files = ", ".join(f"{name} max_rel={move:.2e} at={where}"
                       for name, (move, where) in top_file.items())
-    print(f"summary: verdicts same on {n_same}/{len(lines['new'])} runs, "
+    print(f"summary: verdicts same on {n_same}/{n_new} runs, "
           f"max_rel={top[0]:.2e} at={top[1]}, other differences on {n_other} runs; "
           f"per file: {files}")
+    return int(n_same != n_new or n_old != n_new)
 
 
 def _compare(other_src: str) -> int:
@@ -200,8 +209,7 @@ def _compare(other_src: str) -> int:
         if any(proc.returncode for proc in procs.values()):
             print("a sweep failed", file=sys.stderr)
             return 1
-        _report(lines, tmp)
-    return 0
+        return _report(lines, tmp)
 
 
 def main(argv=None) -> int:

@@ -11,6 +11,15 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, fields
+from numbers import Integral, Real
+
+
+def check_number(field: str, x, kind=Real):
+    """x; ValueError naming the field unless x is a finite number of the given
+    kind (Integral or Real), a bool being neither."""
+    if isinstance(x, bool) or not isinstance(x, kind) or not math.isfinite(x):
+        raise ValueError(f"{field}: {x!r} is not a finite {kind.__name__.lower()} number")
+    return x
 
 
 def check_grid(name: str, grid) -> tuple[float, ...]:
@@ -102,8 +111,8 @@ class RunConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "max_len", int(self.max_len))
+        for name in ("seed", "max_len"):
+            object.__setattr__(self, name, int(check_number(name, getattr(self, name), Integral)))
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         if self.max_len < 1:

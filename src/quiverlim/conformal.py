@@ -29,12 +29,12 @@ import numpy as np
 
 from .config import (CHECK_TOL, FLOOR, STAGE_SLACK, TOL, check_grid,
                      moment_scale)
-from .errors import NotOnSlice, NotOnVariety
+from .errors import NotOnVariety
 from .fixedpoints import WeightGrading
 from .invariants import fingerprints
-from .repspace import (LieElement, RepPoint, central_lie, inf_action_adjoint,
-                       moment_complex, moment_real, zeta_real_lie)
-from .slices import positive_weight_project
+from .repspace import (LieElement, RepPoint, central_lie, moment_complex,
+                       moment_real, zeta_real_lie)
+from .slices import check_slice_increment, conformal_flat
 from .solver import (GradedSolveReport, SolveReport, graded_solve,
                      solve_real_moment)
 
@@ -53,43 +53,12 @@ def twistor_rotate(p: RepPoint, xi: complex) -> RepPoint:
                               x - (lay.sign * complex(xi)) * np.conj(x[lay.partner_index]))
 
 
-def check_slice_increment(p0: RepPoint, A: RepPoint,
-                          grading: WeightGrading) -> tuple[float, float]:
-    """Raise NotOnSlice unless A keeps the complex moment of p0 on its
-    central level, is orthogonal to the gauge orbit of p0 and has no support
-    below weight one of grading.  Returns the complex-moment move and the
-    gauge-orbit component (mc_dev, adj)."""
-    at = p0 + A
-    mc_dev = (moment_complex(at) - moment_complex(p0)).norm()
-    if mc_dev > CHECK_TOL * moment_scale(at):
-        raise NotOnSlice(
-            f"increment moves the complex moment off its central level ({mc_dev:.3e})")
-    adj = inf_action_adjoint(p0, A).norm()
-    if adj > CHECK_TOL * max(1.0, p0.norm() * A.norm()):
-        raise NotOnSlice(
-            f"increment is not orthogonal to the gauge orbit ({adj:.3e})")
-    off = (A - positive_weight_project(A, grading)).norm()
-    if off > CHECK_TOL * max(1.0, A.norm()):
-        raise NotOnSlice(
-            f"increment has support below weight one ({off:.3e})")
-    return mc_dev, adj
-
-
 def _check_hbar(hbar) -> complex:
     """hbar as a complex number; ValueError unless it is finite and nonzero."""
     hb = complex(hbar)
     if hb == 0 or not cmath.isfinite(hb):
         raise ValueError("hbar must be finite and nonzero")
     return hb
-
-
-def conformal_flat(p0: RepPoint, A: RepPoint, hbar) -> np.ndarray:
-    """The flat coordinates of conformal_point(p0, A, hbar) without its slice
-    checks; an array hbar of shape (N, 1) gives one member per row.  Each
-    entry pairs with the conjugate of its partner entry (see FlatLayout)."""
-    lay, x, a = p0.layout, p0.vec, A.vec
-    back = np.conj(x[lay.partner_index])
-    return np.where(lay.scaled, (x + a) / hbar + back, x + a - hbar * back)
 
 
 def conformal_point(p0: RepPoint, A: RepPoint, hbar: complex,

@@ -5,8 +5,8 @@ by R and leaves the rest alone.  A point is fixed when each rescaling can be
 undone by a gauge transformation; the infinitesimal compensator is i*D for a
 hermitian D whose per-vertex eigenvalues are the integer weights.  Pairing
 the scaling with the gauge power R^D gives a linear action on the whole
-representation space that fixes the point and scales its tangent directions
-blockwise.
+representation space that fixes the point; in the eigenbases of D it
+multiplies each flat coordinate by R to its weight, with no R^D or inverse.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ from .config import (CHECK_TOL, ENERGY_SLACK, FLOOR, FLOW_RATIO, FLOW_STEPS,
 from .errors import (GradingViolation, NoConvergence, NonIntegerWeights,
                      NotFixed, NotInjective, NotOnVariety)
 from .quiver import DimensionVectors, Quiver
-from .repspace import (GaugeElement, LieElement, RepPoint, block_matrix,
-                       central_deviation, conjugate_slots, gauge_act, lie_exp,
-                       moment_complex)
+from .repspace import (LieElement, RepPoint, block_matrix, central_deviation,
+                       conjugate_slots, gauge_act, lie_exp, moment_complex)
 from .solver import assemble_newton_matrix, guarded_eigh, solve_real_moment
 
 
@@ -137,23 +136,17 @@ class WeightGrading:
         that every stage of graded_solve inverts."""
         return guarded_eigh(assemble_newton_matrix(self.base_point))
 
-    def power_gauge(self, s: complex) -> GaugeElement:
-        """s^D: s to the power of each weight on its eigenline."""
-        q, w = self._lines
-        powers = np.array([complex(s) ** int(x) for x in w], dtype=complex)
-        return GaugeElement.from_matrix(self.dims, (q * powers) @ q.conj().T)
-
     def power_cond(self, s: complex) -> float:
-        """The largest condition number of a block of power_gauge(s), in
-        closed form: the block of V_k is unitarily similar to diag(s^w), so
-        its condition number is max(|s|, 1/|s|) to the power of the spread
-        of the weights on V_k."""
+        """The largest condition number of a block of s^D: the block of V_k is
+        unitarily similar to diag(s^w), so its condition number is
+        max(|s|, 1/|s|) to the power of the spread of the weights on V_k."""
         r = abs(complex(s))
         return max(r, 1.0 / r) ** self.max_end_weight()
 
     def act(self, R: complex, p: RepPoint) -> RepPoint:
-        """Combined scaling-plus-gauge action; fixes the base point."""
-        return gauge_act(self.power_gauge(R), cstar_act(R, p))
+        """R^D cstar_act(R, .): R^w on each eigen-coordinate of slot weight w."""
+        scale = complex(R) ** self.slot_weights()
+        return RepPoint._wrap(p.layout, self._in_eigenbasis(p, lambda x: scale * x))
 
     def lie_project(self, xi: LieElement, j: int) -> LieElement:
         """Keep only gauge-algebra components of adjoint weight |m| <= j."""
@@ -183,10 +176,14 @@ class WeightGrading:
 
     def project(self, q: RepPoint, keep: np.ndarray) -> RepPoint:
         """The part of q on the flat eigen-coordinates where keep holds."""
-        qm = self._lines[0]
-        eig = conjugate_slots(q, qm.conj().T, qm).flatten()
-        kept = RepPoint.from_flat(q.quiver, q.dims, np.where(keep, eig, 0.0))
-        return conjugate_slots(kept, qm, qm.conj().T)
+        return RepPoint._wrap(q.layout, self._in_eigenbasis(q, lambda x: np.where(keep, x, 0.0)))
+
+    def _in_eigenbasis(self, q: RepPoint, fn) -> np.ndarray:
+        """fn on the flat eigen-coordinates of q, back in flat coordinates
+        (fn may stack several results along a leading axis)."""
+        lay, qm = q.layout, self._lines[0]
+        eig = conjugate_slots(q, qm.conj().T, qm).vec
+        return lay.from_stack(lay.conjugate(lay.to_stack(fn(eig)), qm, qm.conj().T))
 
 
 def grade_increment(q: RepPoint, grading: WeightGrading) -> dict[int, RepPoint]:
@@ -197,7 +194,9 @@ def grade_increment(q: RepPoint, grading: WeightGrading) -> dict[int, RepPoint]:
     j columns carry one minus theirs.  Summing the parts returns q exactly.
     """
     wts = grading.slot_weights()
-    return {int(w): grading.project(q, wts == w) for w in np.unique(wts)}
+    levels = np.unique(wts)
+    parts = grading._in_eigenbasis(q, lambda x: np.where(wts == levels[:, None], x, 0.0))
+    return {int(w): RepPoint.from_flat(q.quiver, q.dims, x) for w, x in zip(levels, parts)}
 
 
 def weight_grading(p: RepPoint, rep: FixedPointReport | None = None) -> WeightGrading:

@@ -25,6 +25,7 @@ from .config import IDENTITY_TOL, SV_RATIO, ZERO_INVARIANT_TOL
 from .errors import ZeroInvariant
 from .quiver import DimensionVectors, Quiver
 from .repspace import RepPoint, layout
+from .slices import check_slice_increment, conformal_flat
 
 
 @dataclass(frozen=True)
@@ -264,8 +265,6 @@ def escape_slope(p0: RepPoint, A: RepPoint, paths, grading) -> list[EscapeStudy]
     count, gives every coefficient (the trapezoidal rule on the unit circle);
     powers below hbar^-e alias into the top bins.
     """
-    from .conformal import check_slice_increment, conformal_flat
-
     check_slice_increment(p0, A, grading)
     longest = max((len(path.tokens) for path in paths), default=0)
     n_pts = 1 << (2 * (longest + 1)).bit_length()

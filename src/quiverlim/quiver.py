@@ -13,23 +13,14 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
-from .config import WALL_TOL
+from .config import WALL_TOL, check_number
 from .errors import EmptyVariety, OnWall
-
-
-def _number(field: str, x, kind=Real):
-    """x; ValueError naming the field unless x is a finite number of the given
-    kind (Integral or Real), a bool being neither."""
-    if isinstance(x, bool) or not isinstance(x, kind) or not math.isfinite(x):
-        raise ValueError(f"{field}: {x!r} is not a finite {kind.__name__.lower()} number")
-    return x
 
 
 @dataclass(frozen=True)
@@ -45,12 +36,12 @@ class Quiver:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "n", int(_number("vertices", self.n, Integral)))
+        object.__setattr__(self, "n", int(check_number("vertices", self.n, Integral)))
         if self.n < 1:
             raise ValueError("quiver needs at least one vertex")
         if any(not isinstance(e, (tuple, list)) or len(e) != 2 for e in self.edges):
             raise ValueError(f"edges: each edge must be an (out, in) pair, got {self.edges!r}")
-        edges = tuple(tuple(int(_number("edges", x, Integral)) for x in e) for e in self.edges)
+        edges = tuple(tuple(int(check_number("edges", x, Integral)) for x in e) for e in self.edges)
         object.__setattr__(self, "edges", edges)
         for a, b in edges:
             if not (0 <= a < self.n and 0 <= b < self.n):
@@ -105,8 +96,8 @@ class DimensionVectors:
     w: tuple[int, ...]
 
     def __post_init__(self):
-        v = tuple(int(_number("v", x, Integral)) for x in self.v)
-        w = tuple(int(_number("w", x, Integral)) for x in self.w)
+        v = tuple(int(check_number("v", x, Integral)) for x in self.v)
+        w = tuple(int(check_number("w", x, Integral)) for x in self.w)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "w", w)
         if len(v) != len(w):
@@ -144,7 +135,7 @@ class CentralParameter:
     c: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma", tuple(_number("sigma", s) for s in self.sigma))
+        object.__setattr__(self, "sigma", tuple(check_number("sigma", s) for s in self.sigma))
         # (re, im) pairs as tuples, so that the parameter hashes (see walls)
         object.__setattr__(self, "c", tuple(tuple(x) if isinstance(x, list) else x
                                             for x in self.c))
@@ -152,7 +143,7 @@ class CentralParameter:
             if isinstance(x, (tuple, list)) and len(x) != 2:
                 raise ValueError(f"c: {x!r} is not a number or an [re, im] pair")
             for part in self.c_pair(k):
-                _number("c", part)
+                check_number("c", part)
         if len(self.sigma) != len(self.c):
             raise ValueError("sigma and c must have the same length")
 

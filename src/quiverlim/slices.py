@@ -7,6 +7,8 @@ the positive-weight subspace of a fixed-point grading; its SliceBasis
 carries the tangent columns `span` and the Newton `directions`.  The slice
 solvers take that basis and correct a tangent increment so that p + q stays
 on the central complex level while remaining metric-orthogonal to the orbit.
+check_slice_increment tests an increment against these conditions and
+conformal_flat builds the conformal family member attached to one.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (DimensionMismatch, IllConditioned, LeftBasin,
                      MaxIterations, NotOnSlice)
 from .fixedpoints import WeightGrading
 from .quiver import expected_dimension
-from .repspace import RepPoint, central_deviation, moment_complex
+from .repspace import RepPoint, central_deviation, inf_action_adjoint, moment_complex
 
 
 def stacked_conditions(p: RepPoint) -> np.ndarray:
@@ -215,12 +217,44 @@ def bb_slice_solve(basis: SliceBasis, q0: RepPoint,
 
     The start is projected onto the weight >= 1 subspace once; the basis
     directions lie in that subspace, so every Newton iterate stays there.
-    Increments beyond the basin are first shrunk with the inverse blockwise
-    rescaling, solved small, and mapped back with the forward rescaling,
-    which preserves both slice equations.
+    A projected start beyond the basin is shrunk once by the graded action
+    at 1/R, R = 2|q|/BASIN_NORM, which takes it below half the basin, solved
+    small, and mapped back by the action at R; both preserve the slice.
     """
-    norm0 = q0.norm()
-    if norm0 > BASIN_NORM:
-        R = 2.0 * norm0 / BASIN_NORM
-        return grading.act(R, bb_slice_solve(basis, grading.act(1.0 / R, q0), grading))
-    return _constrained_newton(basis, positive_weight_project(q0, grading))
+    q = positive_weight_project(q0, grading)
+    if (norm := q.norm()) <= BASIN_NORM:
+        return _constrained_newton(basis, q)
+    R = 2.0 * norm / BASIN_NORM
+    return grading.act(R, _constrained_newton(basis, grading.act(1.0 / R, q)))
+
+
+def check_slice_increment(p0: RepPoint, A: RepPoint,
+                          grading: WeightGrading) -> tuple[float, float]:
+    """Raise NotOnSlice unless A keeps the complex moment of p0 on its
+    central level, is orthogonal to the gauge orbit of p0 and has no support
+    below weight one of grading.  Returns the complex-moment move and the
+    gauge-orbit component (mc_dev, adj)."""
+    at = p0 + A
+    mc_dev = (moment_complex(at) - moment_complex(p0)).norm()
+    if mc_dev > CHECK_TOL * moment_scale(at):
+        raise NotOnSlice(
+            f"increment moves the complex moment off its central level ({mc_dev:.3e})")
+    adj = inf_action_adjoint(p0, A).norm()
+    if adj > CHECK_TOL * max(1.0, p0.norm() * A.norm()):
+        raise NotOnSlice(
+            f"increment is not orthogonal to the gauge orbit ({adj:.3e})")
+    off = (A - positive_weight_project(A, grading)).norm()
+    if off > CHECK_TOL * max(1.0, A.norm()):
+        raise NotOnSlice(
+            f"increment has support below weight one ({off:.3e})")
+    return mc_dev, adj
+
+
+def conformal_flat(p0: RepPoint, A: RepPoint, hbar) -> np.ndarray:
+    """The flat coordinates of the conformal family member at the slice
+    point p0 + A and scale hbar, without slice checks; an array hbar of shape
+    (N, 1) gives one member per row.  Each entry pairs with the conjugate of
+    its partner entry (see FlatLayout)."""
+    lay, x, a = p0.layout, p0.vec, A.vec
+    back = np.conj(x[lay.partner_index])
+    return np.where(lay.scaled, (x + a) / hbar + back, x + a - hbar * back)

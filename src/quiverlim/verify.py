@@ -26,8 +26,7 @@ import numpy as np
 from .config import (CHECK_TOL, CONFORMAL_SLOPE_RANGE, ESCAPE_MIN_INVARIANT,
                      IDENTITY_TOL, ISOTROPY_TOL, SLACK, TOL, RunConfig,
                      moment_scale)
-from .conformal import (check_slice_increment, conformal_flat,
-                        convergence_study, twistor_rotate)
+from .conformal import convergence_study, twistor_rotate
 from .errors import QuiverLimError
 from .fixedpoints import bb_expected_dimension, cstar_act, flow_limit
 from .invariants import (enumerate_paths, escape_slope, fingerprint_labels,
@@ -41,8 +40,8 @@ from .repspace import (LieElement, RepPoint, central_deviation, dmu_complex,
                        moment_complex, moment_real, symplectic_form)
 from .sampling import (attracting_increment, make_rng, random_rep,
                        sample_on_variety, seeded_increment)
-from .slices import (bb_tangent_basis, moment_correction, slice_solve,
-                     tangent_basis)
+from .slices import (bb_tangent_basis, check_slice_increment, conformal_flat,
+                     moment_correction, slice_solve, tangent_basis)
 from .solver import solve_real_moment
 
 

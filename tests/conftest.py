@@ -273,6 +273,24 @@ def gauge_cond(g):
     return max((float(np.linalg.cond(gk)) for gk in g.g if gk.size), default=1.0)
 
 
+def power_blocks(grading, s, sign=1):
+    """Q_k diag(s^(sign w)) Q_k^H on every vertex k, from qmats and weights:
+    the gauge power s^D of the grading (its inverse for sign=-1), no LU."""
+    return [(Q * complex(s) ** (sign * np.array(ws, dtype=int))) @ Q.conj().T
+            for Q, ws in zip(grading.qmats, grading.weights)]
+
+
+def act_reference(grading, s, p):
+    """s^D cstar_act(s, p) slot by slot, conjugated by power_blocks."""
+    g, ginv, x = power_blocks(grading, s), power_blocks(grading, s, -1), ql.cstar_act(s, p)
+    q = p.quiver
+    return ql.RepPoint(
+        q, p.dims,
+        [g[q.h_in(h)] @ x.B[h] @ ginv[q.h_out(h)] for h in range(q.num_h)],
+        [g[k] @ x.i[k] for k in range(q.n)],
+        [x.j[k] @ ginv[k] for k in range(q.n)])
+
+
 def history_rows(report):
     """SolveReport.history as dicts."""
     return [{"iter": it, "residual": res, "damping": damp}

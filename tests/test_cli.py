@@ -125,12 +125,12 @@ def test_escape(capsys, tmp_path):
 def test_escape_fails_on_a_wrong_family(capsys, monkeypatch, tmp_path):
     # a family that divides its degree-1 slots by hbar twice blows up one
     # order too fast; escape must say FAIL and exit 1
-    family = ql.conformal.conformal_flat
+    family = ql.invariants.conformal_flat
 
     def wrong(p0, A, hbar):
         flat = family(p0, A, hbar)
         return np.where(p0.layout.scaled, flat / hbar, flat)
-    monkeypatch.setattr(ql.conformal, "conformal_flat", wrong)
+    monkeypatch.setattr(ql.invariants, "conformal_flat", wrong)
     code, out, err = run(capsys, "escape", "kronecker2", "--path", "L:h0.h0~",
                          "--out", str(tmp_path))
     assert code == 1

@@ -1,5 +1,6 @@
 """Run configuration validation and hashing."""
 
+import numpy as np
 import pytest
 
 import quiverlim as ql
@@ -29,6 +30,19 @@ def test_validation():
             ql.RunConfig(r_grid=bad)
         with pytest.raises(ValueError, match="hbar_grid entries must be finite"):
             ql.RunConfig(hbar_grid=bad)
+
+
+def test_integral_fields_refuse_other_numbers():
+    # a float, even a whole one, or a bool is refused by name instead of
+    # being truncated to an integer; numpy integers are integers
+    for field in ("seed", "max_len"):
+        for bad in (1.5, 2.0, True):
+            with pytest.raises(ValueError, match=field):
+                ql.RunConfig(**{field: bad})
+        with pytest.raises(ValueError, match=field):
+            ql.RunConfig.from_dict({field: 2.9})
+        cfg = ql.RunConfig(**{field: np.int64(3)})
+        assert getattr(cfg, field) == 3 and type(getattr(cfg, field)) is int
 
 
 def test_digest_stable_and_destination_free():

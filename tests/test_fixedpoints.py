@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import quiverlim as ql
-from conftest import gauge_cond, gauge_distance
+from conftest import act_reference, gauge_distance, power_blocks
 from quiverlim.config import CHECK_TOL, FLOW_STEPS, STABILITY_RATIO
 
 # hand-counted from the weights: entries of the dimension audit per preset,
@@ -15,6 +15,10 @@ HAND_BB_AUDIT = {
     "kronecker2": (3, 0, 2, 1),
     "a3-star": (8, 1, 5, 2),
 }
+
+# scales of the graded action: both sides of 1, complex, and the stage-3
+# rescaling 1/(hbar R) of the default grids (40) and beyond
+ACT_SCALES = (0.5, 2.0, 0.05 * (1 + 1j), 40.0, 160.0)
 
 
 def test_cstar_scales_complex_moment(a3star):
@@ -143,18 +147,29 @@ def test_flow_limit_is_clean(tstar, tstar_sample):
             assert part.norm() < 1e-12
 
 
-def test_power_gauge_condition(a3star):
-    g = a3star.grading.power_gauge(0.5)
-    # diagonal with entries R^w: condition number is R^{-spread}
-    spread = a3star.grading.max_end_weight()
-    assert abs(gauge_cond(g) - 2.0 ** spread) < 1e-10
+@pytest.mark.parametrize("s", ACT_SCALES)
+def test_act_matches_the_closed_form_reference(a3star, s):
+    grading = a3star.grading
+    p = ql.random_rep(a3star.quiver, a3star.dims, ql.make_rng(34))
+    want = act_reference(grading, s, p)
+    assert (grading.act(s, p) - want).norm() <= 1e-12 * want.norm()
+
+
+def test_act_forms_no_gauge_power(monkeypatch, a3star):
+    # the action scales eigen-coordinates: no gauge element, no inverse
+    def refuse(*args, **kwargs):
+        raise AssertionError("the graded action formed a gauge inverse")
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    monkeypatch.setattr(ql.fixedpoints, "gauge_act", refuse)
+    p = ql.random_rep(a3star.quiver, a3star.dims, ql.make_rng(35))
+    assert a3star.grading.act(40.0, p).norm() > 0
 
 
 def test_power_cond_is_the_condition_number(a3star):
     grading = a3star.grading
     assert grading.max_end_weight() > 0
-    for s in (0.5, 2.0, 0.05 * (1 + 1j)):
-        cond = gauge_cond(grading.power_gauge(s))
+    for s in ACT_SCALES:
+        cond = max(np.linalg.cond(g) for g in power_blocks(grading, s) if g.size)
         assert abs(grading.power_cond(s) - cond) <= 1e-10 * cond
 
 

@@ -145,6 +145,18 @@ def test_bb_slice_solve_equivariance(a3star):
         assert (lhs - rhs).norm() < 1e-8 * max(1.0, rhs.norm())
 
 
+def test_bb_slice_solve_projects_a_far_start_once(a3star):
+    # a far start with support below weight one: that part is dropped before
+    # the one shrink, so it cannot grow with it and leave the slice
+    p0, grading, basis = a3star.p0, a3star.grading, a3star.basis
+    q0 = ql.random_rep(a3star.quiver, a3star.dims, ql.make_rng(3), scale=2.0)
+    plus = ql.positive_weight_project(q0, grading)
+    assert plus.norm() > BASIN_NORM and (q0 - plus).norm() > BASIN_NORM
+    A = ql.bb_slice_solve(basis, q0, grading)
+    slices.check_slice_increment(p0, A, grading)
+    assert (A - ql.bb_slice_solve(basis, plus, grading)).norm() <= 1e-12 * A.norm()
+
+
 def test_positive_weight_project(a3star):
     grading = a3star.grading
     q = ql.random_rep(a3star.quiver, a3star.dims, ql.make_rng(56))

@@ -3,8 +3,10 @@
 Every module of quiverlim except ``__init__.py`` (which imports to export)
 must use each of its top-level imports, and every private function, method
 or class (a ``_name`` that is not a dunder) must be referenced somewhere in
-the package: a helper that nothing uses should go.  The verify suites hold
-no error handling of their own: the one runner that wraps them does.
+the package: a helper that nothing uses should go.  No function imports:
+every module dependency shows at the top of its module, so an import cycle
+cannot hide inside a function body.  The verify suites hold no error
+handling of their own: the one runner that wraps them does.
 """
 
 import ast
@@ -66,6 +68,14 @@ def test_every_private_helper_is_referenced():
               and node.name.startswith("_") and not node.name.endswith("__")
               and node.name not in referenced]
     assert unused == []
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_function_imports(module):
+    inside = [f"{node.name}:{sub.lineno}" for node in ast.walk(TREES[module])
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for sub in ast.walk(node) if isinstance(sub, (ast.Import, ast.ImportFrom))]
+    assert inside == []
 
 
 def test_verify_suites_leave_errors_to_their_runner():

@@ -84,7 +84,7 @@ def test_summary_gives_the_largest_move_per_file(tmp_path, capsys):
         _write(tmp_path / "new" / str(n), report, csvs)
     lines = {"old": ["a3-star 0 PPP", "a3-star 1 PPP"],
              "new": ["a3-star 0 PPP", "a3-star 1 PPP"]}
-    sweep._report(lines, str(tmp_path))
+    assert sweep._report(lines, str(tmp_path)) == 0
     summary = capsys.readouterr().out.splitlines()[-1]
     assert summary == (
         "summary: verdicts same on 2/2 runs, max_rel=7.50e-01 "
@@ -94,6 +94,23 @@ def test_summary_gives_the_largest_move_per_file(tmp_path, capsys):
         "flow_trace.csv max_rel=7.50e-01 at=a3-star:0:1:R, "
         "convergence.csv max_rel=0.00e+00 at=-, "
         "fingerprints.csv max_rel=0.00e+00 at=-")
+
+
+@pytest.mark.parametrize("new_lines, said", [
+    (["a3-star 0 PPP", "a3-star 1 PFP"], "summary: verdicts same on 1/2 runs"),
+    (["a3-star 0 PPP", "a3-star 1 PPP", "a3-star 2 PPP"],
+     "line counts differ: old 2, new 3; the first 2 runs are compared"),
+    (["a3-star 0 PPP"], "line counts differ: old 2, new 1; the first 1 runs are compared"),
+], ids=["verdict", "extra_run", "lost_run"])
+def test_compare_fails_on_a_verdict_or_a_lost_run(tmp_path, capsys, new_lines, said):
+    # numbers that do not move leave only the verdicts and the run count to decide
+    for side in ("old", "new"):
+        (tmp_path / side).mkdir()
+        for n in range(3):
+            _write(tmp_path / side / str(n), REPORT, CSV)
+    lines = {"old": ["a3-star 0 PPP", "a3-star 1 PPP"], "new": new_lines}
+    assert sweep._report(lines, str(tmp_path)) == 1
+    assert said in capsys.readouterr().out
 
 
 def test_sweep_prints_digests_on_stdout_and_its_time_on_stderr(tmp_path, monkeypatch,
