@@ -38,15 +38,17 @@ def check_grid(name: str, grid) -> tuple[float, ...]:
 
 
 # Numerical thresholds: every fixed bound the solvers, checks and verify
-# suites compare against.  TOL is the tolerance of every solve.  Moment-map
-# residuals are bounded relative to moment_scale(p) = max(1, |p|^2), linear
-# conditions relative to max(1, |p|).
-TOL = 1e-10                # Newton stopping tolerance of moment and slice solves
+# suites compare against.  Checks bound moment-map residuals relative to
+# moment_scale(p) = max(1, |p|^2), linear conditions relative to max(1, |p|).
+# A real-moment solve stops on its absolute residual, and only the point it
+# rebuilds is held to SLACK tol moment_scale [2]; the min-norm Newton kernel
+# stops at tol moment_scale(p + q) of its current iterate.
+TOL = 1e-10                # stop of real-moment solves (absolute) and slice solves
 CHECK_TOL = 1e-8           # a property tol-accurate data holds to round-off [1]
 SLACK = 10.0               # a bound derived from another may exceed it tenfold [2]
 FLOOR = 100.0              # below FLOOR * tol * scale a derived quantity is zero
 STAGE_SLACK = 50.0         # the conformal family's exact moment checks per stage
-LEVEL_TOL = 1e-12          # complex-level projection of a sample
+LEVEL_TOL = 1e-12          # stop of the complex-level projection of a sample
 TANGENT_TOL = 1e-10        # slice tangent vectors against their conditions
 WALL_TOL = 1e-12           # an inexact parameter this close to a wall is on it
 # [1] central complex level, slice equations and tangency of an increment,
@@ -70,7 +72,7 @@ INT_WEIGHT_TOL = 1e-6      # generator eigenvalues this close to integers are we
 ARMIJO_SLOPE = 1e-4
 MAX_HALVINGS = 10
 MAX_NEWTON_ITER = 100      # cap of a moment solve
-MAX_SLICE_ITER = 50        # cap of a slice correction or level projection
+MAX_SLICE_ITER = 50        # cap of the min-norm Newton kernel (slice, level)
 SAMPLE_RESTARTS = 10       # fresh gaussian draws per sample
 BASIN_NORM = 1.0           # larger attracting increments are shrunk before solving
 

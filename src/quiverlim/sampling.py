@@ -2,10 +2,10 @@
 
 A counter-based generator keyed by the run seed drives every draw, so equal
 configurations reproduce byte-identical output.  Raw gaussian points are
-first projected onto the central complex level with a min-norm Newton
-iteration, then moved to the real-moment solution along the complex gauge
-orbit.  The seeded attracting-slice increment of a conformal-limit setup is
-drawn here as well.
+first projected onto the central complex level by the min-norm Newton kernel
+of the slice solves, then moved to the real-moment solution along the
+complex gauge orbit.  The seeded attracting-slice increment of a
+conformal-limit setup is drawn here as well.
 """
 
 from __future__ import annotations
@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import LEVEL_TOL, MAX_SLICE_ITER, SAMPLE_RESTARTS, moment_scale
-from .errors import (MaxIterations, NotInjective, NotOnVariety, QuiverLimError,
-                     SamplingFailed)
+from .config import LEVEL_TOL, SAMPLE_RESTARTS
+from .errors import (LeftBasin, MaxIterations, NotInjective, NotOnVariety,
+                     QuiverLimError, SamplingFailed)
 from .fixedpoints import WeightGrading
 from .quiver import CentralParameter, DimensionVectors, Quiver
 from .repspace import RepPoint, central_lie, rep_dim
-from .slices import SliceBasis, bb_slice_solve, moment_derivative_matrix
+from .slices import SliceBasis, _min_norm_newton, bb_slice_solve
 from .solver import SolveReport, solve_real_moment
 
 
@@ -38,24 +38,13 @@ def random_rep(quiver: Quiver, dims: DimensionVectors,
 
 
 def project_complex_level(p: RepPoint, c_values) -> RepPoint:
-    """Min-norm Newton projection onto the complex level mu_C = c.
-
-    Each step solves the linearization in the least-squares sense, which
-    picks the increment orthogonal to the kernel; quadratic convergence
-    makes the projection sharp at desk scale.
-    """
+    """p moved onto the level mu_C = c by the slice solves' min-norm Newton
+    kernel: base point 0, start p, steps in the whole space, no orthogonality
+    rows.  Quadratic convergence makes the projection sharp at desk scale."""
     target = central_lie(np.asarray(c_values, dtype=complex), p.dims).flatten()
-    cur = p.copy()
-    for _ in range(MAX_SLICE_ITER):
-        D = moment_derivative_matrix(cur)
-        res = 0.5 * (D @ cur.vec) - target  # mu_C(cur) - c, as mu_C(p) = dmu_C(p, p) / 2
-        norm = float(np.linalg.norm(res))
-        if norm <= LEVEL_TOL * moment_scale(cur):
-            return cur
-        delta, *_ = np.linalg.lstsq(D, -res, rcond=None)
-        cur = cur + RepPoint.from_flat(p.quiver, p.dims, delta)
-    raise MaxIterations(
-        f"complex-level projection did not converge (residual {norm:.3e})")
+    return _min_norm_newton(RepPoint.zeros(p.quiver, p.dims), p, target,
+                            np.zeros((0, p.vec.size), dtype=complex), None,
+                            LEVEL_TOL)
 
 
 @dataclass
@@ -82,7 +71,7 @@ def sample_on_variety(quiver: Quiver, dims: DimensionVectors,
         try:
             leveled = project_complex_level(raw, c_vals)
             rep = solve_real_moment(leveled, sigma)
-        except (MaxIterations, NotInjective, NotOnVariety) as exc:
+        except (LeftBasin, MaxIterations, NotInjective, NotOnVariety) as exc:
             last = exc
             continue
         return SampleReport(point=rep.point, solve=rep, attempts=attempt,

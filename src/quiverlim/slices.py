@@ -6,9 +6,11 @@ takes one SVD of these conditions per base point, on the whole space or on
 the positive-weight subspace of a fixed-point grading; its SliceBasis
 carries the tangent columns `span` and the Newton `directions`.  The slice
 solvers take that basis and correct a tangent increment so that p + q stays
-on the central complex level while remaining metric-orthogonal to the orbit.
-check_slice_increment tests an increment against these conditions and
-conformal_flat builds the conformal family member attached to one.
+on the central complex level while remaining metric-orthogonal to the orbit,
+by one damped min-norm Newton kernel, which also projects samples onto
+their level.  check_slice_increment tests an increment against these
+conditions and conformal_flat builds the conformal family member attached
+to one.
 """
 
 from __future__ import annotations
@@ -140,50 +142,56 @@ def moment_correction(p: RepPoint, q: RepPoint) -> RepPoint:
     return q + RepPoint.from_flat(p.quiver, p.dims, corr)
 
 
-def _constrained_newton(basis: SliceBasis, q0: RepPoint) -> RepPoint:
-    """Newton on F(q) = (mu_C(p+q) - mu_C(p), adjoint-action_p(q)) at the base
-    point p, with updates restricted to the span of basis.directions.  The
-    adjoint rows and their product with the directions are formed once per
-    solve; each trial's dmu_matrix(p + q) gives its residual (mu_C(p+q) =
-    dmu_C(p+q, p+q) / 2) and, once it is accepted, the next Jacobian."""
-    p, directions = basis.base_point, basis.directions
-    lay, x = p.layout, p.vec
-    target = moment_complex(p).flatten()
-    adjoint = lay.action_matrix(p).conj().T
-    adjoint_dir = adjoint @ directions
+def _min_norm_newton(base: RepPoint, q0: RepPoint, target: np.ndarray,
+                     adjoint: np.ndarray, directions: np.ndarray | None,
+                     tol: float) -> RepPoint:
+    """Damped min-norm Newton from q0 on F(q) = (mu_C(x + q) - target,
+    adjoint q), x the base point, stepping in the span of the orthonormal
+    columns directions (the whole space when None).  A step is halved at most
+    MAX_HALVINGS times until |F| falls by 1 - ARMIJO_SLOPE t (LeftBasin
+    otherwise); the loop stops at |F| <= tol moment_scale(x + q).  A trial's
+    dmu_matrix(x + q) gives its residual (mu_C(y) = dmu_C(y, y) / 2) and,
+    once accepted, the next Jacobian."""
+    lay, x = base.layout, base.vec
+    adjoint_dir = adjoint if directions is None else adjoint @ directions
 
-    def trial(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        at = x + q
-        dmu = lay.dmu_matrix(RepPoint._wrap(lay, at))
-        r = np.concatenate([0.5 * (dmu @ at) - target, adjoint @ q])
-        return r, dmu, float(np.linalg.norm(r))
+    def trial(q: np.ndarray) -> tuple[RepPoint, np.ndarray, np.ndarray, float]:
+        at = RepPoint._wrap(lay, x + q)
+        dmu = lay.dmu_matrix(at)
+        r = np.concatenate([0.5 * (dmu @ at.vec) - target, adjoint @ q])
+        return at, r, dmu, float(np.linalg.norm(r))
 
     q = q0.flatten()
-    r, dmu, r_norm = trial(q)
-    scale = moment_scale(p + q0)
+    at, r, dmu, r_norm = trial(q)
     it = 0
-    while r_norm > TOL * scale:
+    while r_norm > tol * moment_scale(at):
         if it >= MAX_SLICE_ITER:
-            raise MaxIterations(
-                f"slice correction hit {MAX_SLICE_ITER} iterations, "
-                f"residual {r_norm:.3e}")
-        jac = np.concatenate([dmu @ directions, adjoint_dir])
-        delta_c, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        delta_flat = directions @ delta_c
+            raise MaxIterations(f"min-norm Newton hit {it} iterations, residual {r_norm:.3e}")
+        dmu_dir = dmu if directions is None else dmu @ directions
+        delta, *_ = np.linalg.lstsq(np.concatenate([dmu_dir, adjoint_dir]), -r, rcond=None)
+        delta = delta if directions is None else directions @ delta
         t = 1.0
         for _ in range(MAX_HALVINGS + 1):
-            q_try = q + t * delta_flat
-            r_try, dmu_try, n_try = trial(q_try)
+            q_try = q + t * delta
+            at_try, r_try, dmu_try, n_try = trial(q_try)
             if n_try <= (1.0 - ARMIJO_SLOPE * t) * r_norm:
                 break
             t *= 0.5
         else:
-            raise LeftBasin(
-                f"slice correction stalled at residual {r_norm:.3e}; "
-                "starting increment is outside the Newton basin")
-        q, r, dmu, r_norm = q_try, r_try, dmu_try, n_try
+            raise LeftBasin(f"min-norm Newton stalled at residual {r_norm:.3e}; "
+                            "the start is outside the Newton basin")
+        q, at, r, dmu, r_norm = q_try, at_try, r_try, dmu_try, n_try
         it += 1
     return RepPoint._wrap(lay, q)
+
+
+def _constrained_newton(basis: SliceBasis, q0: RepPoint) -> RepPoint:
+    """q0 corrected along basis.directions so that p + q keeps the complex
+    moment of the base point p, q orthogonal to the gauge orbit of p."""
+    p = basis.base_point
+    return _min_norm_newton(p, q0, moment_complex(p).flatten(),
+                            p.layout.action_matrix(p).conj().T,
+                            basis.directions, TOL)
 
 
 def slice_solve(basis: SliceBasis, q0: RepPoint) -> RepPoint:

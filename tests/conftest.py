@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import quiverlim as ql
-from quiverlim.config import CHECK_TOL
+from quiverlim.config import CHECK_TOL, LEVEL_TOL, MAX_SLICE_ITER, moment_scale
 from quiverlim.sampling import attracting_increment
+from quiverlim.slices import moment_derivative_matrix
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 _sweep_spec = importlib.util.spec_from_file_location(
@@ -335,6 +336,23 @@ def max_deviation(x, klass):
         elif klass == "skew":
             dev = max(dev, float(np.abs(b + b.conj().T).max(initial=0.0)))
     return dev
+
+
+def project_complex_level_full_steps(p, c_values):
+    """The complex-level projection as its own loop: full min-norm Newton
+    steps with no line search, stopping at LEVEL_TOL moment_scale of the
+    iterate.  project_complex_level must return the same bytes."""
+    target = ql.central_lie(np.asarray(c_values, dtype=complex), p.dims).flatten()
+    cur = p.copy()
+    for _ in range(MAX_SLICE_ITER):
+        D = moment_derivative_matrix(cur)
+        res = 0.5 * (D @ cur.vec) - target
+        norm = float(np.linalg.norm(res))
+        if norm <= LEVEL_TOL * moment_scale(cur):
+            return cur
+        delta, *_ = np.linalg.lstsq(D, -res, rcond=None)
+        cur = cur + ql.RepPoint.from_flat(p.quiver, p.dims, delta)
+    raise ql.MaxIterations(f"full-step projection did not converge (residual {norm:.3e})")
 
 
 # -- per-slot reference bodies ----------------------------------------------

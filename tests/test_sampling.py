@@ -8,6 +8,8 @@ import pytest
 import quiverlim as ql
 from quiverlim.config import CHECK_TOL, moment_scale
 
+from conftest import COMMITTED_QUIVERS, project_complex_level_full_steps, quiver_spec
+
 
 def test_make_rng_deterministic():
     a = ql.make_rng(7).standard_normal(8)
@@ -115,6 +117,44 @@ def test_singular_polar_rebuild_redraws():
     for seed in (49, 154):
         with pytest.raises(ql.SamplingFailed):
             ql.sample_on_variety(q, d, central, seed=seed)
+
+
+def _assert_projection_matches_full_steps(quiver, dims, central, seed):
+    raw = ql.random_rep(quiver, dims, ql.make_rng(seed))
+    want = project_complex_level_full_steps(raw, central.c_array())
+    got = ql.project_complex_level(raw, central.c_array())
+    assert np.array_equal(got.vec, want.vec), seed
+
+
+@pytest.mark.parametrize("spec", COMMITTED_QUIVERS)
+def test_projection_matches_the_full_step_loop(spec):
+    # on these draws the damped kernel never halves a step, so it must take
+    # the full-step loop's steps and stop at the same iterate, to the bit
+    quiver, dims, central, _ = ql.resolve_quiver_spec(quiver_spec(spec))
+    for seed in range(12):
+        _assert_projection_matches_full_steps(quiver, dims, central, seed)
+
+
+def test_projection_matches_the_full_step_loop_on_a2_v22():
+    q, d, central = ql.quiver_from_dict(A2_V22)
+    for seed in (97, 104):
+        _assert_projection_matches_full_steps(q, d, central, seed)
+
+
+def test_stalled_projection_redraws(tstar, monkeypatch):
+    # a projection that fails its Armijo test is a bad draw, like one that
+    # runs out of iterations: sampling redraws instead of raising
+    real, calls = ql.sampling.project_complex_level, []
+
+    def stalls_once(p, c_values):
+        calls.append(p)
+        if len(calls) == 1:
+            raise ql.LeftBasin("stalled")
+        return real(p, c_values)
+
+    monkeypatch.setattr(ql.sampling, "project_complex_level", stalls_once)
+    smp = ql.sample_on_variety(tstar.quiver, tstar.dims, tstar.central, seed=3)
+    assert smp.attempts == 2 and len(calls) == 2
 
 
 @pytest.mark.parametrize("name", ["a3-star", "kronecker2"])

@@ -6,7 +6,8 @@ or class (a ``_name`` that is not a dunder) must be referenced somewhere in
 the package: a helper that nothing uses should go.  No function imports:
 every module dependency shows at the top of its module, so an import cycle
 cannot hide inside a function body.  The verify suites hold no error
-handling of their own: the one runner that wraps them does.
+handling of their own: the one runner that wraps them does.  One
+least-squares Newton loop serves every min-norm correction in the package.
 """
 
 import ast
@@ -85,3 +86,14 @@ def test_verify_suites_leave_errors_to_their_runner():
     handling = [node.name for node in suites
                 if any(isinstance(sub, ast.Try) for sub in ast.walk(node))]
     assert handling == []
+
+
+def test_one_lstsq_newton_loop():
+    # the slice solves and the sample projection share one min-norm Newton
+    # kernel; a second lstsq inside a loop body is a second such loop
+    in_loops = {(module, sub.lineno) for module, tree in TREES.items()
+                for loop in ast.walk(tree) if isinstance(loop, (ast.For, ast.While))
+                for sub in ast.walk(loop)
+                if isinstance(sub, ast.Call)
+                and ast.unparse(sub.func).split(".")[-1] == "lstsq"}
+    assert len(in_loops) == 1, sorted(in_loops)
