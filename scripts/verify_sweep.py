@@ -39,7 +39,9 @@ have), and 0 otherwise; moved numbers alone do not fail it:
     python3 scripts/verify_sweep.py --compare --src ../other/src
 
 ``--out DIR`` keeps the artefacts of run n in DIR/n.  A sweep prints its
-total wall time on standard error, so standard output stays comparable.
+total wall time, its process's peak resident set size and its source tree on
+standard error, so standard output stays comparable; under ``--compare``
+each tree's sweep prints its own such line.
 
 Quiver files are named relative to the repository root, which is also the
 working directory of the runs, so the configs (and their digests) match
@@ -54,6 +56,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -246,8 +249,9 @@ def main(argv=None) -> int:
                     digests.append(hashlib.sha256(fh.read()).hexdigest())
             verdicts = "".join("P" if st.passed else "F" for st in report.suites)
             print(quiver, seed, *digests, verdicts, flush=True)
-    print(f"sweep of {len(runs)} runs: {time.perf_counter() - start:.2f} s wall time",
-          file=sys.stderr)
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"sweep of {len(runs)} runs: {time.perf_counter() - start:.2f} s wall time, "
+          f"{peak_mb:.1f} MB peak RSS, src {os.path.abspath(src)}", file=sys.stderr)
     return 0
 
 

@@ -194,7 +194,7 @@ def grade_increment(q: RepPoint, grading: WeightGrading) -> dict[int, RepPoint]:
     j columns carry one minus theirs.  Summing the parts returns q exactly.
     """
     wts = grading.slot_weights()
-    levels = np.unique(wts)
+    levels = np.array(sorted(set(wts.tolist())), dtype=int)
     parts = grading._in_eigenbasis(q, lambda x: np.where(wts == levels[:, None], x, 0.0))
     return {int(w): RepPoint.from_flat(q.quiver, q.dims, x) for w, x in zip(levels, parts)}
 

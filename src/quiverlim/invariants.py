@@ -260,16 +260,20 @@ def escape_slope(p0: RepPoint, A: RepPoint, paths, grading) -> list[EscapeStudy]
     Every slot of conformal_point(p0, A, hbar) is affine in hbar or in 1/hbar,
     so an invariant of escape exponent e is hbar^-e times a polynomial of
     degree at most len(path), whose constant term is the invariant at p0 + A;
-    that invariant must not vanish.  One FFT over the N-th roots of unity, N
-    the smallest power of two above twice the longest path's coefficient
-    count, gives every coefficient (the trapezoidal rule on the unit circle);
-    powers below hbar^-e alias into the top bins.
+    that invariant must not vanish.  One product with the N x N DFT matrix
+    over the N-th roots of unity, N the smallest power of two above twice the
+    longest path's coefficient count, gives every coefficient (the
+    trapezoidal rule on the unit circle); powers below hbar^-e alias into the
+    top bins.  Entry (b, k) of that matrix is the root of index -b k mod N,
+    so its angles are exact.
     """
     check_slice_increment(p0, A, grading)
     longest = max((len(path.tokens) for path in paths), default=0)
     n_pts = 1 << (2 * (longest + 1)).bit_length()
-    mats = p0.layout.slot_views(conformal_flat(
-        p0, A, np.exp(2j * np.pi * np.arange(n_pts) / n_pts)[:, None]))
+    k = np.arange(n_pts)
+    roots = np.exp(2j * np.pi * k / n_pts)
+    dft = roots[-np.outer(k, k) % n_pts] / n_pts
+    mats = p0.layout.slot_views(conformal_flat(p0, A, roots[:, None]))
     at, studies = p0 + A, []
     for path in paths:
         slots = validate_path(path, p0.quiver, p0.dims)
@@ -281,7 +285,7 @@ def escape_slope(p0: RepPoint, A: RepPoint, paths, grading) -> list[EscapeStudy]
         if path.kind == "loop":
             ref, vals = np.trace(ref), np.trace(vals, axis1=1, axis2=2)
         scale = np.abs(vals).max()
-        coef = np.fft.fft(vals, axis=0) / n_pts
+        coef = np.tensordot(dft, vals, axes=1)
         e = sum(p0.layout.degree[s] for s in slots)
         # bin b holds the power m = b mod n_pts with len - e - n_pts < m <= len - e,
         # so hbar^-e sits at bin -e

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import quiverlim as ql
-from quiverlim.config import CHECK_TOL, LEVEL_TOL, MAX_SLICE_ITER, moment_scale
+from quiverlim.config import (CHECK_TOL, IDENTITY_TOL, LEVEL_TOL, MAX_SLICE_ITER,
+                              moment_scale)
 from quiverlim.sampling import attracting_increment
 from quiverlim.slices import moment_derivative_matrix
 
@@ -427,6 +428,33 @@ def conformal_point_by_slots(p0, A, hbar):
     i_new = [p0.i[k] + A.i[k] - hb * p0.j[k].conj().T for k in range(q.n)]
     j_new = [(p0.j[k] + A.j[k]) / hb + p0.i[k].conj().T for k in range(q.n)]
     return ql.RepPoint(p0.quiver, p0.dims, B, i_new, j_new)
+
+
+def escape_by_fft(p0, A, paths):
+    """(slope, mismatch, outside) of each path as escape_slope defines them,
+    with the path matrices taken one hbar at a time from
+    conformal_point_by_slots on the same N-th roots of unity and their
+    Laurent coefficients read off np.fft.fft."""
+    longest = max((len(path.tokens) for path in paths), default=0)
+    n_pts = 1 << (2 * (longest + 1)).bit_length()
+    points = [conformal_point_by_slots(p0, A, np.exp(2j * np.pi * k / n_pts))
+              for k in range(n_pts)]
+    out = []
+    for path in paths:
+        ref = ql.eval_path(p0 + A, path)
+        vals = np.array([ql.eval_path(q, path) for q in points])
+        if path.kind == "loop":
+            ref, vals = np.trace(ref), np.trace(vals, axis1=1, axis2=2)
+        scale = np.abs(vals).max()
+        coef = np.fft.fft(vals, axis=0) / n_pts
+        e = ql.path_escape_exponent(path, p0.quiver, p0.dims)
+        top = len(path.tokens) - e
+        powers = top - (top - np.arange(n_pts)) % n_pts
+        sizes = np.abs(coef).reshape(n_pts, -1).max(axis=1) / scale
+        out.append((float(powers[sizes > IDENTITY_TOL].min()),
+                    float(np.abs(coef[-e] - ref).max() / scale),
+                    float(sizes[powers < -e].max(initial=0.0))))
+    return out
 
 
 def _to_eigenbasis(grading, p):

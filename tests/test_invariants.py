@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import quiverlim as ql
-from quiverlim.config import IDENTITY_TOL
+from quiverlim.config import ESCAPE_MIN_INVARIANT, IDENTITY_TOL
 
-from conftest import (COMMITTED_QUIVERS, escape_profile, fingerprint_by_paths,
+from conftest import (COMMITTED_QUIVERS, escape_by_fft, escape_profile, fingerprint_by_paths,
                       fingerprint_distance, get_setup, is_nilpotent_by_paths,
                       nilpotency_bound, nilpotent_by_paths, quiver_spec, random_lie,
                       verify_pair)
@@ -218,6 +218,33 @@ def test_escape_slope_on_smallest_example(tstar):
     assert abs(study.slope + 1.0) < 0.2
     assert study.slope == -1
     assert study.mismatch <= IDENTITY_TOL
+
+
+@pytest.mark.parametrize("quiver", COMMITTED_QUIVERS)
+def test_escape_slope_matches_the_fft_reference(quiver):
+    # escape_slope takes its Laurent coefficients from a DFT matrix product;
+    # np.fft.fft over the same unit-root samples must give the same studies,
+    # on the candidate paths of the escape_rates suite at seeds 0-2
+    max_len = ql.RunConfig().max_len
+    checked = 0
+    for seed in range(3):
+        p0, A = verify_pair(quiver, seed)
+        grading = ql.weight_grading(p0)
+        at = p0 + A
+        paths = [ps for kind in ("admissible", "loop")
+                 for ps in ql.enumerate_paths(p0.quiver, p0.dims, max_len, kind)
+                 if ql.path_escape_exponent(ps, p0.quiver, p0.dims) >= 1
+                 and ql.invariant_size(at, ps) > ESCAPE_MIN_INVARIANT]
+        if not paths:
+            continue
+        studies = ql.escape_slope(p0, A, paths, grading)
+        for st, (slope, mismatch, outside) in zip(studies, escape_by_fft(p0, A, paths),
+                                                  strict=True):
+            assert st.slope == slope, (seed, st.path)
+            assert abs(st.mismatch - mismatch) <= 1e-12, (seed, st.path)
+            assert abs(st.outside - outside) <= 1e-12, (seed, st.path)
+            checked += 1
+    assert checked
 
 
 def test_escape_profile_monotone(tstar):

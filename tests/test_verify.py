@@ -1,13 +1,17 @@
 """The composite verification pipeline and its file outputs."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import quiverlim as ql
 
-from conftest import COMMITTED_QUIVERS, is_nilpotent_by_paths, quiver_spec
+from conftest import COMMITTED_QUIVERS, ROOT, is_nilpotent_by_paths, quiver_spec
 
 EXPECTED_SUITES = [
     "genericity", "sampling", "adjoint_identities", "solver_uniqueness",
@@ -69,6 +73,33 @@ def test_outputs_are_reproducible(tmp_path, quiver):
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
         assert a == b, name
+
+
+def test_verify_loads_neither_numpy_ma_nor_numpy_fft(tmp_path):
+    # a verify process computes with numpy core, numpy.linalg and
+    # numpy.random only; numpy.ma (pulled in by np.unique) and numpy.fft
+    # cost peak memory in every run.  Both quivers reach escape_slope.
+    code = (
+        "import json, sys, quiverlim as ql\n"
+        "notes = []\n"
+        "for n, spec in enumerate(sys.argv[2:]):\n"
+        "    report, pl = ql.verify_run(ql.RunConfig(quiver_file=spec, seed=0))\n"
+        "    ql.write_outputs(report, pl, f'{sys.argv[1]}/{n}')\n"
+        "    notes.append(report.suites[-1].note)\n"
+        "print(json.dumps([notes, [m for m in ('numpy.ma', 'numpy.fft') "
+        "if m in sys.modules]]))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                              "MKL_NUM_THREADS"), "1"))
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path), "tstar-p1",
+         quiver_spec("bench/quivers/d4_star.json")],
+        env=env, check=True, capture_output=True, text=True).stdout
+    notes, loaded = json.loads(out)
+    assert len(notes) == 2
+    assert all(re.fullmatch(r"checked \d+ paths", note) for note in notes)
+    assert loaded == []
 
 
 # the verdict net: every suite must pass on each committed quiver over

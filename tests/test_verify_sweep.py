@@ -116,7 +116,8 @@ def test_compare_fails_on_a_verdict_or_a_lost_run(tmp_path, capsys, new_lines, s
 def test_sweep_prints_digests_on_stdout_and_its_time_on_stderr(tmp_path, monkeypatch,
                                                               capsys):
     # standard output is one line per run and nothing else, so two sweeps
-    # still diff line by line; the wall time goes to standard error
+    # still diff line by line; the wall time, the peak RSS and the source
+    # tree go to standard error
     monkeypatch.setattr(sweep, "QUIVERS", ("tstar-p1",))
     monkeypatch.setattr(sweep, "SEEDS", range(1))
     monkeypatch.setattr(sweep, "WALL_RUNS", ())
@@ -131,4 +132,5 @@ def test_sweep_prints_digests_on_stdout_and_its_time_on_stderr(tmp_path, monkeyp
     report = json.loads((tmp_path / "0" / "report.json").read_text())
     verdicts = "".join("P" if st["passed"] else "F" for st in report["suites"])
     assert out == " ".join(["tstar-p1", "0", *digests, verdicts]) + "\n"
-    assert re.fullmatch(r"sweep of 1 runs: \d+\.\d\d s wall time\n", err)
+    assert re.fullmatch(r"sweep of 1 runs: \d+\.\d\d s wall time, \d+\.\d MB peak RSS, "
+                        r"src (.+)\n", err).group(1) == str(ROOT / "src")
