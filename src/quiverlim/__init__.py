@@ -38,8 +38,8 @@ from .sampling import SampleReport, make_rng, random_rep, project_complex_level,
 from .slices import (SliceBasis, bb_slice_solve, bb_tangent_basis,
                      moment_correction, positive_weight_project, slice_solve,
                      tangent_basis)
-from .solver import (GradedSolveReport, SolveReport, graded_solve,
-                     hermitian_log, solve_real_moment)
+from .solver import (SolveReport, graded_solve, hermitian_log,
+                     solve_real_moment)
 from .verify import SuiteResult, VerifyReport, verify_run, write_outputs
 
 __version__ = "0.1.0"

@@ -44,7 +44,7 @@ def _grid(text: str) -> tuple[float, ...]:
 def _load(cfg: RunConfig, generic: bool = False) -> tuple:
     """(quiver, dims, central); generic for constructions that need it."""
     quiver, dims, central, _ = resolve_quiver_spec(cfg.quiver_file)
-    require_nonempty(quiver, dims)
+    require_nonempty(quiver, dims, central)
     if generic:
         require_generic(central, quiver, dims)
     return quiver, dims, central

@@ -12,9 +12,9 @@ grading of its base point, and refuses an increment that moves the complex
 moment, meets the gauge orbit or has support below weight one.  Members are
 built in one place, convergence_study; conformal_family_sample is its
 one-member case.  Of a member's four stages at (hbar, R), only the first,
-the graded solve at the rescaled increment, does not depend on hbar; the
-rotation by hbar*R, the rescaling by 1/(hbar*R) and the final solve do, and
-so does the limit point.  The study therefore runs the slice and base-point
+the cold solve at p0 + R^D cstar_act(R, A), does not depend on hbar; the
+rotation by hbar*R, the rescaling by 1/(hbar*R) and the final solve do,
+and so does the limit point.  The study therefore runs the slice and base-point
 checks once and each start once per R, and finishes every hbar from the
 shared starts.
 """
@@ -35,8 +35,7 @@ from .invariants import fingerprints
 from .repspace import (LieElement, RepPoint, central_lie, moment_complex,
                        moment_real, zeta_real_lie)
 from .slices import check_slice_increment, conformal_flat
-from .solver import (GradedSolveReport, SolveReport, graded_solve,
-                     solve_real_moment)
+from .solver import SolveReport, graded_solve, solve_real_moment
 
 
 def twistor_rotate(p: RepPoint, xi: complex) -> RepPoint:
@@ -92,7 +91,7 @@ class ConformalFamilySample:
     iterations: int
 
 
-def _family_finish(p0: RepPoint, start: GradedSolveReport, sigma: np.ndarray,
+def _family_finish(p0: RepPoint, start: SolveReport, sigma: np.ndarray,
                    hb: complex, R: float, grading: WeightGrading,
                    guess: LieElement | None = None) -> tuple[SolveReport, dict[str, float]]:
     """Stages two to four of the member at (hb, R) from its start: the final
@@ -186,10 +185,10 @@ def convergence_study(p0: RepPoint, A: RepPoint, sigma, hbar_grid, R_grid,
     degenerate: the slope is None.
 
     The slice checks of A and the check that grading was computed at p0 run
-    once, and the graded start solve at each R runs once for all hbar.  Each
-    hbar solves its limit and its members and fingerprints them in one
-    fingerprints call before its report is yielded, so a solve error at one
-    hbar comes after the reports of the hbar before it.
+    once, and the start solve at each R (graded_solve) runs once for all
+    hbar.  Each hbar solves its limit and its members and fingerprints them
+    in one fingerprints call before its report is yielded, so a solve error
+    at one hbar comes after the reports of the hbar before it.
     Within one hbar, each member's final solve starts from the exponent of
     the previous R's (the answer does not depend on the start).
     """
@@ -200,14 +199,14 @@ def convergence_study(p0: RepPoint, A: RepPoint, sigma, hbar_grid, R_grid,
     if base_gap > CHECK_TOL * max(1.0, p0.norm()):
         raise ValueError("grading was computed at a different base point")
     sig = np.asarray(sigma, dtype=float)
-    starts: dict[float, GradedSolveReport] = {}
+    starts: dict[float, SolveReport] = {}
     for hb in hbars:
         pA = RepPoint.from_flat(p0.quiver, p0.dims, conformal_flat(p0, A, hb))
         limit = solve_real_moment(pA, np.zeros(p0.quiver.n))
         members: list[tuple[SolveReport, dict[str, float]]] = []
         for R in grid:
             if R not in starts:
-                starts[R] = graded_solve(p0 + grading.act(R, A), grading, R, sig)
+                starts[R] = graded_solve(grading, A, R, sig)
             members.append(_family_finish(p0, starts[R], sig, hb, R, grading,
                                           members[-1][0].xi if members else None))
         fp_limit, *fps = fingerprints([limit.point, *(f.point for f, _ in members)],

@@ -14,7 +14,7 @@ class MaxIterations(QuiverLimError):
 
 
 class GradingViolation(QuiverLimError):
-    """A graded-stage solution left the weight block the stage is confined to."""
+    """A fixed point has components off the zero block of its own weight grading."""
 
 
 class NotOnVariety(QuiverLimError):
@@ -58,7 +58,8 @@ class SamplingFailed(QuiverLimError):
 
 
 class EmptyVariety(SamplingFailed):
-    """The dimension vectors give a negative expected dimension: no point exists."""
+    """The dimension vectors admit no point: a negative expected dimension, or,
+    at a generic parameter, (v, 1) is not a root of the framed quiver."""
 
 
 class OnWall(QuiverLimError):

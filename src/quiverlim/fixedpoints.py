@@ -12,7 +12,6 @@ multiplies each flat coordinate by R to its weight, with no R^D or inverse.
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +20,10 @@ from .config import (CHECK_TOL, ENERGY_SLACK, FLOOR, FLOW_RATIO, FLOW_STEPS,
                      INT_WEIGHT_TOL, SLACK, STABILITY_RATIO, moment_scale)
 from .errors import (GradingViolation, NoConvergence, NonIntegerWeights,
                      NotFixed, NotInjective, NotOnVariety)
-from .quiver import DimensionVectors, Quiver
+from .quiver import DimensionVectors
 from .repspace import (LieElement, RepPoint, block_matrix, central_deviation,
                        conjugate_slots, gauge_act, lie_exp, moment_complex)
-from .solver import assemble_newton_matrix, guarded_eigh, solve_real_moment
+from .solver import solve_real_moment
 
 
 def cstar_act(R: complex, p: RepPoint) -> RepPoint:
@@ -113,10 +112,6 @@ class WeightGrading:
     qmats: list[np.ndarray]
 
     @property
-    def quiver(self) -> Quiver:
-        return self.base_point.quiver
-
-    @property
     def dims(self) -> DimensionVectors:
         return self.base_point.dims
 
@@ -130,12 +125,6 @@ class WeightGrading:
         return (block_matrix(self.dims, self.qmats),
                 np.array([w for ws in self.weights for w in ws], dtype=int))
 
-    @functools.cached_property
-    def frozen_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """guarded_eigh of the Newton matrix at the base point: the operator
-        that every stage of graded_solve inverts."""
-        return guarded_eigh(assemble_newton_matrix(self.base_point))
-
     def power_cond(self, s: complex) -> float:
         """The largest condition number of a block of s^D: the block of V_k is
         unitarily similar to diag(s^w), so its condition number is
@@ -147,17 +136,6 @@ class WeightGrading:
         """R^D cstar_act(R, .): R^w on each eigen-coordinate of slot weight w."""
         scale = complex(R) ** self.slot_weights()
         return RepPoint._wrap(p.layout, self._in_eigenbasis(p, lambda x: scale * x))
-
-    def lie_project(self, xi: LieElement, j: int) -> LieElement:
-        """Keep only gauge-algebra components of adjoint weight |m| <= j."""
-        q, w = self._lines
-        eig = q.conj().T @ xi.mat @ q
-        kept = np.where(np.abs(w[:, None] - w[None, :]) <= j, eig, 0.0)
-        return LieElement.from_matrix(self.dims, q @ kept @ q.conj().T)
-
-    def tangent_weight_counts(self) -> dict[int, int]:
-        """Complex dimension of each full-action weight block of the rep space."""
-        return dict(Counter(self.slot_weights().tolist()))
 
     def slot_weights(self) -> np.ndarray:
         """Full-action weight of every flat coordinate in the eigenbases: the
@@ -248,8 +226,7 @@ def bb_expected_dimension(grading: WeightGrading) -> dict[str, int]:
     subtracts the non-negative and strictly positive conjugation blocks of the
     complexified gauge algebra.
     """
-    counts = grading.tangent_weight_counts()
-    dim_m_pos = sum(n for w, n in counts.items() if w >= 1)
+    dim_m_pos = int((grading.slot_weights() >= 1).sum())
     gaps = [np.subtract.outer(ws, ws) for ws in grading.weights]
     dim_g_pos = sum(int((d >= 1).sum()) for d in gaps)
     dim_g_nonneg = sum(int((d >= 0).sum()) for d in gaps)

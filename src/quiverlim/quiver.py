@@ -189,16 +189,6 @@ def expected_dimension(quiver: Quiver, dims: DimensionVectors) -> int:
     return int(2 * v @ (2 * w - c @ v))
 
 
-def require_nonempty(quiver: Quiver, dims: DimensionVectors) -> None:
-    """Refuse dimension vectors whose variety is empty (negative expected
-    dimension) before any sampling is attempted."""
-    dim = expected_dimension(quiver, dims)
-    if dim < 0:
-        raise EmptyVariety(
-            f"expected dimension {dim} is negative, so the variety is empty "
-            f"(v={list(dims.v)}, w={list(dims.w)})")
-
-
 @functools.lru_cache(maxsize=128)
 def positive_roots_bounded(quiver: Quiver, dims: DimensionVectors) -> tuple[tuple[int, ...], ...]:
     """Nonzero theta in the box 0 <= theta <= v with theta^T C theta <= 2."""
@@ -270,6 +260,47 @@ def require_generic(zeta: CentralParameter, quiver: Quiver,
         raise OnWall("central parameter is not generic: " + "; ".join(
             f"wall at root theta={list(theta)} (margin {margin:.3e})"
             for theta, margin in on_walls))
+
+
+def _root_failure(quiver: Quiver, dims: DimensionVectors) -> str | None:
+    """Why alpha = (v, 1) is not a root of the framed quiver (framing vertex
+    n, joined to vertex k by w_k edges), or None.  Kac's algorithm: while the
+    support is connected, reflect at a k with (alpha, e_k) > 0, until an entry
+    turns negative (no root) or alpha is simple or fundamental (a root)."""
+    n = quiver.n
+    cartan = cartan_matrix(Quiver(n + 1, quiver.edges + tuple(
+        (k, n) for k, wk in enumerate(dims.w) for _ in range(wk))))
+    head = f"(v, 1) is not a root of the framed quiver (framing vertex {n})"
+    alpha = np.array(dims.v + (1,))
+    while alpha.sum() > 1:
+        sup = np.flatnonzero(alpha)
+        reach = sup == sup[0]
+        for _ in sup:
+            reach = reach | (cartan[np.ix_(sup[reach], sup)] < 0).any(axis=0)
+        if not reach.all():
+            return f"{head}: the support of {alpha.tolist()} is disconnected"
+        pair = cartan @ alpha
+        k = int(np.argmax(pair))
+        if pair[k] <= 0:
+            return None
+        alpha[k] -= pair[k]
+        if alpha[k] < 0:
+            return f"{head}: reflecting at vertex {k} makes its entry negative in {alpha.tolist()}"
+    return None
+
+
+def require_nonempty(quiver: Quiver, dims: DimensionVectors,
+                     zeta: CentralParameter) -> None:
+    """Refuse dimension vectors whose variety is empty, before any sampling:
+    a negative expected dimension or, at a generic parameter, (v, 1) not a
+    root of the framed quiver (Crawley-Boevey 2001).  On a wall the variety
+    can be nonempty for a sum of roots, so only the sign test holds there."""
+    dim = expected_dimension(quiver, dims)
+    why = (f"expected dimension {dim} is negative" if dim < 0
+           else is_generic(zeta, quiver, dims) and _root_failure(quiver, dims))
+    if why:
+        raise EmptyVariety(f"{why}, so the variety is empty "
+                           f"(v={list(dims.v)}, w={list(dims.w)})")
 
 
 def quiver_to_dict(quiver: Quiver, dims: DimensionVectors, zeta: CentralParameter) -> dict:

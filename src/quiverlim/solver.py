@@ -40,7 +40,7 @@ import numpy as np
 
 from .config import (ARMIJO_SLOPE, CHECK_TOL, EIG_FLOOR_RATIO, MAX_HALVINGS,
                      MAX_NEWTON_ITER, SLACK, TOL, moment_scale)
-from .errors import GradingViolation, MaxIterations, NotInjective, NotOnVariety
+from .errors import MaxIterations, NotInjective, NotOnVariety
 from .repspace import (FlatLayout, GaugeElement, LieElement, RepPoint,
                        central_deviation, moment_complex)
 
@@ -58,23 +58,18 @@ def _residual(coords: FlatLayout, x: np.ndarray, level: np.ndarray):
     return a, a.T @ np.concatenate([x.real, x.imag]) - level
 
 
-def guarded_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of the symmetric PSD mat, guarding the smallest-eigenvalue ratio."""
-    if mat.shape[0] == 0:
-        return np.zeros(0), np.zeros((0, 0))
-    vals, vecs = np.linalg.eigh(mat)
+def _newton_direction(a: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """The solution d of 2 A^T A d = -res, from an eigh of the Newton matrix
+    2 A^T A whose smallest-eigenvalue ratio is guarded (NotInjective)."""
+    if res.size == 0:
+        return res
+    vals, vecs = np.linalg.eigh(2.0 * (a.T @ a))
     top = float(vals.max(initial=0.0))
     if top <= 0.0 or float(vals.min()) < EIG_FLOOR_RATIO * top:
         raise NotInjective(
             f"linearized operator eigenvalue ratio below {EIG_FLOOR_RATIO:g} "
             f"(min {vals.min():.3e}, max {top:.3e})")
-    return vals, vecs
-
-
-def _spectral_solve(spectrum: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
-    """Solve with the matrix whose (eigenvalues, eigenvectors) are spectrum."""
-    vals, vecs = spectrum
-    return vecs @ ((vecs.T @ rhs) / vals)
+    return vecs @ ((vecs.T @ -res) / vals)
 
 
 def _spectral_pair(mask: np.ndarray, d: np.ndarray, vecs: np.ndarray):
@@ -167,8 +162,7 @@ def _newton_step(coords: FlatLayout, level: np.ndarray, cur: _Iterate, t: float,
     times until the residual norm falls to (1 - ARMIJO_SLOPE t) times cur's:
     (the accepted fraction, exp(t step), the new iterate), or None."""
     step = np.zeros(coords.block_mask.shape, dtype=complex)
-    step[coords.block_mask] = coords.herm @ _spectral_solve(
-        guarded_eigh(2.0 * (cur.a.T @ cur.a)), -cur.res)
+    step[coords.block_mask] = coords.herm @ _newton_direction(cur.a, cur.res)
     spectrum = np.linalg.eigh(step)
     for _ in range(halvings + 1):
         # an overflowing trial is an ordinary rejection
@@ -247,50 +241,7 @@ def solve_real_moment(p: RepPoint, sigma, tol: float = TOL,
                        history=history, point=point)
 
 
-@dataclass
-class GradedSolveReport:
-    stages: list[tuple[int, LieElement]]
-    residual: float
-    point: RepPoint
-
-
-def graded_solve(p_start: RepPoint, grading, r_scale: float,
-                 sigma) -> GradedSolveReport:
-    """Stagewise solve near a graded fixed point.
-
-    Stage j inverts the operator frozen at the fixed point (the grading's
-    frozen_spectrum, factored once per grading) on the weight blocks
-    |m| <= j of the hermitian residual; the correction exponent is
-    confined to those blocks (GradingViolation otherwise) and scales as
-    R^{j+2}.  A final plain Newton pass finishes to TOL and gives the
-    returned point and residual.  Returned stage elements are the unscaled
-    coefficients xi_j = delta_j / R^{j+2}.
-    """
-    sig = np.asarray(sigma, dtype=float)
-    coords = p_start.layout
-    level = coords.central_herm_coords(2.0 * sig)
-    m_max = grading.max_end_weight()
-
-    mask, x = coords.block_mask, p_start.vec
-    stack = coords.to_stack(x)
-    stages: list[tuple[int, LieElement]] = []
-    for j in range(m_max):
-        res_j = grading.lie_project(coords.herm_element(_residual(coords, x, level)[1]), j)
-        delta = coords.herm_element(
-            _spectral_solve(grading.frozen_spectrum, -coords.herm_coords(res_j)))
-        kept = grading.lie_project(delta, j)
-        outside = (delta - kept).norm()
-        d_norm = delta.norm()
-        if d_norm > 0 and outside > CHECK_TOL * d_norm:
-            raise GradingViolation(
-                f"stage {j} correction leaves its weight block "
-                f"(relative leakage {outside / d_norm:.3e})")
-        lam, vecs = np.linalg.eigh(kept.matrix())
-        stack = coords.conjugate(stack, *_spectral_pair(mask, np.exp(lam), vecs))
-        x = coords.from_stack(stack)
-        stages.append((j, kept * float(r_scale) ** (-(j + 2))))
-
-    final = solve_real_moment(RepPoint.from_flat(p_start.quiver, p_start.dims, x),
-                              sig)
-    stages.append((m_max, final.xi * float(r_scale) ** (-(m_max + 2))))
-    return GradedSolveReport(stages=stages, residual=final.residual, point=final.point)
+def graded_solve(grading, A: RepPoint, r_scale: float, sigma) -> SolveReport:
+    """The start of the conformal family member at R = r_scale: the cold
+    solve at level sigma from p0 + R^D cstar_act(R, A), p0 the base point."""
+    return solve_real_moment(grading.base_point + grading.act(r_scale, A), sigma)

@@ -97,7 +97,7 @@ class _Pipeline:
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.quiver, self.dims, self.central, _ = resolve_quiver_spec(cfg.quiver_file)
-        require_nonempty(self.quiver, self.dims)
+        require_nonempty(self.quiver, self.dims, self.central)
         self.sigma = self.central.sigma_array()
         self.sample = None
         self.flow = None

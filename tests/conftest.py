@@ -1,6 +1,7 @@
 """Shared fixtures: preset setups are expensive (Newton solves), so cache them."""
 
 import importlib.util
+import json
 import pathlib
 
 import numpy as np
@@ -23,6 +24,24 @@ _sweep_spec.loader.exec_module(_sweep)
 COMMITTED_QUIVERS = _sweep.QUIVERS
 BENCH_QUIVER_FILES = tuple(str(ROOT / spec) for spec in COMMITTED_QUIVERS
                            if spec.endswith(".json"))
+
+
+# generic, positive expected dimension 4, and still empty: (v, 1) is not a
+# root of the framed quiver (the entry of vertex 1, resp. 3, goes negative)
+NON_ROOTS = {
+    "tree-v1212": {"vertices": 4, "edges": [[1, 0], [2, 0], [3, 2]],
+                   "v": [1, 2, 1, 2], "w": [1, 0, 1, 2], "sigma": [1, 1, 1, 1]},
+    "star-v2313": {"vertices": 4, "edges": [[1, 0], [0, 2], [3, 0]],
+                   "v": [2, 3, 1, 3], "w": [1, 2, 2, 0], "sigma": [1, 1, 1, 1]},
+}
+NON_ROOT_VERTEX = {"tree-v1212": 1, "star-v2313": 3}
+
+
+def write_quiver(tmp_path, name, data):
+    """data written as the quiver file tmp_path/name.json; its path."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    return str(path)
 
 
 def quiver_spec(spec):
@@ -476,7 +495,7 @@ def _from_eigenbasis(grading, p):
 
 
 def _slot_weight_arrays(grading):
-    q, dims, weights = grading.quiver, grading.dims, grading.weights
+    q, dims, weights = grading.base_point.quiver, grading.dims, grading.weights
     B = []
     for h in range(q.num_h):
         a, b = q.h_out(h), q.h_in(h)

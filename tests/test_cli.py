@@ -11,7 +11,7 @@ import quiverlim as ql
 from quiverlim.cli import build_parser, main
 from quiverlim.config import IDENTITY_TOL
 
-from conftest import quiver_spec
+from conftest import NON_ROOT_VERTEX, NON_ROOTS, quiver_spec, write_quiver
 
 # the optional flags of each subcommand: the RunConfig fields its handler
 # reads (--out is output_dir), plus --hbar and --path
@@ -233,12 +233,6 @@ def test_quiver_file_through_cli(capsys, tmp_path):
     assert code == 0
 
 
-def write_quiver(tmp_path, name, data):
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(data))
-    return str(path)
-
-
 @pytest.mark.parametrize("name, as_file", [
     pytest.param("tstar-p1", True, id="tstar-p1"),
     pytest.param("a3-star", True, id="a3-star"),
@@ -281,6 +275,17 @@ def test_empty_variety_refused_by_name(capsys, tmp_path, command, name):
     code, out, err = run(capsys, command, path)
     assert code == 1
     assert err.startswith("error: EmptyVariety: expected dimension -4")
+
+
+@pytest.mark.parametrize("name", sorted(NON_ROOTS))
+def test_check_refuses_a_non_root(capsys, tmp_path, name):
+    # the expected dimension is positive; the root test names the vertex
+    path = write_quiver(tmp_path, name, NON_ROOTS[name])
+    code, out, err = run(capsys, "check", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: EmptyVariety: (v, 1) is not a root of the framed quiver")
+    assert f"reflecting at vertex {NON_ROOT_VERTEX[name]} makes its entry negative" in err
 
 
 GOOD_FILE = {"vertices": 2, "edges": [[0, 1]], "v": [1, 1], "w": [1, 1],

@@ -1,11 +1,15 @@
 """Quiver combinatorics, genericity walls, and file round-trips."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 import quiverlim as ql
+from quiverlim.quiver import _root_failure, require_nonempty
+
+from conftest import COMMITTED_QUIVERS, NON_ROOT_VERTEX, NON_ROOTS, ROOT, quiver_spec
 
 
 def test_doubling_indexing():
@@ -158,3 +162,55 @@ def test_resolve_quiver_spec(tmp_path):
     quiver2, dims2, central2, preset2 = ql.resolve_quiver_spec(str(path))
     assert preset2 is None
     assert dims2 == pre.dims
+
+
+@pytest.mark.parametrize("name", sorted(NON_ROOTS))
+def test_root_test_refuses_the_non_roots(name):
+    q, dims, zeta = ql.quiver_from_dict(NON_ROOTS[name])
+    assert ql.expected_dimension(q, dims) == 4 and ql.is_generic(zeta, q, dims)
+    with pytest.raises(ql.EmptyVariety,
+                       match=f"reflecting at vertex {NON_ROOT_VERTEX[name]} makes"):
+        require_nonempty(q, dims, zeta)
+
+
+def test_root_test_names_a_split_support():
+    # an unframed 3-cycle beside a framed Kronecker pair: each part of
+    # (1, 1, 1, 1, 1) is in its fundamental set, but the support is split,
+    # and at sigma all ones the cycle's trace condition cannot hold
+    q = ql.Quiver(4, ((0, 1), (1, 2), (2, 0)))
+    dims = ql.DimensionVectors(v=(1, 1, 1, 1), w=(0, 0, 0, 2))
+    zeta = ql.CentralParameter(sigma=(1, 1, 1, 1), c=(0, 0, 0, 0))
+    assert ql.expected_dimension(q, dims) == 4 and ql.is_generic(zeta, q, dims)
+    with pytest.raises(ql.EmptyVariety, match=r"the support of \[1, 1, 1, 1, 1\] is disconnected"):
+        require_nonempty(q, dims, zeta)
+
+
+def test_root_test_accepts_every_committed_quiver():
+    specs = (*ql.PRESET_NAMES, *COMMITTED_QUIVERS,
+             *sorted(f"tests/quivers/{f.name}" for f in (ROOT / "tests" / "quivers").iterdir()))
+    assert "a2-wall" in specs and "tests/quivers/point.json" in specs
+    for spec in specs:
+        q, dims, zeta, _ = ql.resolve_quiver_spec(quiver_spec(spec))
+        require_nonempty(q, dims, zeta)
+        assert _root_failure(q, dims) is None, spec
+
+
+def test_root_test_is_skipped_on_a_wall():
+    # a non-root at a parameter on the wall of theta = (1, 1, 0, 0): only the
+    # sign of the expected dimension is tested there
+    data = dict(NON_ROOTS["tree-v1212"], sigma=[1, -1, 1, 1])
+    q, dims, zeta = ql.quiver_from_dict(data)
+    assert not ql.is_generic(zeta, q, dims)
+    require_nonempty(q, dims, zeta)
+    assert _root_failure(q, dims) is not None
+
+
+def test_root_test_matches_the_quadratic_form_on_a_dynkin_chain():
+    # framing at vertex 0 of an A3 chain makes the framed quiver A4, whose
+    # positive roots are exactly the positive vectors with q = 1 (Gabriel)
+    q = ql.Quiver(3, ((0, 1), (2, 1)))
+    framed = ql.cartan_matrix(ql.Quiver(4, ((0, 1), (2, 1), (3, 0))))
+    for v in itertools.product(range(4), repeat=3):
+        alpha = np.array(v + (1,))
+        is_root = int(alpha @ framed @ alpha) == 2
+        assert (_root_failure(q, ql.DimensionVectors(v=v, w=(1, 0, 0))) is None) == is_root, v

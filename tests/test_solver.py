@@ -15,9 +15,8 @@ import quiverlim as ql
 from quiverlim.repspace import block_mask, layout
 from quiverlim.solver import _polar_point, _polar_spectrum, _spectral_pair
 
-from conftest import (COMMITTED_QUIVERS, fingerprint_distance, history_rows,
-                      linearized_operator, newton_derivative, quiver_spec,
-                      random_lie)
+from conftest import (COMMITTED_QUIVERS, history_rows, linearized_operator,
+                      newton_derivative, quiver_spec, random_lie, verify_pair)
 
 # bisection of e^{2x}*1.79 - e^{-2x}*1.01 - 1.2 on [-10, 10], frozen
 BISECT_X = 0.07324080802172214
@@ -196,36 +195,21 @@ def test_overflowing_polar_rebuild_raises():
         _polar_point(p, g.matrix(), level, 1e-10)
 
 
-def test_graded_solve_matches_plain_solve_orbit(a3star):
-    # same orbit point as the one-shot solve: compare gauge-invariant data
-    p0 = a3star.p0
-    grading = a3star.grading
-    A = a3star.slice_point(seed=31)
-    R = 0.2
-    start = p0 + grading.act(R, A)
-    sigma = a3star.central.sigma_array()
-    plain = ql.solve_real_moment(start, sigma)
-    graded = ql.graded_solve(start, grading, R, sigma)
-    assert graded.residual <= 1e-9
-    d = fingerprint_distance(plain.point, graded.point, 4)
-    assert d < 1e-8
-
-
-def test_graded_solve_stage_scales_shrink(a3star):
-    p0 = a3star.p0
-    grading = a3star.grading
-    A = a3star.slice_point(seed=32)
-    R = 0.1
-    start = p0 + grading.act(R, A)
-    rep = ql.graded_solve(start, grading, R, a3star.central.sigma_array())
-    stages = {}
-    for j, xi_stage in rep.stages:
-        stages[j] = max(stages.get(j, 0.0), xi_stage.norm())
-    # later stages carry strictly smaller corrections at small R
-    keys = sorted(stages)
-    assert keys[0] == 0
-    if len(keys) > 1:
-        assert stages[keys[-1]] < stages[keys[0]]
+@pytest.mark.parametrize("spec", COMMITTED_QUIVERS)
+def test_graded_solve_matches_plain_solve_orbit(spec):
+    # the start of a family member is the cold solve at p0 + R^D cstar_act(R, A),
+    # bit for bit, at every R of the default grid
+    p0, A = verify_pair(spec, 0)
+    grading = ql.weight_grading(p0)
+    sigma = ql.resolve_quiver_spec(quiver_spec(spec))[2].sigma_array()
+    for R in ql.RunConfig(quiver_file=spec).r_grid:
+        plain = ql.solve_real_moment(grading.base_point + grading.act(R, A), sigma)
+        graded = ql.graded_solve(grading, A, R, sigma)
+        assert graded.residual == plain.residual <= 1e-9
+        assert graded.iterations == plain.iterations
+        assert graded.history == plain.history
+        assert np.array_equal(graded.xi.matrix(), plain.xi.matrix())
+        assert np.array_equal(graded.point.vec, plain.point.vec)
 
 
 def _flow_step_start(spec, seed):

@@ -11,7 +11,8 @@ import pytest
 
 import quiverlim as ql
 
-from conftest import COMMITTED_QUIVERS, ROOT, is_nilpotent_by_paths, quiver_spec
+from conftest import (COMMITTED_QUIVERS, NON_ROOTS, ROOT, is_nilpotent_by_paths,
+                      quiver_spec, write_quiver)
 
 EXPECTED_SUITES = [
     "genericity", "sampling", "adjoint_identities", "solver_uniqueness",
@@ -168,6 +169,17 @@ def test_wall_quiver_fails_genericity_only():
     assert not by_name["genericity"].passed
     others = [s for s in report.suites if s.name != "genericity"]
     assert all(s.passed for s in others)
+
+
+@pytest.mark.parametrize("name", sorted(NON_ROOTS))
+def test_verify_refuses_a_non_root_before_sampling(tmp_path, monkeypatch, name):
+    # refused up front: no sample is drawn
+    draws = []
+    monkeypatch.setattr(ql.verify, "sample_on_variety", lambda *a, **k: draws.append(a))
+    path = write_quiver(tmp_path, name, NON_ROOTS[name])
+    with pytest.raises(ql.EmptyVariety, match="is not a root of the framed quiver"):
+        ql.verify_run(ql.RunConfig(quiver_file=path, seed=0))
+    assert draws == []
 
 
 def test_verify_accepts_quiver_file(tmp_path):
