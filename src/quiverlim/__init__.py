@@ -35,9 +35,9 @@ from .repspace import (GaugeElement, LieElement, RepPoint, central_deviation,
                        zeta_real_lie)
 from .sampling import SampleReport, make_rng, random_rep, project_complex_level, \
     sample_on_variety, seeded_increment
-from .slices import (SliceBasis, bb_slice_solve, bb_tangent_basis,
-                     moment_correction, positive_weight_project, slice_solve,
-                     tangent_basis)
+from .slices import (SliceBasis, SliceIncrement, bb_slice_solve, bb_tangent_basis,
+                     check_slice_increment, moment_correction,
+                     positive_weight_project, slice_solve, tangent_basis)
 from .solver import (SolveReport, graded_solve, hermitian_log,
                      solve_real_moment)
 from .verify import SuiteResult, VerifyReport, verify_run, write_outputs

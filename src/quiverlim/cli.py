@@ -58,12 +58,11 @@ def _flow(cfg: RunConfig, quiver, dims, central) -> FlowReport:
 
 
 def _limit_setup(cfg: RunConfig) -> tuple:
-    """(flow, A, sigma) with A the seeded attracting increment verify draws."""
+    """(inc, sigma) with inc the seeded attracting slice point verify draws."""
     quiver, dims, central = _load(cfg, generic=True)
-    flow = _flow(cfg, quiver, dims, central)
-    A = attracting_increment(bb_tangent_basis(flow.limit, flow.grading),
-                             flow.grading, cfg.seed)
-    return flow, A, central.sigma_array()
+    grading = _flow(cfg, quiver, dims, central).grading
+    inc = attracting_increment(bb_tangent_basis(grading), grading, cfg.seed)
+    return inc, central.sigma_array()
 
 
 def _cmd_check(cfg: RunConfig, args) -> int:
@@ -146,7 +145,7 @@ def _cmd_fixed(cfg: RunConfig, args) -> int:
 def _cmd_bb_basis(cfg: RunConfig, args) -> int:
     quiver, dims, central = _load(cfg)
     flow = _flow(cfg, quiver, dims, central)
-    basis = bb_tangent_basis(flow.limit, flow.grading)
+    basis = bb_tangent_basis(flow.grading)
     full = tangent_basis(flow.limit) if is_generic(central, quiver, dims) else None
     audit = bb_expected_dimension(flow.grading)
     print(f"attracting slice basis: {basis.count()} complex vector(s) "
@@ -163,13 +162,12 @@ def _cmd_bb_basis(cfg: RunConfig, args) -> int:
 
 
 def _cmd_climit(cfg: RunConfig, args) -> int:
-    flow, A, _ = _limit_setup(cfg)
-    p0 = flow.limit
-    rep = conformal_limit(p0, A, args.hbar, flow.grading)
+    inc, _ = _limit_setup(cfg)
+    rep = conformal_limit(inc, args.hbar)
     fp = fingerprint(rep.point, cfg.max_len)
     print(f"conformal limit at hbar={args.hbar:g}: "
           f"{rep.iterations} Newton steps, residual {rep.residual:.3e}")
-    labels = fingerprint_labels(p0.quiver, p0.dims, cfg.max_len)
+    labels = fingerprint_labels(inc.p0.quiver, inc.p0.dims, cfg.max_len)
     shown = 0
     for lab, val in zip(labels, fp):
         if abs(val) > ZERO_INVARIANT_TOL and shown < 12:
@@ -185,9 +183,9 @@ def _cmd_climit(cfg: RunConfig, args) -> int:
 
 
 def _cmd_family(cfg: RunConfig, args) -> int:
-    flow, A, sigma = _limit_setup(cfg)
-    st, = convergence_study(flow.limit, A, sigma, (args.hbar,), cfg.r_grid,
-                            grading=flow.grading, max_len=cfg.max_len)
+    inc, sigma = _limit_setup(cfg)
+    st, = convergence_study(inc, sigma, (args.hbar,), cfg.r_grid,
+                            max_len=cfg.max_len)
     print(f"family at hbar={args.hbar:g} over R grid {list(cfg.r_grid)}:")
     for r, d in st.rows:
         print(f"  R={r:.6g}  distance={d:.6e}")
@@ -219,8 +217,8 @@ def _cmd_invariants(cfg: RunConfig, args) -> int:
 
 def _cmd_escape(cfg: RunConfig, args) -> int:
     path = PathSpec.parse(args.path)
-    flow, A, _ = _limit_setup(cfg)
-    st, = escape_slope(flow.limit, A, [path], flow.grading)
+    inc, _ = _limit_setup(cfg)
+    st, = escape_slope(inc, [path])
     print(f"path {path}: predicted blow-up exponent {st.expected_exponent}")
     print(f"leading power of hbar: {st.slope:g}")
     print(f"Laurent coefficients, relative to the largest sampled entry: "

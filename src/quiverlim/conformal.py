@@ -7,16 +7,16 @@ realized by a sphere rotation of the quaternionic structure followed by the
 inverse circle rescaling; the final real-moment solve at parameter zero
 pins the gauge representative.
 
-Every entry point that takes a slice increment also takes the weight
-grading of its base point, and refuses an increment that moves the complex
-moment, meets the gauge orbit or has support below weight one.  Members are
-built in one place, convergence_study; conformal_family_sample is its
-one-member case.  Of a member's four stages at (hbar, R), only the first,
-the cold solve at p0 + R^D cstar_act(R, A), does not depend on hbar; the
-rotation by hbar*R, the rescaling by 1/(hbar*R) and the final solve do,
-and so does the limit point.  The study therefore runs the slice and base-point
-checks once and each start once per R, and finishes every hbar from the
-shared starts.
+Every entry point takes its slice point p0 + A as one SliceIncrement,
+which slices.check_slice_increment returns only for an increment that keeps
+the complex moment, is orthogonal to the gauge orbit and has no support
+below weight one of the grading of p0; none of them checks it again.
+Members are built in one place, convergence_study; conformal_family_sample
+is its one-member case.  Of a member's four stages at (hbar, R), only the
+first, the cold solve at p0 + R^D cstar_act(R, A), does not depend on hbar;
+the rotation by hbar*R, the rescaling by 1/(hbar*R) and the final solve do,
+and so does the limit point.  The study therefore runs each start once per
+R and finishes every hbar from the shared starts.
 """
 
 from __future__ import annotations
@@ -27,14 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (CHECK_TOL, FLOOR, STAGE_SLACK, TOL, check_grid,
-                     moment_scale)
+from .config import FLOOR, STAGE_SLACK, TOL, check_grid, moment_scale
 from .errors import NotOnVariety
 from .fixedpoints import WeightGrading
 from .invariants import fingerprints
 from .repspace import (LieElement, RepPoint, central_lie, moment_complex,
                        moment_real, zeta_real_lie)
-from .slices import check_slice_increment, conformal_flat
+from .slices import SliceIncrement, conformal_flat
 from .solver import SolveReport, graded_solve, solve_real_moment
 
 
@@ -60,9 +59,8 @@ def _check_hbar(hbar) -> complex:
     return hb
 
 
-def conformal_point(p0: RepPoint, A: RepPoint, hbar: complex,
-                    grading: WeightGrading) -> RepPoint:
-    """Closed-form family member attached to a slice increment A at scale hbar.
+def conformal_point(inc: SliceIncrement, hbar: complex) -> RepPoint:
+    """Closed-form family member attached to a slice point p0 + A at scale hbar.
 
     Reversed-edge and outgoing-framing data of the base point enter divided
     by hbar while conjugates of the forward data are added to the forward
@@ -70,15 +68,12 @@ def conformal_point(p0: RepPoint, A: RepPoint, hbar: complex,
     the real parameter of the base point, uniformly as hbar shrinks.
     """
     hb = _check_hbar(hbar)
-    check_slice_increment(p0, A, grading)
-    return RepPoint.from_flat(p0.quiver, p0.dims, conformal_flat(p0, A, hb))
+    return RepPoint.from_flat(inc.p0.quiver, inc.p0.dims, conformal_flat(inc, hb))
 
 
-def conformal_limit(p0: RepPoint, A: RepPoint, hbar: complex,
-                    grading: WeightGrading) -> SolveReport:
+def conformal_limit(inc: SliceIncrement, hbar: complex) -> SolveReport:
     """Kempf-Ness representative of the closed-form point at real parameter zero."""
-    pA = conformal_point(p0, A, hbar, grading)
-    return solve_real_moment(pA, np.zeros(p0.quiver.n))
+    return solve_real_moment(conformal_point(inc, hbar), np.zeros(inc.p0.quiver.n))
 
 
 @dataclass
@@ -91,18 +86,18 @@ class ConformalFamilySample:
     iterations: int
 
 
-def _family_finish(p0: RepPoint, start: SolveReport, sigma: np.ndarray,
-                   hb: complex, R: float, grading: WeightGrading,
+def _family_finish(start: SolveReport, sigma: np.ndarray, hb: complex, R: float,
+                   grading: WeightGrading,
                    guess: LieElement | None = None) -> tuple[SolveReport, dict[str, float]]:
     """Stages two to four of the member at (hb, R) from its start: the final
     solve, started from guess (see solve_real_moment), and the residual of
     every stage."""
     xi = hb * R
     q2 = twistor_rotate(start.point, xi)
-    zr = zeta_real_lie(sigma, p0.dims)
+    zr = zeta_real_lie(sigma, grading.dims)
     stage_tol2 = STAGE_SLACK * TOL * moment_scale(q2)
     dev_real = (moment_real(q2) - zr * (1.0 - abs(xi) ** 2)).norm()
-    dev_cplx = (moment_complex(q2) - central_lie(2.0 * xi * sigma, p0.dims)).norm()
+    dev_cplx = (moment_complex(q2) - central_lie(2.0 * xi * sigma, grading.dims)).norm()
     if dev_real > stage_tol2 or dev_cplx > stage_tol2:
         raise NotOnVariety(
             f"rotated point misses its exact moment targets "
@@ -112,12 +107,12 @@ def _family_finish(p0: RepPoint, start: SolveReport, sigma: np.ndarray,
     # rescaling conjugates the moment; its conditioning amplifies stage-2 noise
     amp = grading.power_cond(1.0 / xi) ** 2
     stage_tol3 = STAGE_SLACK * TOL * amp * moment_scale(q3)
-    dev3 = (moment_complex(q3) - central_lie(2.0 * sigma, p0.dims)).norm()
+    dev3 = (moment_complex(q3) - central_lie(2.0 * sigma, grading.dims)).norm()
     if dev3 > stage_tol3:
         raise NotOnVariety(
             f"rescaled point leaves the limiting complex level ({dev3:.3e})")
 
-    final = solve_real_moment(q3, np.zeros(p0.quiver.n), guess=guess)
+    final = solve_real_moment(q3, np.zeros(q3.quiver.n), guess=guess)
     return final, {
         "start_solve": float(start.residual),
         "rotation_real": float(dev_real),
@@ -127,11 +122,10 @@ def _family_finish(p0: RepPoint, start: SolveReport, sigma: np.ndarray,
     }
 
 
-def conformal_family_sample(p0: RepPoint, A: RepPoint, sigma, hbar: complex,
-                            R: float, grading: WeightGrading,
+def conformal_family_sample(inc: SliceIncrement, sigma, hbar: complex, R: float,
                             max_len: int = 4) -> ConformalFamilySample:
     """One member of the rotation-scaling family at circle parameter R: the
-    one-member convergence_study, with its slice checks and limit solve.
+    one-member convergence_study, with its limit solve.
 
     Four stages: solve the real moment equation at the rescaled increment,
     rotate the sphere direction by hbar*R, apply the inverse weighted
@@ -139,7 +133,7 @@ def conformal_family_sample(p0: RepPoint, A: RepPoint, sigma, hbar: complex,
     bounded), and re-solve at real parameter zero.  The exact moment values
     after the middle stages are asserted.
     """
-    st, = convergence_study(p0, A, sigma, (hbar,), (R,), grading, max_len)
+    st, = convergence_study(inc, sigma, (hbar,), (R,), max_len)
     return st.samples[0]
 
 
@@ -173,8 +167,7 @@ def _fit(hb: complex, fp_limit: np.ndarray,
                              degenerate=slope is None, samples=samples)
 
 
-def convergence_study(p0: RepPoint, A: RepPoint, sigma, hbar_grid, R_grid,
-                      grading: WeightGrading,
+def convergence_study(inc: SliceIncrement, sigma, hbar_grid, R_grid,
                       max_len: int = 4) -> Iterator[ConvergenceReport]:
     """Fit the approach rate of the family to its conformal limit at every
     hbar of hbar_grid; yields one report per hbar, in grid order.
@@ -184,30 +177,24 @@ def convergence_study(p0: RepPoint, A: RepPoint, sigma, hbar_grid, R_grid,
     the solver floor.  With fewer than two usable points the study is
     degenerate: the slope is None.
 
-    The slice checks of A and the check that grading was computed at p0 run
-    once, and the start solve at each R (graded_solve) runs once for all
-    hbar.  Each hbar solves its limit and its members and fingerprints them
-    in one fingerprints call before its report is yielded, so a solve error
-    at one hbar comes after the reports of the hbar before it.
+    The start solve at each R (graded_solve) runs once for all hbar.  Each
+    hbar solves its limit (conformal_limit) and its members and fingerprints
+    them in one fingerprints call before its report is yielded, so a solve
+    error at one hbar comes after the reports of the hbar before it.
     Within one hbar, each member's final solve starts from the exponent of
     the previous R's (the answer does not depend on the start).
     """
     grid = check_grid("R_grid", R_grid)
     hbars = [_check_hbar(h) for h in hbar_grid]
-    check_slice_increment(p0, A, grading)
-    base_gap = (grading.base_point - p0).norm()
-    if base_gap > CHECK_TOL * max(1.0, p0.norm()):
-        raise ValueError("grading was computed at a different base point")
     sig = np.asarray(sigma, dtype=float)
     starts: dict[float, SolveReport] = {}
     for hb in hbars:
-        pA = RepPoint.from_flat(p0.quiver, p0.dims, conformal_flat(p0, A, hb))
-        limit = solve_real_moment(pA, np.zeros(p0.quiver.n))
+        limit = conformal_limit(inc, hb)
         members: list[tuple[SolveReport, dict[str, float]]] = []
         for R in grid:
             if R not in starts:
-                starts[R] = graded_solve(grading, A, R, sig)
-            members.append(_family_finish(p0, starts[R], sig, hb, R, grading,
+                starts[R] = graded_solve(inc.grading, inc.A, R, sig)
+            members.append(_family_finish(starts[R], sig, hb, R, inc.grading,
                                           members[-1][0].xi if members else None))
         fp_limit, *fps = fingerprints([limit.point, *(f.point for f, _ in members)],
                                       max_len)

@@ -25,7 +25,7 @@ from .config import IDENTITY_TOL, SV_RATIO, ZERO_INVARIANT_TOL
 from .errors import ZeroInvariant
 from .quiver import DimensionVectors, Quiver
 from .repspace import RepPoint, layout
-from .slices import check_slice_increment, conformal_flat
+from .slices import SliceIncrement, conformal_flat
 
 
 @dataclass(frozen=True)
@@ -253,11 +253,11 @@ class EscapeStudy:
         return max(self.mismatch, self.outside) <= IDENTITY_TOL
 
 
-def escape_slope(p0: RepPoint, A: RepPoint, paths, grading) -> list[EscapeStudy]:
-    """Laurent coefficients in hbar of path invariants along conformal_point,
-    after the slice checks of A against p0 and its weight grading.
+def escape_slope(inc: SliceIncrement, paths) -> list[EscapeStudy]:
+    """Laurent coefficients in hbar of path invariants along conformal_point
+    at the checked slice point p0 + A.
 
-    Every slot of conformal_point(p0, A, hbar) is affine in hbar or in 1/hbar,
+    Every slot of conformal_point(inc, hbar) is affine in hbar or in 1/hbar,
     so an invariant of escape exponent e is hbar^-e times a polynomial of
     degree at most len(path), whose constant term is the invariant at p0 + A;
     that invariant must not vanish.  One product with the N x N DFT matrix
@@ -267,14 +267,14 @@ def escape_slope(p0: RepPoint, A: RepPoint, paths, grading) -> list[EscapeStudy]
     top bins.  Entry (b, k) of that matrix is the root of index -b k mod N,
     so its angles are exact.
     """
-    check_slice_increment(p0, A, grading)
+    p0 = inc.p0
     longest = max((len(path.tokens) for path in paths), default=0)
     n_pts = 1 << (2 * (longest + 1)).bit_length()
     k = np.arange(n_pts)
     roots = np.exp(2j * np.pi * k / n_pts)
     dft = roots[-np.outer(k, k) % n_pts] / n_pts
-    mats = p0.layout.slot_views(conformal_flat(p0, A, roots[:, None]))
-    at, studies = p0 + A, []
+    mats = p0.layout.slot_views(conformal_flat(inc, roots[:, None]))
+    at, studies = p0 + inc.A, []
     for path in paths:
         slots = validate_path(path, p0.quiver, p0.dims)
         ref = _product(at.slots, slots)

@@ -20,7 +20,8 @@ from .errors import (LeftBasin, MaxIterations, NotInjective, NotOnVariety,
 from .fixedpoints import WeightGrading
 from .quiver import CentralParameter, DimensionVectors, Quiver
 from .repspace import RepPoint, central_lie, rep_dim
-from .slices import SliceBasis, _min_norm_newton, bb_slice_solve
+from .slices import (SliceBasis, SliceIncrement, _min_norm_newton, bb_slice_solve,
+                     check_slice_increment)
 from .solver import SolveReport, solve_real_moment
 
 
@@ -97,11 +98,13 @@ def seeded_increment(basis: SliceBasis, seed: int, scale: float) -> RepPoint:
 
 
 def attracting_increment(basis: SliceBasis, grading: WeightGrading,
-                         seed: int) -> RepPoint:
-    """The seeded attracting-slice increment A at the fixed point basis.base_point.
+                         seed: int) -> SliceIncrement:
+    """The seeded attracting-slice point p0 + A at the fixed point
+    p0 = basis.base_point, checked.
 
-    seeded_increment(basis, seed + 5, 0.3) corrected onto the attracting
+    A is seeded_increment(basis, seed + 5, 0.3) corrected onto the attracting
     slice; zero when the slice is zero-dimensional.  verify and the CLI both
     draw A here, so they study the same conformal limit.
     """
-    return bb_slice_solve(basis, seeded_increment(basis, seed + 5, 0.3), grading)
+    A = bb_slice_solve(basis, seeded_increment(basis, seed + 5, 0.3), grading)
+    return check_slice_increment(A, grading)

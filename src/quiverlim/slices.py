@@ -9,8 +9,8 @@ solvers take that basis and correct a tangent increment so that p + q stays
 on the central complex level while remaining metric-orthogonal to the orbit,
 by one damped min-norm Newton kernel, which also projects samples onto
 their level.  check_slice_increment tests an increment against these
-conditions and conformal_flat builds the conformal family member attached
-to one.
+conditions and returns the checked SliceIncrement that the conformal layer
+takes; conformal_flat builds the conformal family member attached to one.
 """
 
 from __future__ import annotations
@@ -109,10 +109,10 @@ def tangent_basis(p: RepPoint) -> SliceBasis:
     return _slice_basis(p, None)
 
 
-def bb_tangent_basis(p0: RepPoint, grading: WeightGrading) -> SliceBasis:
-    """Slice tangent basis inside the strictly positive weight subspace;
-    its real dimension must be half the full slice dimension."""
-    return _slice_basis(p0, grading.columns(grading.slot_weights() >= 1))
+def bb_tangent_basis(grading: WeightGrading) -> SliceBasis:
+    """Slice tangent basis at grading.base_point inside the strictly positive
+    weight subspace; its real dimension must be half the full slice dimension."""
+    return _slice_basis(grading.base_point, grading.columns(grading.slot_weights() >= 1))
 
 
 def moment_derivative_matrix(p: RepPoint) -> np.ndarray:
@@ -236,12 +236,26 @@ def bb_slice_solve(basis: SliceBasis, q0: RepPoint,
     return grading.act(R, _constrained_newton(basis, grading.act(1.0 / R, q)))
 
 
-def check_slice_increment(p0: RepPoint, A: RepPoint,
-                          grading: WeightGrading) -> tuple[float, float]:
-    """Raise NotOnSlice unless A keeps the complex moment of p0 on its
-    central level, is orthogonal to the gauge orbit of p0 and has no support
-    below weight one of grading.  Returns the complex-moment move and the
-    gauge-orbit component (mc_dev, adj)."""
+@dataclass(frozen=True)
+class SliceIncrement:
+    """The point p0 + A of the attracting slice of p0 = grading.base_point,
+    as check_slice_increment accepted it: A (a copy of the one checked) with
+    its complex-moment move mc_dev and gauge-orbit component adj."""
+    grading: WeightGrading
+    A: RepPoint
+    mc_dev: float
+    adj: float
+
+    @property
+    def p0(self) -> RepPoint:
+        return self.grading.base_point
+
+
+def check_slice_increment(A: RepPoint, grading: WeightGrading) -> SliceIncrement:
+    """Raise NotOnSlice unless A keeps the complex moment of p0 =
+    grading.base_point on its central level, is orthogonal to the gauge
+    orbit of p0 and has no support below weight one of grading."""
+    p0 = grading.base_point
     at = p0 + A
     mc_dev = (moment_complex(at) - moment_complex(p0)).norm()
     if mc_dev > CHECK_TOL * moment_scale(at):
@@ -255,14 +269,14 @@ def check_slice_increment(p0: RepPoint, A: RepPoint,
     if off > CHECK_TOL * max(1.0, A.norm()):
         raise NotOnSlice(
             f"increment has support below weight one ({off:.3e})")
-    return mc_dev, adj
+    return SliceIncrement(grading, RepPoint.from_flat(A.quiver, A.dims, A.vec), mc_dev, adj)
 
 
-def conformal_flat(p0: RepPoint, A: RepPoint, hbar) -> np.ndarray:
+def conformal_flat(inc: SliceIncrement, hbar) -> np.ndarray:
     """The flat coordinates of the conformal family member at the slice
-    point p0 + A and scale hbar, without slice checks; an array hbar of shape
-    (N, 1) gives one member per row.  Each entry pairs with the conjugate of
-    its partner entry (see FlatLayout)."""
-    lay, x, a = p0.layout, p0.vec, A.vec
+    point inc and scale hbar; an array hbar of shape (N, 1) gives one member
+    per row.  Each entry pairs with the conjugate of its partner entry (see
+    FlatLayout)."""
+    lay, x, a = inc.p0.layout, inc.p0.vec, inc.A.vec
     back = np.conj(x[lay.partner_index])
     return np.where(lay.scaled, (x + a) / hbar + back, x + a - hbar * back)

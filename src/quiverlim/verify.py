@@ -26,7 +26,7 @@ import numpy as np
 from .config import (CHECK_TOL, CONFORMAL_SLOPE_RANGE, ESCAPE_MIN_INVARIANT,
                      IDENTITY_TOL, ISOTROPY_TOL, SLACK, TOL, RunConfig,
                      moment_scale)
-from .conformal import convergence_study, twistor_rotate
+from .conformal import conformal_point, convergence_study, twistor_rotate
 from .errors import QuiverLimError
 from .fixedpoints import bb_expected_dimension, cstar_act, flow_limit
 from .invariants import (enumerate_paths, escape_slope, fingerprint_labels,
@@ -34,14 +34,14 @@ from .invariants import (enumerate_paths, escape_slope, fingerprint_labels,
                          path_escape_exponent)
 from .presets import resolve_quiver_spec
 from .quiver import expected_dimension, is_generic, require_nonempty
-from .repspace import (LieElement, RepPoint, central_deviation, dmu_complex,
+from .repspace import (LieElement, central_deviation, dmu_complex,
                        gauge_act, hermitian_residual, inf_action,
                        inf_action_adjoint, lie_exp, lie_inner, metric,
                        moment_complex, moment_real, symplectic_form)
 from .sampling import (attracting_increment, make_rng, random_rep,
                        sample_on_variety, seeded_increment)
-from .slices import (bb_tangent_basis, check_slice_increment, conformal_flat,
-                     moment_correction, slice_solve, tangent_basis)
+from .slices import (bb_tangent_basis, moment_correction, slice_solve,
+                     tangent_basis)
 from .solver import solve_real_moment
 
 
@@ -101,11 +101,10 @@ class _Pipeline:
         self.sigma = self.central.sigma_array()
         self.sample = None
         self.flow = None
-        self.p0 = None
         self.grading = None
         self.basis = None
         self.bb_basis = None
-        self.A = None
+        self.inc = None
         self.studies = []
 
     def need(self, what: str, *attrs: str):
@@ -204,7 +203,7 @@ def _suite_twistor(pl: _Pipeline):
 def _suite_flow(pl: _Pipeline):
     sample = pl.need("sampling", "sample")
     pl.flow = flow_limit(sample.point, pl.sigma)
-    pl.p0, pl.grading = pl.flow.limit, pl.flow.grading
+    pl.grading = pl.flow.grading
     return True, pl.flow.fixed_report.residual, f"settled at R={pl.flow.R_final:g}"
 
 
@@ -213,7 +212,7 @@ def _suite_dimensions(pl: _Pipeline):
     sample, grading = pl.need("sampling or grading", "sample", "grading")
     expected = expected_dimension(pl.quiver, pl.dims)
     pl.basis = tangent_basis(sample.point)
-    pl.bb_basis = bb_tangent_basis(pl.p0, grading)
+    pl.bb_basis = bb_tangent_basis(grading)
     audit = bb_expected_dimension(grading)
     ok = (pl.basis.real_dimension() == expected
           and 2 * pl.bb_basis.real_dimension() == expected
@@ -256,13 +255,11 @@ def _suite_bb_slice(pl: _Pipeline):
     bb_basis, grading = pl.need("attracting basis", "bb_basis", "grading")
     if bb_basis.count() == 0:
         return True, 0.0, "zero-dimensional attracting slice"
-    pl.A = attracting_increment(bb_basis, grading, pl.cfg.seed)
-    scale = moment_scale(pl.p0 + pl.A)
-    dev_mc, dev_adj = check_slice_increment(pl.p0, pl.A, grading)
-    pA = RepPoint.from_flat(pl.quiver, pl.dims,
-                            conformal_flat(pl.p0, pl.A, complex(pl.cfg.hbar_grid[0])))
-    dev_central = central_deviation(moment_complex(pA))
-    worst = max(dev_mc, dev_adj, dev_central)
+    pl.inc = inc = attracting_increment(bb_basis, grading, pl.cfg.seed)
+    scale = moment_scale(inc.p0 + inc.A)
+    dev_central = central_deviation(moment_complex(
+        conformal_point(inc, pl.cfg.hbar_grid[0])))
+    worst = max(inc.mc_dev, inc.adj, dev_central)
     return worst <= CHECK_TOL * scale, worst
 
 
@@ -271,15 +268,14 @@ def _suite_conformal(pl: _Pipeline):
     # a rigid quiver has no slice directions, so there is nothing to converge
     if pl.bb_basis is not None and pl.bb_basis.count() == 0:
         return True, 0.0, "zero-dimensional attracting slice"
-    A, grading = pl.need("attracting slice", "A", "grading")
+    inc = pl.need("attracting slice", "inc")
     # the fitted slope farthest from 2 itself, not |slope - 2|: that
     # difference cancels most digits and would magnify round-off
     worst = None
     notes = []
     passed = True
     lo, hi = CONFORMAL_SLOPE_RANGE
-    for st in convergence_study(pl.p0, A, pl.sigma, pl.cfg.hbar_grid,
-                                pl.cfg.r_grid, grading=grading,
+    for st in convergence_study(inc, pl.sigma, pl.cfg.hbar_grid, pl.cfg.r_grid,
                                 max_len=pl.cfg.max_len):
         pl.studies.append(st)
         if st.degenerate:
@@ -311,22 +307,22 @@ def _suite_escape(pl: _Pipeline):
     # no slice directions means no invariant can blow up along them
     if pl.bb_basis is not None and pl.bb_basis.count() == 0:
         return True, 0.0, "zero-dimensional attracting slice"
-    A, p0, grading = pl.need("attracting slice", "A", "p0", "grading")
+    inc = pl.need("attracting slice", "inc")
     paths = [ps for kind in ("admissible", "loop")
              for ps in enumerate_paths(pl.quiver, pl.dims, pl.cfg.max_len, kind)]
-    if np.all(np.abs(pl.central.c_array()) == 0) and not is_nilpotent(p0):
+    if np.all(np.abs(pl.central.c_array()) == 0) and not is_nilpotent(inc.p0):
         # name the largest invariant of length max_len or less at the limit
-        size, path = max(((invariant_size(p0, ps), str(ps)) for ps in paths),
+        size, path = max(((invariant_size(inc.p0, ps), str(ps)) for ps in paths),
                          default=(0.0, ""))
         survivor = f"; {path} has size {size:.3e}" if size > CHECK_TOL else ""
         return False, 1.0, "scaling limit point is not nilpotent" + survivor
-    at = p0 + A
+    at = inc.p0 + inc.A
     candidates = [ps for ps in paths
                   if path_escape_exponent(ps, pl.quiver, pl.dims) >= 1
                   and invariant_size(at, ps) > ESCAPE_MIN_INVARIANT]
     if not candidates:
         return True, 0.0, "no non-vanishing escaping invariant at this point"
-    studies = escape_slope(p0, A, candidates, grading)
+    studies = escape_slope(inc, candidates)
     failed = [st for st in studies if not st.passed]
     note = f"checked {len(studies)} paths"
     if failed:
@@ -397,7 +393,7 @@ def write_outputs(report: VerifyReport, pl: "_Pipeline", out_dir: str) -> None:
                conv_rows)
 
     fp_rows = []
-    if pl.p0 is not None:
+    if pl.grading is not None:
         labels = fingerprint_labels(pl.quiver, pl.dims, pl.cfg.max_len)
         # the first conformal study solved the limit at hbar_grid[0]
         lim = pl.studies[0].limit_fingerprint if pl.studies else None

@@ -49,14 +49,14 @@ def quiver_spec(spec):
     return str(ROOT / spec) if spec.endswith(".json") else spec
 
 
-def verify_pair(spec, seed):
-    """(p0, A) as verify_run draws them for this seed: the scaling flow's
-    limit of the seeded sample and the seeded attracting increment there."""
+def verify_increment(spec, seed):
+    """The checked slice point p0 + A as verify_run draws it for this seed:
+    p0 the scaling flow's limit of the seeded sample and A the seeded
+    attracting increment there."""
     quiver, dims, central, _ = ql.resolve_quiver_spec(quiver_spec(spec))
     smp = ql.sample_on_variety(quiver, dims, central, seed=seed)
     flow = ql.flow_limit(smp.point, central.sigma_array())
-    basis = ql.bb_tangent_basis(flow.limit, flow.grading)
-    return flow.limit, attracting_increment(basis, flow.grading, seed)
+    return attracting_increment(ql.bb_tangent_basis(flow.grading), flow.grading, seed)
 
 
 class Setup:
@@ -70,12 +70,16 @@ class Setup:
         self.central = self.preset.central
         self.p0 = self.preset.fixed_point()
         self.grading = ql.weight_grading(self.p0)
-        self.basis = ql.bb_tangent_basis(self.p0, self.grading)
+        self.basis = ql.bb_tangent_basis(self.grading)
         self.full_basis = ql.tangent_basis(self.p0)
 
     def slice_point(self, seed: int = 11, scale: float = 0.3) -> ql.RepPoint:
         return ql.bb_slice_solve(self.basis, ql.seeded_increment(self.basis, seed, scale),
                                  self.grading)
+
+    def increment(self, seed: int = 11, scale: float = 0.3) -> ql.SliceIncrement:
+        """slice_point(seed, scale), checked at p0."""
+        return ql.check_slice_increment(self.slice_point(seed, scale), self.grading)
 
 
 _CACHE: dict[str, Setup] = {}
@@ -162,12 +166,12 @@ def newton_derivative(p, xi):
     return ql.dmoment_real_scaled(p, ql.inf_action(p, xi))
 
 
-def escape_profile(p0, A, grading, hbar_grid, max_len):
+def escape_profile(inc, hbar_grid, max_len):
     """(hbar, largest fingerprint magnitude) along the algebraic limit family,
     hbar decreasing.  Non-nilpotent slice points must blow up down the tail."""
     rows = []
     for h in sorted(hbar_grid, reverse=True):
-        f = ql.fingerprint(ql.conformal_point(p0, A, h, grading), max_len)
+        f = ql.fingerprint(ql.conformal_point(inc, h), max_len)
         rows.append((float(h), float(np.abs(f).max(initial=0.0))))
     return rows
 
@@ -434,7 +438,7 @@ def twistor_rotate_by_slots(p, xi):
 
 
 def conformal_point_by_slots(p0, A, hbar):
-    """The closed form of conformal_point, without its slice checks."""
+    """The closed form of conformal_point, slot by slot, from p0 and A."""
     hb = complex(hbar)
     q = p0.quiver
     E = q.num_edges

@@ -98,9 +98,9 @@ def test_criterion_05_conformal_representative_level():
         sigma = s.central.sigma_array()
         zr = ql.zeta_real_lie(sigma, s.dims)
         for k in range(25):
-            A = s.slice_point(seed=2000 + k, scale=0.4)
+            inc = s.increment(seed=2000 + k, scale=0.4)
             hbar = rng.uniform(0.3, 2.0) * np.exp(1j * rng.uniform(-0.5, 0.5))
-            pA = ql.conformal_point(s.p0, A, hbar, s.grading)
+            pA = ql.conformal_point(inc, hbar)
             dev = (ql.moment_complex(pA) + 2j * zr).norm()
             worst = max(worst, dev)
             assert dev <= 1e-10
@@ -131,18 +131,16 @@ def test_criterion_06_graded_scaling_slopes():
 def test_criterion_07_conformal_limit_convergence():
     # quadratic approach to the limit for hbar in {1, 0.5}; zero datum is flat
     s = get_setup("tstar-p1")
-    A = s.slice_point(seed=2200)
-    assert any(np.linalg.norm(j) > 1e-8 for j in A.j)
+    inc = s.increment(seed=2200)
+    assert any(np.linalg.norm(j) > 1e-8 for j in inc.A.j)
     sigma = s.central.sigma_array()
     worst = 0.0
-    for rep in ql.convergence_study(s.p0, A, sigma, (1.0, 0.5), (0.4, 0.2, 0.1, 0.05),
-                                    grading=s.grading):
+    for rep in ql.convergence_study(inc, sigma, (1.0, 0.5), (0.4, 0.2, 0.1, 0.05)):
         assert not rep.degenerate
         assert 1.75 <= rep.slope <= 2.5
         worst = max(worst, abs(rep.slope - 2.0))
-    zero = ql.RepPoint.zeros(s.quiver, s.dims)
-    flat, = ql.convergence_study(s.p0, zero, sigma, (1.0,), (0.4, 0.2, 0.1, 0.05),
-                                 grading=s.grading)
+    zero = ql.check_slice_increment(ql.RepPoint.zeros(s.quiver, s.dims), s.grading)
+    flat, = ql.convergence_study(zero, sigma, (1.0,), (0.4, 0.2, 0.1, 0.05))
     assert flat.degenerate
     _report(7, "family converges at order two; zero datum reports degenerate",
             worst)
@@ -168,24 +166,24 @@ def test_criterion_09_escape_rates():
     worst = 0.0
     # one framing exit: first-order blow-up
     s = get_setup("tstar-p1")
-    A = s.slice_point(seed=2300)
-    study, = ql.escape_slope(s.p0, A, [ql.PathSpec.parse("P:c0.j0")], s.grading)
+    inc = s.increment(seed=2300)
+    study, = ql.escape_slope(inc, [ql.PathSpec.parse("P:c0.j0")])
     dev = abs(study.slope + 1.0)
     worst = max(worst, dev)
     assert dev <= 0.2
     # a loop crossing two reversed edges: second-order blow-up
     k = get_setup("kronecker2")
-    Ak = k.slice_point(seed=2301)
+    inc_k = k.increment(seed=2301)
     loops = [t for t in ql.enumerate_paths(k.quiver, k.dims, 4, "loop")
              if ql.path_escape_exponent(t, k.quiver, k.dims) == 2
-             and ql.invariant_size(k.p0 + Ak, t) > 1e-6]
+             and ql.invariant_size(k.p0 + inc_k.A, t) > 1e-6]
     assert loops, "need a loop with two reversed edges alive on the slice"
-    study2, = ql.escape_slope(k.p0, Ak, [loops[0]], k.grading)
+    study2, = ql.escape_slope(inc_k, [loops[0]])
     dev2 = abs(study2.slope + 2.0)
     worst = max(worst, dev2)
     assert dev2 <= 0.2
     # the largest invariant grows monotonically once hbar passes the threshold
-    prof = escape_profile(s.p0, A, s.grading, (0.4, 0.2, 0.1, 0.05, 0.025), 4)
+    prof = escape_profile(inc, (0.4, 0.2, 0.1, 0.05, 0.025), 4)
     values = [v for _, v in prof]
     assert all(b > a for a, b in zip(values, values[1:]))
     _report(9, "invariants blow up at the predicted rates", worst)

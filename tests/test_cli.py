@@ -127,9 +127,9 @@ def test_escape_fails_on_a_wrong_family(capsys, monkeypatch, tmp_path):
     # order too fast; escape must say FAIL and exit 1
     family = ql.invariants.conformal_flat
 
-    def wrong(p0, A, hbar):
-        flat = family(p0, A, hbar)
-        return np.where(p0.layout.scaled, flat / hbar, flat)
+    def wrong(inc, hbar):
+        flat = family(inc, hbar)
+        return np.where(inc.p0.layout.scaled, flat / hbar, flat)
     monkeypatch.setattr(ql.invariants, "conformal_flat", wrong)
     code, out, err = run(capsys, "escape", "kronecker2", "--path", "L:h0.h0~",
                          "--out", str(tmp_path))

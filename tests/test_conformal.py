@@ -43,35 +43,16 @@ def test_twistor_on_variety(tstar, tstar_sample):
 
 def test_conformal_point_level(tstar):
     # the conformal representative sits on the complex level -2i zeta_R exactly
-    p0 = tstar.p0
-    A = tstar.slice_point(seed=62)
+    inc = tstar.increment(seed=62)
     sigma = tstar.central.sigma_array()
     zr = ql.zeta_real_lie(sigma, tstar.dims)
     for hbar in (1.0, 0.5, 0.25):
-        pA = ql.conformal_point(p0, A, hbar, tstar.grading)
+        pA = ql.conformal_point(inc, hbar)
         assert (ql.moment_complex(pA) + 2j * zr).norm() < 1e-10
 
 
-def test_conformal_point_rejects_off_slice_seed(tstar):
-    p0 = tstar.p0
-    bad = ql.random_rep(tstar.quiver, tstar.dims, ql.make_rng(63), scale=0.3)
-    with pytest.raises(ql.NotOnSlice):
-        ql.conformal_point(p0, bad, 1.0, tstar.grading)
-
-
-def test_family_sample_rejects_off_slice_seed(tstar):
-    # the one-member study runs the slice checks before any solve
-    p0, grading = tstar.p0, tstar.grading
-    bad = ql.random_rep(tstar.quiver, tstar.dims, ql.make_rng(63), scale=0.3)
-    with pytest.raises(ql.NotOnSlice):
-        ql.conformal_family_sample(p0, bad, tstar.central.sigma_array(), 1.0, 0.1,
-                                   grading)
-
-
 def test_conformal_limit_solves(tstar):
-    p0 = tstar.p0
-    A = tstar.slice_point(seed=64)
-    rep = ql.conformal_limit(p0, A, 1.0, tstar.grading)
+    rep = ql.conformal_limit(tstar.increment(seed=64), 1.0)
     assert rep.residual <= 1e-10
     # real moment vanishes, complex moment stays central at -2i zeta_R
     assert ql.moment_real(rep.point).norm() < 1e-9
@@ -81,10 +62,8 @@ def test_conformal_limit_solves(tstar):
 
 
 def test_family_sample_stages(tstar):
-    p0 = tstar.p0
-    A = tstar.slice_point(seed=65)
     sigma = tstar.central.sigma_array()
-    s = ql.conformal_family_sample(p0, A, sigma, 1.0, 0.1, grading=tstar.grading)
+    s = ql.conformal_family_sample(tstar.increment(seed=65), sigma, 1.0, 0.1)
     assert s.R == 0.1
     assert set(s.stage_residuals) == {
         "start_solve", "rotation_real", "rotation_complex",
@@ -95,29 +74,25 @@ def test_family_sample_stages(tstar):
 
 def test_family_at_unit_rotation_needs_no_final_solve(tstar):
     # at |xi| = 1 the rotation already kills the real moment
-    p0 = tstar.p0
-    A = tstar.slice_point(seed=66)
     sigma = tstar.central.sigma_array()
-    s = ql.conformal_family_sample(p0, A, sigma, 1.0, 1.0, grading=tstar.grading)
+    s = ql.conformal_family_sample(tstar.increment(seed=66), sigma, 1.0, 1.0)
     assert s.iterations == 0
 
 
 def test_rescale_commutes_with_the_limit(tstar):
     # rescaling the slice datum by R equals dividing hbar by R
-    p0, grading = tstar.p0, tstar.grading
+    grading = tstar.grading
     A = tstar.slice_point(seed=67)
     hbar, R = 1.0, 0.5
-    left = ql.conformal_limit(p0, grading.act(R, A), hbar, grading=grading)
-    right = ql.conformal_limit(p0, A, hbar / R, grading=grading)
+    left = ql.conformal_limit(ql.check_slice_increment(grading.act(R, A), grading), hbar)
+    right = ql.conformal_limit(ql.check_slice_increment(A, grading), hbar / R)
     assert fingerprint_distance(left.point, right.point, 4) < 1e-8
 
 
 def test_convergence_slope_quadratic(tstar):
-    p0, grading = tstar.p0, tstar.grading
-    A = tstar.slice_point(seed=68)
     sigma = tstar.central.sigma_array()
-    reports = list(ql.convergence_study(p0, A, sigma, (1.0, 0.5), (0.4, 0.2, 0.1, 0.05),
-                                        grading=grading))
+    reports = list(ql.convergence_study(tstar.increment(seed=68), sigma, (1.0, 0.5),
+                                        (0.4, 0.2, 0.1, 0.05)))
     assert [rep.hbar for rep in reports] == [1.0, 0.5]
     for rep in reports:
         assert not rep.degenerate
@@ -127,20 +102,17 @@ def test_convergence_slope_quadratic(tstar):
 
 
 def test_zero_datum_is_degenerate(tstar):
-    p0, grading = tstar.p0, tstar.grading
-    zero = ql.RepPoint.zeros(tstar.quiver, tstar.dims)
+    zero = ql.check_slice_increment(ql.RepPoint.zeros(tstar.quiver, tstar.dims),
+                                    tstar.grading)
     sigma = tstar.central.sigma_array()
-    rep, = ql.convergence_study(p0, zero, sigma, (1.0,), (0.4, 0.2, 0.1, 0.05),
-                                grading=grading)
+    rep, = ql.convergence_study(zero, sigma, (1.0,), (0.4, 0.2, 0.1, 0.05))
     assert rep.degenerate
     assert rep.slope is None and rep.fit_residual is None
 
 
 def test_convergence_report_rows(tstar):
-    p0, grading = tstar.p0, tstar.grading
-    A = tstar.slice_point(seed=69)
     sigma = tstar.central.sigma_array()
-    rep, = ql.convergence_study(p0, A, sigma, (1.0,), (0.2, 0.1), grading=grading)
+    rep, = ql.convergence_study(tstar.increment(seed=69), sigma, (1.0,), (0.2, 0.1))
     assert rep.hbar == 1.0
     rows = convergence_rows(rep)
     assert len(rows) == 2
@@ -153,13 +125,12 @@ def test_convergence_report_rows(tstar):
 def test_study_over_a_grid_matches_one_study_per_hbar(name, seed):
     # the shared starts and the stacked fingerprints change no bit of a report
     s = get_setup(name)
-    A = attracting_increment(s.basis, s.grading, seed)
+    inc = attracting_increment(s.basis, s.grading, seed)
     sigma, r_grid = s.central.sigma_array(), (0.4, 0.2, 0.1, 0.05)
-    both = list(ql.convergence_study(s.p0, A, sigma, (1.0, 0.5), r_grid,
-                                     grading=s.grading))
+    both = list(ql.convergence_study(inc, sigma, (1.0, 0.5), r_grid))
     assert len(both) == 2
     for hbar, rep in zip((1.0, 0.5), both):
-        alone, = ql.convergence_study(s.p0, A, sigma, (hbar,), r_grid, grading=s.grading)
+        alone, = ql.convergence_study(inc, sigma, (hbar,), r_grid)
         assert rep.hbar == alone.hbar == hbar
         assert rep.rows == alone.rows
         assert np.array_equal(rep.limit_fingerprint, alone.limit_fingerprint)
@@ -174,10 +145,10 @@ def test_study_solves_each_start_once(a3star, monkeypatch):
     solve = conformal.graded_solve
     monkeypatch.setattr(conformal, "graded_solve",
                         lambda *args: calls.append(args[2]) or solve(*args))
-    A = attracting_increment(a3star.basis, a3star.grading, 0)
+    inc = attracting_increment(a3star.basis, a3star.grading, 0)
     r_grid = (0.4, 0.2, 0.1, 0.05)
-    reports = list(ql.convergence_study(a3star.p0, A, a3star.central.sigma_array(),
-                                        (1.0, 0.5), r_grid, grading=a3star.grading))
+    reports = list(ql.convergence_study(inc, a3star.central.sigma_array(),
+                                        (1.0, 0.5), r_grid))
     assert len(reports) == 2
     assert calls == list(r_grid)
 
@@ -209,11 +180,10 @@ def test_study_failure_keeps_the_finished_hbar(monkeypatch, tmp_path):
 @pytest.mark.parametrize("hbar", [0.0, float("nan"), float("inf"), complex(1.0, float("nan"))])
 def test_hbar_must_be_finite_and_nonzero(tstar, hbar):
     # refused before any solve, by each entry point that takes an hbar
-    p0, grading, A = tstar.p0, tstar.grading, tstar.slice_point(seed=70)
-    sigma = tstar.central.sigma_array()
+    inc, sigma = tstar.increment(seed=70), tstar.central.sigma_array()
     with pytest.raises(ValueError, match="hbar must be finite and nonzero"):
-        ql.conformal_point(p0, A, hbar, grading=grading)
+        ql.conformal_point(inc, hbar)
     with pytest.raises(ValueError, match="hbar must be finite and nonzero"):
-        ql.conformal_family_sample(p0, A, sigma, hbar, 0.1, grading)
+        ql.conformal_family_sample(inc, sigma, hbar, 0.1)
     with pytest.raises(ValueError, match="hbar must be finite and nonzero"):
-        next(ql.convergence_study(p0, A, sigma, (1.0, hbar), (0.2, 0.1), grading=grading))
+        next(ql.convergence_study(inc, sigma, (1.0, hbar), (0.2, 0.1)))

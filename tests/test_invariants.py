@@ -9,7 +9,7 @@ from quiverlim.config import ESCAPE_MIN_INVARIANT, IDENTITY_TOL
 from conftest import (COMMITTED_QUIVERS, escape_by_fft, escape_profile, fingerprint_by_paths,
                       fingerprint_distance, get_setup, is_nilpotent_by_paths,
                       nilpotency_bound, nilpotent_by_paths, quiver_spec, random_lie,
-                      verify_pair)
+                      verify_increment)
 
 
 def test_admissible_enumeration_no_edges(tstar):
@@ -146,8 +146,8 @@ def test_kernel_flag_agrees_with_the_path_oracle(spec):
     # p0 and p0 + A of seeds 0-3, all 8 points in one pass of the path oracle
     points = []
     for seed in range(4):
-        p0, A = verify_pair(spec, seed)
-        points += [p0, p0 + A]
+        inc = verify_increment(spec, seed)
+        points += [inc.p0, inc.p0 + inc.A]
     assert [ql.is_nilpotent(p) for p in points] == nilpotent_by_paths(points)
 
 
@@ -185,12 +185,12 @@ def test_kernel_flag_on_a_gauge_moved_triangular_rep(seed):
 
 
 def test_zero_invariant_guard(tstar):
-    p0 = tstar.p0
     path = ql.PathSpec.parse("P:c0.j0")
-    assert ql.invariant_size(p0, path) < 1e-14
+    assert ql.invariant_size(tstar.p0, path) < 1e-14
+    zero = ql.check_slice_increment(ql.RepPoint.zeros(tstar.quiver, tstar.dims),
+                                    tstar.grading)
     with pytest.raises(ql.ZeroInvariant):
-        ql.escape_slope(p0, ql.RepPoint.zeros(tstar.quiver, tstar.dims), [path],
-                        tstar.grading)
+        ql.escape_slope(zero, [path])
 
 
 def test_escape_exponent_counts_reversals_and_exits(kronecker):
@@ -211,9 +211,7 @@ def test_escape_exponent_refuses_unknown_tokens(tstar):
 
 
 def test_escape_slope_on_smallest_example(tstar):
-    A = tstar.slice_point(seed=47)
-    study, = ql.escape_slope(tstar.p0, A, [ql.PathSpec.parse("P:c0.j0")],
-                             tstar.grading)
+    study, = ql.escape_slope(tstar.increment(seed=47), [ql.PathSpec.parse("P:c0.j0")])
     assert study.expected_exponent == 1
     assert abs(study.slope + 1.0) < 0.2
     assert study.slope == -1
@@ -228,8 +226,8 @@ def test_escape_slope_matches_the_fft_reference(quiver):
     max_len = ql.RunConfig().max_len
     checked = 0
     for seed in range(3):
-        p0, A = verify_pair(quiver, seed)
-        grading = ql.weight_grading(p0)
+        inc = verify_increment(quiver, seed)
+        p0, A = inc.p0, inc.A
         at = p0 + A
         paths = [ps for kind in ("admissible", "loop")
                  for ps in ql.enumerate_paths(p0.quiver, p0.dims, max_len, kind)
@@ -237,7 +235,7 @@ def test_escape_slope_matches_the_fft_reference(quiver):
                  and ql.invariant_size(at, ps) > ESCAPE_MIN_INVARIANT]
         if not paths:
             continue
-        studies = ql.escape_slope(p0, A, paths, grading)
+        studies = ql.escape_slope(inc, paths)
         for st, (slope, mismatch, outside) in zip(studies, escape_by_fft(p0, A, paths),
                                                   strict=True):
             assert st.slope == slope, (seed, st.path)
@@ -248,8 +246,7 @@ def test_escape_slope_matches_the_fft_reference(quiver):
 
 
 def test_escape_profile_monotone(tstar):
-    A = tstar.slice_point(seed=48)
-    prof = escape_profile(tstar.p0, A, tstar.grading, (0.4, 0.2, 0.1, 0.05), 4)
+    prof = escape_profile(tstar.increment(seed=48), (0.4, 0.2, 0.1, 0.05), 4)
     values = [v for _, v in prof]
     assert values == sorted(values)
     assert values[-1] > values[0]
@@ -262,7 +259,8 @@ def test_fingerprint_matches_per_path_evaluation(name):
         s = get_setup(name)
         p0, A = s.p0, s.slice_point()
     else:
-        p0, A = verify_pair(f"bench/quivers/{name}.json", 0)
+        inc = verify_increment(f"bench/quivers/{name}.json", 0)
+        p0, A = inc.p0, inc.A
     rand = ql.random_rep(p0.quiver, p0.dims, ql.make_rng(49))
     points = (("p0", p0), ("p0+A", p0 + A), ("random", rand))
     for label, p in points:

@@ -362,9 +362,9 @@ def test_slotwise_maps_match_per_slot_bodies(case):
     for xi in (complex(*rng.uniform(-2, 2, size=2)), 0.35, 0.0):
         assert_same(ql.twistor_rotate(p, xi), twistor_rotate_by_slots(p, xi))
     zero, grading = ql.RepPoint.zeros(p.quiver, p.dims), synthetic_grading(p, rng)
+    at_p = ql.check_slice_increment(zero, grading)
     for hbar in (0.5, 0.3 - 0.2j):
-        assert_same(ql.conformal_point(p, zero, hbar, grading),
-                    conformal_point_by_slots(p, zero, hbar))
+        assert_same(ql.conformal_point(at_p, hbar), conformal_point_by_slots(p, zero, hbar))
     assert_conjugated(ql.moment_real(p), moment_real_by_vertex(p))
     assert_conjugated(ql.moment_complex(p), moment_complex_by_vertex(p))
     assert_conjugated(ql.dmu_complex(p, shift), dmu_complex_by_vertex(p, shift))
@@ -378,10 +378,10 @@ def test_slotwise_maps_match_per_slot_bodies(case):
 @pytest.mark.parametrize("name", ["tstar-p1", "a2-star", "a3-star", "kronecker2"])
 def test_graded_and_conformal_maps_match_at_fixed_points(name):
     s = get_setup(name)
-    A = s.slice_point()
+    inc = s.increment()
+    A = inc.A
     for hbar in (1.0, 0.05):
-        assert_same(ql.conformal_point(s.p0, A, hbar, grading=s.grading),
-                    conformal_point_by_slots(s.p0, A, hbar))
+        assert_same(ql.conformal_point(inc, hbar), conformal_point_by_slots(s.p0, A, hbar))
     assert_graded_maps_match(A, s.grading)
     assert_graded_maps_match(s.p0, s.grading)
 

@@ -9,7 +9,7 @@ import quiverlim as ql
 from quiverlim import slices
 from quiverlim.config import BASIN_NORM
 
-from conftest import COMMITTED_QUIVERS, get_setup, quiver_spec
+from conftest import COMMITTED_QUIVERS, get_setup, quiver_spec, random_lie
 
 # frozen complex tangent counts per preset (full chart, attracting chart)
 HAND_COUNTS = {
@@ -148,13 +148,39 @@ def test_bb_slice_solve_equivariance(a3star):
 def test_bb_slice_solve_projects_a_far_start_once(a3star):
     # a far start with support below weight one: that part is dropped before
     # the one shrink, so it cannot grow with it and leave the slice
-    p0, grading, basis = a3star.p0, a3star.grading, a3star.basis
+    grading, basis = a3star.grading, a3star.basis
     q0 = ql.random_rep(a3star.quiver, a3star.dims, ql.make_rng(3), scale=2.0)
     plus = ql.positive_weight_project(q0, grading)
     assert plus.norm() > BASIN_NORM and (q0 - plus).norm() > BASIN_NORM
     A = ql.bb_slice_solve(basis, q0, grading)
-    slices.check_slice_increment(p0, A, grading)
+    slices.check_slice_increment(A, grading)
     assert (A - ql.bb_slice_solve(basis, plus, grading)).norm() <= 1e-12 * A.norm()
+
+
+def test_check_slice_increment_names_each_defect(tstar):
+    # one refusal per slice condition: a random point leaves the complex
+    # level, a gauge move keeps it but lies along the orbit, and a full
+    # slice solve is on the level and orthogonal but reaches weights below one
+    p0, grading, full = tstar.p0, tstar.grading, tstar.full_basis
+    off_level = ql.random_rep(tstar.quiver, tstar.dims, ql.make_rng(63), scale=0.3)
+    along_orbit = ql.gauge_act(ql.lie_exp(random_lie(tstar.dims, ql.make_rng(71), 0.1)),
+                               p0) - p0
+    repelling = ql.slice_solve(full, ql.seeded_increment(full, 72, 0.05))
+    for A, defect in ((off_level, "moves the complex moment off its central level"),
+                      (along_orbit, "is not orthogonal to the gauge orbit"),
+                      (repelling, "has support below weight one")):
+        with pytest.raises(ql.NotOnSlice, match=defect):
+            ql.check_slice_increment(A, grading)
+
+
+def test_checked_increment_holds_its_own_copy(tstar):
+    A = tstar.slice_point(seed=73)
+    inc = ql.check_slice_increment(A, tstar.grading)
+    before = inc.A.vec.copy()
+    A.i[0][...] += 1.0
+    assert inc.p0 is tstar.p0
+    assert np.array_equal(inc.A.vec, before)
+    assert not np.array_equal(A.vec, before)
 
 
 def test_positive_weight_project(a3star):
@@ -182,12 +208,12 @@ def _count_calls(monkeypatch, owner, name) -> list:
 def test_bases_take_the_one_svd_and_solves_reuse_it(monkeypatch, a3star, a3star_sample):
     # each basis takes one SVD of one stacked_conditions; the solves read
     # span and directions off the basis, also through the rescaled far start
-    p, p0, grading = a3star_sample.point, a3star.p0, a3star.grading
+    p, grading = a3star_sample.point, a3star.grading
     svd = _count_calls(monkeypatch, np.linalg, "svd")
     cond = _count_calls(monkeypatch, slices, "stacked_conditions")
     full = ql.tangent_basis(p)
     assert (len(svd), len(cond)) == (1, 1)
-    bb = ql.bb_tangent_basis(p0, grading)
+    bb = ql.bb_tangent_basis(grading)
     assert (len(svd), len(cond)) == (2, 2)
     ql.slice_solve(full, ql.seeded_increment(full, 52, 0.1))
     ql.bb_slice_solve(bb, ql.seeded_increment(bb, 53, 0.3), grading)
@@ -205,7 +231,7 @@ def test_bb_slice_solve_stays_in_positive_weight(spec):
     for seed in range(6):
         smp = ql.sample_on_variety(quiver, dims, central, seed=seed)
         flow = ql.flow_limit(smp.point, central.sigma_array())
-        basis = ql.bb_tangent_basis(flow.limit, flow.grading)
+        basis = ql.bb_tangent_basis(flow.grading)
         for scale in (0.3, 2.0):
             A = ql.bb_slice_solve(basis, ql.seeded_increment(basis, seed, scale),
                                   flow.grading)

@@ -16,7 +16,7 @@ from quiverlim.repspace import block_mask, layout
 from quiverlim.solver import _polar_point, _polar_spectrum, _spectral_pair
 
 from conftest import (COMMITTED_QUIVERS, history_rows, linearized_operator,
-                      newton_derivative, quiver_spec, random_lie, verify_pair)
+                      newton_derivative, quiver_spec, random_lie, verify_increment)
 
 # bisection of e^{2x}*1.79 - e^{-2x}*1.01 - 1.2 on [-10, 10], frozen
 BISECT_X = 0.07324080802172214
@@ -199,7 +199,8 @@ def test_overflowing_polar_rebuild_raises():
 def test_graded_solve_matches_plain_solve_orbit(spec):
     # the start of a family member is the cold solve at p0 + R^D cstar_act(R, A),
     # bit for bit, at every R of the default grid
-    p0, A = verify_pair(spec, 0)
+    inc = verify_increment(spec, 0)
+    p0, A = inc.p0, inc.A
     grading = ql.weight_grading(p0)
     sigma = ql.resolve_quiver_spec(quiver_spec(spec))[2].sigma_array()
     for R in ql.RunConfig(quiver_file=spec).r_grid:

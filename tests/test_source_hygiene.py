@@ -8,6 +8,7 @@ every module dependency shows at the top of its module, so an import cycle
 cannot hide inside a function body.  The verify suites hold no error
 handling of their own: the one runner that wraps them does.  One
 least-squares Newton loop serves every min-norm correction in the package.
+No function takes a base point beside the weight grading that holds it.
 """
 
 import ast
@@ -97,3 +98,15 @@ def test_one_lstsq_newton_loop():
                 if isinstance(sub, ast.Call)
                 and ast.unparse(sub.func).split(".")[-1] == "lstsq"}
     assert len(in_loops) == 1, sorted(in_loops)
+
+
+def test_no_function_takes_a_base_point_beside_its_grading():
+    # p0 is grading.base_point: a second parameter for it could name another
+    # point, and the checked SliceIncrement carries both as one value
+    both = [f"{module}:{node.name}" for module, tree in TREES.items()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and "grading" in (args := {a.arg for a in ast.walk(node.args)
+                                       if isinstance(a, ast.arg)})
+            and args & {"p0", "p"}]
+    assert both == []

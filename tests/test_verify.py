@@ -148,8 +148,27 @@ def test_oriented_cycle_fails_escape_as_not_nilpotent(seed):
     assert by_name["escape_rates"].note == (
         "scaling limit point is not nilpotent; L:h0.h1.h2 has size "
         + ("8.564e-03", "4.095e-01")[seed])
-    assert not ql.is_nilpotent(pipeline.p0)
-    assert not is_nilpotent_by_paths(pipeline.p0)
+    assert not ql.is_nilpotent(pipeline.grading.base_point)
+    assert not is_nilpotent_by_paths(pipeline.grading.base_point)
+
+
+@pytest.mark.parametrize("quiver", ["tstar-p1", "a3-star"])
+def test_each_op_checks_its_slice_increment_once(monkeypatch, quiver):
+    # the attracting slice, the conformal study and the escape scan share the
+    # one SliceIncrement that attracting_increment checked
+    calls, real = [], ql.slices.check_slice_increment
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    for name, mod in list(sys.modules.items()):
+        if name == "quiverlim" or name.startswith("quiverlim."):
+            for attr, val in list(vars(mod).items()):
+                if val is real:
+                    monkeypatch.setattr(mod, attr, counted)
+    report, _ = ql.verify_run(ql.RunConfig(quiver_file=quiver, seed=0))
+    assert report.all_passed
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("seed", range(2))
