@@ -51,6 +51,26 @@ def test_conformal_point_level(tstar):
         assert (ql.moment_complex(pA) + 2j * zr).norm() < 1e-10
 
 
+def test_conformal_point_rejects_off_slice_seed(tstar):
+    # conformal_point takes only a checked increment, so an off-level draw
+    # is refused on its way in
+    bad = ql.random_rep(tstar.quiver, tstar.dims, ql.make_rng(63), scale=0.3)
+    with pytest.raises(ql.NotOnSlice, match="off its central level"):
+        ql.conformal_point(ql.check_slice_increment(bad, tstar.grading), 1.0)
+
+
+def test_family_sample_rejects_off_slice_seed(tstar, monkeypatch):
+    # the slice check runs before any solve of the one-member study
+    calls = []
+    for solve in ("graded_solve", "solve_real_moment"):
+        monkeypatch.setattr(conformal, solve, lambda *args, **kw: calls.append(args))
+    bad = ql.random_rep(tstar.quiver, tstar.dims, ql.make_rng(63), scale=0.3)
+    with pytest.raises(ql.NotOnSlice, match="off its central level"):
+        ql.conformal_family_sample(ql.check_slice_increment(bad, tstar.grading),
+                                   tstar.central.sigma_array(), 1.0, 0.1)
+    assert calls == []
+
+
 def test_conformal_limit_solves(tstar):
     rep = ql.conformal_limit(tstar.increment(seed=64), 1.0)
     assert rep.residual <= 1e-10
