@@ -43,6 +43,14 @@ total wall time, its process's peak resident set size and its source tree on
 standard error, so standard output stays comparable; under ``--compare``
 each tree's sweep prints its own such line.
 
+``--generated N`` runs verify at seed 0 on the first N of a fixed seeded
+list of random tree-shaped inputs instead, each written to a temporary
+quiver file. It prints one line per input (its edges, v, w and sigma, then
+the verdict string or the name of the error that refused the input) and a
+summary that counts the inputs by their first failing suite:
+
+    python3 scripts/verify_sweep.py --generated 120
+
 Quiver files are named relative to the repository root, which is also the
 working directory of the runs, so the configs (and their digests) match
 between trees.
@@ -51,6 +59,7 @@ between trees.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import hashlib
 import json
@@ -200,6 +209,72 @@ def _report(lines: dict, root: str) -> int:
     return int(n_same != n_new or n_old != n_new)
 
 
+def _generated_inputs(ql, count: int = 120):
+    """count seeded random inputs: a tree on 1..4 vertices (vertex k joins a
+    random earlier vertex, either way round; from 2 vertices on the first
+    edge is doubled with probability 1/4), v_k in 1..3, w_k in 0..2, sigma
+    all ones or each entry from +-0.5, +-1, +-1.5 with probability 1/2 each,
+    c = 0.  A draw is kept when w != 0, sum v_k^2 <= 30, the expected
+    dimension is positive and the parameter is generic.  ql is the imported
+    quiverlim package."""
+    import numpy as np  # after main has pinned the BLAS threads
+
+    rng = np.random.default_rng(7)
+    inputs = []
+    while len(inputs) < count:
+        n = int(rng.integers(1, 5))
+        edges = []
+        for k in range(1, n):
+            j = int(rng.integers(k))
+            edges.append((j, k) if rng.random() < 0.5 else (k, j))
+        if n >= 2 and rng.random() < 0.25:
+            edges.insert(0, edges[0])
+        v = tuple(int(x) for x in rng.integers(1, 4, size=n))
+        w = tuple(int(x) for x in rng.integers(0, 3, size=n))
+        sigma = ((1.0,) * n if rng.random() < 0.5
+                 else tuple(float(s) for s in rng.choice((-1.5, -1, -0.5, 0.5, 1, 1.5), n)))
+        if not any(w) or sum(x * x for x in v) > 30:
+            continue
+        q, dims = ql.Quiver(n, tuple(edges)), ql.DimensionVectors(v=v, w=w)
+        zeta = ql.CentralParameter(sigma=sigma, c=(0.0,) * n)
+        if ql.expected_dimension(q, dims) > 0 and ql.is_generic(zeta, q, dims):
+            inputs.append((q, dims, zeta))
+    return inputs
+
+
+def _generated_sweep(ql, count: int) -> None:
+    """verify at seed 0 on each of the first count generated inputs, each
+    written as a quiver file; one line per input, then the summary."""
+    first_failures = collections.Counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        for n, (quiver, dims, zeta) in enumerate(_generated_inputs(ql, count)):
+            path = os.path.join(tmp, f"{n}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(ql.quiver_to_dict(quiver, dims, zeta), fh)
+            try:
+                report, _ = ql.verify_run(ql.RunConfig(quiver_file=path, seed=0))
+            except ql.QuiverLimError as exc:
+                outcome = first = type(exc).__name__
+            else:
+                outcome = "".join("P" if st.passed else "F" for st in report.suites)
+                first = next((st.name for st in report.suites if not st.passed), "passed")
+            first_failures[first] += 1
+            edges = ";".join(f"{a}>{b}" for a, b in quiver.edges)
+            print(f"edges={edges}", "v=" + ",".join(map(str, dims.v)),
+                  "w=" + ",".join(map(str, dims.w)),
+                  "sigma=" + ",".join(f"{s:g}" for s in zeta.sigma), outcome, flush=True)
+    counts = ", ".join(f"{name} {k}" for name, k in first_failures.most_common())
+    print(f"summary: {count} generated inputs at seed 0, by first failing suite: {counts}")
+
+
+def _print_footprint(what: str, start: float, src: str) -> None:
+    """The wall time since start, the process's peak RSS and the source tree,
+    on standard error."""
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"{what}: {time.perf_counter() - start:.2f} s wall time, "
+          f"{peak_mb:.1f} MB peak RSS, src {os.path.abspath(src)}", file=sys.stderr)
+
+
 def _compare(other_src: str) -> int:
     """Sweep the ``--src`` tree and this one in two processes and compare."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -222,8 +297,13 @@ def main(argv=None) -> int:
     ap.add_argument("--out", help="keep the artefacts of run n in OUT/n")
     ap.add_argument("--compare", action="store_true",
                     help="compare this tree with the --src tree, run by run")
+    ap.add_argument("--generated", type=int, metavar="N",
+                    help="instead of the fixed runs, verify the first N seeded "
+                    "generated inputs at seed 0")
     args = ap.parse_args(argv)
     if args.compare:
+        if args.generated is not None:
+            ap.error("--compare does not take --generated")
         if args.src is None:
             ap.error("--compare needs --src OTHER")
         return _compare(args.src)
@@ -236,8 +316,12 @@ def main(argv=None) -> int:
     os.chdir(ROOT)
     import quiverlim as ql
 
-    runs = [(q, s) for q in QUIVERS for s in SEEDS] + list(WALL_RUNS)
     start = time.perf_counter()
+    if args.generated is not None:
+        _generated_sweep(ql, args.generated)
+        _print_footprint(f"generated sweep of {args.generated} inputs", start, src)
+        return 0
+    runs = [(q, s) for q in QUIVERS for s in SEEDS] + list(WALL_RUNS)
     with tempfile.TemporaryDirectory() as tmp:
         for n, (quiver, seed) in enumerate(runs):
             out = os.path.join(keep or tmp, str(n))
@@ -249,9 +333,7 @@ def main(argv=None) -> int:
                     digests.append(hashlib.sha256(fh.read()).hexdigest())
             verdicts = "".join("P" if st.passed else "F" for st in report.suites)
             print(quiver, seed, *digests, verdicts, flush=True)
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"sweep of {len(runs)} runs: {time.perf_counter() - start:.2f} s wall time, "
-          f"{peak_mb:.1f} MB peak RSS, src {os.path.abspath(src)}", file=sys.stderr)
+    _print_footprint(f"sweep of {len(runs)} runs", start, src)
     return 0
 
 

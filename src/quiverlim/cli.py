@@ -61,7 +61,7 @@ def _limit_setup(cfg: RunConfig) -> tuple:
     """(inc, sigma) with inc the seeded attracting slice point verify draws."""
     quiver, dims, central = _load(cfg, generic=True)
     grading = _flow(cfg, quiver, dims, central).grading
-    inc = attracting_increment(bb_tangent_basis(grading), grading, cfg.seed)
+    inc = attracting_increment(bb_tangent_basis(grading), cfg.seed)
     return inc, central.sigma_array()
 
 

@@ -2,9 +2,9 @@
 
 A counter-based generator keyed by the run seed drives every draw, so equal
 configurations reproduce byte-identical output.  Raw gaussian points are
-first projected onto the central complex level by the min-norm Newton kernel
-of the slice solves, then moved to the real-moment solution along the
-complex gauge orbit.  The seeded attracting-slice increment of a
+first projected onto the central complex level by the solver's min-norm
+Newton kernel, then moved to the real-moment solution along the complex
+gauge orbit.  The seeded attracting-slice increment of a
 conformal-limit setup is drawn here as well.
 """
 
@@ -17,12 +17,10 @@ import numpy as np
 from .config import LEVEL_TOL, SAMPLE_RESTARTS
 from .errors import (LeftBasin, MaxIterations, NotInjective, NotOnVariety,
                      QuiverLimError, SamplingFailed)
-from .fixedpoints import WeightGrading
 from .quiver import CentralParameter, DimensionVectors, Quiver
 from .repspace import RepPoint, central_lie, rep_dim
-from .slices import (SliceBasis, SliceIncrement, _min_norm_newton, bb_slice_solve,
-                     check_slice_increment)
-from .solver import SolveReport, solve_real_moment
+from .slices import SliceBasis, SliceIncrement, bb_slice_solve, check_slice_increment
+from .solver import SolveReport, _min_norm_newton, solve_real_moment
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -44,8 +42,7 @@ def project_complex_level(p: RepPoint, c_values) -> RepPoint:
     rows.  Quadratic convergence makes the projection sharp at desk scale."""
     target = central_lie(np.asarray(c_values, dtype=complex), p.dims).flatten()
     return _min_norm_newton(RepPoint.zeros(p.quiver, p.dims), p, target,
-                            np.zeros((0, p.vec.size), dtype=complex), None,
-                            LEVEL_TOL)
+                            np.zeros((0, p.vec.size), dtype=complex), None, LEVEL_TOL)
 
 
 @dataclass
@@ -97,14 +94,13 @@ def seeded_increment(basis: SliceBasis, seed: int, scale: float) -> RepPoint:
     return RepPoint.from_flat(p.quiver, p.dims, span @ (span.conj().T @ flat))
 
 
-def attracting_increment(basis: SliceBasis, grading: WeightGrading,
-                         seed: int) -> SliceIncrement:
+def attracting_increment(basis: SliceBasis, seed: int) -> SliceIncrement:
     """The seeded attracting-slice point p0 + A at the fixed point
-    p0 = basis.base_point, checked.
+    p0 = basis.base_point of the attracting basis, checked against its grading.
 
     A is seeded_increment(basis, seed + 5, 0.3) corrected onto the attracting
     slice; zero when the slice is zero-dimensional.  verify and the CLI both
     draw A here, so they study the same conformal limit.
     """
-    A = bb_slice_solve(basis, seeded_increment(basis, seed + 5, 0.3), grading)
-    return check_slice_increment(A, grading)
+    A = bb_slice_solve(basis, seeded_increment(basis, seed + 5, 0.3))
+    return check_slice_increment(A, basis.grading)

@@ -4,29 +4,28 @@ The tangent space at a stable point is the joint kernel of the complex
 moment derivative and the adjoint of the infinitesimal action.  One builder
 takes one SVD of these conditions per base point, on the whole space or on
 the positive-weight subspace of a fixed-point grading; its SliceBasis
-carries the tangent columns `span` and the Newton `directions`.  The slice
-solvers take that basis and correct a tangent increment so that p + q stays
-on the central complex level while remaining metric-orthogonal to the orbit,
-by one damped min-norm Newton kernel, which also projects samples onto
-their level.  check_slice_increment tests an increment against these
+carries the tangent columns `span`, the Newton `directions` and the grading
+of an attracting basis.  The slice solvers take that basis and correct a
+tangent increment so that p + q stays on the central complex level while
+remaining metric-orthogonal to the orbit, by the solver's damped min-norm
+Newton kernel.  check_slice_increment tests an increment against these
 conditions and returns the checked SliceIncrement that the conformal layer
 takes; conformal_flat builds the conformal family member attached to one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import (ARMIJO_SLOPE, BASIN_NORM, CHECK_TOL, COND_LIMIT,
-                     MAX_HALVINGS, MAX_SLICE_ITER, SV_RATIO, TANGENT_TOL, TOL,
-                     moment_scale)
-from .errors import (DimensionMismatch, IllConditioned, LeftBasin,
-                     MaxIterations, NotOnSlice)
+from .config import (BASIN_NORM, CHECK_TOL, COND_LIMIT, SV_RATIO, TANGENT_TOL,
+                     TOL, moment_scale)
+from .errors import DimensionMismatch, IllConditioned, NotOnSlice
 from .fixedpoints import WeightGrading
 from .quiver import expected_dimension
 from .repspace import RepPoint, central_deviation, inf_action_adjoint, moment_complex
+from .solver import _min_norm_newton
 
 
 def stacked_conditions(p: RepPoint) -> np.ndarray:
@@ -49,11 +48,12 @@ def _null_and_row(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @dataclass
 class SliceBasis:
     """The slice tangent at base_point from one SVD: span holds its orthonormal
-    flat columns, directions those of its complement in the same subspace."""
+    flat columns, directions those of its complement in the same subspace,
+    and grading the grading of an attracting basis (None on the full slice)."""
     base_point: RepPoint
     span: np.ndarray
     directions: np.ndarray
-    kind: str  # "full_tangent" | "bb_tangent"
+    grading: WeightGrading | None = None
 
     @property
     def vectors(self) -> list[RepPoint]:
@@ -68,7 +68,7 @@ class SliceBasis:
 
     def to_dict(self) -> dict:
         return {
-            "kind": self.kind,
+            "kind": "full_tangent" if self.grading is None else "bb_tangent",
             "count": self.count(),
             "real_dimension": self.real_dimension(),
             "base_point": self.base_point.to_dict(),
@@ -100,8 +100,7 @@ def _slice_basis(p: RepPoint, sub: np.ndarray | None) -> SliceBasis:
     if worst > TANGENT_TOL * max(1.0, p.norm()):
         raise DimensionMismatch(
             f"tangent vector violates the defining conditions ({worst:.3e})")
-    return SliceBasis(base_point=p, span=null, directions=row,
-                      kind="full_tangent" if sub is None else "bb_tangent")
+    return SliceBasis(base_point=p, span=null, directions=row)
 
 
 def tangent_basis(p: RepPoint) -> SliceBasis:
@@ -111,8 +110,9 @@ def tangent_basis(p: RepPoint) -> SliceBasis:
 
 def bb_tangent_basis(grading: WeightGrading) -> SliceBasis:
     """Slice tangent basis at grading.base_point inside the strictly positive
-    weight subspace; its real dimension must be half the full slice dimension."""
-    return _slice_basis(grading.base_point, grading.columns(grading.slot_weights() >= 1))
+    weight subspace, carrying grading; half the full slice's real dimension."""
+    sub = grading.columns(grading.slot_weights() >= 1)
+    return replace(_slice_basis(grading.base_point, sub), grading=grading)
 
 
 def moment_derivative_matrix(p: RepPoint) -> np.ndarray:
@@ -142,49 +142,6 @@ def moment_correction(p: RepPoint, q: RepPoint) -> RepPoint:
     return q + RepPoint.from_flat(p.quiver, p.dims, corr)
 
 
-def _min_norm_newton(base: RepPoint, q0: RepPoint, target: np.ndarray,
-                     adjoint: np.ndarray, directions: np.ndarray | None,
-                     tol: float) -> RepPoint:
-    """Damped min-norm Newton from q0 on F(q) = (mu_C(x + q) - target,
-    adjoint q), x the base point, stepping in the span of the orthonormal
-    columns directions (the whole space when None).  A step is halved at most
-    MAX_HALVINGS times until |F| falls by 1 - ARMIJO_SLOPE t (LeftBasin
-    otherwise); the loop stops at |F| <= tol moment_scale(x + q).  A trial's
-    dmu_matrix(x + q) gives its residual (mu_C(y) = dmu_C(y, y) / 2) and,
-    once accepted, the next Jacobian."""
-    lay, x = base.layout, base.vec
-    adjoint_dir = adjoint if directions is None else adjoint @ directions
-
-    def trial(q: np.ndarray) -> tuple[RepPoint, np.ndarray, np.ndarray, float]:
-        at = RepPoint._wrap(lay, x + q)
-        dmu = lay.dmu_matrix(at)
-        r = np.concatenate([0.5 * (dmu @ at.vec) - target, adjoint @ q])
-        return at, r, dmu, float(np.linalg.norm(r))
-
-    q = q0.flatten()
-    at, r, dmu, r_norm = trial(q)
-    it = 0
-    while r_norm > tol * moment_scale(at):
-        if it >= MAX_SLICE_ITER:
-            raise MaxIterations(f"min-norm Newton hit {it} iterations, residual {r_norm:.3e}")
-        dmu_dir = dmu if directions is None else dmu @ directions
-        delta, *_ = np.linalg.lstsq(np.concatenate([dmu_dir, adjoint_dir]), -r, rcond=None)
-        delta = delta if directions is None else directions @ delta
-        t = 1.0
-        for _ in range(MAX_HALVINGS + 1):
-            q_try = q + t * delta
-            at_try, r_try, dmu_try, n_try = trial(q_try)
-            if n_try <= (1.0 - ARMIJO_SLOPE * t) * r_norm:
-                break
-            t *= 0.5
-        else:
-            raise LeftBasin(f"min-norm Newton stalled at residual {r_norm:.3e}; "
-                            "the start is outside the Newton basin")
-        q, at, r, dmu, r_norm = q_try, at_try, r_try, dmu_try, n_try
-        it += 1
-    return RepPoint._wrap(lay, q)
-
-
 def _constrained_newton(basis: SliceBasis, q0: RepPoint) -> RepPoint:
     """q0 corrected along basis.directions so that p + q keeps the complex
     moment of the base point p, q orthogonal to the gauge orbit of p."""
@@ -207,8 +164,7 @@ def slice_solve(basis: SliceBasis, q0: RepPoint) -> RepPoint:
         raise NotOnSlice("base point does not sit on a central complex level")
     span, flat0 = basis.span, q0.flatten()
     off = flat0 - span @ (span.conj().T @ flat0)
-    if float(np.linalg.norm(off)) > \
-            CHECK_TOL * max(1.0, float(np.linalg.norm(flat0))):
+    if float(np.linalg.norm(off)) > CHECK_TOL * max(1.0, float(np.linalg.norm(flat0))):
         raise NotOnSlice("starting increment is not tangent to the slice")
     return _constrained_newton(basis, q0)
 
@@ -218,10 +174,9 @@ def positive_weight_project(q: RepPoint, grading: WeightGrading) -> RepPoint:
     return grading.project(q, grading.slot_weights() >= 1)
 
 
-def bb_slice_solve(basis: SliceBasis, q0: RepPoint,
-                   grading: WeightGrading) -> RepPoint:
+def bb_slice_solve(basis: SliceBasis, q0: RepPoint) -> RepPoint:
     """Correct a positive-weight tangent increment onto the attracting slice
-    at the base point of the attracting basis.
+    at the base point of an attracting basis (ValueError for a full one).
 
     The start is projected onto the weight >= 1 subspace once; the basis
     directions lie in that subspace, so every Newton iterate stays there.
@@ -229,6 +184,8 @@ def bb_slice_solve(basis: SliceBasis, q0: RepPoint,
     at 1/R, R = 2|q|/BASIN_NORM, which takes it below half the basin, solved
     small, and mapped back by the action at R; both preserve the slice.
     """
+    if (grading := basis.grading) is None:
+        raise ValueError("bb_slice_solve needs an attracting basis, not a full slice basis")
     q = positive_weight_project(q0, grading)
     if (norm := q.norm()) <= BASIN_NORM:
         return _constrained_newton(basis, q)

@@ -29,6 +29,9 @@ off the blocks are set to exact zero.
 A solve may start from a guess eta: the loop then runs from exp(eta).p
 with the accumulated gauge exp(eta), and the rebuild still starts from p,
 so the returned point and xi are those of a cold solve up to tol.
+
+The min-norm Newton kernel of the sample projection and the slice solves
+lives here too, and both loops step by the one rule of _armijo_step.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import (ARMIJO_SLOPE, CHECK_TOL, EIG_FLOOR_RATIO, MAX_HALVINGS,
-                     MAX_NEWTON_ITER, SLACK, TOL, moment_scale)
-from .errors import MaxIterations, NotInjective, NotOnVariety
+                     MAX_NEWTON_ITER, MAX_SLICE_ITER, SLACK, TOL, moment_scale)
+from .errors import LeftBasin, MaxIterations, NotInjective, NotOnVariety
 from .repspace import (FlatLayout, GaugeElement, LieElement, RepPoint,
                        central_deviation, moment_complex)
 
@@ -134,43 +137,50 @@ def _polar_point(p: RepPoint, g_total: np.ndarray, level: np.ndarray,
 
 
 class _Iterate(NamedTuple):
-    """An iterate of the Newton loop: its stack, the real action matrix A at
-    it, its residual and the residual's norm."""
+    """An iterate of the moment solve: its stack, the gauge exp(t X) of the
+    move that reached it (the identity at a cold start), the real action
+    matrix A at it, its residual and the residual's norm."""
     stack: np.ndarray
+    fwd: np.ndarray
     a: np.ndarray
     res: np.ndarray
     norm: float
 
 
 def _move(coords: FlatLayout, level: np.ndarray, stack: np.ndarray,
-          spectrum: tuple[np.ndarray, np.ndarray],
-          t: float) -> tuple[np.ndarray, _Iterate]:
-    """(exp(t X), the iterate exp(t X).P) for the point P held in stack and
-    the block-diagonal hermitian X of the given (eigenvalues, eigenvectors);
-    an overflowing move has a non-finite residual norm."""
+          spectrum: tuple[np.ndarray, np.ndarray], t: float) -> _Iterate:
+    """The iterate exp(t X).P for the point P held in stack and the
+    block-diagonal hermitian X of the given (eigenvalues, eigenvectors)."""
     lam, vecs = spectrum
-    with np.errstate(all="ignore"):
-        fwd, back = _spectral_pair(coords.block_mask, np.exp(t * lam), vecs)
-        trial = coords.conjugate(stack, fwd, back)
-        a, res = _residual(coords, coords.from_stack(trial), level)
-        return fwd, _Iterate(trial, a, res, float(np.linalg.norm(res)))
+    fwd, back = _spectral_pair(coords.block_mask, np.exp(t * lam), vecs)
+    trial = coords.conjugate(stack, fwd, back)
+    a, res = _residual(coords, coords.from_stack(trial), level)
+    return _Iterate(trial, fwd, a, res, float(np.linalg.norm(res)))
+
+
+def _armijo_step(trial, norm: float, t: float, halvings: int):
+    """(s, trial(s)) for the first s of t, t/2, ..., t/2^halvings whose
+    residual norm, the last entry of trial(s), is finite and at most
+    (1 - ARMIJO_SLOPE s) norm, else None.  A trial runs with floating-point
+    warnings off: one that overflows is an ordinary rejection."""
+    for _ in range(halvings + 1):
+        with np.errstate(all="ignore"):
+            out = trial(t)
+        if np.isfinite(out[-1]) and out[-1] <= (1.0 - ARMIJO_SLOPE * t) * norm:
+            return t, out
+        t *= 0.5
+    return None
 
 
 def _newton_step(coords: FlatLayout, level: np.ndarray, cur: _Iterate, t: float,
-                 halvings: int) -> tuple[float, np.ndarray, _Iterate] | None:
-    """The Newton step from cur at fraction t, halved at most `halvings`
-    times until the residual norm falls to (1 - ARMIJO_SLOPE t) times cur's:
-    (the accepted fraction, exp(t step), the new iterate), or None."""
+                 halvings: int) -> tuple[float, _Iterate] | None:
+    """The Newton step from cur at fraction t by the step rule: (the
+    accepted fraction, the new iterate), or None."""
     step = np.zeros(coords.block_mask.shape, dtype=complex)
     step[coords.block_mask] = coords.herm @ _newton_direction(cur.a, cur.res)
     spectrum = np.linalg.eigh(step)
-    for _ in range(halvings + 1):
-        # an overflowing trial is an ordinary rejection
-        fwd, nxt = _move(coords, level, cur.stack, spectrum, t)
-        if np.isfinite(nxt.norm) and nxt.norm <= (1.0 - ARMIJO_SLOPE * t) * cur.norm:
-            return t, fwd, nxt
-        t *= 0.5
-    return None
+    return _armijo_step(lambda s: _move(coords, level, cur.stack, spectrum, s),
+                        cur.norm, t, halvings)
 
 
 @dataclass
@@ -210,10 +220,12 @@ def solve_real_moment(p: RepPoint, sigma, tol: float = TOL,
     stack = coords.to_stack(p.vec)
     if guess is None:
         a, res = _residual(coords, p.vec, level)
-        g_total = np.eye(coords.nv, dtype=complex)
-        cur = _Iterate(stack, a, res, float(np.linalg.norm(res)))
+        cur = _Iterate(stack, np.eye(coords.nv, dtype=complex), a, res,
+                       float(np.linalg.norm(res)))
     else:
-        g_total, cur = _move(coords, level, stack, np.linalg.eigh(guess.matrix()), 1.0)
+        with np.errstate(all="ignore"):  # an overflowing start fails the rebuild
+            cur = _move(coords, level, stack, np.linalg.eigh(guess.matrix()), 1.0)
+    g_total = cur.fwd
     history: list[tuple[int, float, float]] = [(0, cur.norm, 0.0)]
 
     # a guessed start inside tol still tries one step: the guess alone
@@ -231,8 +243,8 @@ def solve_real_moment(p: RepPoint, sigma, tol: float = TOL,
                 break
             raise MaxIterations(
                 f"residual stalled at {cur.norm:.3e} after {MAX_HALVINGS} halvings")
-        t, fwd, cur = taken
-        g_total = fwd @ g_total
+        t, cur = taken
+        g_total = cur.fwd @ g_total
         it += 1
         history.append((it, cur.norm, t))
 
@@ -245,3 +257,37 @@ def graded_solve(grading, A: RepPoint, r_scale: float, sigma) -> SolveReport:
     """The start of the conformal family member at R = r_scale: the cold
     solve at level sigma from p0 + R^D cstar_act(R, A), p0 the base point."""
     return solve_real_moment(grading.base_point + grading.act(r_scale, A), sigma)
+
+
+def _min_norm_newton(base: RepPoint, q0: RepPoint, target: np.ndarray, adjoint: np.ndarray,
+                     directions: np.ndarray | None, tol: float) -> RepPoint:
+    """Damped min-norm Newton from q0 on F(q) = (mu_C(x + q) - target,
+    adjoint q), x the base point, in the span of the orthonormal columns
+    directions (the whole space when None), stepping from t = 1 (LeftBasin
+    when that fails) until |F| <= tol moment_scale(x + q).  A trial's
+    dmu_matrix(x + q) gives its residual (mu_C(y) = dmu_C(y, y) / 2) and,
+    once accepted, the next Jacobian."""
+    lay, x = base.layout, base.vec
+    adjoint_dir = adjoint if directions is None else adjoint @ directions
+
+    def trial(q: np.ndarray) -> tuple[np.ndarray, RepPoint, np.ndarray, np.ndarray, float]:
+        at = RepPoint._wrap(lay, x + q)
+        dmu = lay.dmu_matrix(at)
+        r = np.concatenate([0.5 * (dmu @ at.vec) - target, adjoint @ q])
+        return q, at, r, dmu, float(np.linalg.norm(r))
+
+    q, at, r, dmu, r_norm = trial(q0.flatten())
+    it = 0
+    while r_norm > tol * moment_scale(at):
+        if it >= MAX_SLICE_ITER:
+            raise MaxIterations(f"min-norm Newton hit {it} iterations, residual {r_norm:.3e}")
+        dmu_dir = dmu if directions is None else dmu @ directions
+        delta, *_ = np.linalg.lstsq(np.concatenate([dmu_dir, adjoint_dir]), -r, rcond=None)
+        delta = delta if directions is None else directions @ delta
+        taken = _armijo_step(lambda t: trial(q + t * delta), r_norm, 1.0, MAX_HALVINGS)
+        if taken is None:
+            raise LeftBasin(f"min-norm Newton stalled at residual {r_norm:.3e}; "
+                            "the start is outside the Newton basin")
+        q, at, r, dmu, r_norm = taken[1]
+        it += 1
+    return RepPoint._wrap(lay, q)

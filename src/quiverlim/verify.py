@@ -252,10 +252,10 @@ def _suite_slice(pl: _Pipeline):
 
 @_suite("attracting_slice")
 def _suite_bb_slice(pl: _Pipeline):
-    bb_basis, grading = pl.need("attracting basis", "bb_basis", "grading")
+    bb_basis = pl.need("attracting basis", "bb_basis")
     if bb_basis.count() == 0:
         return True, 0.0, "zero-dimensional attracting slice"
-    pl.inc = inc = attracting_increment(bb_basis, grading, pl.cfg.seed)
+    pl.inc = inc = attracting_increment(bb_basis, pl.cfg.seed)
     scale = moment_scale(inc.p0 + inc.A)
     dev_central = central_deviation(moment_complex(
         conformal_point(inc, pl.cfg.hbar_grid[0])))

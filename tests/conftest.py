@@ -56,7 +56,7 @@ def verify_increment(spec, seed):
     quiver, dims, central, _ = ql.resolve_quiver_spec(quiver_spec(spec))
     smp = ql.sample_on_variety(quiver, dims, central, seed=seed)
     flow = ql.flow_limit(smp.point, central.sigma_array())
-    return attracting_increment(ql.bb_tangent_basis(flow.grading), flow.grading, seed)
+    return attracting_increment(ql.bb_tangent_basis(flow.grading), seed)
 
 
 class Setup:
@@ -74,8 +74,7 @@ class Setup:
         self.full_basis = ql.tangent_basis(self.p0)
 
     def slice_point(self, seed: int = 11, scale: float = 0.3) -> ql.RepPoint:
-        return ql.bb_slice_solve(self.basis, ql.seeded_increment(self.basis, seed, scale),
-                                 self.grading)
+        return ql.bb_slice_solve(self.basis, ql.seeded_increment(self.basis, seed, scale))
 
     def increment(self, seed: int = 11, scale: float = 0.3) -> ql.SliceIncrement:
         """slice_point(seed, scale), checked at p0."""

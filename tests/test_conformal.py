@@ -145,7 +145,7 @@ def test_convergence_report_rows(tstar):
 def test_study_over_a_grid_matches_one_study_per_hbar(name, seed):
     # the shared starts and the stacked fingerprints change no bit of a report
     s = get_setup(name)
-    inc = attracting_increment(s.basis, s.grading, seed)
+    inc = attracting_increment(s.basis, seed)
     sigma, r_grid = s.central.sigma_array(), (0.4, 0.2, 0.1, 0.05)
     both = list(ql.convergence_study(inc, sigma, (1.0, 0.5), r_grid))
     assert len(both) == 2
@@ -165,7 +165,7 @@ def test_study_solves_each_start_once(a3star, monkeypatch):
     solve = conformal.graded_solve
     monkeypatch.setattr(conformal, "graded_solve",
                         lambda *args: calls.append(args[2]) or solve(*args))
-    inc = attracting_increment(a3star.basis, a3star.grading, 0)
+    inc = attracting_increment(a3star.basis, 0)
     r_grid = (0.4, 0.2, 0.1, 0.05)
     reports = list(ql.convergence_study(inc, a3star.central.sigma_array(),
                                         (1.0, 0.5), r_grid))

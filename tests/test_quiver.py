@@ -9,7 +9,7 @@ import pytest
 import quiverlim as ql
 from quiverlim.quiver import _root_failure, require_nonempty
 
-from conftest import COMMITTED_QUIVERS, NON_ROOT_VERTEX, NON_ROOTS, ROOT, quiver_spec
+from conftest import COMMITTED_QUIVERS, NON_ROOT_VERTEX, NON_ROOTS, ROOT, _sweep, quiver_spec
 
 
 def test_doubling_indexing():
@@ -216,41 +216,11 @@ def test_root_test_matches_the_quadratic_form_on_a_dynkin_chain():
         assert (_root_failure(q, ql.DimensionVectors(v=v, w=(1, 0, 0))) is None) == is_root, v
 
 
-def _generated_inputs(count: int = 120):
-    """count seeded random inputs: a tree on 1..4 vertices (vertex k joins a
-    random earlier vertex, either way round; from 2 vertices on the first
-    edge is doubled with probability 1/4), v_k in 1..3, w_k in 0..2, sigma
-    all ones or each entry from +-0.5, +-1, +-1.5 with probability 1/2 each,
-    c = 0.  A draw is kept when w != 0, sum v_k^2 <= 30, the expected
-    dimension is positive and the parameter is generic."""
-    rng = np.random.default_rng(7)
-    inputs = []
-    while len(inputs) < count:
-        n = int(rng.integers(1, 5))
-        edges = []
-        for k in range(1, n):
-            j = int(rng.integers(k))
-            edges.append((j, k) if rng.random() < 0.5 else (k, j))
-        if n >= 2 and rng.random() < 0.25:
-            edges.insert(0, edges[0])
-        v = tuple(int(x) for x in rng.integers(1, 4, size=n))
-        w = tuple(int(x) for x in rng.integers(0, 3, size=n))
-        sigma = ((1.0,) * n if rng.random() < 0.5
-                 else tuple(float(s) for s in rng.choice((-1.5, -1, -0.5, 0.5, 1, 1.5), n)))
-        if not any(w) or sum(x * x for x in v) > 30:
-            continue
-        q, dims = ql.Quiver(n, tuple(edges)), ql.DimensionVectors(v=v, w=w)
-        zeta = ql.CentralParameter(sigma=sigma, c=(0.0,) * n)
-        if ql.expected_dimension(q, dims) > 0 and ql.is_generic(zeta, q, dims):
-            inputs.append((q, dims, zeta))
-    return inputs
-
-
 def test_no_generated_input_that_the_root_test_refuses_samples():
     # an empty variety has no point to sample: every refused input must
     # exhaust the sampler's restarts (the accepted ones are not sampled here)
     refused = []
-    for q, dims, zeta in _generated_inputs():
+    for q, dims, zeta in _sweep._generated_inputs(ql):
         try:
             require_nonempty(q, dims, zeta)
         except ql.EmptyVariety:

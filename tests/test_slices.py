@@ -124,12 +124,23 @@ def test_bb_slice_solve_conditions(a3star):
     assert all(m >= 1 for m, part in parts.items() if part.norm() > 1e-12)
 
 
+def test_bb_slice_solve_refuses_a_full_slice_basis(a3star):
+    # the full slice's directions leave weight >= 1; only an attracting
+    # basis carries the grading that the solve projects onto
+    full = ql.tangent_basis(a3star.p0)
+    assert full.grading is None and a3star.basis.grading is a3star.grading
+    assert (full.to_dict()["kind"], a3star.basis.to_dict()["kind"]) == \
+        ("full_tangent", "bb_tangent")
+    with pytest.raises(ValueError, match="needs an attracting basis"):
+        ql.bb_slice_solve(full, ql.seeded_increment(full, 57, 0.3))
+
+
 def test_bb_slice_solve_global_reach(a3star):
     # starts far outside the local basin still land on the slice
-    p0, grading, basis = a3star.p0, a3star.grading, a3star.basis
+    p0, basis = a3star.p0, a3star.basis
     q0 = ql.seeded_increment(basis, 54, 2.0)
     assert q0.norm() > 1.0
-    A = ql.bb_slice_solve(basis, q0, grading)
+    A = ql.bb_slice_solve(basis, q0)
     assert (ql.moment_complex(p0 + A) - ql.moment_complex(p0)).norm() < 1e-9
     assert ql.inf_action_adjoint(p0, A).norm() < 1e-9
 
@@ -138,9 +149,9 @@ def test_bb_slice_solve_equivariance(a3star):
     # solving a rescaled seed equals rescaling the solution
     p0, grading, basis = a3star.p0, a3star.grading, a3star.basis
     q0 = ql.seeded_increment(basis, 55, 0.25)
-    A = ql.bb_slice_solve(basis, q0, grading)
+    A = ql.bb_slice_solve(basis, q0)
     for R in (0.5, 2.0):
-        lhs = ql.bb_slice_solve(basis, grading.act(R, q0), grading)
+        lhs = ql.bb_slice_solve(basis, grading.act(R, q0))
         rhs = grading.act(R, A)
         assert (lhs - rhs).norm() < 1e-8 * max(1.0, rhs.norm())
 
@@ -152,9 +163,9 @@ def test_bb_slice_solve_projects_a_far_start_once(a3star):
     q0 = ql.random_rep(a3star.quiver, a3star.dims, ql.make_rng(3), scale=2.0)
     plus = ql.positive_weight_project(q0, grading)
     assert plus.norm() > BASIN_NORM and (q0 - plus).norm() > BASIN_NORM
-    A = ql.bb_slice_solve(basis, q0, grading)
+    A = ql.bb_slice_solve(basis, q0)
     slices.check_slice_increment(A, grading)
-    assert (A - ql.bb_slice_solve(basis, plus, grading)).norm() <= 1e-12 * A.norm()
+    assert (A - ql.bb_slice_solve(basis, plus)).norm() <= 1e-12 * A.norm()
 
 
 def test_check_slice_increment_names_each_defect(tstar):
@@ -216,10 +227,10 @@ def test_bases_take_the_one_svd_and_solves_reuse_it(monkeypatch, a3star, a3star_
     bb = ql.bb_tangent_basis(grading)
     assert (len(svd), len(cond)) == (2, 2)
     ql.slice_solve(full, ql.seeded_increment(full, 52, 0.1))
-    ql.bb_slice_solve(bb, ql.seeded_increment(bb, 53, 0.3), grading)
+    ql.bb_slice_solve(bb, ql.seeded_increment(bb, 53, 0.3))
     far = ql.seeded_increment(bb, 54, 2.0)
     assert far.norm() > BASIN_NORM
-    ql.bb_slice_solve(bb, far, grading)
+    ql.bb_slice_solve(bb, far)
     assert (len(svd), len(cond)) == (2, 2)
 
 
@@ -233,7 +244,6 @@ def test_bb_slice_solve_stays_in_positive_weight(spec):
         flow = ql.flow_limit(smp.point, central.sigma_array())
         basis = ql.bb_tangent_basis(flow.grading)
         for scale in (0.3, 2.0):
-            A = ql.bb_slice_solve(basis, ql.seeded_increment(basis, seed, scale),
-                                  flow.grading)
+            A = ql.bb_slice_solve(basis, ql.seeded_increment(basis, seed, scale))
             off = (A - ql.positive_weight_project(A, flow.grading)).norm()
             assert off <= 1e-12 * max(1.0, A.norm()), (seed, scale, off)

@@ -13,7 +13,7 @@ import pytest
 
 import quiverlim as ql
 from quiverlim.repspace import block_mask, layout
-from quiverlim.solver import _polar_point, _polar_spectrum, _spectral_pair
+from quiverlim.solver import _armijo_step, _polar_point, _polar_spectrum, _spectral_pair
 
 from conftest import (COMMITTED_QUIVERS, history_rows, linearized_operator,
                       newton_derivative, quiver_spec, random_lie, verify_increment)
@@ -271,3 +271,35 @@ def test_hermitian_log_is_accurate_on_a_wide_spectrum():
     g = ql.GaugeElement(dims, [u @ e for u, e in zip(u_blocks, ql.lie_exp(xi).g)])
     back = ql.hermitian_log(g)
     assert (back - xi).norm() <= 1e-10 * xi.norm()
+
+
+def _trials(*norms):
+    """(a trial whose k-th call returns ("out", norms[k]), the fractions it
+    was called with)."""
+    tried, it = [], iter(norms)
+
+    def trial(t):
+        tried.append(t)
+        return "out", next(it)()
+    return trial, tried
+
+
+def test_step_rule_rejects_non_finite_trials_without_warning():
+    # an overflow and an invalid operation are ordinary rejections, raised
+    # as no RuntimeWarning; the next trial that passes is taken, at t/4
+    trial, tried = _trials(lambda: float(np.exp(np.float64(1e3))),
+                           lambda: float(np.float64(np.inf) - np.inf),
+                           lambda: 0.5)
+    assert _armijo_step(trial, 1.0, 1.0, 10) == (0.25, ("out", 0.5))
+    assert tried == [1.0, 0.5, 0.25]
+
+
+def test_step_rule_fails_when_no_trial_passes():
+    # a trial must fall by the factor 1 - ARMIJO_SLOPE t: an unchanged
+    # norm is refused at every one of the halvings + 1 fractions
+    trial, tried = _trials(*[lambda: 1.0] * 4)
+    assert _armijo_step(trial, 1.0, 0.5, 3) is None
+    assert tried == [0.5, 0.25, 0.125, 0.0625]
+    trial, tried = _trials(lambda: 1.0, lambda: 0.0)
+    assert _armijo_step(trial, 1.0, 1.0, 0) is None
+    assert tried == [1.0]

@@ -7,8 +7,10 @@ the package: a helper that nothing uses should go.  No function imports:
 every module dependency shows at the top of its module, so an import cycle
 cannot hide inside a function body.  The verify suites hold no error
 handling of their own: the one runner that wraps them does.  One
-least-squares Newton loop serves every min-norm correction in the package.
-No function takes a base point beside the weight grading that holds it.
+least-squares Newton loop serves every min-norm correction in the package,
+and it and the moment solve step by one Armijo rule in solver.py.  No
+function takes a base point, or a basis, beside the weight grading that
+holds it.
 """
 
 import ast
@@ -102,11 +104,37 @@ def test_one_lstsq_newton_loop():
 
 def test_no_function_takes_a_base_point_beside_its_grading():
     # p0 is grading.base_point: a second parameter for it could name another
-    # point, and the checked SliceIncrement carries both as one value
+    # point, and the checked SliceIncrement carries both as one value; an
+    # attracting SliceBasis likewise carries the grading it was built from
     both = [f"{module}:{node.name}" for module, tree in TREES.items()
             for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             and "grading" in (args := {a.arg for a in ast.walk(node.args)
                                        if isinstance(a, ast.arg)})
-            and args & {"p0", "p"}]
+            and args & {"p0", "p", "basis"}]
     assert both == []
+
+
+STEP_LIMITS = {"ARMIJO_SLOPE", "MAX_HALVINGS", "MAX_NEWTON_ITER", "MAX_SLICE_ITER"}
+
+
+def test_one_home_for_the_step_rule():
+    # both Newton loops live in solver.py and step through one function, so
+    # no other module reads their limits and one loop tests the Armijo bound
+    readers = sorted({module for module, tree in TREES.items() if module != "config.py"
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Name) and node.id in STEP_LIMITS
+                      or isinstance(node, ast.alias) and node.name in STEP_LIMITS})
+    assert readers == ["solver.py"]
+
+    def tests_armijo(node):
+        return any(isinstance(sub, ast.Compare) and any(
+            isinstance(n, ast.Name) and n.id == "ARMIJO_SLOPE" for n in ast.walk(sub))
+            for sub in ast.walk(node))
+    loops = [(module, loop) for module, tree in TREES.items()
+             for loop in ast.walk(tree) if isinstance(loop, (ast.For, ast.While))
+             and tests_armijo(loop)]
+    innermost = [f"{module}:{loop.lineno}" for module, loop in loops
+                 if not any(inner is not loop and isinstance(inner, (ast.For, ast.While))
+                            and tests_armijo(inner) for inner in ast.walk(loop))]
+    assert len(innermost) == 1, innermost

@@ -116,6 +116,17 @@ def test_every_suite_passes_on_committed_quivers(quiver, seed):
     assert not failed
 
 
+# larger quivers outside the sweep's 73 runs, so that its gate stays
+# comparable: the E6 star (rep dim 54) and the A5 chain (rep dim 46)
+@pytest.mark.parametrize("quiver, seed", [
+    (quiver, seed) for quiver in ("tests/quivers/e6_star.json", "tests/quivers/a5_chain.json")
+    for seed in range(3)])
+def test_every_suite_passes_on_the_larger_committed_quivers(quiver, seed):
+    report, _ = ql.verify_run(ql.RunConfig(quiver_file=quiver_spec(quiver), seed=seed))
+    assert [s.name for s in report.suites] == EXPECTED_SUITES
+    assert not {s.name: s.note for s in report.suites if not s.passed}
+
+
 def test_a4_chain_passes_without_long_path_walks(monkeypatch):
     # rep dim 62: the paths up to 2 sum(v) = 20 tokens number 3.6 million,
     # so every path walk must stay at the configured max_len
@@ -152,6 +163,15 @@ def test_oriented_cycle_fails_escape_as_not_nilpotent(seed):
     assert not is_nilpotent_by_paths(pipeline.grading.base_point)
 
 
+def _replace_everywhere(monkeypatch, real, wrapper) -> None:
+    """Bind wrapper in place of real in every quiverlim namespace that binds it."""
+    for name, mod in list(sys.modules.items()):
+        if name == "quiverlim" or name.startswith("quiverlim."):
+            for attr, val in list(vars(mod).items()):
+                if val is real:
+                    monkeypatch.setattr(mod, attr, wrapper)
+
+
 @pytest.mark.parametrize("quiver", ["tstar-p1", "a3-star"])
 def test_each_op_checks_its_slice_increment_once(monkeypatch, quiver):
     # the attracting slice, the conformal study and the escape scan share the
@@ -161,14 +181,35 @@ def test_each_op_checks_its_slice_increment_once(monkeypatch, quiver):
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
-    for name, mod in list(sys.modules.items()):
-        if name == "quiverlim" or name.startswith("quiverlim."):
-            for attr, val in list(vars(mod).items()):
-                if val is real:
-                    monkeypatch.setattr(mod, attr, counted)
+    _replace_everywhere(monkeypatch, real, counted)
     report, _ = ql.verify_run(ql.RunConfig(quiver_file=quiver, seed=0))
     assert report.all_passed
     assert len(calls) == 1
+
+
+def test_both_newton_loops_step_by_the_one_rule(monkeypatch):
+    # the moment solve and the min-norm kernel take every step through
+    # solver._armijo_step: each iteration of a returned solve is one step
+    # the rule accepted
+    steps, iterations = [], []
+    real_step, real_solve = ql.solver._armijo_step, ql.solver.solve_real_moment
+
+    def step(*args):
+        taken = real_step(*args)
+        steps.append((sys._getframe(1).f_code.co_name, taken is not None))
+        return taken
+
+    def solve(*args, **kwargs):
+        report = real_solve(*args, **kwargs)
+        iterations.append(report.iterations)
+        return report
+    _replace_everywhere(monkeypatch, real_step, step)
+    _replace_everywhere(monkeypatch, real_solve, solve)
+    report, _ = ql.verify_run(ql.RunConfig(quiver_file="a3-star", seed=0))
+    assert report.all_passed
+    assert {caller for caller, _ in steps} == {"_newton_step", "_min_norm_newton"}
+    assert sum(ok for caller, ok in steps if caller == "_newton_step") == sum(iterations)
+    assert all(ok for caller, ok in steps if caller == "_min_norm_newton")
 
 
 @pytest.mark.parametrize("seed", range(2))

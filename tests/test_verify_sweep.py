@@ -9,6 +9,8 @@ import sys
 
 import pytest
 
+import quiverlim as ql
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location(
     "verify_sweep", ROOT / "scripts" / "verify_sweep.py")
@@ -134,3 +136,29 @@ def test_sweep_prints_digests_on_stdout_and_its_time_on_stderr(tmp_path, monkeyp
     assert out == " ".join(["tstar-p1", "0", *digests, verdicts]) + "\n"
     assert re.fullmatch(r"sweep of 1 runs: \d+\.\d\d s wall time, \d+\.\d MB peak RSS, "
                         r"src (.+)\n", err).group(1) == str(ROOT / "src")
+
+
+def test_generated_sweep_prints_one_line_per_input_and_a_summary(monkeypatch, capsys):
+    # the first two generated inputs: each line names the input and its 13
+    # verdicts (or the error that refused it), and the summary counts each
+    # input once under its first failing suite
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.chdir(ROOT)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    assert sweep.main(["--generated", "2"]) == 0
+    out, err = capsys.readouterr()
+    *lines, summary = out.splitlines()
+    inputs = sweep._generated_inputs(ql, 2)
+    assert len(lines) == len(inputs) == 2
+    for line, (quiver, dims, zeta) in zip(lines, inputs):
+        edges, v, w, sigma, outcome = line.split()
+        assert edges == "edges=" + ";".join(f"{a}>{b}" for a, b in quiver.edges)
+        assert (v, w) == ("v=" + ",".join(map(str, dims.v)), "w=" + ",".join(map(str, dims.w)))
+        assert sigma == "sigma=" + ",".join(f"{s:g}" for s in zeta.sigma)
+        assert re.fullmatch(r"[PF]{13}|[A-Za-z]+", outcome)
+    assert lines[0].endswith(" " + "P" * 13)
+    counts = re.fullmatch(r"summary: 2 generated inputs at seed 0, by first failing "
+                          r"suite: (.+)", summary).group(1)
+    assert sum(int(part.rsplit(" ", 1)[1]) for part in counts.split(", ")) == 2
+    assert err.startswith("generated sweep of 2 inputs: ")
